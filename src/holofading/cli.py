@@ -11,8 +11,9 @@ Subcommands:
 All lengths on the interface are in wavelengths; the wavelength itself is
 never a flag. A flat key=value config file may supply any long option of
 the chosen subcommand (unknown keys are rejected); explicit flags win over
-file values. ``--threads`` caps worker concurrency (default: available
-parallelism; env var HOLO_THREADS overrides the default). Exit codes:
+file values. ``--threads`` caps the Monte Carlo worker threads of validate
+and compare-kl (default: env var HOLO_THREADS, else the CPUs this process
+may run on; a malformed HOLO_THREADS is a configuration error). Exit codes:
 0 all checks passed, 1 a validation failed (machine-readable failure list
 on stderr), 2 bad configuration.
 """
@@ -55,12 +56,6 @@ def build_aperture(aperture_spec: str, spacing_spec: str) -> Aperture:
         spacings = spacings * len(sides)
     if len(spacings) != len(sides):
         raise ConfigError("--spacing must have one value or one per aperture side")
-    for d in spacings[: min(len(sides), 2)]:
-        if d > 0.5 + 1e-12:
-            raise ConfigError(
-                f"spacing {d:g} violates the Nyquist rule: the field is "
-                "2*kappa-bandlimited, so in-plane spacing must be <= lambda/2"
-            )
     kwargs = dict(lx=sides[0], dx=spacings[0])
     if len(sides) >= 2:
         kwargs.update(ly=sides[1], dy=spacings[1])
@@ -72,7 +67,7 @@ def build_aperture(aperture_spec: str, spacing_spec: str) -> Aperture:
         raise ConfigError(str(exc))
 
 
-def load_factor(spec: str, aperture: Aperture | None = None) -> SpectralFactor | None:
+def load_factor(spec: str) -> SpectralFactor | None:
     if spec == "isotropic":
         return None  # generator picks the isotropic kind native to the aperture
     if not os.path.exists(spec):
@@ -132,6 +127,7 @@ def merge_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.Na
 
 
 _REQUIRED = object()
+_THREADS_HELP = "worker thread cap (default: HOLO_THREADS, else the CPUs this process may use)"
 
 
 class _Command:
@@ -148,13 +144,6 @@ class _Command:
 
     def finish(self, handler):
         self.parser.set_defaults(handler=handler, option_table=self.defaults)
-
-
-def _threads_default() -> int:
-    env = os.environ.get("HOLO_THREADS")
-    if env:
-        return max(int(env), 1)
-    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.opt("--out", str, required=True, help="output path")
     g.opt("--format", str, "bin", help="'csv' or 'bin'")
     g.opt("--config", str, None, help="key=value config file")
-    g.opt("--threads", int, _threads_default(), help="worker thread cap")
+    g.opt("--threads", int, None, help="accepted; generation runs on one thread")
     g.finish(cmd_generate)
 
     v = _Command(sub, "variances", "emit the variance table")
@@ -190,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     va.opt("--seed", int, 0, help="RNG seed (default 0)")
     va.opt("--out", str, None, help="directory for curve.csv and report.json")
     va.opt("--config", str, None, help="key=value config file")
-    va.opt("--threads", int, _threads_default(), help="worker thread cap")
+    va.opt("--threads", int, None, help=_THREADS_HELP)
     va.finish(cmd_validate)
 
     ck = _Command(sub, "compare-kl", "series generator vs dense baseline")
@@ -198,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     ck.opt("--seed", int, 0, help="RNG seed (default 0)")
     ck.opt("--out", str, None, help="output CSV path")
     ck.opt("--config", str, None, help="key=value config file")
-    ck.opt("--threads", int, _threads_default(), help="worker thread cap")
+    ck.opt("--threads", int, None, help=_THREADS_HELP)
     ck.finish(cmd_compare_kl)
 
     b = _Command(sub, "bench", "synthesis/baseline timing sweep")
@@ -249,7 +238,7 @@ def _field_batches(aperture, factor, seed, m, batch=256):
 
 def cmd_generate(args) -> int:
     aperture = build_aperture(args.aperture, args.spacing)
-    factor = load_factor(args.factor, aperture)
+    factor = load_factor(args.factor)
     if args.format not in ("csv", "bin"):
         raise ConfigError(f"--format must be 'csv' or 'bin', got {args.format!r}")
     m = args.realizations

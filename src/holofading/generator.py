@@ -22,7 +22,7 @@ All lengths are in wavelength units (kappa = 2*pi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -139,12 +139,13 @@ class Aperture:
 
 @dataclass(frozen=True)
 class CoefficientDraw:
-    """One realization's coefficient pair per harmonic of a rectangular
-    aperture, reproducible from (seed, realization)."""
+    """Coefficient pairs per harmonic of a rectangular aperture, reproducible
+    from (seed, realization). ``realization`` is one counter, giving (n,)
+    arrays, or a sequence of them, giving (B, n) arrays."""
 
     table: CoefficientVariances2D
     seed: int
-    realization: int
+    realization: int | Sequence[int]
     h_plus: np.ndarray
     h_minus: np.ndarray
 
@@ -164,21 +165,27 @@ class FieldRealization:
     z_planes: tuple[float, ...] = field(default=(0.0,))
 
 
+def _scaled_normals(seed, realization, scale, per_harmonic) -> np.ndarray:
+    """scale * complex standard normals, ``per_harmonic`` draws per harmonic
+    from each realization's counter-based stream; shape (B, per_harmonic, n),
+    without the leading axis for a single realization."""
+    single = np.ndim(realization) == 0
+    reals = (realization,) if single else realization
+    n = len(scale)
+    out = np.empty((len(reals), per_harmonic, n), dtype=complex)
+    for i, r in enumerate(reals):
+        z = complex_standard_normals(seed, r, per_harmonic * n)
+        out[i] = scale * z.reshape(n, per_harmonic).T
+    return out[0] if single else out
+
+
 def draw_coefficients(
-    table: CoefficientVariances2D, seed: int, realization: int = 0
+    table: CoefficientVariances2D, seed: int, realization: int | Sequence[int] = 0
 ) -> CoefficientDraw:
     """Independent circularly-symmetric draws H+, H- with per-index variance
     sigma2_lm, from the counter-based stream of (seed, realization)."""
-    n = len(table)
-    z = complex_standard_normals(seed, realization, 2 * n).reshape(n, 2)
-    scale = np.sqrt(table.sigma_sq)
-    return CoefficientDraw(
-        table=table,
-        seed=seed,
-        realization=realization,
-        h_plus=scale * z[:, 0],
-        h_minus=scale * z[:, 1],
-    )
+    h = _scaled_normals(seed, realization, np.sqrt(table.sigma_sq), 2)
+    return CoefficientDraw(table, seed, realization, h[..., 0, :], h[..., 1, :])
 
 
 def lattice_wavenumbers(table: CoefficientVariances2D) -> tuple[np.ndarray, np.ndarray]:
@@ -202,15 +209,21 @@ def shape_coefficients(draw: CoefficientDraw, factor: SpectralFactor) -> Coeffic
     harmonic's wavenumber point. Isotropic factors are the identity."""
     if factor.is_isotropic:
         return draw
-    kx, ky = lattice_wavenumbers(draw.table)
-    gp, gm = shaping_gains(factor, kx, ky, KAPPA)
-    return CoefficientDraw(
-        table=draw.table,
-        seed=draw.seed,
-        realization=draw.realization,
-        h_plus=draw.h_plus * gp,
-        h_minus=draw.h_minus * gm,
-    )
+    gp, gm = shaping_gains(factor, *lattice_wavenumbers(draw.table), KAPPA)
+    return replace(draw, h_plus=draw.h_plus * gp, h_minus=draw.h_minus * gm)
+
+
+def _check_planes(lx: float, ly: float, zs: Sequence[float]) -> None:
+    """Reject planes outside the series' validity: |z| < min(Lx, Ly), and
+    z = 0 only for a line aperture (ly = 0)."""
+    for z in zs:
+        if ly == 0.0 and z != 0.0:
+            raise MigrationRange("a line aperture supports z = 0 only")
+        if ly > 0.0 and abs(z) >= min(lx, ly):
+            raise MigrationRange(
+                f"|z| = {abs(z):g} outside the migration range of a "
+                f"{lx:g} x {ly:g} wavelength aperture"
+            )
 
 
 def migrate(draw: CoefficientDraw, z: float) -> np.ndarray:
@@ -220,66 +233,54 @@ def migrate(draw: CoefficientDraw, z: float) -> np.ndarray:
     Raises:
         MigrationRange: if |z| >= min(Lx, Ly).
     """
-    if abs(z) >= min(draw.table.lx, draw.table.ly):
-        raise MigrationRange(
-            f"|z| = {abs(z):g} outside the migration range of a "
-            f"{draw.table.lx:g} x {draw.table.ly:g} wavelength aperture"
-        )
+    _check_planes(draw.table.lx, draw.table.ly, (z,))
     phase = np.exp(1j * lattice_gammas(draw.table) * z)
     return draw.h_plus * phase + draw.h_minus * np.conj(phase)
 
 
-def _bins(table, aperture) -> tuple[np.ndarray, np.ndarray]:
-    nx, ny = aperture.nx, aperture.ny
-    if np.max(np.abs(table.ls)) * 2 > nx or np.max(np.abs(table.ms)) * 2 > ny:
+def _synthesize(h, table, aperture) -> np.ndarray:
+    """Zero-embed the coefficients (any leading batch axes) at their FFT bins
+    and evaluate the series on the grid: an inverse FFT over the trailing
+    grid axes without the 1/N factor, reindexed onto n = -N/2 .. N/2 - 1."""
+    axes = ((table.ls, aperture.nx),)
+    if isinstance(table, CoefficientVariances2D):
+        axes = ((table.ms, aperture.ny),) + axes
+    shape = tuple(n for _, n in axes)
+    if any(np.max(np.abs(idx)) * 2 > n for idx, n in axes):
         raise GridTooCoarse(
-            f"{nx} x {ny} grid cannot hold the harmonics of a "
-            f"{table.lx:g} x {table.ly:g} wavelength aperture"
+            f"{' x '.join(map(str, reversed(shape)))} grid cannot hold every "
+            f"harmonic of the variance table (Lx = {table.lx:g} wavelengths)"
         )
-    return table.ms % ny, table.ls % nx
+    spec = np.zeros(h.shape[:-1] + shape, dtype=complex)
+    # bins are distinct: the grid holds one full period of every harmonic
+    spec[(Ellipsis,) + tuple(idx % n for idx, n in axes)] = h
+    grid = tuple(range(-len(shape), 0))
+    return np.fft.fftshift(np.fft.ifftn(spec, axes=grid) * math.prod(shape), axes=grid)
 
 
 def synthesize_plane(hz: np.ndarray, table: CoefficientVariances2D, aperture: Aperture) -> np.ndarray:
     """Evaluate the series on the (ny, nx) grid by zero-embedded inverse FFT
-    without the 1/(Nx*Ny) factor, reindexed onto n = -N/2 .. N/2 - 1."""
-    return _synthesize_batch(hz[np.newaxis, :], table, aperture)[0]
-
-
-def _synthesize_batch(hz, table, aperture) -> np.ndarray:
-    rows, cols = _bins(table, aperture)
-    b = hz.shape[0]
-    spec = np.zeros((b, aperture.ny, aperture.nx), dtype=complex)
-    spec[:, rows, cols] = hz  # bins are distinct: grid holds one full period
-    out = np.fft.ifft2(spec, axes=(-2, -1)) * (aperture.nx * aperture.ny)
-    return np.fft.fftshift(out, axes=(-2, -1))
+    without the 1/(Nx*Ny) factor, reindexed onto n = -N/2 .. N/2 - 1.
+    Coefficients of shape (B, n) give fields of shape (B, ny, nx)."""
+    return _synthesize(hz, table, aperture)
 
 
 def synthesize_line(h: np.ndarray, table: CoefficientVariances1D, aperture: Aperture) -> np.ndarray:
-    """1D counterpart of synthesize_plane."""
-    nx = aperture.nx
-    if np.max(np.abs(table.ls)) * 2 > nx:
-        raise GridTooCoarse(
-            f"{nx}-point grid cannot hold the harmonics of a "
-            f"{table.lx:g}-wavelength line aperture"
-        )
-    if h.ndim == 1:
-        h = h[np.newaxis, :]
-    spec = np.zeros((h.shape[0], nx), dtype=complex)
-    spec[:, table.ls % nx] = h
-    out = np.fft.ifft(spec, axis=-1) * nx
-    return np.fft.fftshift(out, axes=-1)
+    """1D counterpart of synthesize_plane; always returns (B, nx), with
+    B = 1 for a single coefficient vector."""
+    return _synthesize(np.atleast_2d(h), table, aperture)
 
 
 def draw_line_coefficients(
     table: CoefficientVariances1D,
     seed: int,
-    realization: int = 0,
+    realization: int | Sequence[int] = 0,
     factor: SpectralFactor | None = None,
 ) -> np.ndarray:
     """Single-coefficient draws H_l of variance 2*sigma2_l, optionally
-    shaped by a spectral factor's line gain."""
-    z = complex_standard_normals(seed, realization, len(table.ls))
-    h = np.sqrt(2.0 * table.sigma_sq) * z
+    shaped by a spectral factor's line gain; (n,) for one realization,
+    (B, n) for a sequence of them."""
+    h = _scaled_normals(seed, realization, np.sqrt(2.0 * table.sigma_sq), 1)[..., 0, :]
     if factor is not None and not factor.is_isotropic:
         h = h * line_shaping_gain(factor, KAPPA * table.ls / table.lx, KAPPA)
     return h
@@ -317,43 +318,10 @@ def generate(
     if factor is None:
         factor = default_factor(aperture)
     zs = tuple(z_planes) if z_planes is not None else aperture.z_planes()
-
-    if aperture.kind == LINEAR:
-        if any(z != 0.0 for z in zs):
-            raise MigrationRange("a line aperture supports z = 0 only")
-        if table is None:
-            table = table_1d(aperture.lx)
-        h = draw_line_coefficients(table, seed, realization, factor)
-        samples = synthesize_line(h, table, aperture)[np.newaxis, :, :]
-        return FieldRealization(samples, aperture, seed, realization, factor.kind, zs)
-
-    if table is None:
-        table = table_2d(aperture.lx, aperture.ly)
-    for z in zs:
-        if abs(z) >= min(aperture.lx, aperture.ly):
-            raise MigrationRange(f"z = {z:g} outside the migration range")
-    draw = shape_coefficients(draw_coefficients(table, seed, realization), factor)
-    planes = [synthesize_plane(migrate(draw, z), table, aperture) for z in zs]
+    planes = generate_batch_planes(aperture, factor, seed, (realization,), zs, table)
     return FieldRealization(
-        np.stack(planes), aperture, seed, realization, factor.kind, zs
+        np.concatenate(planes), aperture, seed, realization, factor.kind, zs
     )
-
-
-def generate_batch(
-    aperture: Aperture,
-    factor: SpectralFactor | None,
-    seed: int,
-    realizations: Sequence[int],
-    z: float = 0.0,
-    table=None,
-) -> np.ndarray:
-    """Fields of many realizations on one z-plane, shape (B, ny, nx).
-
-    Bit-identical to stacking single ``generate`` calls; used by the Monte
-    Carlo estimators where per-realization object overhead matters.
-    """
-    out = generate_batch_planes(aperture, factor, seed, realizations, (z,), table)
-    return out[0]
 
 
 def generate_batch_planes(
@@ -364,44 +332,27 @@ def generate_batch_planes(
     z_planes: Sequence[float],
     table=None,
 ) -> list[np.ndarray]:
-    """Like generate_batch for several z-planes sharing the same draws."""
+    """The synthesis pipeline over a batch of realizations: draw, shape,
+    migrate to each z-plane, synthesize. Returns one (B, ny, nx) array per
+    plane; every realization is bit-identical to its single ``generate``.
+    A line aperture only supports z = 0.
+    """
     if factor is None:
         factor = default_factor(aperture)
+    _check_planes(aperture.lx, aperture.ly, z_planes)
     if aperture.kind == LINEAR:
-        if any(z != 0.0 for z in z_planes):
-            raise MigrationRange("a line aperture supports z = 0 only")
         if table is None:
             table = table_1d(aperture.lx)
-        h = np.stack(
-            [draw_line_coefficients(table, seed, r, factor) for r in realizations]
-        )
+        h = draw_line_coefficients(table, seed, realizations, factor)
         plane = synthesize_line(h, table, aperture)[:, np.newaxis, :]
         return [plane for _ in z_planes]
 
     if table is None:
         table = table_2d(aperture.lx, aperture.ly)
-    for z in z_planes:
-        if abs(z) >= min(aperture.lx, aperture.ly):
-            raise MigrationRange(f"z = {z:g} outside the migration range")
-    n = len(table)
-    hp = np.empty((len(realizations), n), dtype=complex)
-    hm = np.empty_like(hp)
-    scale = np.sqrt(table.sigma_sq)
-    for i, r in enumerate(realizations):
-        zdraw = complex_standard_normals(seed, r, 2 * n).reshape(n, 2)
-        hp[i] = scale * zdraw[:, 0]
-        hm[i] = scale * zdraw[:, 1]
-    if not factor.is_isotropic:
-        kx, ky = lattice_wavenumbers(table)
-        gp, gm = shaping_gains(factor, kx, ky, KAPPA)
-        hp *= gp
-        hm *= gm
-    gam = lattice_gammas(table)
-    out = []
-    for z in z_planes:
-        phase = np.exp(1j * gam * z)
-        out.append(_synthesize_batch(hp * phase + hm * np.conj(phase), table, aperture))
-    return out
+    # the unshaped draw is not kept: at full batch size each copy of the
+    # coefficient pairs is as large as a synthesized plane
+    draw = shape_coefficients(draw_coefficients(table, seed, realizations), factor)
+    return [synthesize_plane(migrate(draw, z), table, aperture) for z in z_planes]
 
 
 def brute_force_plane(hz, table, aperture) -> np.ndarray:

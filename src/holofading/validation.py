@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .baseline import AcfClosedForm, correlation_matrix, kl_sample
-from .errors import InsufficientRealizations, LagMismatch
+from .errors import ConfigError, InsufficientRealizations, LagMismatch
 from .generator import Aperture, FieldRealization, generate_batch_planes
 from .variances import table_1d, table_2d
 
@@ -92,6 +92,33 @@ def _normalize(raw: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lag_sum(h: np.ndarray, ref, lags, cyclic: bool = False) -> np.ndarray:
+    """First-row lag products summed over realizations,
+    sum_r conj(h_r(ref)) * h_r(ref + lag), of (B, ny, nx) fields over lags
+    (0..ky, 0..kx) from ref = (ry, rx); shape (kx + 1, ky + 1), x lag first.
+    ``cyclic`` wraps the x lags around the periodic grid.
+
+    The row window is a basic slice: index arrays on two axes would reorder
+    the products in memory, and with it numpy's summation order and the
+    last bits of the result.
+    """
+    (ry, rx), (ky, kx) = ref, lags
+    cols = (rx + np.arange(kx + 1)) % h.shape[-1] if cyclic else slice(rx, rx + kx + 1)
+    block = h[:, ry : ry + ky + 1, cols]
+    return np.sum(np.conj(h[:, ry, rx])[:, None, None] * block, axis=0).T
+
+
+def _estimate(raw, m, spacings, sides, tilted=True) -> AcfEstimate:
+    """AcfEstimate of a (kx + 1, ky + 1) lag-window covariance; with one
+    spacing and side (a line) only the x lags are kept."""
+    lags_x = np.arange(raw.shape[0]) * spacings[0]
+    if len(sides) == 1:
+        raw = raw[:, 0]
+        return AcfEstimate(lags_x, None, _normalize(raw), raw, m, sides[0], None, tilted)
+    lags_y = np.arange(raw.shape[1]) * spacings[1]
+    return AcfEstimate(lags_x, lags_y, _normalize(raw), raw, m, *sides, tilted)
+
+
 def empirical_acf(
     realizations: Iterable[FieldRealization] | np.ndarray,
     reference: tuple[int, ...] | None = None,
@@ -136,25 +163,13 @@ def empirical_acf(
         dx = dy = 1.0
         lx, ly = float(nx), float(ny)
 
+    kx, ky = (nx // 4, ny // 4) if max_lag_cells is None else (max_lag_cells,) * 2
     if ny == 1:
-        k = max_lag_cells if max_lag_cells is not None else nx // 4
-        if rx + k >= nx:
-            raise ValueError(f"lag window {k} from reference {rx} exceeds the grid")
-        raw = np.mean(np.conj(h[:, 0, rx, None]) * h[:, 0, rx : rx + k + 1], axis=0)
-        return AcfEstimate(
-            lags_x=np.arange(k + 1) * dx, lags_y=None,
-            values=_normalize(raw), raw=raw, m=m, lx=lx, ly=None,
-        )
-    kx = max_lag_cells if max_lag_cells is not None else nx // 4
-    ky = max_lag_cells if max_lag_cells is not None else ny // 4
+        ky = 0
     if rx + kx >= nx or ry + ky >= ny:
         raise ValueError(f"lag window ({kx}, {ky}) from ({rx}, {ry}) exceeds the grid")
-    block = h[:, ry : ry + ky + 1, rx : rx + kx + 1]
-    raw = np.mean(np.conj(h[:, ry, rx])[:, None, None] * block, axis=0).T  # (kx+1, ky+1)
-    return AcfEstimate(
-        lags_x=np.arange(kx + 1) * dx, lags_y=np.arange(ky + 1) * dy,
-        values=_normalize(raw), raw=raw, m=m, lx=lx, ly=ly,
-    )
+    raw = _lag_sum(h, (ry, rx), (ky, kx)) / m
+    return _estimate(raw, m, (dx, dy), (lx, ly) if ny > 1 else (lx,))
 
 
 def compare(est: AcfEstimate, oracle) -> CompareReport:
@@ -185,13 +200,42 @@ def compare(est: AcfEstimate, oracle) -> CompareReport:
 # batched Monte Carlo runs
 # ---------------------------------------------------------------------------
 
-def _thread_count(threads: int | None) -> int:
+def _thread_count(threads: int | None = None) -> int:
+    """Worker count: a positive ``threads``, else the HOLO_THREADS
+    environment variable, else the number of CPUs this process may run on.
+
+    Raises:
+        ConfigError: HOLO_THREADS is set but not an integer.
+    """
     if threads is not None and threads > 0:
         return threads
     env = os.environ.get("HOLO_THREADS")
     if env:
-        return max(int(env), 1)
+        try:
+            return max(int(env), 1)
+        except ValueError:
+            raise ConfigError(f"HOLO_THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _chunk_means(run_chunk, m: int, batch: int, threads: int | None) -> list[np.ndarray]:
+    """Means over m realizations of the partial sums that
+    ``run_chunk(start)`` returns (a list of arrays) for the realizations
+    start .. start + batch - 1.
+
+    Partial sums are reduced in chunk order, so results are bit-identical
+    for any worker count.
+    """
+    starts = range(0, m, batch)
+    nthreads = _thread_count(threads)
+    if nthreads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=nthreads) as pool:
+            chunked = list(pool.map(run_chunk, starts))
+    else:
+        chunked = [run_chunk(s) for s in starts]
+    return [sum(parts) / m for parts in zip(*chunked)]
 
 
 def _accumulate_first_row(
@@ -206,61 +250,27 @@ def _accumulate_first_row(
     table=None,
 ) -> list[AcfEstimate]:
     """First-row covariance accumulation over m realizations, one estimate
-    per requested z-plane (all planes share each realization's draws).
-
-    Partial sums are produced per fixed-size chunk and reduced in chunk
-    order, so results are bit-identical for any worker count.
-    """
+    per requested z-plane (all planes share each realization's draws);
+    bit-identical for any worker count."""
     if m < MIN_REALIZATIONS:
         raise InsufficientRealizations(f"need at least {MIN_REALIZATIONS} realizations, got {m}")
     nx, ny = aperture.nx, aperture.ny
-    rx = nx // 2
-    ry = ny // 2 if ny > 1 else 0
     one_d = aperture.kind == "linear"
-    if rx + lag_cells >= nx or (not one_d and ry + lag_cells >= ny):
+    ref = (0, nx // 2) if one_d else (ny // 2, nx // 2)
+    lags = (0, lag_cells) if one_d else (lag_cells, lag_cells)
+    if ref[1] + lags[1] >= nx or ref[0] + lags[0] >= ny:
         raise ValueError(f"lag window {lag_cells} exceeds the grid from the origin")
 
     def run_chunk(start: int) -> list[np.ndarray]:
         reals = range(start, min(start + batch, m))
         planes = generate_batch_planes(aperture, factor, seed, reals, z_planes, table)
-        partials = []
-        for hz in planes:
-            if one_d:
-                row = hz[:, 0, :]
-                partials.append(
-                    np.sum(np.conj(row[:, rx, None]) * row[:, rx : rx + lag_cells + 1], axis=0)
-                )
-            else:
-                block = hz[:, ry : ry + lag_cells + 1, rx : rx + lag_cells + 1]
-                partials.append(
-                    np.sum(np.conj(hz[:, ry, rx])[:, None, None] * block, axis=0).T
-                )
-        return partials
+        return [_lag_sum(hz, ref, lags) for hz in planes]
 
-    starts = list(range(0, m, batch))
-    nthreads = _thread_count(threads)
-    if nthreads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            chunked = list(pool.map(run_chunk, starts))
-    else:
-        chunked = [run_chunk(s) for s in starts]
-
-    out = []
-    for iz in range(len(z_planes)):
-        raw = sum(c[iz] for c in chunked) / m
-        if one_d:
-            est = AcfEstimate(
-                lags_x=np.arange(lag_cells + 1) * aperture.dx, lags_y=None,
-                values=_normalize(raw), raw=raw, m=m, lx=aperture.lx, ly=None,
-            )
-        else:
-            est = AcfEstimate(
-                lags_x=np.arange(lag_cells + 1) * aperture.dx,
-                lags_y=np.arange(lag_cells + 1) * aperture.dy,
-                values=_normalize(raw), raw=raw, m=m, lx=aperture.lx, ly=aperture.ly,
-            )
-        out.append(est)
-    return out
+    sides = (aperture.lx,) if one_d else (aperture.lx, aperture.ly)
+    return [
+        _estimate(raw, m, (aperture.dx, aperture.dy), sides)
+        for raw in _chunk_means(run_chunk, m, batch, threads)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +433,8 @@ def compare_kl(
     oracle = AcfClosedForm("bessel-2d")
     cmatrix = correlation_matrix(aperture, oracle)
     draws = kl_sample(cmatrix, seed, m)
-    rx = aperture.nx // 2
-    raw = np.mean(np.conj(draws[:, rx, None]) * draws[:, rx : rx + lag_cells + 1], axis=0)
-    kl_est = AcfEstimate(
-        lags_x=np.arange(lag_cells + 1) * dx, lags_y=None,
-        values=_normalize(raw), raw=raw, m=m, lx=lx, ly=None, tilted=False,
-    )
+    raw = _lag_sum(draws[:, None, :], (0, aperture.nx // 2), (0, lag_cells)) / m
+    kl_est = _estimate(raw, m, (dx,), (lx,), tilted=False)
 
     model_vals = gen_est.detilted().real
     kl_vals = kl_est.values.real
@@ -473,24 +479,13 @@ def lambda_half_independence(
     """
     aperture = Aperture(lx=lx, dx=0.5, ly=lx, dy=0.5)
     table = table_2d(aperture.lx, aperture.ly)
-    nx, ny = aperture.nx, aperture.ny
-    rx, ry = nx // 2, ny // 2
-    k = nx // 2
-    cols = (rx + np.arange(k + 1)) % nx
+    ref = (aperture.ny // 2, aperture.nx // 2)
 
-    def run_chunk(start: int) -> np.ndarray:
+    def run_chunk(start: int) -> list[np.ndarray]:
         reals = range(start, min(start + batch, m))
         (hz,) = generate_batch_planes(aperture, None, seed, reals, (0.0,), table)
-        row = hz[:, ry, :]
-        return np.sum(np.conj(row[:, rx, None]) * row[:, cols], axis=0)
+        return [_lag_sum(hz, ref, (0, aperture.nx // 2), cyclic=True)]
 
-    starts = list(range(0, m, batch))
-    nthreads = _thread_count(threads)
-    if nthreads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            partials = list(pool.map(run_chunk, starts))
-    else:
-        partials = [run_chunk(s) for s in starts]
-    raw = sum(partials) / m
-    row = _normalize(raw)
+    (raw,) = _chunk_means(run_chunk, m, batch, threads)
+    row = _normalize(raw[:, 0])
     return row, float(np.max(np.abs(row[1:])))

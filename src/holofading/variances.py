@@ -320,9 +320,12 @@ def _table_2d_cached(lx, ly, lam, method, tol):
         if key not in cache:
             cache[key] = compute(*key)
         sig[i] = cache[key]
-    return CoefficientVariances2D(
+    table = CoefficientVariances2D(
         lx=ax, ly=ay, ls=idx[:, 0].copy(), ms=idx[:, 1].copy(), sigma_sq=sig
     )
+    for arr in (table.ls, table.ms, table.sigma_sq):
+        arr.flags.writeable = False  # shared by every caller of the cache
+    return table
 
 
 def table_2d(

@@ -83,19 +83,22 @@ class TestConfigFile:
 
 
 class TestGenerateOutputs:
-    def test_binary_layout_roundtrip(self, tmp_path, capsys):
+    @pytest.mark.parametrize("sides, spacing, ap, nz", [
+        ("8,8", "0.5,0.5", Aperture(lx=8, dx=0.5, ly=8, dy=0.5), 1),
+        ("8,8,2", "0.5,0.5,0.5", Aperture(lx=8, dx=0.5, ly=8, dy=0.5, lz=2, dz=0.5), 4),
+    ], ids=["planar", "volumetric"])
+    def test_binary_layout_roundtrip(self, tmp_path, capsys, sides, spacing, ap, nz):
         out = tmp_path / "f.bin"
         code, _, _ = run_cli(
-            capsys, "generate", "--aperture", "8,8", "--spacing", "0.5,0.5",
+            capsys, "generate", "--aperture", sides, "--spacing", spacing,
             "--seed", "7", "--realizations", "3", "--out", str(out),
         )
         assert code == 0
         blob = out.read_bytes()
-        magic, version, nx, ny, nz, m = struct.unpack("<4s5I", blob[:24])
+        magic, version, nx, ny, nz_read, m = struct.unpack("<4s5I", blob[:24])
         assert magic == b"HOLO" and version == 1
-        assert (nx, ny, nz, m) == (16, 16, 1, 3)
+        assert (nx, ny, nz_read, m) == (16, 16, nz, 3)
         data = np.frombuffer(blob[24:], dtype="<c16").reshape(m, nz, ny, nx)
-        ap = Aperture(lx=8, dx=0.5, ly=8, dy=0.5)
         for r in range(3):
             want = generate(ap, seed=7, realization=r).samples
             assert np.array_equal(data[r], want)
@@ -233,6 +236,22 @@ class TestValidateCommand:
         assert "FAIL" in out
         failures = json.loads(err)["failures"]
         assert failures[0]["check"] == "fig6"
+
+    def test_malformed_thread_env_is_config_error(self, capsys, monkeypatch):
+        import holofading.validation as valmod
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no worker pool may start")
+
+        monkeypatch.setattr(valmod, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setenv("HOLO_THREADS", "abc")
+        code, _, err = run_cli(capsys, "validate", "--fig", "7", "--realizations", "100")
+        assert code == 2
+        failure = json.loads(err)["failures"][0]
+        assert failure["check"] == "config" and "HOLO_THREADS" in failure["detail"]
+        # only commands that run worker threads read the variable
+        code, out, _ = run_cli(capsys, "variances", "--aperture", "4")
+        assert code == 0 and out.startswith("l,m,sigma_sq")
 
     def test_validate_byte_identical(self, tmp_path, capsys):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"

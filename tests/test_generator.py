@@ -239,19 +239,30 @@ class TestGenerate:
         b = generate(ap, seed=11)
         assert np.array_equal(a.samples, b.samples)
 
-    def test_batch_equals_singles(self):
+    @pytest.mark.parametrize("factor", [
+        None,
+        SpectralFactor.from_callables(
+            lambda kx, ky: 1.0 + 0.5 * np.cos(np.arctan2(ky, kx) - 0.3),
+            lambda kx, ky: 1.0 + 0.2 * kx / KAPPA,
+        ),
+    ], ids=["isotropic", "directional"])
+    def test_batch_equals_singles(self, factor):
         ap = Aperture(lx=8, dx=0.5, ly=8, dy=0.5)
-        batch = generate_batch_planes(ap, None, 13, range(5), (0.0, 0.5))
+        batch = generate_batch_planes(ap, factor, 13, range(5), (0.0, 0.5))
         for r in range(5):
-            single = generate(ap, seed=13, realization=r, z_planes=(0.0, 0.5))
+            single = generate(ap, factor, seed=13, realization=r, z_planes=(0.0, 0.5))
             assert np.array_equal(batch[0][r], single.samples[0])
             assert np.array_equal(batch[1][r], single.samples[1])
 
-    def test_line_batch_equals_singles(self):
+    @pytest.mark.parametrize("factor", [
+        None,
+        SpectralFactor.from_callables(lambda kx, ky: np.where(kx < 0, 0.5, 2.0)),
+    ], ids=["isotropic", "shaped"])
+    def test_line_batch_equals_singles(self, factor):
         ap = Aperture(lx=16, dx=0.5)
-        (batch,) = generate_batch_planes(ap, None, 13, range(4), (0.0,))
+        (batch,) = generate_batch_planes(ap, factor, 13, range(4), (0.0,))
         for r in range(4):
-            single = generate(ap, seed=13, realization=r)
+            single = generate(ap, factor, seed=13, realization=r)
             assert np.array_equal(batch[r], single.samples[0])
 
     def test_line_rejects_migration(self):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from holofading import (
     AcfClosedForm,
     AcfEstimate,
     Aperture,
+    ConfigError,
     InsufficientRealizations,
     LagMismatch,
     compare,
@@ -18,7 +20,7 @@ from holofading import (
 )
 from holofading.baseline import CorrelationMatrix, kl_sample
 from holofading.generator import generate_batch_planes
-from holofading.validation import _accumulate_first_row
+from holofading.validation import _accumulate_first_row, _thread_count
 
 
 def _estimate(values, lags, lx=16.0, m=10_000, tilted=True):
@@ -129,6 +131,20 @@ class TestSelfConsistency:
             (est,) = _accumulate_first_row(ap, 55, m, (0.0,), 16, threads=1, table=t)
             devs[m] = np.max(np.abs(est.raw - oracle))
         assert devs[4000] <= devs[1000] * 0.6
+
+    def test_thread_count_resolution(self, monkeypatch):
+        # parsing and fallbacks only; no worker thread is started
+        monkeypatch.delenv("HOLO_THREADS", raising=False)
+        assert _thread_count(3) == 3
+        assert _thread_count(None) == len(os.sched_getaffinity(0))
+        monkeypatch.setenv("HOLO_THREADS", "5")
+        assert _thread_count(None) == _thread_count(0) == 5
+        assert _thread_count(2) == 2
+        monkeypatch.setenv("HOLO_THREADS", "-4")
+        assert _thread_count(None) == 1
+        monkeypatch.setenv("HOLO_THREADS", "two")
+        with pytest.raises(ConfigError, match="HOLO_THREADS"):
+            _thread_count(None)
 
     def test_threaded_accumulation_bit_identical(self):
         ap = Aperture(lx=16.0, dx=0.25)

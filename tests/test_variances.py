@@ -127,6 +127,14 @@ class TestTables:
         assert len(table) == 4
         assert table.total_power() == pytest.approx(1.0, abs=1e-12)
 
+    def test_cached_table_is_read_only(self):
+        table = table_2d(4.0, 4.0)
+        power = table.total_power()
+        for arr in (table.ls, table.ms, table.sigma_sq):
+            with pytest.raises(ValueError):
+                arr[:] = 0
+        assert table_2d(4.0, 4.0).total_power() == power == pytest.approx(1.0, abs=1e-12)
+
     def test_total_power_cap_and_monotonicity(self):
         totals = [table_2d(s, s).total_power() for s in (2.0, 4.0, 8.0, 16.0)]
         for t in totals:
