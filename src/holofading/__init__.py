@@ -7,14 +7,12 @@ __version__ = "0.1.0"
 from .baseline import (
     AcfClosedForm,
     CorrelationMatrix,
-    bessel_j0,
     clarke_acf_2d,
     clarke_acf_3d,
     correlation_matrix,
     kl_sample,
 )
 from .errors import (
-    BoundarySingularity,
     ConfigError,
     GridTooCoarse,
     GridTooLarge,
@@ -24,7 +22,6 @@ from .errors import (
     LagMismatch,
     MigrationRange,
     NotPSD,
-    OutOfDisk,
 )
 from .generator import (
     Aperture,
@@ -43,8 +40,6 @@ from .spectrum import (
     SpectralFactor,
     isotropic_factor_2d,
     isotropic_factor_3d,
-    plane_wave_spectrum,
-    shaping_response,
 )
 from .validation import (
     AcfEstimate,
@@ -60,18 +55,9 @@ from .variances import (
     coefficient_indices,
     table_1d,
     table_2d,
-    total_power,
     variance_1d,
     variance_2d_closed_form,
     variance_2d_quadrature,
-)
-from .wavenumber import (
-    LatticeIndex,
-    Wavelength,
-    WavenumberPoint,
-    gamma,
-    gamma_lattice,
-    lattice_ellipse,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,16 +8,8 @@ draws correlated vectors h = C^{1/2} e with e ~ complex standard normal and
 C the correlation matrix sampled from those closed forms; it exists to
 cross-check the series generator at desk scale, not to scale.
 
-J0 is evaluated locally: ascending power series for z <= 13 and the Hankel
-large-argument expansion
-
-    J0(z) ~ sqrt(2/(pi z)) * (cos(z - pi/4) P(z) + sin(z - pi/4) Q(z))
-    P(z) = 1 - A2/z^2 + A4/z^4 - ...,  Q(z) = A1/z - A3/z^3 + ...
-    Am = (1^2 * 3^2 * ... * (2m-1)^2) / (m! * 8^m)
-
-beyond, truncated at twelve terms per sum. Absolute error is below 1e-10 on
-[0, 200]; the test suite asserts this against quadrature of the integral
-representation (1/pi) * int_0^pi cos(z sin t) dt.
+J0 is ``scipy.special.j0``; the test suite checks it against quadrature of
+the integral representation (1/pi) * int_0^pi cos(z sin t) dt.
 """
 from __future__ import annotations
 
@@ -26,54 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from .errors import GridTooLarge, NotPSD
 from .generator import Aperture
 from .rng import STREAM_BASELINE, complex_standard_normals
-
-_SERIES_SPLIT = 13.0
-_SERIES_TERMS = 48
-_HANKEL_TERMS = 12
-
-# Am = prod_{j<=m} (2j-1)^2 / (m! 8^m)
-_HANKEL_A = [1.0]
-for _m in range(1, 2 * _HANKEL_TERMS + 1):
-    _HANKEL_A.append(_HANKEL_A[-1] * (2 * _m - 1) ** 2 / (8.0 * _m))
-
-
-def _j0_series(z: np.ndarray) -> np.ndarray:
-    q = -0.25 * z * z
-    term = np.ones_like(z)
-    acc = np.ones_like(z)
-    for k in range(1, _SERIES_TERMS + 1):
-        term = term * q / (k * k)
-        acc += term
-    return acc
-
-
-def _j0_hankel(z: np.ndarray) -> np.ndarray:
-    inv2 = 1.0 / (z * z)
-    p = np.zeros_like(z)
-    q = np.zeros_like(z)
-    for m in range(_HANKEL_TERMS - 1, -1, -1):
-        p = _HANKEL_A[2 * m] - p * inv2
-        q = _HANKEL_A[2 * m + 1] - q * inv2
-    chi = z - 0.25 * math.pi
-    return np.sqrt(2.0 / (math.pi * z)) * (np.cos(chi) * p + np.sin(chi) * q / z)
-
-
-def bessel_j0(z):
-    """Bessel function of the first kind, order zero (vectorized)."""
-    z = np.abs(np.asarray(z, dtype=float))
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    small = z <= _SERIES_SPLIT
-    if np.any(small):
-        out[small] = _j0_series(z[small])
-    if np.any(~small):
-        out[~small] = _j0_hankel(z[~small])
-    return float(out[0]) if scalar else out
 
 
 def clarke_acf_3d(r, lam: float = 1.0):
@@ -84,7 +33,7 @@ def clarke_acf_3d(r, lam: float = 1.0):
 
 def clarke_acf_2d(r, lam: float = 1.0):
     """J0(2 pi r / lambda)."""
-    return bessel_j0(2.0 * math.pi * np.asarray(r, dtype=float) / lam)
+    return scipy.special.j0(2.0 * math.pi * np.asarray(r, dtype=float) / lam)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ file values. ``--threads`` caps the Monte Carlo worker threads of validate
 and compare-kl (default: env var HOLO_THREADS, else the CPUs this process
 may run on; a malformed HOLO_THREADS is a configuration error). Exit codes:
 0 all checks passed, 1 a validation failed (machine-readable failure list
-on stderr), 2 bad configuration.
+on stderr), 2 bad configuration or an unreadable/unwritable path (JSON
+failure on stderr, never a traceback).
 """
 from __future__ import annotations
 
@@ -46,6 +47,8 @@ def _parse_lengths(text: str, name: str, max_parts: int = 3) -> list[float]:
         raise ConfigError(f"--{name}: expected comma-separated numbers, got {text!r}")
     if not 1 <= len(parts) <= max_parts:
         raise ConfigError(f"--{name}: expected 1 to {max_parts} values, got {len(parts)}")
+    if not all(math.isfinite(p) and p > 0.0 for p in parts):
+        raise ConfigError(f"--{name}: every value must be finite and positive, got {text!r}")
     return parts
 
 
@@ -236,12 +239,18 @@ def _field_batches(aperture, factor, seed, m, batch=256):
         yield np.stack(planes, axis=1)  # (B, nz, ny, nx)
 
 
+def _at_least_one(value: int, flag: str) -> int:
+    if value < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
 def cmd_generate(args) -> int:
     aperture = build_aperture(args.aperture, args.spacing)
     factor = load_factor(args.factor)
     if args.format not in ("csv", "bin"):
         raise ConfigError(f"--format must be 'csv' or 'bin', got {args.format!r}")
-    m = args.realizations
+    m = _at_least_one(args.realizations, "--realizations")
     batches = _field_batches(aperture, factor, args.seed, m)
     if args.format == "bin":
         with open(args.out, "wb") as fh:
@@ -284,6 +293,8 @@ def cmd_variances(args) -> int:
 def cmd_validate(args) -> int:
     if args.fig not in (6, 7, 8):
         raise ConfigError(f"--fig must be 6, 7 or 8, got {args.fig}")
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)  # a bad --out fails before the run
     report = run_figure(
         args.fig, m=args.realizations, seed=args.seed,
         out_dir=args.out, threads=args.threads,
@@ -380,13 +391,21 @@ def bench_baseline(sizes, seed: int = 0) -> tuple[list[int], list[float]]:
     return list(sizes), times
 
 
+def _parse_counts(text: str, name: str) -> list[int]:
+    counts = _parse_lengths(text, name, max_parts=16)
+    if any(n != int(n) for n in counts):
+        raise ConfigError(f"--{name}: expected whole numbers, got {text!r}")
+    return [int(n) for n in counts]
+
+
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in _parse_lengths(args.sizes, "sizes", max_parts=16)]
-    kl_sizes = [int(s) for s in _parse_lengths(args.kl_sizes, "kl-sizes", max_parts=16)]
+    sizes = _parse_counts(args.sizes, "sizes")
+    kl_sizes = _parse_counts(args.kl_sizes, "kl-sizes")
     if any(n > 4096 for n in kl_sizes):
         raise ConfigError("--kl-sizes are capped at 4096 points (dense baseline)")
+    per = _at_least_one(args.per_size, "--per-size")
 
-    gen_points, gen_times = bench_series(sizes, per=args.per_size, seed=args.seed)
+    gen_points, gen_times = bench_series(sizes, per=per, seed=args.seed)
     rows = []
     for n, p, t in zip(sizes, gen_points, gen_times):
         rows.append(("series", p, t))
@@ -449,6 +468,9 @@ def main(argv=None) -> int:
         return 2
     except HoloFadingError as exc:
         _fail([{"check": type(exc).__name__, "detail": str(exc)}])
+        return 2
+    except OSError as exc:
+        _fail([{"check": "io", "detail": str(exc)}])
         return 2
 
 

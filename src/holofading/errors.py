@@ -5,23 +5,6 @@ class HoloFadingError(Exception):
     """Base class for every error raised by this package."""
 
 
-class OutOfDisk(HoloFadingError):
-    """Wavenumber point or lattice index outside the propagating disk.
-
-    Directions with kx^2 + ky^2 > kappa^2 correspond to evanescent waves,
-    which this package does not model.
-    """
-
-
-class BoundarySingularity(HoloFadingError):
-    """Power spectrum requested too close to the disk edge.
-
-    The spectrum diverges at the boundary; integrals across it must use the
-    transformed quadrature in :mod:`holofading.variances` instead of point
-    evaluation.
-    """
-
-
 class IndexOutOfBand(HoloFadingError):
     """Coefficient index outside the admissible band of the aperture."""
 

@@ -36,8 +36,7 @@ from .variances import (
     table_1d,
     table_2d,
 )
-
-KAPPA = 2.0 * math.pi
+from .wavenumber import KAPPA, lattice_gammas, lattice_wavenumbers
 
 LINEAR = "linear"
 PLANAR = "planar"
@@ -186,22 +185,6 @@ def draw_coefficients(
     sigma2_lm, from the counter-based stream of (seed, realization)."""
     h = _scaled_normals(seed, realization, np.sqrt(table.sigma_sq), 2)
     return CoefficientDraw(table, seed, realization, h[..., 0, :], h[..., 1, :])
-
-
-def lattice_wavenumbers(table: CoefficientVariances2D) -> tuple[np.ndarray, np.ndarray]:
-    """Wavenumber points (2*pi*l/Lx, 2*pi*m/Ly) of the table's harmonics."""
-    return KAPPA * table.ls / table.lx, KAPPA * table.ms / table.ly
-
-
-def lattice_gammas(table: CoefficientVariances2D) -> np.ndarray:
-    """Vertical wavenumbers of the table's harmonics.
-
-    Rim cells can carry in-disk power while their integer lattice point sits
-    just outside the disk; their gamma is clamped to 0 (grazing incidence),
-    which leaves all same-plane second-order statistics untouched.
-    """
-    s = (table.ls / table.lx) ** 2 + (table.ms / table.ly) ** 2
-    return KAPPA * np.sqrt(np.clip(1.0 - s, 0.0, None))
 
 
 def shape_coefficients(draw: CoefficientDraw, factor: SpectralFactor) -> CoefficientDraw:

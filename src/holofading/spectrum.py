@@ -1,8 +1,8 @@
-"""Directional scattering weights and their wavenumber-domain power spectra.
+"""Directional scattering weights and the shaping gains that impose them.
 
 A scattering environment is described by a pair of nonnegative directional
 weights (a_plus, a_minus) on the disk of radius kappa, one per propagation
-half-space. The associated per-half-space power density is
+half-space. The per-half-space power density they describe is
 
     S(kx, ky) = a(kx, ky)^2 / (4 * pi * gamma(kx, ky))
 
@@ -14,7 +14,9 @@ through a memoryless wavenumber gain
 
     g(kx, ky) = sqrt(kappa) * a(kx, ky) / (2 * pi)
 
-which equals 1 everywhere for the isotropic weight.
+which equals 1 everywhere for the isotropic weight. ``shaping_gains``
+evaluates it at the harmonics of a rectangular aperture and
+``line_shaping_gain`` at those of a line aperture.
 """
 from __future__ import annotations
 
@@ -22,9 +24,6 @@ import csv
 import math
 
 import numpy as np
-
-from .errors import BoundarySingularity, OutOfDisk
-from .wavenumber import DISK_REL_TOL, _unpack
 
 ISOTROPIC_3D = "isotropic-3d"
 ISOTROPIC_2D = "isotropic-2d"
@@ -34,9 +33,6 @@ ANALYTIC = "analytic"
 # Polar probe grid used to reject unbounded or negative factors at load time.
 _PROBE_RADII = 64
 _PROBE_ANGLES = 64
-
-# gamma/kappa below this is "at the boundary" for point evaluation purposes.
-BOUNDARY_GAMMA_TOL = 1e-9
 
 
 def isotropic_factor_3d(kappa: float) -> float:
@@ -195,55 +191,6 @@ def _read_polar_csv(path):
         table_p[rindex[r], pindex[p]] = ap
         table_m[rindex[r], pindex[p]] = am
     return radii, angles, table_p, table_m
-
-
-def _check_inside(kx, ky, kappa):
-    rho2 = kx * kx + ky * ky
-    if rho2 > kappa * kappa * (1.0 + DISK_REL_TOL):
-        raise OutOfDisk(
-            f"(kx, ky) = ({kx:g}, {ky:g}) lies outside the disk of radius {kappa:g}"
-        )
-    return rho2
-
-
-def plane_wave_spectrum(factor: SpectralFactor, point, kappa: float):
-    """Per-half-space power densities (s_plus, s_minus) at a disk point.
-
-    s = a^2 / (4 * pi * gamma); for the isotropic 3D weight this reduces to
-    (pi / kappa) / gamma.
-
-    Raises:
-        OutOfDisk: point outside the disk.
-        BoundarySingularity: gamma/kappa < 1e-9; integrals across the edge
-            must use the transformed quadrature in the variances module.
-    """
-    kx, ky = _unpack(point)
-    rho2 = _check_inside(kx, ky, kappa)
-    g = math.sqrt(max(kappa * kappa - rho2, 0.0))
-    if g < BOUNDARY_GAMMA_TOL * kappa:
-        raise BoundarySingularity(
-            "power density diverges at the disk boundary; use the cell "
-            "quadrature instead of point evaluation"
-        )
-    ap, am = factor.amplitudes(kx, ky)
-    scale = 1.0 / (4.0 * math.pi * g)
-    return float(ap) ** 2 * scale, float(am) ** 2 * scale
-
-
-def shaping_response(factor: SpectralFactor, point, kappa: float):
-    """Amplitude gains (g_plus, g_minus) turning isotropic coefficient draws
-    into draws for this factor: g = sqrt(kappa) * a / (2 * pi).
-
-    Equals (1, 1) everywhere for the isotropic 3D weight.
-
-    Raises:
-        OutOfDisk: point outside the disk.
-    """
-    kx, ky = _unpack(point)
-    _check_inside(kx, ky, kappa)
-    ap, am = factor.amplitudes(kx, ky)
-    scale = math.sqrt(kappa) / (2.0 * math.pi)
-    return float(ap) * scale, float(am) * scale
 
 
 def shaping_gains(factor: SpectralFactor, kx, ky, kappa: float):

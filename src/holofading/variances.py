@@ -344,8 +344,3 @@ def table_2d(
         tol: quadrature tolerance (ignored by the closed form).
     """
     return _table_2d_cached(float(lx), float(ly), float(lam), method, float(tol))
-
-
-def total_power(table) -> float:
-    """Sum of 2*sigma2 over the table's index set."""
-    return table.total_power()

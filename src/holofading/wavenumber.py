@@ -1,157 +1,36 @@
-"""Wavenumber-domain geometry of propagating waves over a rectangular aperture.
+"""The dispersion map of the aperture harmonics.
 
 Propagating plane waves occupy a disk of radius kappa = 2*pi/lambda in the
 (kx, ky) plane; the vertical component is fixed by the dispersion relation
-kz = +/- sqrt(kappa^2 - kx^2 - ky^2). A rectangular aperture of side lengths
-(Lx, Ly) resolves the disk into harmonics spaced (2*pi/Lx, 2*pi/Ly), so the
-propagating harmonics are the integer pairs inside a lattice ellipse of
-semi-axes Lx/lambda and Ly/lambda.
+gamma = sqrt(kappa^2 - kx^2 - ky^2). A rectangular aperture of side lengths
+(Lx, Ly) samples that disk at the harmonic lattice points
+(2*pi*l/Lx, 2*pi*m/Ly); the index set itself is
+``variances.coefficient_indices``.
 
-Package convention: lengths are wavelength-normalized (lambda = 1, kappa =
-2*pi). Every function still takes explicit lambda/kappa arguments so unit
-choices stay local to the caller.
+Lengths are wavelength-normalized (lambda = 1, kappa = 2*pi).
 """
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
-from .errors import OutOfDisk
+import numpy as np
 
-# Relative slack when testing disk membership, so that boundary points
-# produced by exact arithmetic (e.g. kx = kappa) are accepted.
-DISK_REL_TOL = 1e-12
+from .variances import CoefficientVariances2D
 
-# Below this aperture-to-wavelength ratio the series expansion is a coarse
-# approximation of the continuous field.
-SMALL_APERTURE_WARN = 4.0
+KAPPA = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class Wavelength:
-    """Carrier wavelength and its wavenumber kappa = 2*pi/lambda."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError(f"wavelength must be positive, got {self.lam}")
-
-    @property
-    def kappa(self) -> float:
-        return 2.0 * math.pi / self.lam
+def lattice_wavenumbers(table: CoefficientVariances2D) -> tuple[np.ndarray, np.ndarray]:
+    """Wavenumber points (2*pi*l/Lx, 2*pi*m/Ly) of the table's harmonics."""
+    return KAPPA * table.ls / table.lx, KAPPA * table.ms / table.ly
 
 
-@dataclass(frozen=True)
-class WavenumberPoint:
-    """Horizontal wavenumber coordinates (rad/length)."""
+def lattice_gammas(table: CoefficientVariances2D) -> np.ndarray:
+    """Vertical wavenumbers of the table's harmonics.
 
-    kx: float
-    ky: float
-
-
-@dataclass(frozen=True)
-class LatticeIndex:
-    """Integer harmonic index (l, m) of a rectangular aperture."""
-
-    l: int
-    m: int
-
-
-def _unpack(point) -> tuple[float, float]:
-    if isinstance(point, WavenumberPoint):
-        return point.kx, point.ky
-    kx, ky = point
-    return float(kx), float(ky)
-
-
-def gamma(point, kappa: float) -> float:
-    """Vertical wavenumber sqrt(kappa^2 - kx^2 - ky^2) of a propagating direction.
-
-    The caller applies the sign for up/downgoing propagation.
-
-    Args:
-        point: WavenumberPoint or (kx, ky) pair.
-        kappa: wavenumber 2*pi/lambda.
-
-    Returns:
-        Nonnegative vertical wavenumber; exactly 0 on the disk boundary.
-
-    Raises:
-        OutOfDisk: if kx^2 + ky^2 exceeds kappa^2 beyond a 1e-12 relative
-            tolerance (an evanescent direction).
+    Rim cells can carry in-disk power while their integer lattice point sits
+    just outside the disk; their gamma is clamped to 0 (grazing incidence),
+    which leaves all same-plane second-order statistics untouched.
     """
-    kx, ky = _unpack(point)
-    rho2 = kx * kx + ky * ky
-    k2 = kappa * kappa
-    if rho2 > k2 * (1.0 + DISK_REL_TOL):
-        raise OutOfDisk(
-            f"(kx, ky) = ({kx:g}, {ky:g}) lies outside the disk of radius {kappa:g}"
-        )
-    return math.sqrt(max(k2 - rho2, 0.0))
-
-
-def lattice_ellipse(lx: float, ly: float, lam: float = 1.0) -> list[LatticeIndex]:
-    """Integer pairs (l, m) with (l*lam/Lx)^2 + (m*lam/Ly)^2 <= 1.
-
-    Boundary pairs (equality) are included; they carry zero vertical
-    wavenumber and zero or near-zero power. Enumeration order is
-    deterministic: m outer, l inner, both ascending, so index/coefficient
-    pairings are reproducible across runs.
-
-    Args:
-        lx, ly: aperture side lengths.
-        lam: wavelength (same unit as the side lengths).
-
-    Returns:
-        The member indices in row-major order.
-    """
-    if lx < lam or ly < lam:
-        raise ValueError("aperture sides must be at least one wavelength")
-    if min(lx, ly) / lam < SMALL_APERTURE_WARN:
-        warnings.warn(
-            "aperture below 4 wavelengths: the harmonic series is a coarse "
-            "model of the continuous field",
-            stacklevel=2,
-        )
-    ax = lx / lam
-    ay = ly / lam
-    nx = math.ceil(ax)
-    ny = math.ceil(ay)
-    out = []
-    for m in range(-ny, ny + 1):
-        t = (m / ay) ** 2
-        if t > 1.0:
-            continue
-        for l in range(-nx, nx + 1):
-            if (l / ax) ** 2 + t <= 1.0:
-                out.append(LatticeIndex(l, m))
-    return out
-
-
-def gamma_lattice(idx, lx: float, ly: float, lam: float = 1.0) -> float:
-    """Vertical wavenumber of harmonic (l, m): the dispersion relation
-    evaluated at the lattice point (2*pi*l/Lx, 2*pi*m/Ly).
-
-    Args:
-        idx: LatticeIndex or (l, m) pair.
-        lx, ly: aperture side lengths.
-        lam: wavelength.
-
-    Returns:
-        kappa * sqrt(1 - (l*lam/Lx)^2 - (m*lam/Ly)^2); exactly 0 for
-        boundary indices.
-
-    Raises:
-        OutOfDisk: if the index is not a member of the lattice ellipse.
-    """
-    if isinstance(idx, LatticeIndex):
-        l, m = idx.l, idx.m
-    else:
-        l, m = idx
-    s = (l * lam / lx) ** 2 + (m * lam / ly) ** 2
-    if s > 1.0 + DISK_REL_TOL:
-        raise OutOfDisk(f"index ({l}, {m}) outside the lattice ellipse")
-    kappa = 2.0 * math.pi / lam
-    return kappa * math.sqrt(max(1.0 - s, 0.0))
+    s = (table.ls / table.lx) ** 2 + (table.ms / table.ly) ** 2
+    return KAPPA * np.sqrt(np.clip(1.0 - s, 0.0, None))

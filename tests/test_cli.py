@@ -298,6 +298,40 @@ class TestBench:
         assert "4096" in json.loads(err)["failures"][0]["detail"]
 
 
+_BAD_INPUTS = {
+    "negative-realizations": ("generate", "--aperture", "4", "--spacing", "0.5",
+                              "--realizations", "-1", "--out", "{tmp}/x.bin"),
+    "negative-side": ("variances", "--aperture", "4,-4"),
+    "zero-side": ("variances", "--aperture", "4,0"),
+    "infinite-side": ("generate", "--aperture", "inf,4", "--spacing", "0.5",
+                      "--out", "{tmp}/x.bin"),
+    "zero-bench-size": ("bench", "--sizes", "0"),
+    "fractional-bench-size": ("bench", "--sizes", "0.5"),
+    "zero-per-size": ("bench", "--sizes", "8", "--kl-sizes", "16", "--per-size", "0"),
+    "factor-is-directory": ("generate", "--aperture", "4", "--spacing", "0.5",
+                            "--factor", "{tmp}", "--out", "{tmp}/x.bin"),
+    "out-in-missing-dir": ("variances", "--aperture", "4", "--out", "{tmp}/missing/x.csv"),
+    # enough chunks and threads that a run would start a pool before writing
+    "out-below-file": ("validate", "--fig", "6", "--realizations", "600", "--threads", "2",
+                       "--out", "{tmp}/file/sub"),
+}
+
+
+@pytest.mark.parametrize("argv", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
+def test_bad_input_exits_2_with_json(argv, tmp_path, capsys, monkeypatch):
+    import holofading.validation as valmod
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no worker pool may start")
+
+    monkeypatch.setattr(valmod, "ThreadPoolExecutor", no_pool)
+    (tmp_path / "file").write_text("")
+    code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    failure = json.loads(err.splitlines()[-1])["failures"][0]
+    assert failure["check"] in ("config", "io")
+
+
 class TestVersion:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

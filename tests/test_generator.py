@@ -28,7 +28,6 @@ from holofading.generator import (
 )
 
 KAPPA = 2.0 * math.pi
-pytestmark = pytest.mark.filterwarnings("ignore:aperture below 4 wavelengths")
 
 
 class TestAperture:

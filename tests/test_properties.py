@@ -1,0 +1,71 @@
+"""Property tests over random apertures (sides 1 to 12 wavelengths) and seeds.
+
+Hypothesis runs derandomized, so every run checks the same examples.
+"""
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from holofading import Aperture, coefficient_indices, draw_coefficients, migrate, table_2d
+from holofading.generator import brute_force_plane, synthesize_plane
+from holofading.wavenumber import KAPPA, lattice_gammas, lattice_wavenumbers
+
+sides = st.floats(min_value=1.0, max_value=12.0, allow_nan=False, allow_infinity=False)
+fixed = settings(derandomize=True, deadline=None)
+
+
+@fixed
+@given(lx=sides, ly=sides)
+def test_index_set_mirror_symmetric_and_bounded(lx, ly):
+    idx = coefficient_indices(lx, ly)
+    got = {(int(l), int(m)) for l, m in idx}
+    assert all((-l - 1, m) in got and (l, -m - 1) in got for l, m in got)
+    nx, ny = math.ceil(lx), math.ceil(ly)
+    assert idx[:, 0].min() >= -nx and idx[:, 0].max() <= nx - 1
+    assert idx[:, 1].min() >= -ny and idx[:, 1].max() <= ny - 1
+
+
+@fixed
+@given(lx=sides, ly=sides)
+def test_unit_total_power_and_mirrored_variances(lx, ly):
+    table = table_2d(lx, ly)
+    assert abs(table.total_power() - 1.0) <= 1e-12
+    sigma = {(int(l), int(m)): s for l, m, s in zip(table.ls, table.ms, table.sigma_sq)}
+    for (l, m), s in sigma.items():
+        assert sigma[(-l - 1, m)] == s
+        assert sigma[(l, -m - 1)] == s
+
+
+@fixed
+@given(lx=sides, ly=sides)
+def test_dispersion_relation(lx, ly):
+    table = table_2d(lx, ly)
+    kx, ky = lattice_wavenumbers(table)
+    gamma = lattice_gammas(table)
+    rho2 = kx * kx + ky * ky
+    inside = rho2 < KAPPA**2
+    assert np.allclose(gamma[inside] ** 2 + rho2[inside], KAPPA**2, rtol=1e-12, atol=0.0)
+    assert np.all(gamma[~inside] == 0.0)
+
+
+@fixed
+@given(
+    lx=sides,
+    ly=sides,
+    extra=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    z_frac=st.floats(min_value=-0.95, max_value=0.95),
+    seed=st.integers(0, 2**32 - 1),
+    realization=st.integers(0, 1000),
+)
+def test_fft_synthesis_equals_brute_force(lx, ly, extra, z_frac, seed, realization):
+    # the smallest even grids that hold every harmonic, plus 0-2 extra pairs
+    nx, ny = 2 * (math.ceil(lx) + extra[0]), 2 * (math.ceil(ly) + extra[1])
+    dx, dy = lx / nx, ly / ny
+    assume(math.ceil(lx / dx) == nx and math.ceil(ly / dy) == ny)  # no rounding past N
+    aperture = Aperture(lx=lx, dx=dx, ly=ly, dy=dy)
+    table = table_2d(lx, ly)
+    hz = migrate(draw_coefficients(table, seed, realization), z_frac * min(lx, ly))
+    fft = synthesize_plane(hz, table, aperture)
+    assert np.max(np.abs(fft - brute_force_plane(hz, table, aperture))) <= 1e-10

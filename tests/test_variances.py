@@ -7,7 +7,6 @@ from scipy import integrate
 from holofading import (
     IndexOutOfBand,
     coefficient_indices,
-    lattice_ellipse,
     table_1d,
     table_2d,
     variance_1d,
@@ -15,8 +14,6 @@ from holofading import (
     variance_2d_quadrature,
 )
 from holofading.variances import fold_index
-
-pytestmark = pytest.mark.filterwarnings("ignore:aperture below 4 wavelengths")
 
 
 class TestVariance1D:
@@ -97,8 +94,9 @@ class TestClosedFormAgreement:
     @pytest.mark.parametrize("side", [4.0, 16.0])
     def test_matches_quadrature_everywhere(self, side):
         seen = set()
-        indices = [(i.l, i.m) for i in lattice_ellipse(side, side)]
-        indices += [tuple(r) for r in coefficient_indices(side, side)]
+        # the index set plus the two zero-mass lattice points on the rim
+        s = int(side)
+        indices = [tuple(r) for r in coefficient_indices(side, side)] + [(s, 0), (0, s)]
         for l, m in indices:
             key = (fold_index(l), fold_index(m))
             if key in seen:

@@ -3,113 +3,110 @@ import math
 import numpy as np
 import pytest
 
-from holofading import LatticeIndex, OutOfDisk, gamma, gamma_lattice, lattice_ellipse
-from holofading.wavenumber import Wavelength, WavenumberPoint
+from holofading import CoefficientVariances2D, coefficient_indices, table_2d
+from holofading.wavenumber import KAPPA, lattice_gammas, lattice_wavenumbers
 
-KAPPA = 2.0 * math.pi
+
+def _harmonics(lx, ly, pairs):
+    """A table holding just the given (l, m) harmonics of an lx x ly aperture."""
+    idx = np.array(pairs, dtype=int).reshape(-1, 2)
+    return CoefficientVariances2D(lx, ly, idx[:, 0], idx[:, 1], np.zeros(len(idx)))
+
+
+def _gamma(lx, ly, l, m):
+    return lattice_gammas(_harmonics(lx, ly, [(l, m)]))[0]
 
 
 class TestGamma:
+    """The dispersion relation gamma = sqrt(kappa^2 - kx^2 - ky^2)."""
+
     def test_broadside(self):
-        assert gamma(WavenumberPoint(0.0, 0.0), KAPPA) == KAPPA
+        assert _gamma(16.0, 16.0, 0, 0) == KAPPA
 
     def test_endfire_boundary(self):
-        assert gamma((KAPPA, 0.0), KAPPA) == 0.0
+        assert _gamma(16.0, 16.0, 16, 0) == 0.0
 
     def test_diagonal(self):
-        got = gamma((KAPPA / 2, KAPPA / 2), KAPPA)
-        assert got == pytest.approx(KAPPA / math.sqrt(2), rel=1e-14)
+        assert _gamma(16.0, 16.0, 8, 8) == pytest.approx(KAPPA / math.sqrt(2), rel=1e-14)
 
     def test_out_of_disk(self):
-        with pytest.raises(OutOfDisk):
-            gamma((1.1 * KAPPA, 0.0), KAPPA)
+        # a rim cell's lattice point outside the disk is grazing, not evanescent
+        assert _gamma(16.0, 16.0, 17, 0) == 0.0
+        assert _gamma(4.0, 4.0, -4, -1) == 0.0
 
     def test_boundary_tolerance(self):
-        # within 1e-12 relative of the rim is clamped, not rejected
-        assert gamma((KAPPA * (1.0 + 4e-13), 0.0), KAPPA) == 0.0
+        # (5/13)^2 + (12/13)^2 rounds to 1 + 2^-52: clamped to exactly 0, no NaN
+        assert _gamma(13.0, 13.0, 5, 12) == 0.0
+        assert _gamma(5.0, 5.0, 3, 4) == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_dispersion_identity(self, seed):
         rng = np.random.default_rng(seed)
-        for _ in range(200):
-            r = KAPPA * math.sqrt(rng.random())
-            phi = 2 * math.pi * rng.random()
-            kx, ky = r * math.cos(phi), r * math.sin(phi)
-            g = gamma((kx, ky), KAPPA)
-            assert g * g + kx * kx + ky * ky == pytest.approx(KAPPA**2, rel=1e-12)
+        lx, ly = rng.uniform(1.0, 12.0, size=2)
+        table = table_2d(lx, ly)
+        kx, ky = lattice_wavenumbers(table)
+        g = lattice_gammas(table)
+        inside = kx * kx + ky * ky < KAPPA**2
+        assert np.allclose(g[inside] ** 2 + kx[inside] ** 2 + ky[inside] ** 2, KAPPA**2,
+                           rtol=1e-12, atol=0.0)
+        assert np.all(g[~inside] == 0.0)
 
 
 class TestWavelength:
     def test_kappa(self):
-        assert Wavelength(1.0).kappa == KAPPA
-        assert Wavelength(0.5).kappa == pytest.approx(4 * math.pi)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Wavelength(0.0)
+        # lengths are in wavelengths: kappa = 2*pi / lambda at lambda = 1
+        assert KAPPA == 2.0 * math.pi
 
 
-@pytest.mark.filterwarnings("ignore:aperture below 4 wavelengths")
 class TestLatticeEllipse:
+    """The harmonic index set: every (l, m) whose cell overlaps the disk."""
+
     def test_single_wavelength(self):
-        got = set((i.l, i.m) for i in lattice_ellipse(1.0, 1.0))
-        assert got == {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
+        got = {tuple(map(int, r)) for r in coefficient_indices(1.0, 1.0)}
+        assert got == {(0, 0), (-1, 0), (0, -1), (-1, -1)}  # the four quarter disks
 
     def test_two_wavelengths(self):
-        assert len(lattice_ellipse(2.0, 2.0)) == 13
+        assert len(coefficient_indices(2.0, 2.0)) == 16
 
     def test_elongated(self):
-        got = set((i.l, i.m) for i in lattice_ellipse(16.0, 1.0))
-        assert (16, 0) in got and (-16, 0) in got
-        for l, m in got:
-            assert (l / 16.0) ** 2 + m * m <= 1.0 + 1e-12
-        # all (l, 0) members plus the (l, +-1) pairs allowed by the ellipse
-        assert all((l, 0) in got for l in range(-16, 17))
+        got = {tuple(map(int, r)) for r in coefficient_indices(16.0, 1.0)}
+        assert got == {(l, m) for l in range(-16, 16) for m in (-1, 0)}
 
     def test_symmetry(self):
-        got = set((i.l, i.m) for i in lattice_ellipse(7.0, 5.0))
+        got = {tuple(map(int, r)) for r in coefficient_indices(7.0, 5.0)}
         for l, m in got:
-            assert (-l, m) in got and (l, -m) in got
+            assert (-l - 1, m) in got and (l, -m - 1) in got
 
     @pytest.mark.parametrize("side", [8.0, 16.0])
     def test_cardinality_asymptotics(self, side):
-        n = len(lattice_ellipse(side, side))
+        n = len(coefficient_indices(side, side))
         assert 0.8 <= n / (math.pi * side * side) <= 1.2
 
     def test_deterministic_order(self):
-        first = lattice_ellipse(5.0, 3.0)
-        second = lattice_ellipse(5.0, 3.0)
-        assert first == second
-        keys = [(i.m, i.l) for i in first]
+        first = coefficient_indices(5.0, 3.0)
+        assert np.array_equal(first, coefficient_indices(5.0, 3.0))
+        keys = [(m, l) for l, m in first]
         assert keys == sorted(keys)
 
-    def test_rejects_subwavelength(self):
-        with pytest.raises(ValueError):
-            lattice_ellipse(0.5, 4.0)
 
-    def test_warns_small_aperture(self):
-        with pytest.warns(UserWarning):
-            lattice_ellipse(2.0, 2.0)
-
-
-@pytest.mark.filterwarnings("ignore:aperture below 4 wavelengths")
 class TestGammaLattice:
+    """lattice_gammas and lattice_wavenumbers at the harmonic lattice points."""
+
     def test_center(self):
-        assert gamma_lattice(LatticeIndex(0, 0), 7.0, 9.0) == KAPPA
+        assert _gamma(7.0, 9.0, 0, 0) == KAPPA
 
     def test_boundary_exact_zero(self):
-        assert gamma_lattice((16, 0), 16.0, 16.0) == 0.0
+        table = table_2d(16.0, 16.0)
+        rim = (table.ls == -16) & (table.ms == 0)
+        assert lattice_gammas(table)[rim].tolist() == [0.0]
 
     def test_half_radius(self):
-        got = gamma_lattice((8, 0), 16.0, 16.0)
-        assert got == pytest.approx(KAPPA * math.sqrt(3.0) / 2.0, rel=1e-14)
-
-    def test_outside_raises(self):
-        with pytest.raises(OutOfDisk):
-            gamma_lattice((17, 0), 16.0, 16.0)
+        assert _gamma(16.0, 16.0, 8, 0) == pytest.approx(KAPPA * math.sqrt(3.0) / 2.0, rel=1e-14)
 
     def test_matches_gamma_at_lattice_point(self):
-        for l, m in [(3, -2), (-5, 1), (0, 4)]:
-            got = gamma_lattice((l, m), 16.0, 8.0)
-            want = gamma((KAPPA * l / 16.0, KAPPA * m / 8.0), KAPPA)
-            assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
+        table = _harmonics(16.0, 8.0, [(3, -2), (-5, 1), (0, 4)])
+        kx, ky = lattice_wavenumbers(table)
+        assert np.allclose(kx, KAPPA * np.array([3, -5, 0]) / 16.0, rtol=1e-15, atol=0.0)
+        assert np.allclose(ky, KAPPA * np.array([-2, 1, 4]) / 8.0, rtol=1e-15, atol=0.0)
+        want = np.sqrt(KAPPA**2 - kx**2 - ky**2)
+        assert np.allclose(lattice_gammas(table), want, rtol=1e-13, atol=1e-13)
