@@ -21,6 +21,7 @@ failure on stderr, never a traceback).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -38,6 +39,9 @@ from .variances import table_1d, table_2d
 
 BIN_MAGIC = b"HOLO"
 BIN_VERSION = 1
+# generate synthesizes max(1, CHUNK_BYTES // bytes per realization)
+# realizations at a time, so its memory does not grow with --realizations
+CHUNK_BYTES = 8 << 20
 
 
 def _parse_lengths(text: str, name: str, max_parts: int = 3) -> list[float]:
@@ -102,7 +106,9 @@ def read_config_file(path: str) -> dict[str, str]:
 
 
 def merge_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.Namespace:
-    """Resolve option precedence: explicit flag > config file > default."""
+    """Resolve option precedence (explicit flag > config file > default)
+    and convert flag and file values alike; a value that does not parse
+    is a ConfigError."""
     file_values: dict[str, str] = {}
     if args.config:
         file_values = read_config_file(args.config)
@@ -113,15 +119,18 @@ def merge_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.Na
                 f"{sorted(parser_defaults)}"
             )
     for dest, (default, conv) in parser_defaults.items():
-        if getattr(args, dest) is not None:
-            continue  # explicit flag
-        if dest in file_values:
-            try:
-                setattr(args, dest, conv(file_values[dest]))
-            except ValueError:
-                raise ConfigError(f"config key {dest}: cannot parse {file_values[dest]!r}")
+        flag = getattr(args, dest)
+        if flag is not None:
+            source, text = f"--{dest.replace('_', '-')}", flag
+        elif dest in file_values:
+            source, text = f"config key {dest}", file_values[dest]
         else:
             setattr(args, dest, default)
+            continue
+        try:
+            setattr(args, dest, conv(text))
+        except ValueError:
+            raise ConfigError(f"{source}: cannot parse {text!r}")
     required = [d for d, (default, _) in parser_defaults.items() if default is _REQUIRED]
     missing = [d for d in required if getattr(args, d) is _REQUIRED]
     if missing:
@@ -142,7 +151,9 @@ class _Command:
 
     def opt(self, flag, conv=str, default=None, required=False, help=""):  # noqa: A002
         dest = flag.lstrip("-").replace("-", "_")
-        self.parser.add_argument(flag, dest=dest, type=conv, default=None, help=help)
+        # values stay strings here: merge_config converts flag and file
+        # values alike, so a bad value exits 2 with JSON, not argparse usage
+        self.parser.add_argument(flag, dest=dest, default=None, help=help)
         self.defaults[dest] = (_REQUIRED if required else default, conv)
 
     def finish(self, handler):
@@ -215,7 +226,7 @@ def _write_bin(fh, aperture, m, batches):
     ).tobytes()
     fh.write(header)
     for block in batches:  # (B, nz, ny, nx) complex
-        fh.write(np.ascontiguousarray(block).astype("<c16").tobytes())
+        fh.write(np.ascontiguousarray(block, dtype="<c16").data)
 
 
 def _write_csv(fh, aperture, m, batches, first_real=0):
@@ -231,8 +242,10 @@ def _write_csv(fh, aperture, m, batches, first_real=0):
             r += 1
 
 
-def _field_batches(aperture, factor, seed, m, batch=256):
+def _field_batches(aperture, factor, seed, m):
     z_planes = aperture.z_planes()
+    per_realization = aperture.nx * aperture.ny * aperture.nz * np.dtype(complex).itemsize
+    batch = max(1, CHUNK_BYTES // per_realization)
     for start in range(0, m, batch):
         reals = range(start, min(start + batch, m))
         planes = generate_batch_planes(aperture, factor, seed, reals, z_planes)
@@ -251,6 +264,8 @@ def cmd_generate(args) -> int:
     if args.format not in ("csv", "bin"):
         raise ConfigError(f"--format must be 'csv' or 'bin', got {args.format!r}")
     m = _at_least_one(args.realizations, "--realizations")
+    if args.format == "bin" and m >= 1 << 32:
+        raise ConfigError(f"--realizations {m} does not fit the uint32 count of the binary header")
     batches = _field_batches(aperture, factor, args.seed, m)
     if args.format == "bin":
         with open(args.out, "wb") as fh:
@@ -313,9 +328,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compare_kl(args) -> int:
-    result = compare_kl(m=args.realizations, seed=args.seed, threads=args.threads)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
+    # a bad --out fails before the run
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as fh:
+        result = compare_kl(m=args.realizations, seed=args.seed, threads=args.threads)
+        if fh is not None:
             fh.write("lag_over_lambda,model_estimate,kl_estimate,closed_form\n")
             for lag, a, b, c in zip(
                 result.lags, result.model_estimate, result.kl_estimate, result.closed_form

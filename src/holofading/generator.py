@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -187,12 +188,24 @@ def draw_coefficients(
     return CoefficientDraw(table, seed, realization, h[..., 0, :], h[..., 1, :])
 
 
+@lru_cache(maxsize=8)
+def _plane_gains(factor: SpectralFactor, lx: float, ly: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only shaping gains (g+, g-) at every harmonic of an lx x ly
+    table. ``coefficient_indices`` fixes the harmonics from the sides, so
+    one evaluation serves every batch of a run and either table method.
+    The factor is keyed by identity."""
+    gains = shaping_gains(factor, *lattice_wavenumbers(table_2d(lx, ly)), KAPPA)
+    for g in gains:
+        g.flags.writeable = False  # shared by every caller of the cache
+    return gains
+
+
 def shape_coefficients(draw: CoefficientDraw, factor: SpectralFactor) -> CoefficientDraw:
     """Multiply each coefficient pair by the factor's shaping gains at its
     harmonic's wavenumber point. Isotropic factors are the identity."""
     if factor.is_isotropic:
         return draw
-    gp, gm = shaping_gains(factor, *lattice_wavenumbers(draw.table), KAPPA)
+    gp, gm = _plane_gains(factor, draw.table.lx, draw.table.ly)
     return replace(draw, h_plus=draw.h_plus * gp, h_minus=draw.h_minus * gm)
 
 
@@ -265,7 +278,7 @@ def draw_line_coefficients(
     (B, n) for a sequence of them."""
     h = _scaled_normals(seed, realization, np.sqrt(2.0 * table.sigma_sq), 1)[..., 0, :]
     if factor is not None and not factor.is_isotropic:
-        h = h * line_shaping_gain(factor, KAPPA * table.ls / table.lx, KAPPA)
+        h = h * line_shaping_gain(factor, lattice_wavenumbers(table), KAPPA)
     return h
 
 

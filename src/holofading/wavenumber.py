@@ -15,14 +15,18 @@ import math
 
 import numpy as np
 
-from .variances import CoefficientVariances2D
+from .variances import CoefficientVariances1D, CoefficientVariances2D
 
 KAPPA = 2.0 * math.pi
 
 
-def lattice_wavenumbers(table: CoefficientVariances2D) -> tuple[np.ndarray, np.ndarray]:
-    """Wavenumber points (2*pi*l/Lx, 2*pi*m/Ly) of the table's harmonics."""
-    return KAPPA * table.ls / table.lx, KAPPA * table.ms / table.ly
+def lattice_wavenumbers(table: CoefficientVariances1D | CoefficientVariances2D):
+    """Wavenumber points (2*pi*l/Lx, 2*pi*m/Ly) of the table's harmonics;
+    for a line table, the array 2*pi*l/Lx alone."""
+    kx = KAPPA * table.ls / table.lx
+    if isinstance(table, CoefficientVariances1D):
+        return kx
+    return kx, KAPPA * table.ms / table.ly
 
 
 def lattice_gammas(table: CoefficientVariances2D) -> np.ndarray:

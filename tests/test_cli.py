@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -314,22 +315,137 @@ _BAD_INPUTS = {
     # enough chunks and threads that a run would start a pool before writing
     "out-below-file": ("validate", "--fig", "6", "--realizations", "600", "--threads", "2",
                        "--out", "{tmp}/file/sub"),
+    "kl-out-in-missing-dir": ("compare-kl", "--realizations", "600", "--threads", "2",
+                              "--out", "{tmp}/missing/kl.csv"),
+    "seed-not-integer": ("generate", "--aperture", "4", "--spacing", "0.5", "--seed", "abc",
+                         "--out", "{tmp}/x.bin"),
+    "fractional-realizations": ("generate", "--aperture", "4", "--spacing", "0.5",
+                                "--realizations", "1.5", "--out", "{tmp}/x.bin"),
+    # the binary header stores M as uint32
+    "realizations-overflow-bin-header": ("generate", "--aperture", "4,4", "--spacing", "0.5",
+                                         "--realizations", str(1 << 32), "--out", "{tmp}/x.bin"),
 }
+_IO_FAILURES = {"factor-is-directory", "out-in-missing-dir", "out-below-file",
+                "kl-out-in-missing-dir"}
 
 
-@pytest.mark.parametrize("argv", _BAD_INPUTS.values(), ids=_BAD_INPUTS.keys())
-def test_bad_input_exits_2_with_json(argv, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("case, argv", _BAD_INPUTS.items(), ids=_BAD_INPUTS.keys())
+def test_bad_input_exits_2_with_json(case, argv, tmp_path, capsys, monkeypatch):
+    import holofading.cli as climod
     import holofading.validation as valmod
 
     def no_pool(*args, **kwargs):
         raise AssertionError("no worker pool may start")
 
+    def no_generation(*args, **kwargs):
+        raise AssertionError("no realization may be generated")
+
     monkeypatch.setattr(valmod, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(climod, "generate_batch_planes", no_generation)
     (tmp_path / "file").write_text("")
     code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     failure = json.loads(err.splitlines()[-1])["failures"][0]
-    assert failure["check"] in ("config", "io")
+    assert failure["check"] == ("io" if case in _IO_FAILURES else "config")
+    assert not (tmp_path / "x.bin").exists()
+
+
+def _write_lobed_factor(path):
+    """Tabulated directional factor: cosine lobes of different depth and
+    direction in the two half-spaces."""
+    base = 2 * math.pi / math.sqrt(2 * math.pi)
+    with open(path, "w") as fh:
+        fh.write("k_r_over_kappa,k_phi_rad,a_plus,a_minus\n")
+        for i in range(5):
+            for j in range(12):
+                p = 2 * math.pi * j / 12
+                fh.write(f"{i / 4},{p},{base * (1 + 0.6 * math.cos(p - 1.0))},"
+                         f"{base * (1 + 0.3 * math.cos(p + 2.0)) * (1 + 0.2 * i / 4)}\n")
+
+
+# generate argv (M = --realizations) and the samples per realization
+_CHUNK_CASES = {
+    "planar-directional": (("--aperture", "8,8", "--spacing", "0.5", "--realizations", "7",
+                            "--factor", "{factor}"), 16 * 16),
+    "volumetric": (("--aperture", "8,8,2", "--spacing", "0.5", "--realizations", "5"),
+                   16 * 16 * 4),
+    "line-directional": (("--aperture", "16", "--spacing", "0.0625", "--realizations", "7",
+                          "--factor", "{factor}"), 256),
+    "line-csv": (("--aperture", "4", "--spacing", "0.5", "--realizations", "5",
+                  "--format", "csv"), 8),
+}
+
+
+class TestGenerateChunks:
+    @pytest.fixture
+    def batch_sizes(self, monkeypatch):
+        import holofading.cli as climod
+
+        sizes = []
+        real = climod.generate_batch_planes
+
+        def counting(aperture, factor, seed, realizations, *rest):
+            sizes.append(len(realizations))
+            return real(aperture, factor, seed, realizations, *rest)
+
+        monkeypatch.setattr(climod, "generate_batch_planes", counting)
+        return sizes
+
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    @pytest.mark.parametrize("argv, points", _CHUNK_CASES.values(), ids=_CHUNK_CASES.keys())
+    def test_output_independent_of_chunk_budget(
+        self, argv, points, per_chunk, tmp_path, capsys, monkeypatch, batch_sizes
+    ):
+        import holofading.cli as climod
+
+        _write_lobed_factor(tmp_path / "factor.csv")
+        argv = [a.format(factor=tmp_path / "factor.csv") for a in argv]
+        m = int(argv[argv.index("--realizations") + 1])
+        whole, chunked = tmp_path / "whole", tmp_path / "chunked"
+        assert run_cli(capsys, "generate", *argv, "--seed", "4", "--out", str(whole))[0] == 0
+        assert batch_sizes == [m]  # the default budget holds every realization
+        batch_sizes.clear()
+        # a budget just short of per_chunk + 1 realizations
+        monkeypatch.setattr(climod, "CHUNK_BYTES", (per_chunk + 1) * points * 16 - 1)
+        assert run_cli(capsys, "generate", *argv, "--seed", "4", "--out", str(chunked))[0] == 0
+        assert batch_sizes == [per_chunk] * (m // per_chunk) + [m % per_chunk] * (m % per_chunk > 0)
+        assert chunked.read_bytes() == whole.read_bytes()
+
+    def test_budget_below_one_realization_still_progresses(
+        self, tmp_path, capsys, monkeypatch, batch_sizes
+    ):
+        import holofading.cli as climod
+
+        monkeypatch.setattr(climod, "CHUNK_BYTES", 1)
+        out = tmp_path / "f.bin"
+        argv = ("generate", "--aperture", "4,4", "--spacing", "0.5", "--realizations", "3")
+        assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
+        assert batch_sizes == [1, 1, 1]
+        assert len(out.read_bytes()) == 24 + 3 * 8 * 8 * 16
+
+    def test_shaping_gains_evaluated_once_per_command(self, tmp_path, capsys, monkeypatch):
+        import holofading.cli as climod
+        import holofading.generator as genmod
+
+        calls = []
+        real = genmod.shaping_gains
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(genmod, "shaping_gains", counting)
+        monkeypatch.setattr(climod, "CHUNK_BYTES", 2 * 16 * 16 * 16)
+        _write_lobed_factor(tmp_path / "factor.csv")
+        n = len(table_2d(8.0, 8.0))
+        for command in (1, 2):  # each command loads its own factor
+            code, _, _ = run_cli(
+                capsys, "generate", "--aperture", "8,8", "--spacing", "0.5",
+                "--realizations", "7", "--factor", str(tmp_path / "factor.csv"),
+                "--out", str(tmp_path / "f.bin"),
+            )
+            assert code == 0
+            assert calls == [n] * command
 
 
 class TestVersion:

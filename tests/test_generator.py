@@ -21,11 +21,14 @@ from holofading import (
     table_2d,
 )
 from holofading.generator import (
+    CoefficientDraw,
     brute_force_plane,
     draw_line_coefficients,
     generate_batch_planes,
     lattice_gammas,
 )
+from holofading.spectrum import shaping_gains
+from holofading.wavenumber import lattice_wavenumbers
 
 KAPPA = 2.0 * math.pi
 
@@ -145,6 +148,37 @@ class TestShapeCoefficients:
         f = SpectralFactor.from_callables(lambda kx, ky: np.full(np.shape(kx), a))
         s = shape_coefficients(d, f)
         assert np.allclose(np.abs(s.h_plus) ** 2, g * g * np.abs(d.h_plus) ** 2, rtol=1e-12)
+
+    @staticmethod
+    def _lobed():
+        return SpectralFactor.from_callables(
+            lambda kx, ky: 1.0 + 0.5 * np.cos(kx), lambda kx, ky: 2.0 + np.sin(ky)
+        )
+
+    def test_cached_gains_are_read_only(self):
+        from holofading.generator import _plane_gains
+
+        f = self._lobed()
+        gp, gm = _plane_gains(f, 4.0, 4.0)
+        for g in (gp, gm):
+            assert not g.flags.writeable
+            with pytest.raises(ValueError):
+                g[0] = 0.0
+        assert _plane_gains(f, 4.0, 4.0)[0] is gp  # evaluated once per factor and sides
+
+    def test_closed_form_and_quadrature_tables_get_identical_gains(self):
+        f = self._lobed()
+        gains = []
+        for method in ("closed-form", "quadrature"):
+            t = table_2d(4.0, 4.0, method=method)
+            ones = np.ones(len(t), dtype=complex)
+            s = shape_coefficients(CoefficientDraw(t, 0, 0, ones, ones), f)
+            # the cached gains equal a direct evaluation at this table's harmonics
+            gp, gm = shaping_gains(f, *lattice_wavenumbers(t), KAPPA)
+            assert np.array_equal(s.h_plus, gp) and np.array_equal(s.h_minus, gm)
+            gains.append((s.h_plus, s.h_minus))
+        assert np.array_equal(gains[0][0], gains[1][0])
+        assert np.array_equal(gains[0][1], gains[1][1])
 
 
 class TestMigrate:

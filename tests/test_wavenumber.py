@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from holofading import CoefficientVariances2D, coefficient_indices, table_2d
+from holofading import CoefficientVariances2D, coefficient_indices, table_1d, table_2d
 from holofading.wavenumber import KAPPA, lattice_gammas, lattice_wavenumbers
 
 
@@ -110,3 +110,9 @@ class TestGammaLattice:
         assert np.allclose(ky, KAPPA * np.array([-2, 1, 4]) / 8.0, rtol=1e-15, atol=0.0)
         want = np.sqrt(KAPPA**2 - kx**2 - ky**2)
         assert np.allclose(lattice_gammas(table), want, rtol=1e-13, atol=1e-13)
+
+    def test_line_table(self):
+        table = table_1d(8.0)
+        kx = lattice_wavenumbers(table)
+        assert isinstance(kx, np.ndarray)
+        assert np.array_equal(kx, KAPPA * np.arange(-8, 8) / 8.0)
