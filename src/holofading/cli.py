@@ -34,7 +34,7 @@ from . import __version__
 from .errors import ConfigError, HoloFadingError
 from .generator import Aperture, generate_batch_planes
 from .spectrum import SpectralFactor
-from .validation import compare_kl, run_figure
+from .validation import check_realizations, compare_kl, run_figure
 from .variances import table_1d, table_2d
 
 BIN_MAGIC = b"HOLO"
@@ -308,6 +308,7 @@ def cmd_variances(args) -> int:
 def cmd_validate(args) -> int:
     if args.fig not in (6, 7, 8):
         raise ConfigError(f"--fig must be 6, 7 or 8, got {args.fig}")
+    check_realizations(args.realizations)  # before --out is touched
     if args.out:
         os.makedirs(args.out, exist_ok=True)  # a bad --out fails before the run
     report = run_figure(
@@ -328,6 +329,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compare_kl(args) -> int:
+    check_realizations(args.realizations)  # before --out is touched
     # a bad --out fails before the run
     with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as fh:
         result = compare_kl(m=args.realizations, seed=args.seed, threads=args.threads)

@@ -11,7 +11,9 @@ Pipeline per realization (rectangular aperture):
 The final sum is a zero-embedded 2D inverse FFT *without* the 1/(Nx*Ny)
 normalization (the variance table already carries the physical scaling);
 lattice index l maps to FFT bin l mod Nx and the output is reindexed onto
-n = -Nx/2 .. Nx/2 - 1 by a half-grid cyclic shift.
+n = -Nx/2 .. Nx/2 - 1 by a half-grid cyclic shift. ``plane_coefficients``
+runs the stages before it (the per-plane H(l, m; z)); ``generate_batch_planes``
+synthesizes those.
 
 A line aperture uses the single-coefficient series h(x_n) = sum over l of
 H_l e^{i 2 pi l n / N} with H_l of variance 2*sigma2_l, observed at
@@ -49,10 +51,12 @@ class Aperture:
     """Rectangular aperture geometry and its uniform sample grid.
 
     Side lengths and spacings are in wavelengths. ly = lz = 0 describes a
-    line aperture, lz = 0 a planar one. Sample counts are N = ceil(L/d)
-    per active axis and must be even; spacings must respect the lambda/2
-    Nyquist limit of the 2*kappa-bandlimited field, and the grid must hold
-    every harmonic of the aperture (N >= 2 * ceil(L/lambda)).
+    line aperture, lz = 0 a planar one. Each x/y spacing must tile its side
+    (L/d a whole number to a relative 1e-9), because synthesis samples the
+    periodic series at n * L/N; the count N = L/d must be even. Along z,
+    nothing is transformed, and nz = ceil(lz/dz). Spacings must respect the
+    lambda/2 Nyquist limit of the 2*kappa-bandlimited field, and the grid
+    must hold every harmonic of the aperture (N >= 2 * ceil(L/lambda)).
     """
 
     lx: float
@@ -86,7 +90,13 @@ class Aperture:
                 f"d{name} = {spacing:g} exceeds the Nyquist spacing of "
                 "lambda/2 for the 2*kappa-bandlimited field"
             )
-        n = math.ceil(length / spacing)
+        ratio = length / spacing
+        n = round(ratio)
+        if abs(ratio - n) > 1e-9 * ratio:
+            raise ValueError(
+                f"d{name} = {spacing:g} does not tile the {length:g}-wavelength side: "
+                f"L{name}/d{name} = {ratio:.10g} is not a whole number"
+            )
         if n % 2 != 0:
             raise GridTooCoarse(
                 f"N{name} = {n} must be even for the symmetric sample range"
@@ -105,11 +115,11 @@ class Aperture:
 
     @property
     def nx(self) -> int:
-        return math.ceil(self.lx / self.dx)
+        return round(self.lx / self.dx)
 
     @property
     def ny(self) -> int:
-        return math.ceil(self.ly / self.dy) if self.ly > 0.0 else 1
+        return round(self.ly / self.dy) if self.ly > 0.0 else 1
 
     @property
     def nz(self) -> int:
@@ -289,6 +299,13 @@ def default_factor(aperture: Aperture) -> SpectralFactor:
     return SpectralFactor.isotropic_3d()
 
 
+def default_table(aperture: Aperture) -> CoefficientVariances1D | CoefficientVariances2D:
+    """Variance table of the aperture's sides (line or rectangle)."""
+    if aperture.kind == LINEAR:
+        return table_1d(aperture.lx)
+    return table_2d(aperture.lx, aperture.ly)
+
+
 def generate(
     aperture: Aperture,
     factor: SpectralFactor | None = None,
@@ -320,6 +337,33 @@ def generate(
     )
 
 
+def plane_coefficients(
+    aperture: Aperture,
+    factor: SpectralFactor | None,
+    seed: int,
+    realizations: Sequence[int],
+    z_planes: Sequence[float],
+    table=None,
+) -> list[np.ndarray]:
+    """The coefficient stages of the pipeline over a batch of realizations:
+    draw, shape, migrate to each z-plane. Returns one (B, n) array of
+    per-harmonic coefficients per plane, in the table's harmonic order.
+    A line aperture only supports z = 0.
+    """
+    if factor is None:
+        factor = default_factor(aperture)
+    _check_planes(aperture.lx, aperture.ly, z_planes)
+    if table is None:
+        table = default_table(aperture)
+    if aperture.kind == LINEAR:
+        h = draw_line_coefficients(table, seed, realizations, factor)
+        return [h for _ in z_planes]
+    # the unshaped draw is not kept: at full batch size each copy of the
+    # coefficient pairs is as large as a synthesized plane
+    draw = shape_coefficients(draw_coefficients(table, seed, realizations), factor)
+    return [migrate(draw, z) for z in z_planes]
+
+
 def generate_batch_planes(
     aperture: Aperture,
     factor: SpectralFactor | None,
@@ -328,27 +372,18 @@ def generate_batch_planes(
     z_planes: Sequence[float],
     table=None,
 ) -> list[np.ndarray]:
-    """The synthesis pipeline over a batch of realizations: draw, shape,
-    migrate to each z-plane, synthesize. Returns one (B, ny, nx) array per
-    plane; every realization is bit-identical to its single ``generate``.
-    A line aperture only supports z = 0.
+    """The synthesis pipeline over a batch of realizations: the
+    ``plane_coefficients`` of each z-plane, synthesized on the grid.
+    Returns one (B, ny, nx) array per plane; every realization is
+    bit-identical to its single ``generate``. A line aperture only
+    supports z = 0.
     """
-    if factor is None:
-        factor = default_factor(aperture)
-    _check_planes(aperture.lx, aperture.ly, z_planes)
-    if aperture.kind == LINEAR:
-        if table is None:
-            table = table_1d(aperture.lx)
-        h = draw_line_coefficients(table, seed, realizations, factor)
-        plane = synthesize_line(h, table, aperture)[:, np.newaxis, :]
-        return [plane for _ in z_planes]
-
     if table is None:
-        table = table_2d(aperture.lx, aperture.ly)
-    # the unshaped draw is not kept: at full batch size each copy of the
-    # coefficient pairs is as large as a synthesized plane
-    draw = shape_coefficients(draw_coefficients(table, seed, realizations), factor)
-    return [synthesize_plane(migrate(draw, z), table, aperture) for z in z_planes]
+        table = default_table(aperture)
+    planes = plane_coefficients(aperture, factor, seed, realizations, z_planes, table)
+    if aperture.kind == LINEAR:
+        return [synthesize_line(h, table, aperture)[:, np.newaxis, :] for h in planes]
+    return [synthesize_plane(hz, table, aperture) for hz in planes]
 
 
 def brute_force_plane(hz, table, aperture) -> np.ndarray:

@@ -6,7 +6,19 @@ reference point (the grid origin),
 
     c_hat(lag) = (1/M) sum_r conj(h_r(ref)) * h_r(ref + lag)
 
-normalized by its zero-lag value. Two oracles serve two different claims:
+normalized by its zero-lag value. The Monte Carlo runs never synthesize a
+field for it. Every harmonic of the series is 1 at the grid origin, so
+h_r(origin) = sum_k H_rk and the estimator is linear in the coefficients:
+
+    sum_r conj(h_r(origin)) h_r(n, j) = sum_k w_k e^{i 2 pi (l_k n/Nx + m_k j/Ny)},
+    w_k = sum_r conj(sum_k' H_rk') H_rk,
+
+the exact series autocorrelation with 2*sigma2_k replaced by its Monte Carlo
+estimate w_k / M. Each chunk accumulates w from ``plane_coefficients``; the
+series is evaluated once over the lag window after the reduction.
+``empirical_acf`` applies the estimator to given fields.
+
+Two oracles serve two different claims:
 
 * the exact series autocorrelation (``generator.lattice_acf_*``) tests the
   implementation itself; deviations are pure sampling noise, O(1/sqrt(M));
@@ -33,7 +45,7 @@ import numpy as np
 
 from .baseline import AcfClosedForm, correlation_matrix, kl_sample
 from .errors import ConfigError, InsufficientRealizations, LagMismatch
-from .generator import Aperture, FieldRealization, generate_batch_planes
+from .generator import Aperture, FieldRealization, default_table, plane_coefficients
 from .variances import table_1d, table_2d
 
 MIN_REALIZATIONS = 100
@@ -83,6 +95,12 @@ class CompareReport:
     max_abs_dev: float
 
 
+def check_realizations(m: int) -> None:
+    """Raises InsufficientRealizations if m < MIN_REALIZATIONS."""
+    if m < MIN_REALIZATIONS:
+        raise InsufficientRealizations(f"need at least {MIN_REALIZATIONS} realizations, got {m}")
+
+
 def _normalize(raw: np.ndarray) -> np.ndarray:
     zero = raw.flat[0].real
     if not zero > 0.0:
@@ -92,20 +110,40 @@ def _normalize(raw: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lag_sum(h: np.ndarray, ref, lags, cyclic: bool = False) -> np.ndarray:
+def _lag_sum(h: np.ndarray, ref, lags) -> np.ndarray:
     """First-row lag products summed over realizations,
     sum_r conj(h_r(ref)) * h_r(ref + lag), of (B, ny, nx) fields over lags
     (0..ky, 0..kx) from ref = (ry, rx); shape (kx + 1, ky + 1), x lag first.
-    ``cyclic`` wraps the x lags around the periodic grid.
 
     The row window is a basic slice: index arrays on two axes would reorder
     the products in memory, and with it numpy's summation order and the
     last bits of the result.
     """
     (ry, rx), (ky, kx) = ref, lags
-    cols = (rx + np.arange(kx + 1)) % h.shape[-1] if cyclic else slice(rx, rx + kx + 1)
-    block = h[:, ry : ry + ky + 1, cols]
+    block = h[:, ry : ry + ky + 1, rx : rx + kx + 1]
     return np.sum(np.conj(h[:, ry, rx])[:, None, None] * block, axis=0).T
+
+
+def _origin_weights(h: np.ndarray) -> np.ndarray:
+    """w_k = sum_r conj(h_r(origin)) H_rk of (B, n) coefficients: every
+    harmonic is 1 at the grid origin, so h_r(origin) = sum_k H_rk."""
+    return np.sum(np.conj(h.sum(axis=-1))[:, None] * h, axis=0)
+
+
+def _series_window(w: np.ndarray, table, aperture: Aperture, lags) -> np.ndarray:
+    """sum_k w_k e^{i 2 pi (l_k n / Nx + m_k j / Ny)} over the lags
+    (j, n) = (0..ky, 0..kx), the grid points the synthesis evaluates;
+    shape (kx + 1, ky + 1), x lag first. Lag and index are multiplied as
+    integers and reduced mod N before the phase is formed."""
+    ky, kx = lags
+
+    def phases(idx, n, k):
+        return np.exp(2j * np.pi * (np.outer(np.arange(k + 1), idx) % n / n))
+
+    ex = phases(table.ls, aperture.nx, kx)
+    if aperture.kind == "linear":
+        return (ex * w).sum(axis=1, keepdims=True)
+    return (ex * w) @ phases(table.ms, aperture.ny, ky).T
 
 
 def _estimate(raw, m, spacings, sides, tilted=True) -> AcfEstimate:
@@ -149,8 +187,7 @@ def empirical_acf(
     if h.ndim == 2:
         h = h[:, np.newaxis, :]
     m, ny, nx = h.shape
-    if m < MIN_REALIZATIONS:
-        raise InsufficientRealizations(f"need at least {MIN_REALIZATIONS} realizations, got {m}")
+    check_realizations(m)
 
     ref = reference if reference is not None else ((ny // 2, nx // 2) if ny > 1 else (0, nx // 2))
     if len(ref) == 1:
@@ -238,6 +275,26 @@ def _chunk_means(run_chunk, m: int, batch: int, threads: int | None) -> list[np.
     return [sum(parts) / m for parts in zip(*chunked)]
 
 
+def _first_row_sums(
+    aperture: Aperture, factor, seed: int, m: int, z_planes: Sequence[float],
+    lags, threads: int | None, batch: int, table,
+) -> list[np.ndarray]:
+    """First-row covariances from the grid origin, one (kx + 1, ky + 1)
+    lag window per z-plane, over m realizations: the origin weights are
+    accumulated per chunk from the plane coefficients and reduced in chunk
+    order, then the series is evaluated once over the window."""
+    if table is None:
+        table = default_table(aperture)
+
+    def run_chunk(start: int) -> list[np.ndarray]:
+        reals = range(start, min(start + batch, m))
+        planes = plane_coefficients(aperture, factor, seed, reals, z_planes, table)
+        return [_origin_weights(h) for h in planes]
+
+    weights = _chunk_means(run_chunk, m, batch, threads)
+    return [_series_window(w, table, aperture, lags) for w in weights]
+
+
 def _accumulate_first_row(
     aperture: Aperture,
     seed: int,
@@ -252,25 +309,16 @@ def _accumulate_first_row(
     """First-row covariance accumulation over m realizations, one estimate
     per requested z-plane (all planes share each realization's draws);
     bit-identical for any worker count."""
-    if m < MIN_REALIZATIONS:
-        raise InsufficientRealizations(f"need at least {MIN_REALIZATIONS} realizations, got {m}")
+    check_realizations(m)
     nx, ny = aperture.nx, aperture.ny
     one_d = aperture.kind == "linear"
-    ref = (0, nx // 2) if one_d else (ny // 2, nx // 2)
     lags = (0, lag_cells) if one_d else (lag_cells, lag_cells)
-    if ref[1] + lags[1] >= nx or ref[0] + lags[0] >= ny:
+    if nx // 2 + lags[1] >= nx or ny // 2 + lags[0] >= ny:
         raise ValueError(f"lag window {lag_cells} exceeds the grid from the origin")
 
-    def run_chunk(start: int) -> list[np.ndarray]:
-        reals = range(start, min(start + batch, m))
-        planes = generate_batch_planes(aperture, factor, seed, reals, z_planes, table)
-        return [_lag_sum(hz, ref, lags) for hz in planes]
-
     sides = (aperture.lx,) if one_d else (aperture.lx, aperture.ly)
-    return [
-        _estimate(raw, m, (aperture.dx, aperture.dy), sides)
-        for raw in _chunk_means(run_chunk, m, batch, threads)
-    ]
+    raws = _first_row_sums(aperture, factor, seed, m, z_planes, lags, threads, batch, table)
+    return [_estimate(raw, m, (aperture.dx, aperture.dy), sides) for raw in raws]
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +518,7 @@ def lambda_half_independence(
     """Row correlations of a square-aperture field sampled at exactly
     lambda/2; all nonzero lags should be below 4/sqrt(M).
 
-    The synthesized field is periodic, so lags wrap cyclically and every
+    The series is periodic on the grid, so lags wrap cyclically and every
     distinct nonzero row lag 1 .. Nx/2 is covered.
 
     Returns:
@@ -478,14 +526,8 @@ def lambda_half_independence(
         over the nonzero lags).
     """
     aperture = Aperture(lx=lx, dx=0.5, ly=lx, dy=0.5)
-    table = table_2d(aperture.lx, aperture.ly)
-    ref = (aperture.ny // 2, aperture.nx // 2)
-
-    def run_chunk(start: int) -> list[np.ndarray]:
-        reals = range(start, min(start + batch, m))
-        (hz,) = generate_batch_planes(aperture, None, seed, reals, (0.0,), table)
-        return [_lag_sum(hz, ref, (0, aperture.nx // 2), cyclic=True)]
-
-    (raw,) = _chunk_means(run_chunk, m, batch, threads)
+    (raw,) = _first_row_sums(
+        aperture, None, seed, m, (0.0,), (0, aperture.nx // 2), threads, batch, None
+    )
     row = _normalize(raw[:, 0])
     return row, float(np.max(np.abs(row[1:])))

@@ -324,9 +324,19 @@ _BAD_INPUTS = {
     # the binary header stores M as uint32
     "realizations-overflow-bin-header": ("generate", "--aperture", "4,4", "--spacing", "0.5",
                                          "--realizations", str(1 << 32), "--out", "{tmp}/x.bin"),
+    # 7.9 / 0.5 = 15.8 cells: the grid would not sample the series at n * 0.5
+    "spacing-does-not-tile": ("generate", "--aperture", "7.9,7.9", "--spacing", "0.5",
+                              "--out", "{tmp}/x.bin"),
+    "validate-too-few-realizations": ("validate", "--fig", "6", "--realizations", "50",
+                                      "--out", "{tmp}/d"),
+    "kl-too-few-realizations": ("compare-kl", "--realizations", "50", "--out", "{tmp}/kl.csv"),
 }
-_IO_FAILURES = {"factor-is-directory", "out-in-missing-dir", "out-below-file",
-                "kl-out-in-missing-dir"}
+# the failure's "check" where it is not "config"
+_CHECKS = dict.fromkeys(
+    ("factor-is-directory", "out-in-missing-dir", "out-below-file", "kl-out-in-missing-dir"), "io"
+) | dict.fromkeys(
+    ("validate-too-few-realizations", "kl-too-few-realizations"), "InsufficientRealizations"
+)
 
 
 @pytest.mark.parametrize("case, argv", _BAD_INPUTS.items(), ids=_BAD_INPUTS.keys())
@@ -342,12 +352,13 @@ def test_bad_input_exits_2_with_json(case, argv, tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(valmod, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(climod, "generate_batch_planes", no_generation)
+    monkeypatch.setattr(valmod, "plane_coefficients", no_generation)
     (tmp_path / "file").write_text("")
     code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     failure = json.loads(err.splitlines()[-1])["failures"][0]
-    assert failure["check"] == ("io" if case in _IO_FAILURES else "config")
-    assert not (tmp_path / "x.bin").exists()
+    assert failure["check"] == _CHECKS.get(case, "config")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]  # no output left behind
 
 
 def _write_lobed_factor(path):

@@ -51,6 +51,17 @@ class TestAperture:
         with pytest.raises(GridTooCoarse, match="even"):
             Aperture(lx=4.5, dx=0.5)
 
+    def test_spacing_must_tile_the_side(self):
+        # 7.9 / 0.5 = 15.8: synthesis would sample at n * 0.49375, not n * 0.5
+        with pytest.raises(ValueError, match="tile"):
+            Aperture(lx=7.9, dx=0.5, ly=7.9, dy=0.5)
+        with pytest.raises(ValueError, match="tile"):
+            Aperture(lx=8, dx=0.5, ly=7.9, dy=0.5)
+        # within the relative 1e-9 tolerance N is the nearest whole count
+        assert Aperture(lx=8 * (1 + 1e-12), dx=0.25).nx == 32
+        # nothing is transformed along z, so lz need not be a multiple of dz
+        assert Aperture(lx=8, dx=0.5, ly=8, dy=0.5, lz=1.3, dz=0.5).nz == 3
+
     def test_harmonic_representability(self):
         # dx = lambda/2 always yields N = 2*ceil(L); a coarser effective
         # grid cannot happen without tripping Nyquist first

@@ -8,8 +8,17 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from holofading import Aperture, coefficient_indices, draw_coefficients, migrate, table_2d
-from holofading.generator import brute_force_plane, synthesize_plane
+from holofading import (
+    Aperture,
+    SpectralFactor,
+    coefficient_indices,
+    draw_coefficients,
+    generate,
+    migrate,
+    table_2d,
+)
+from holofading.generator import brute_force_plane, generate_batch_planes, synthesize_plane
+from holofading.validation import _accumulate_first_row
 from holofading.wavenumber import KAPPA, lattice_gammas, lattice_wavenumbers
 
 sides = st.floats(min_value=1.0, max_value=12.0, allow_nan=False, allow_infinity=False)
@@ -69,3 +78,73 @@ def test_fft_synthesis_equals_brute_force(lx, ly, extra, z_frac, seed, realizati
     hz = migrate(draw_coefficients(table, seed, realization), z_frac * min(lx, ly))
     fft = synthesize_plane(hz, table, aperture)
     assert np.max(np.abs(fft - brute_force_plane(hz, table, aperture))) <= 1e-10
+
+
+_DIRECTIONAL = SpectralFactor.from_callables(
+    lambda kx, ky: 1.0 + 0.5 * np.cos(np.arctan2(ky, kx) - 0.3),
+    lambda kx, ky: 1.0 + 0.2 * kx / KAPPA,
+)
+
+
+def _aperture(lx, ly, extra):
+    """The smallest even grids that hold every harmonic plus 0-2 extra
+    pairs; ly = 0 gives a line aperture, whose side is a whole number of
+    wavelengths."""
+    nx = 2 * (math.ceil(lx) + extra[0])
+    if ly == 0.0:
+        return Aperture(lx=float(math.ceil(lx)), dx=math.ceil(lx) / nx)
+    ny = 2 * (math.ceil(ly) + extra[1])
+    return Aperture(lx=lx, dx=lx / nx, ly=ly, dy=ly / ny)
+
+
+small_sides = st.floats(min_value=1.0, max_value=6.0, allow_nan=False, allow_infinity=False)
+line_or_side = st.one_of(st.just(0.0), small_sides)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    lx=small_sides,
+    ly=line_or_side,
+    extra=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    z_frac=st.floats(min_value=-0.95, max_value=0.95),
+    directional=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    start=st.integers(0, 1000),
+    count=st.integers(1, 6),
+)
+def test_batch_equals_per_realization_generate(lx, ly, extra, z_frac, directional, seed, start,
+                                               count):
+    aperture = _aperture(lx, ly, extra)
+    factor = _DIRECTIONAL if directional else None
+    zs = (0.0,) if ly == 0.0 else (0.0, z_frac * min(lx, ly))
+    reals = range(start, start + count)
+    batch = generate_batch_planes(aperture, factor, seed, reals, zs)
+    for i, r in enumerate(reals):
+        single = generate(aperture, factor, seed=seed, z_planes=zs, realization=r).samples
+        for plane, want in zip(batch, single):
+            assert np.array_equal(plane[i], want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(
+    lx=small_sides,
+    ly=line_or_side,
+    extra=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    directional=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(100, 400),
+    batch=st.integers(16, 128),
+)
+def test_first_row_accumulation_thread_invariant(lx, ly, extra, directional, seed, m, batch):
+    # two workers at most: the property is the chunk-ordered reduction
+    aperture = _aperture(lx, ly, extra)
+    factor = _DIRECTIONAL if directional else None
+    zs = (0.0,) if ly == 0.0 else (0.0, 0.5 * min(lx, ly))
+    lag = min(aperture.nx, aperture.ny if ly else aperture.nx) // 4
+    runs = [
+        _accumulate_first_row(aperture, seed, m, zs, lag, threads=t, batch=batch, factor=factor)
+        for t in (1, 2)
+    ]
+    for one, two in zip(*runs):
+        assert np.array_equal(one.raw, two.raw)
+        assert np.array_equal(one.values, two.values)

@@ -12,15 +12,17 @@ from holofading import (
     ConfigError,
     InsufficientRealizations,
     LagMismatch,
+    SpectralFactor,
     compare,
     empirical_acf,
+    lambda_half_independence,
     lattice_acf_1d,
     run_figure,
     table_1d,
 )
 from holofading.baseline import CorrelationMatrix, kl_sample
 from holofading.generator import generate_batch_planes
-from holofading.validation import _accumulate_first_row, _thread_count
+from holofading.validation import _accumulate_first_row, _lag_sum, _thread_count
 
 
 def _estimate(values, lags, lx=16.0, m=10_000, tilted=True):
@@ -152,6 +154,43 @@ class TestSelfConsistency:
         (a,) = _accumulate_first_row(ap, 7, 600, (0.0,), 16, threads=1, table=t, batch=128)
         (b,) = _accumulate_first_row(ap, 7, 600, (0.0,), 16, threads=4, table=t, batch=128)
         assert np.array_equal(a.values, b.values)
+
+
+_DIRECTIONAL = SpectralFactor.from_callables(
+    lambda kx, ky: 1.0 + 0.5 * np.cos(np.arctan2(ky, kx) - 0.3),
+    lambda kx, ky: 1.0 + 0.2 * kx / (2.0 * math.pi),
+)
+
+
+class TestCoefficientSpaceEstimator:
+    """Validation accumulates its estimators from the plane coefficients;
+    the synthesized fields stay the reference they must reproduce."""
+
+    @pytest.mark.parametrize("ap, factor, z_planes, lag_cells", [
+        (Aperture(lx=16.0, dx=1.0 / 16.0), None, (0.0,), 64),
+        # unequal sides and spacings, so a swapped x/y axis shows
+        (Aperture(lx=8.0, dx=0.25, ly=6.0, dy=0.5), _DIRECTIONAL, (0.0, 0.5), 5),
+    ], ids=["fig6-line", "planar-directional"])
+    def test_first_row_matches_fft_fields(self, ap, factor, z_planes, lag_cells):
+        m = 300
+        ests = _accumulate_first_row(
+            ap, 9, m, z_planes, lag_cells, threads=1, batch=128, factor=factor
+        )
+        fields = generate_batch_planes(ap, factor, 9, range(m), z_planes)
+        lags = (0 if ap.kind == "linear" else lag_cells, lag_cells)
+        assert len(ests) == len(fields) == len(z_planes)
+        for est, h in zip(ests, fields):
+            raw = _lag_sum(h, (ap.ny // 2, ap.nx // 2), lags) / m
+            assert np.max(np.abs(est.raw - raw.reshape(est.raw.shape))) <= 1e-12
+
+    def test_lambda_half_row_matches_cyclic_fft_row(self):
+        m = 300
+        row, _ = lambda_half_independence(m=m, seed=4, lx=8.0, threads=1, batch=128)
+        ap = Aperture(lx=8.0, dx=0.5, ly=8.0, dy=0.5)
+        (h,) = generate_batch_planes(ap, None, 4, range(m), (0.0,))
+        # the field is periodic: two periods side by side hold every cyclic lag
+        raw = _lag_sum(np.concatenate([h, h], axis=-1), (ap.ny // 2, ap.nx // 2), (0, ap.nx // 2))
+        assert np.max(np.abs(row - raw[:, 0] / raw[0, 0].real)) <= 1e-12
 
 
 class TestRunFigure:
