@@ -11,7 +11,7 @@ Subcommands:
 All lengths on the interface are in wavelengths; the wavelength itself is
 never a flag. A flat key=value config file may supply any long option of
 the chosen subcommand (unknown keys are rejected); explicit flags win over
-file values. ``--threads`` caps the Monte Carlo worker threads of validate
+file values. ``--threads`` caps the worker threads of generate, validate
 and compare-kl (default: env var HOLO_THREADS, else the CPUs this process
 may run on; a malformed HOLO_THREADS is a configuration error). Exit codes:
 0 all checks passed, 1 a validation failed (machine-readable failure list
@@ -32,15 +32,16 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, HoloFadingError
-from .generator import Aperture, generate_batch_planes
+from .generator import Aperture, generate_batch_planes, shared_table
 from .spectrum import SpectralFactor
-from .validation import check_realizations, compare_kl, run_figure
+from .validation import _thread_count, check_realizations, compare_kl, ordered_map, run_figure
 from .variances import table_1d, table_2d
 
 BIN_MAGIC = b"HOLO"
 BIN_VERSION = 1
-# generate synthesizes max(1, CHUNK_BYTES // bytes per realization)
-# realizations at a time, so its memory does not grow with --realizations
+# each of generate's T workers synthesizes max(1, CHUNK_BYTES // T // bytes
+# per realization) realizations at a time, so its memory does not grow with
+# --realizations or with the worker count
 CHUNK_BYTES = 8 << 20
 
 
@@ -177,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.opt("--out", str, required=True, help="output path")
     g.opt("--format", str, "bin", help="'csv' or 'bin'")
     g.opt("--config", str, None, help="key=value config file")
-    g.opt("--threads", int, None, help="accepted; generation runs on one thread")
+    g.opt("--threads", int, None, help=_THREADS_HELP)
     g.finish(cmd_generate)
 
     v = _Command(sub, "variances", "emit the variance table")
@@ -242,14 +243,20 @@ def _write_csv(fh, aperture, m, batches, first_real=0):
             r += 1
 
 
-def _field_batches(aperture, factor, seed, m):
+def _field_batches(aperture, factor, seed, m, threads):
+    """(B, nz, ny, nx) blocks of realizations 0 .. m - 1, in order,
+    synthesized on ``threads`` workers that split CHUNK_BYTES between them."""
     z_planes = aperture.z_planes()
     per_realization = aperture.nx * aperture.ny * aperture.nz * np.dtype(complex).itemsize
-    batch = max(1, CHUNK_BYTES // per_realization)
-    for start in range(0, m, batch):
+    batch = max(1, CHUNK_BYTES // (threads * per_realization))
+    table = shared_table(aperture, factor)
+
+    def run_chunk(start):
         reals = range(start, min(start + batch, m))
-        planes = generate_batch_planes(aperture, factor, seed, reals, z_planes)
-        yield np.stack(planes, axis=1)  # (B, nz, ny, nx)
+        planes = generate_batch_planes(aperture, factor, seed, reals, z_planes, table)
+        return np.stack(planes, axis=1)
+
+    return ordered_map(run_chunk, range(0, m, batch), threads)
 
 
 def _at_least_one(value: int, flag: str) -> int:
@@ -266,7 +273,8 @@ def cmd_generate(args) -> int:
     m = _at_least_one(args.realizations, "--realizations")
     if args.format == "bin" and m >= 1 << 32:
         raise ConfigError(f"--realizations {m} does not fit the uint32 count of the binary header")
-    batches = _field_batches(aperture, factor, args.seed, m)
+    threads = _thread_count(args.threads)  # a malformed HOLO_THREADS fails before --out opens
+    batches = _field_batches(aperture, factor, args.seed, m, threads)
     if args.format == "bin":
         with open(args.out, "wb") as fh:
             _write_bin(fh, aperture, m, batches)

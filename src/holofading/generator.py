@@ -306,6 +306,17 @@ def default_table(aperture: Aperture) -> CoefficientVariances1D | CoefficientVar
     return table_2d(aperture.lx, aperture.ly)
 
 
+def shared_table(aperture: Aperture, factor: SpectralFactor | None):
+    """The aperture's variance table, with the shaping gains of a
+    directional ``factor`` already in their cache. Call it once before
+    threads share a run: workers that meet cold caches together would each
+    build the table and evaluate the gains."""
+    table = default_table(aperture)
+    if aperture.kind != LINEAR and factor is not None and not factor.is_isotropic:
+        _plane_gains(factor, table.lx, table.ly)
+    return table
+
+
 def generate(
     aperture: Aperture,
     factor: SpectralFactor | None = None,

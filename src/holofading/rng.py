@@ -15,19 +15,37 @@ or evaluation order, and distinct realizations never share counter space.
 """
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 STREAM_COEFFICIENTS = 0
 STREAM_BASELINE = 1
 
 _MASK64 = (1 << 64) - 1
+# one generator per thread, repositioned for every stream: a Generator and
+# its bit generator are not safe to share between threads
+_local = threading.local()
 
 
-def generator_for(seed: int, realization: int, stream: int = STREAM_COEFFICIENTS) -> np.random.Generator:
-    """Philox generator positioned at the start of one realization's stream."""
-    key = np.array([seed & _MASK64, 0], dtype=np.uint64)
-    counter = np.array([0, 0, realization & _MASK64, stream & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+def _positioned(seed: int, realization: int, stream: int) -> np.random.Generator:
+    """This thread's Philox generator, set to the start of one realization's
+    stream: the state a fresh ``Philox(counter=..., key=...)`` starts in."""
+    gen = getattr(_local, "generator", None)
+    if gen is None:
+        gen = _local.generator = np.random.Generator(np.random.Philox())
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": (0, 0, realization & _MASK64, stream & _MASK64),
+            "key": (seed & _MASK64, 0),
+        },
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # buffer empty: the next draw runs the counter
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 def complex_standard_normals(
@@ -39,8 +57,12 @@ def complex_standard_normals(
     Box-Muller on (1 - u) so the open interval [0, 1) of the uniform source
     never reaches log(0).
     """
-    g = generator_for(seed, realization, stream)
-    u = g.random((n, 2))
+    u = _positioned(seed, realization, stream).random((n, 2))
     radius = np.sqrt(-np.log1p(-u[:, 0]))  # Rayleigh with E[r^2] = 1
     phase = 2.0 * np.pi * u[:, 1]
-    return radius * (np.cos(phase) + 1j * np.sin(phase))
+    out = np.empty(n, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    out.real *= radius
+    out.imag *= radius
+    return out

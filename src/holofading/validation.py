@@ -34,12 +34,14 @@ imaginary remainder is zero-mean sampling noise.
 """
 from __future__ import annotations
 
+import collections
+import itertools
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -257,22 +259,38 @@ def _thread_count(threads: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
+def ordered_map(fn: Callable, items: Sequence, threads: int) -> Iterator:
+    """fn over items, yielding the results in item order.
+
+    With more than one thread and item, the calls run on a pool of
+    ``threads`` workers. At most ``threads`` calls are in flight: the next
+    item is submitted only when the caller takes a result, so a caller that
+    stops early waits only for the calls in flight.
+    """
+    if threads <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    todo = iter(items)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = collections.deque(pool.submit(fn, item) for item in itertools.islice(todo, threads))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, item) for item in itertools.islice(todo, 1))
+            yield result
+
+
 def _chunk_means(run_chunk, m: int, batch: int, threads: int | None) -> list[np.ndarray]:
     """Means over m realizations of the partial sums that
     ``run_chunk(start)`` returns (a list of arrays) for the realizations
     start .. start + batch - 1.
 
-    Partial sums are reduced in chunk order, so results are bit-identical
-    for any worker count.
+    Partial sums are folded in chunk order from 0, as ``sum`` would, so
+    results are bit-identical for any worker count.
     """
-    starts = range(0, m, batch)
-    nthreads = _thread_count(threads)
-    if nthreads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            chunked = list(pool.map(run_chunk, starts))
-    else:
-        chunked = [run_chunk(s) for s in starts]
-    return [sum(parts) / m for parts in zip(*chunked)]
+    sums: list = []
+    for parts in ordered_map(run_chunk, range(0, m, batch), _thread_count(threads)):
+        sums = [s + p for s, p in zip(sums or [0] * len(parts), parts)]
+    return [s / m for s in sums]
 
 
 def _first_row_sums(
@@ -524,7 +542,11 @@ def lambda_half_independence(
     Returns:
         (normalized row estimate over lags 0 .. Nx/2, max |correlation|
         over the nonzero lags).
+
+    Raises:
+        InsufficientRealizations: fewer than 100 realizations.
     """
+    check_realizations(m)
     aperture = Aperture(lx=lx, dx=0.5, ly=lx, dy=0.5)
     (raw,) = _first_row_sums(
         aperture, None, seed, m, (0.0,), (0, aperture.nx // 2), threads, batch, None

@@ -238,7 +238,7 @@ class TestValidateCommand:
         failures = json.loads(err)["failures"]
         assert failures[0]["check"] == "fig6"
 
-    def test_malformed_thread_env_is_config_error(self, capsys, monkeypatch):
+    def test_malformed_thread_env_is_config_error(self, tmp_path, capsys, monkeypatch):
         import holofading.validation as valmod
 
         def no_pool(*args, **kwargs):
@@ -246,10 +246,16 @@ class TestValidateCommand:
 
         monkeypatch.setattr(valmod, "ThreadPoolExecutor", no_pool)
         monkeypatch.setenv("HOLO_THREADS", "abc")
-        code, _, err = run_cli(capsys, "validate", "--fig", "7", "--realizations", "100")
-        assert code == 2
-        failure = json.loads(err)["failures"][0]
-        assert failure["check"] == "config" and "HOLO_THREADS" in failure["detail"]
+        for argv in (
+            ("validate", "--fig", "7", "--realizations", "100"),
+            ("generate", "--aperture", "8,8", "--spacing", "0.5", "--realizations", "4",
+             "--out", str(tmp_path / "x.bin")),
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2
+            failure = json.loads(err)["failures"][0]
+            assert failure["check"] == "config" and "HOLO_THREADS" in failure["detail"]
+        assert list(tmp_path.iterdir()) == []  # not even a header-only x.bin
         # only commands that run worker threads read the variable
         code, out, _ = run_cli(capsys, "variances", "--aperture", "4")
         assert code == 0 and out.startswith("l,m,sigma_sq")
@@ -413,14 +419,36 @@ class TestGenerateChunks:
         argv = [a.format(factor=tmp_path / "factor.csv") for a in argv]
         m = int(argv[argv.index("--realizations") + 1])
         whole, chunked = tmp_path / "whole", tmp_path / "chunked"
-        assert run_cli(capsys, "generate", *argv, "--seed", "4", "--out", str(whole))[0] == 0
+        argv += ["--seed", "4", "--threads", "1"]  # one worker gets the whole budget
+        assert run_cli(capsys, "generate", *argv, "--out", str(whole))[0] == 0
         assert batch_sizes == [m]  # the default budget holds every realization
         batch_sizes.clear()
         # a budget just short of per_chunk + 1 realizations
         monkeypatch.setattr(climod, "CHUNK_BYTES", (per_chunk + 1) * points * 16 - 1)
-        assert run_cli(capsys, "generate", *argv, "--seed", "4", "--out", str(chunked))[0] == 0
+        assert run_cli(capsys, "generate", *argv, "--out", str(chunked))[0] == 0
         assert batch_sizes == [per_chunk] * (m // per_chunk) + [m % per_chunk] * (m % per_chunk > 0)
         assert chunked.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("argv, points", _CHUNK_CASES.values(), ids=_CHUNK_CASES.keys())
+    def test_output_independent_of_worker_count(
+        self, argv, points, tmp_path, capsys, monkeypatch, batch_sizes
+    ):
+        import holofading.cli as climod
+
+        _write_lobed_factor(tmp_path / "factor.csv")
+        argv = [a.format(factor=tmp_path / "factor.csv") for a in argv] + ["--seed", "5"]
+        m = int(argv[argv.index("--realizations") + 1])
+        # two realizations in all: one per chunk for each of two workers
+        monkeypatch.setattr(climod, "CHUNK_BYTES", 2 * points * 16)
+        outputs = []
+        for threads in ("1", "2"):
+            outputs.append(tmp_path / f"threads{threads}")
+            code, _, _ = run_cli(
+                capsys, "generate", *argv, "--threads", threads, "--out", str(outputs[-1])
+            )
+            assert code == 0
+        assert batch_sizes[-m:] == [1] * m and m >= 4  # the two-worker run's chunks
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
     def test_budget_below_one_realization_still_progresses(
         self, tmp_path, capsys, monkeypatch, batch_sizes
@@ -435,6 +463,8 @@ class TestGenerateChunks:
         assert len(out.read_bytes()) == 24 + 3 * 8 * 8 * 16
 
     def test_shaping_gains_evaluated_once_per_command(self, tmp_path, capsys, monkeypatch):
+        import time
+
         import holofading.cli as climod
         import holofading.generator as genmod
 
@@ -443,17 +473,19 @@ class TestGenerateChunks:
 
         def counting(*args):
             calls.append(len(args[1]))
+            time.sleep(0.05)  # long enough for two workers on a cold cache to both miss it
             return real(*args)
 
         monkeypatch.setattr(genmod, "shaping_gains", counting)
         monkeypatch.setattr(climod, "CHUNK_BYTES", 2 * 16 * 16 * 16)
         _write_lobed_factor(tmp_path / "factor.csv")
         n = len(table_2d(8.0, 8.0))
-        for command in (1, 2):  # each command loads its own factor
+        # each command loads its own factor, so each starts on a cold cache
+        for command, threads in enumerate(("1", "2"), start=1):
             code, _, _ = run_cli(
                 capsys, "generate", "--aperture", "8,8", "--spacing", "0.5",
                 "--realizations", "7", "--factor", str(tmp_path / "factor.csv"),
-                "--out", str(tmp_path / "f.bin"),
+                "--threads", threads, "--out", str(tmp_path / "f.bin"),
             )
             assert code == 0
             assert calls == [n] * command

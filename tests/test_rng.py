@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,32 @@ class TestDeterminism:
         long = complex_standard_normals(9, 5, 200)
         short = complex_standard_normals(9, 5, 20)
         assert np.array_equal(long[:20], short)
+
+
+class TestThreads:
+    def test_concurrent_streams_match_sequential(self):
+        # each thread repositions its own generator; a shared one would let
+        # one thread's repositioning land between the other's set and draw
+        streams = [(3, r, 1 + r % 97) for r in range(400)]
+        want = [complex_standard_normals(*s) for s in streams]
+        got = [None] * len(streams)
+
+        def work(first):
+            for i in range(first, len(streams), 2):
+                got[i] = complex_standard_normals(*streams[i])
+
+        workers = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestDistribution:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from holofading import (
 )
 from holofading.baseline import CorrelationMatrix, kl_sample
 from holofading.generator import generate_batch_planes
-from holofading.validation import _accumulate_first_row, _lag_sum, _thread_count
+import holofading.validation as valmod
+from holofading.validation import _accumulate_first_row, _lag_sum, _thread_count, ordered_map
 
 
 def _estimate(values, lags, lx=16.0, m=10_000, tilted=True):
@@ -183,6 +185,11 @@ class TestCoefficientSpaceEstimator:
             raw = _lag_sum(h, (ap.ny // 2, ap.nx // 2), lags) / m
             assert np.max(np.abs(est.raw - raw.reshape(est.raw.shape))) <= 1e-12
 
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_lambda_half_needs_enough_realizations(self, m):
+        with pytest.raises(InsufficientRealizations):
+            lambda_half_independence(m=m, seed=0, lx=8.0, threads=1)
+
     def test_lambda_half_row_matches_cyclic_fft_row(self):
         m = 300
         row, _ = lambda_half_independence(m=m, seed=4, lx=8.0, threads=1, batch=128)
@@ -191,6 +198,75 @@ class TestCoefficientSpaceEstimator:
         # the field is periodic: two periods side by side hold every cyclic lag
         raw = _lag_sum(np.concatenate([h, h], axis=-1), (ap.ny // 2, ap.nx // 2), (0, ap.nx // 2))
         assert np.max(np.abs(row - raw[:, 0] / raw[0, 0].real)) <= 1e-12
+
+
+class TestOrderedMap:
+    """The worker map behind generate's chunks and the validation reduction;
+    at most two workers, and every wait is bounded."""
+
+    @pytest.fixture
+    def submitted(self, monkeypatch):
+        """Items submitted to any pool ordered_map starts, in order."""
+        items = []
+
+        class CountingPool(valmod.ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                items.append(args[0])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(valmod, "ThreadPoolExecutor", CountingPool)
+        return items
+
+    def test_results_in_item_order_when_a_later_item_finishes_first(self, submitted):
+        second_done = threading.Event()
+        waited = []
+
+        def fn(item):
+            if item == 0:
+                waited.append(second_done.wait(timeout=10.0))
+            elif item == 1:
+                second_done.set()
+            return item * 10
+
+        assert list(ordered_map(fn, range(5), 2)) == [0, 10, 20, 30, 40]
+        assert waited == [True]  # item 1 finished while item 0 still ran
+        assert submitted == [0, 1, 2, 3, 4]
+
+    def test_in_flight_never_exceeds_threads(self, submitted):
+        taken = 0
+        for _ in ordered_map(lambda item: item, range(9), 2):
+            taken += 1
+            # the result in hand is taken; the rest are in flight
+            assert len(submitted) - taken <= 2
+        assert taken == 9 and submitted == list(range(9))
+
+    def test_nothing_submitted_after_the_consumer_stops(self, submitted):
+        started = []
+        results = ordered_map(started.append, range(10), 2)
+        next(results)
+        results.close()
+        assert submitted == [0, 1, 2]  # two at the start, one when result 0 was taken
+        assert set(started) <= {0, 1, 2}
+
+    def test_worker_exception_reaches_the_consumer(self, submitted):
+        def fn(item):
+            if item == 2:
+                raise KeyError(item)
+            return item
+
+        results = ordered_map(fn, range(6), 2)
+        assert [next(results), next(results)] == [0, 1]
+        with pytest.raises(KeyError):
+            next(results)
+        assert submitted == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("threads, items", [(1, range(4)), (2, range(1))])
+    def test_no_pool_for_one_worker_or_one_item(self, monkeypatch, threads, items):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no worker pool may start")
+
+        monkeypatch.setattr(valmod, "ThreadPoolExecutor", no_pool)
+        assert list(ordered_map(lambda item: -item, items, threads)) == [-i for i in items]
 
 
 class TestRunFigure:
