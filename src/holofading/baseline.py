@@ -9,7 +9,8 @@ C the correlation matrix sampled from those closed forms; it exists to
 cross-check the series generator at desk scale, not to scale.
 
 J0 is ``scipy.special.j0``; the test suite checks it against quadrature of
-the integral representation (1/pi) * int_0^pi cos(z sin t) dt.
+the integral representation (1/pi) * int_0^pi cos(z sin t) dt. It is
+imported on first use, so commands that evaluate no J0 never load scipy.
 """
 from __future__ import annotations
 
@@ -17,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from .errors import GridTooLarge, NotPSD
 from .generator import Aperture
@@ -33,6 +32,8 @@ def clarke_acf_3d(r, lam: float = 1.0):
 
 def clarke_acf_2d(r, lam: float = 1.0):
     """J0(2 pi r / lambda)."""
+    import scipy.special
+
     return scipy.special.j0(2.0 * math.pi * np.asarray(r, dtype=float) / lam)
 
 
@@ -90,7 +91,8 @@ def correlation_matrix(grid, acf: AcfClosedForm) -> CorrelationMatrix:
     if uniform_line:
         # uniform 1D grid: exactly Toeplitz from its first row
         lags = np.linalg.norm(points - points[0], axis=1)
-        values = scipy.linalg.toeplitz(acf(lags))
+        i = np.arange(n)
+        values = acf(lags)[np.abs(np.subtract.outer(i, i))]
         return CorrelationMatrix(values=values, points=points, is_toeplitz=True)
     diff = points[:, np.newaxis, :] - points[np.newaxis, :, :]
     values = acf(np.sqrt(np.sum(diff * diff, axis=-1)))

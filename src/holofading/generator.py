@@ -210,6 +210,15 @@ def _plane_gains(factor: SpectralFactor, lx: float, ly: float) -> tuple[np.ndarr
     return gains
 
 
+@lru_cache(maxsize=8)
+def _line_gains(factor: SpectralFactor, lx: float) -> np.ndarray:
+    """Read-only line shaping gain at every harmonic of an lx line table;
+    the line counterpart of ``_plane_gains``."""
+    gain = line_shaping_gain(factor, lattice_wavenumbers(table_1d(lx)), KAPPA)
+    gain.flags.writeable = False  # shared by every caller of the cache
+    return gain
+
+
 def shape_coefficients(draw: CoefficientDraw, factor: SpectralFactor) -> CoefficientDraw:
     """Multiply each coefficient pair by the factor's shaping gains at its
     harmonic's wavenumber point. Isotropic factors are the identity."""
@@ -288,7 +297,7 @@ def draw_line_coefficients(
     (B, n) for a sequence of them."""
     h = _scaled_normals(seed, realization, np.sqrt(2.0 * table.sigma_sq), 1)[..., 0, :]
     if factor is not None and not factor.is_isotropic:
-        h = h * line_shaping_gain(factor, lattice_wavenumbers(table), KAPPA)
+        h = h * _line_gains(factor, table.lx)
     return h
 
 
@@ -312,8 +321,11 @@ def shared_table(aperture: Aperture, factor: SpectralFactor | None):
     threads share a run: workers that meet cold caches together would each
     build the table and evaluate the gains."""
     table = default_table(aperture)
-    if aperture.kind != LINEAR and factor is not None and not factor.is_isotropic:
-        _plane_gains(factor, table.lx, table.ly)
+    if factor is not None and not factor.is_isotropic:
+        if aperture.kind == LINEAR:
+            _line_gains(factor, table.lx)
+        else:
+            _plane_gains(factor, table.lx, table.ly)
     return table
 
 

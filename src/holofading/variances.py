@@ -32,6 +32,14 @@ Two independent routes compute the cell mass:
   (see ``_corner_mass``), and a cell is an inclusion-exclusion of four
   corners. Accepted only on agreement with the quadrature oracle.
 
+The closed-form table evaluates ``_corner_mass`` once per lattice corner
+(i/ax, j/ay) and forms every cell from its four corners as array
+operations, in the scalar function's operand order, so each entry is
+bitwise ``variance_2d_closed_form``. ``_corner_mass`` stays scalar:
+vectorized arcsin/arctan2 can differ from ``math`` in the last bit. Only
+the quadrature oracle imports ``scipy.integrate``, on first use, so a
+command that builds closed-form tables never loads it.
+
 The table index set is the cell-coverage set: all (l, m) in
 {-ceil(Lx/lambda) .. ceil(Lx/lambda)-1} x {same in y} whose mirrored cell
 corner lies strictly inside the unit disk. This is the 2D analog of the 1D
@@ -45,7 +53,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .errors import IndexOutOfBand
 
@@ -55,6 +62,11 @@ DEFAULT_QUAD_TOL = 1e-10
 def fold_index(i: int) -> int:
     """Mirror a signed cell index into the first quadrant: -l-1 <-> l."""
     return i if i >= 0 else -i - 1
+
+
+def _fold(idx: np.ndarray) -> np.ndarray:
+    """``fold_index`` over an int array."""
+    return np.where(idx >= 0, idx, -idx - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +149,12 @@ def coefficient_indices(lx: float, ly: float, lam: float = 1.0) -> np.ndarray:
     """
     ax, ay = lx / lam, ly / lam
     nx, ny = math.ceil(ax), math.ceil(ay)
-    out = []
-    for m in range(-ny, ny):
-        for l in range(-nx, nx):
-            x1, _, y1, _ = _cell_bounds(l, m, ax, ay)
-            if x1 * x1 + y1 * y1 < 1.0:
-                out.append((l, m))
-    return np.array(out, dtype=int)
+    ls, ms = np.arange(-nx, nx), np.arange(-ny, ny)
+    x1 = _fold(ls) / ax
+    y1 = _fold(ms) / ay
+    covered = (x1 * x1)[np.newaxis, :] + (y1 * y1)[:, np.newaxis] < 1.0
+    mm, ll = np.nonzero(covered)  # row-major: m outer, l inner
+    return np.stack([ls[ll], ms[mm]], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +188,8 @@ def _cell_mass_quadrature(x1, x2, y1, y2, tol):
     breakpoint, and each smooth piece is integrated under the substitution
     phi = endpoint +/- u^2, which flattens the sqrt endpoints.
     """
+    from scipy import integrate  # only the oracle needs it; keeps start-up lean
+
     if x1 * x1 + y1 * y1 >= 1.0:
         return 0.0
     phi_lo = math.atan2(y1, x2)
@@ -302,24 +315,36 @@ class CoefficientVariances2D:
         return float(np.sum(2.0 * self.sigma_sq))
 
 
+def _closed_form_cells(ax: float, ay: float) -> np.ndarray:
+    """Closed-form sigma2 of every first-quadrant cell, indexed [lf, mf].
+
+    ``_corner_mass`` runs once per lattice corner (i/ax, j/ay); each cell is
+    then the inclusion-exclusion of ``variance_2d_closed_form``, in the same
+    operand order, so every value is bitwise the scalar definition's.
+    """
+    nx, ny = math.ceil(ax), math.ceil(ay)
+    c = np.array(
+        [[_corner_mass(i / ax, j / ay) for j in range(ny + 1)] for i in range(nx + 1)]
+    )
+    mass = c[1:, 1:] - c[:-1, 1:] - c[1:, :-1] + c[:-1, :-1]
+    return np.maximum(mass, 0.0) / (4.0 * math.pi)
+
+
 @lru_cache(maxsize=32)
 def _table_2d_cached(lx, ly, lam, method, tol):
     idx = coefficient_indices(lx, ly, lam)
+    folded = _fold(idx)
     ax, ay = lx / lam, ly / lam
     if method == "closed-form":
-        compute = lambda l, m: variance_2d_closed_form(l, m, lx, ly, lam)
+        cells = _closed_form_cells(ax, ay)
     elif method == "quadrature":
-        compute = lambda l, m: variance_2d_quadrature(l, m, lx, ly, lam, tol)
+        cells = np.zeros((math.ceil(ax), math.ceil(ay)))
+        # distinct first-quadrant cells only; mirrors share the value
+        for lf, mf in set(map(tuple, folded.tolist())):
+            cells[lf, mf] = variance_2d_quadrature(lf, mf, lx, ly, lam, tol)
     else:
         raise ValueError(f"unknown method {method!r}")
-    # distinct first-quadrant cells only; mirrors share the value
-    cache: dict[tuple[int, int], float] = {}
-    sig = np.empty(len(idx))
-    for i, (l, m) in enumerate(idx):
-        key = (fold_index(int(l)), fold_index(int(m)))
-        if key not in cache:
-            cache[key] = compute(*key)
-        sig[i] = cache[key]
+    sig = cells[folded[:, 0], folded[:, 1]]
     table = CoefficientVariances2D(
         lx=ax, ly=ay, ls=idx[:, 0].copy(), ms=idx[:, 1].copy(), sigma_sq=sig
     )

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import integrate, special
 
 from holofading import (
@@ -86,6 +87,11 @@ class TestClarkeAcf:
     def test_wavelength_scaling(self):
         assert clarke_acf_2d(1.0, lam=2.0) == pytest.approx(clarke_acf_2d(0.5), rel=1e-14)
 
+    def test_2d_is_scipy_j0(self):
+        r = np.linspace(0.0, 40.0, 2001)
+        want = special.j0(2.0 * math.pi * r)
+        assert np.array_equal(clarke_acf_2d(r).view(np.uint64), want.view(np.uint64))
+
     def test_closed_form_wrapper(self):
         assert AcfClosedForm("sinc-3d")(0.5) == clarke_acf_3d(0.5)
         assert AcfClosedForm("bessel-2d")(0.5) == clarke_acf_2d(0.5)
@@ -116,6 +122,16 @@ class TestCorrelationMatrix:
         for i in range(1, n):
             assert np.array_equal(c.values[i, i:], c.values[0, : n - i])
             assert np.array_equal(c.values[i:, i], c.values[0, : n - i])
+
+    @pytest.mark.parametrize("kind", ["bessel-2d", "sinc-3d"])
+    def test_uniform_line_grid_matches_scipy_toeplitz(self, kind):
+        ap = Aperture(lx=8.0, dx=0.125)
+        acf = AcfClosedForm(kind)
+        c = correlation_matrix(ap, acf)
+        lags = np.linalg.norm(c.points - c.points[0], axis=1)
+        want = scipy.linalg.toeplitz(acf(lags))
+        assert c.values.shape == want.shape
+        assert np.array_equal(c.values.view(np.uint64), want.view(np.uint64))
 
     def test_unit_diagonal_and_symmetry(self):
         ap = Aperture(lx=4.0, dx=0.5, ly=4.0, dy=0.5)

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -489,6 +492,82 @@ class TestGenerateChunks:
             )
             assert code == 0
             assert calls == [n] * command
+
+    def test_line_gain_evaluated_once_per_command(
+        self, tmp_path, capsys, monkeypatch, batch_sizes
+    ):
+        import time
+
+        import holofading.cli as climod
+        import holofading.generator as genmod
+        from holofading.spectrum import SpectralFactor, line_shaping_gain
+        from holofading.wavenumber import KAPPA, lattice_wavenumbers
+
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            time.sleep(0.05)  # long enough for two workers on a cold cache to both miss it
+            return line_shaping_gain(*args)
+
+        monkeypatch.setattr(genmod, "line_shaping_gain", counting)
+        monkeypatch.setattr(climod, "CHUNK_BYTES", 2 * 4 * 256 * 16)  # 4 realizations a worker
+        _write_lobed_factor(tmp_path / "factor.csv")
+        out = tmp_path / "f.bin"
+        code, _, _ = run_cli(
+            capsys, "generate", "--aperture", "16", "--spacing", "0.0625",
+            "--realizations", "18", "--seed", "7", "--factor", str(tmp_path / "factor.csv"),
+            "--threads", "2", "--out", str(out),
+        )
+        assert code == 0
+        assert batch_sizes == [4, 4, 4, 4, 2]
+        table = table_1d(16.0)
+        assert calls == [len(table.ls)]
+        # the bytes of the uncached definition: each draw times the gain
+        factor = SpectralFactor.from_csv(tmp_path / "factor.csv")
+        gain = line_shaping_gain(factor, lattice_wavenumbers(table), KAPPA)
+        draws = genmod.draw_line_coefficients(table, 7, range(18)) * gain
+        want = genmod.synthesize_line(draws, table, Aperture(lx=16.0, dx=0.0625))
+        assert out.read_bytes()[24:] == np.ascontiguousarray(want, dtype="<c16").tobytes()
+
+
+def _fresh_python(*argv):
+    """Run ``python argv`` in a new interpreter that imports this holofading."""
+    import holofading
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(holofading.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestStartup:
+    """Commands load scipy only where they use it: integrate for the
+    quadrature oracle, special for J0."""
+
+    def test_cli_import_loads_no_scipy_submodule(self):
+        proc = _fresh_python(
+            "-c", "import json, sys, holofading.cli; print(json.dumps(sorted(sys.modules)))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout))
+        assert "holofading.cli" in loaded
+        assert not loaded & {"scipy.integrate", "scipy.linalg", "scipy.special"}
+
+    def test_quadrature_variances_in_fresh_interpreter(self):
+        from holofading import coefficient_indices, variance_2d_quadrature
+
+        proc = _fresh_python(
+            "-m", "holofading.cli", "variances", "--aperture", "4,4", "--method", "quadrature"
+        )
+        assert proc.returncode == 0, proc.stderr
+        # the text of the per-index oracle, row by row
+        idx = [(int(l), int(m)) for l, m in coefficient_indices(4.0, 4.0)]
+        sig = np.array([variance_2d_quadrature(l, m, 4.0, 4.0) for l, m in idx])
+        lines = ["l,m,sigma_sq"] + [f"{l},{m},{s!r}" for (l, m), s in zip(idx, sig.tolist())]
+        lines.append(f"# total_power={float(np.sum(2.0 * sig))!r}")
+        assert proc.stdout == "\n".join(lines) + "\n"
 
 
 class TestVersion:

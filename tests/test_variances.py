@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from holofading import (
@@ -163,3 +165,50 @@ class TestTables:
         b = table_2d(4.0, 4.0, method="quadrature")
         assert np.array_equal(a.ls, b.ls)
         assert np.allclose(a.sigma_sq, b.sigma_sq, rtol=1e-8, atol=1e-13)
+
+
+def _reference_indices(lx, ly, lam=1.0):
+    """The index set as a double loop over the cell-coverage test."""
+    ax, ay = lx / lam, ly / lam
+    nx, ny = math.ceil(ax), math.ceil(ay)
+    out = []
+    for m in range(-ny, ny):
+        for l in range(-nx, nx):
+            x1, y1 = fold_index(l) / ax, fold_index(m) / ay
+            if x1 * x1 + y1 * y1 < 1.0:
+                out.append((l, m))
+    return np.array(out, dtype=int)
+
+
+def _assert_table_is_scalar_definition(lx, ly, lam=1.0):
+    idx = coefficient_indices(lx, ly, lam)
+    assert idx.dtype == np.int_ and np.array_equal(idx, _reference_indices(lx, ly, lam))
+    table = table_2d(lx, ly, lam)
+    assert np.array_equal(table.ls, idx[:, 0]) and np.array_equal(table.ms, idx[:, 1])
+    want = np.array(
+        [variance_2d_closed_form(int(l), int(m), lx, ly, lam) for l, m in idx]
+    )
+    assert np.array_equal(table.sigma_sq.view(np.uint64), want.view(np.uint64))
+
+
+class TestClosedFormTable:
+    """The table evaluates each lattice corner once; every entry must still
+    be bitwise the per-index definition."""
+
+    @pytest.mark.parametrize(
+        "lx, ly, lam",
+        [(1.0, 1.0, 1.0), (16.0, 16.0, 1.0), (128.0, 128.0, 1.0), (16.0, 8.0, 1.0),
+         (7.5, 3.25, 1.0), (3.3, 5.7, 1.0), (8.0, 4.0, 0.5), (3.3, 5.7, 0.5),
+         # corners exactly on the rim: (3/5)^2 + (4/5)^2 and (7/25)^2 + (24/25)^2 == 1.0
+         (5.0, 5.0, 1.0), (25.0, 25.0, 1.0)],
+    )
+    def test_bitwise_equal_to_scalar_definition(self, lx, ly, lam):
+        _assert_table_is_scalar_definition(lx, ly, lam)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        lx=st.floats(min_value=0.3, max_value=20.0, allow_nan=False, allow_infinity=False),
+        ly=st.floats(min_value=0.3, max_value=20.0, allow_nan=False, allow_infinity=False),
+    )
+    def test_bitwise_equal_to_scalar_definition_property(self, lx, ly):
+        _assert_table_is_scalar_definition(lx, ly)
