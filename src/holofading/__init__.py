@@ -33,8 +33,7 @@ from .generator import (
     lattice_acf_2d,
     migrate,
     shape_coefficients,
-    synthesize_line,
-    synthesize_plane,
+    synthesize,
 )
 from .spectrum import (
     SpectralFactor,

@@ -287,13 +287,13 @@ def cmd_generate(args) -> int:
 
 def cmd_variances(args) -> int:
     sides = _parse_lengths(args.aperture, "aperture", max_parts=2)
+    if args.method not in ("closed-form", "quadrature"):
+        raise ConfigError(f"--method must be 'closed-form' or 'quadrature', got {args.method!r}")
     try:
         if len(sides) == 1:
             table = table_1d(sides[0])
             rows = [(int(l), 0, s) for l, s in zip(table.ls, table.sigma_sq)]
         else:
-            if args.method not in ("closed-form", "quadrature"):
-                raise ConfigError(f"--method must be 'closed-form' or 'quadrature', got {args.method!r}")
             table = table_2d(sides[0], sides[1], method=args.method)
             rows = [
                 (int(l), int(mm), s)

@@ -11,9 +11,11 @@ Pipeline per realization (rectangular aperture):
 The final sum is a zero-embedded 2D inverse FFT *without* the 1/(Nx*Ny)
 normalization (the variance table already carries the physical scaling);
 lattice index l maps to FFT bin l mod Nx and the output is reindexed onto
-n = -Nx/2 .. Nx/2 - 1 by a half-grid cyclic shift. ``plane_coefficients``
-runs the stages before it (the per-plane H(l, m; z)); ``generate_batch_planes``
-synthesizes those.
+n = -Nx/2 .. Nx/2 - 1 by a half-grid cyclic shift (``synthesize``).
+``plane_coefficients`` runs the stages before it (the per-plane H(l, m; z));
+``generate_batch_planes`` synthesizes those. ``series_sum`` evaluates the
+same series by direct summation: the exact ACFs, the FFT oracle and the
+validation lag windows.
 
 A line aperture uses the single-coefficient series h(x_n) = sum over l of
 H_l e^{i 2 pi l n / N} with H_l of variance 2*sigma2_l, observed at
@@ -253,12 +255,14 @@ def migrate(draw: CoefficientDraw, z: float) -> np.ndarray:
     return draw.h_plus * phase + draw.h_minus * np.conj(phase)
 
 
-def _synthesize(h, table, aperture) -> np.ndarray:
-    """Zero-embed the coefficients (any leading batch axes) at their FFT bins
-    and evaluate the series on the grid: an inverse FFT over the trailing
-    grid axes without the 1/N factor, reindexed onto n = -N/2 .. N/2 - 1."""
+def synthesize(h: np.ndarray, table, aperture: Aperture) -> np.ndarray:
+    """Evaluate the series of the coefficients h (any leading batch axes)
+    on the aperture grid: zero-embed them at their FFT bins, inverse FFT
+    over the grid axes without the 1/N factor, and reindex onto
+    n = -N/2 .. N/2 - 1. Returns (..., ny, nx); ny = 1 for a line table."""
+    line = not isinstance(table, CoefficientVariances2D)
     axes = ((table.ls, aperture.nx),)
-    if isinstance(table, CoefficientVariances2D):
+    if not line:
         axes = ((table.ms, aperture.ny),) + axes
     shape = tuple(n for _, n in axes)
     if any(np.max(np.abs(idx)) * 2 > n for idx, n in axes):
@@ -270,20 +274,8 @@ def _synthesize(h, table, aperture) -> np.ndarray:
     # bins are distinct: the grid holds one full period of every harmonic
     spec[(Ellipsis,) + tuple(idx % n for idx, n in axes)] = h
     grid = tuple(range(-len(shape), 0))
-    return np.fft.fftshift(np.fft.ifftn(spec, axes=grid) * math.prod(shape), axes=grid)
-
-
-def synthesize_plane(hz: np.ndarray, table: CoefficientVariances2D, aperture: Aperture) -> np.ndarray:
-    """Evaluate the series on the (ny, nx) grid by zero-embedded inverse FFT
-    without the 1/(Nx*Ny) factor, reindexed onto n = -N/2 .. N/2 - 1.
-    Coefficients of shape (B, n) give fields of shape (B, ny, nx)."""
-    return _synthesize(hz, table, aperture)
-
-
-def synthesize_line(h: np.ndarray, table: CoefficientVariances1D, aperture: Aperture) -> np.ndarray:
-    """1D counterpart of synthesize_plane; always returns (B, nx), with
-    B = 1 for a single coefficient vector."""
-    return _synthesize(np.atleast_2d(h), table, aperture)
+    out = np.fft.fftshift(np.fft.ifftn(spec, axes=grid) * math.prod(shape), axes=grid)
+    return out[..., np.newaxis, :] if line else out
 
 
 def draw_line_coefficients(
@@ -404,26 +396,40 @@ def generate_batch_planes(
     if table is None:
         table = default_table(aperture)
     planes = plane_coefficients(aperture, factor, seed, realizations, z_planes, table)
-    if aperture.kind == LINEAR:
-        return [synthesize_line(h, table, aperture)[:, np.newaxis, :] for h in planes]
-    return [synthesize_plane(hz, table, aperture) for hz in planes]
+    return [synthesize(h, table, aperture) for h in planes]
 
 
-def brute_force_plane(hz, table, aperture) -> np.ndarray:
-    """Direct O(N * n_harmonics) evaluation of the series; FFT-path oracle."""
+def series_sum(weights: np.ndarray, table, lags, periods) -> np.ndarray:
+    """Direct evaluation of the series sum_k w_k e^{i 2 pi (l_k x/Px + m_k y/Py)}
+    on the outer grid of the lags (x, y) with periods (Px, Py); shape
+    (len(x), len(y)), and (len(x), 1) for a line table, which reads only x.
+
+    Integer lags with the sample counts (Nx, Ny) as periods are grid
+    points; lags in wavelengths with the sides (Lx, Ly) are positions.
+    Lag and index are multiplied and reduced mod the period before the
+    phase is formed, so integer lags stay exact.
+    """
+
+    def phases(x, idx, period):
+        return np.exp(2j * np.pi * (np.outer(x, idx) % period / period))
+
+    ex = phases(lags[0], table.ls, periods[0])
+    if not isinstance(table, CoefficientVariances2D):
+        return (ex * weights).sum(axis=1, keepdims=True)
+    return (ex * weights) @ phases(lags[1], table.ms, periods[1]).T
+
+
+def brute_force_plane(h, table, aperture) -> np.ndarray:
+    """The series on the (ny, nx) grid by direct summation; FFT-path oracle."""
     ns = np.arange(-(aperture.nx // 2), aperture.nx // 2)
     js = np.arange(-(aperture.ny // 2), aperture.ny // 2)
-    ex = np.exp(2j * np.pi * np.outer(ns, table.ls) / aperture.nx)  # (nx, n)
-    ey = np.exp(2j * np.pi * np.outer(js, table.ms) / aperture.ny)  # (ny, n)
-    return np.einsum("jk,nk,k->jn", ey, ex, hz)
+    return series_sum(h, table, (ns, js), (aperture.nx, aperture.ny)).T
 
 
 def lattice_acf_1d(table: CoefficientVariances1D, lags: np.ndarray) -> np.ndarray:
     """Exact series autocorrelation c_N(r) = sum 2*sigma2_l e^{i2pi l r/Lx}
     of the line generator at the given lags (wavelength units)."""
-    lags = np.asarray(lags, dtype=float)
-    ph = np.exp(2j * np.pi * np.outer(lags, table.ls) / table.lx)
-    return ph @ (2.0 * table.sigma_sq)
+    return series_sum(2.0 * table.sigma_sq, table, (lags,), (table.lx,))[:, 0]
 
 
 def lattice_acf_2d(
@@ -431,8 +437,4 @@ def lattice_acf_2d(
 ) -> np.ndarray:
     """Exact series autocorrelation of the rectangular generator on the
     outer grid of x/y lags (wavelength units); shape (len(x), len(y))."""
-    lags_x = np.asarray(lags_x, dtype=float)
-    lags_y = np.asarray(lags_y, dtype=float)
-    ex = np.exp(2j * np.pi * np.outer(lags_x, table.ls) / table.lx)
-    ey = np.exp(2j * np.pi * np.outer(lags_y, table.ms) / table.ly)
-    return np.einsum("xk,yk,k->xy", ex, ey, 2.0 * table.sigma_sq)
+    return series_sum(2.0 * table.sigma_sq, table, (lags_x, lags_y), (table.lx, table.ly))

@@ -14,14 +14,16 @@ h_r(origin) = sum_k H_rk and the estimator is linear in the coefficients:
     w_k = sum_r conj(sum_k' H_rk') H_rk,
 
 the exact series autocorrelation with 2*sigma2_k replaced by its Monte Carlo
-estimate w_k / M. Each chunk accumulates w from ``plane_coefficients``; the
-series is evaluated once over the lag window after the reduction.
+estimate w_k / M. Each chunk accumulates w from ``plane_coefficients``; after
+the reduction, ``generator.series_sum`` evaluates the series once over the
+lag window, at integer grid lags reduced mod (Nx, Ny).
 ``empirical_acf`` applies the estimator to given fields.
 
 Two oracles serve two different claims:
 
-* the exact series autocorrelation (``generator.lattice_acf_*``) tests the
-  implementation itself; deviations are pure sampling noise, O(1/sqrt(M));
+* the exact series autocorrelation (``generator.lattice_acf_*``: the same
+  ``series_sum`` with weights 2*sigma2_k) tests the implementation itself;
+  deviations are pure sampling noise, O(1/sqrt(M));
 * the continuum closed forms (J0 / sinc) test model fidelity and carry the
   truncation error of a finite aperture.
 
@@ -47,7 +49,7 @@ import numpy as np
 
 from .baseline import AcfClosedForm, correlation_matrix, kl_sample
 from .errors import ConfigError, InsufficientRealizations, LagMismatch
-from .generator import Aperture, FieldRealization, default_table, plane_coefficients
+from .generator import Aperture, FieldRealization, default_table, plane_coefficients, series_sum
 from .variances import table_1d, table_2d
 
 MIN_REALIZATIONS = 100
@@ -130,22 +132,6 @@ def _origin_weights(h: np.ndarray) -> np.ndarray:
     """w_k = sum_r conj(h_r(origin)) H_rk of (B, n) coefficients: every
     harmonic is 1 at the grid origin, so h_r(origin) = sum_k H_rk."""
     return np.sum(np.conj(h.sum(axis=-1))[:, None] * h, axis=0)
-
-
-def _series_window(w: np.ndarray, table, aperture: Aperture, lags) -> np.ndarray:
-    """sum_k w_k e^{i 2 pi (l_k n / Nx + m_k j / Ny)} over the lags
-    (j, n) = (0..ky, 0..kx), the grid points the synthesis evaluates;
-    shape (kx + 1, ky + 1), x lag first. Lag and index are multiplied as
-    integers and reduced mod N before the phase is formed."""
-    ky, kx = lags
-
-    def phases(idx, n, k):
-        return np.exp(2j * np.pi * (np.outer(np.arange(k + 1), idx) % n / n))
-
-    ex = phases(table.ls, aperture.nx, kx)
-    if aperture.kind == "linear":
-        return (ex * w).sum(axis=1, keepdims=True)
-    return (ex * w) @ phases(table.ms, aperture.ny, ky).T
 
 
 def _estimate(raw, m, spacings, sides, tilted=True) -> AcfEstimate:
@@ -310,7 +296,9 @@ def _first_row_sums(
         return [_origin_weights(h) for h in planes]
 
     weights = _chunk_means(run_chunk, m, batch, threads)
-    return [_series_window(w, table, aperture, lags) for w in weights]
+    ky, kx = lags
+    window = (np.arange(kx + 1), np.arange(ky + 1))
+    return [series_sum(w, table, window, (aperture.nx, aperture.ny)) for w in weights]
 
 
 def _accumulate_first_row(

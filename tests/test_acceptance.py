@@ -30,7 +30,7 @@ from holofading.generator import (
     brute_force_plane,
     draw_coefficients,
     migrate,
-    synthesize_plane,
+    synthesize,
 )
 from holofading.variances import fold_index
 
@@ -100,7 +100,7 @@ def test_criterion_4_generator_exactness():
     for r in range(100):
         draw = draw_coefficients(table, seed=4, realization=r)
         hz = migrate(draw, 0.3 * (r % 4))
-        fft = synthesize_plane(hz, table, aperture)
+        fft = synthesize(hz, table, aperture)
         direct = brute_force_plane(hz, table, aperture)
         worst = max(worst, float(np.max(np.abs(fft - direct))))
     ok = worst <= 1e-10

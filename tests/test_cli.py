@@ -313,6 +313,7 @@ _BAD_INPUTS = {
                               "--realizations", "-1", "--out", "{tmp}/x.bin"),
     "negative-side": ("variances", "--aperture", "4,-4"),
     "zero-side": ("variances", "--aperture", "4,0"),
+    "unknown-method-line": ("variances", "--aperture", "4", "--method", "bogus"),
     "infinite-side": ("generate", "--aperture", "inf,4", "--spacing", "0.5",
                       "--out", "{tmp}/x.bin"),
     "zero-bench-size": ("bench", "--sizes", "0"),
@@ -527,7 +528,7 @@ class TestGenerateChunks:
         factor = SpectralFactor.from_csv(tmp_path / "factor.csv")
         gain = line_shaping_gain(factor, lattice_wavenumbers(table), KAPPA)
         draws = genmod.draw_line_coefficients(table, 7, range(18)) * gain
-        want = genmod.synthesize_line(draws, table, Aperture(lx=16.0, dx=0.0625))
+        want = genmod.synthesize(draws, table, Aperture(lx=16.0, dx=0.0625))
         assert out.read_bytes()[24:] == np.ascontiguousarray(want, dtype="<c16").tobytes()
 
 

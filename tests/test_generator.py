@@ -15,17 +15,18 @@ from holofading import (
     lattice_acf_2d,
     migrate,
     shape_coefficients,
-    synthesize_line,
-    synthesize_plane,
+    synthesize,
     table_1d,
     table_2d,
 )
 from holofading.generator import (
     CoefficientDraw,
     brute_force_plane,
+    default_table,
     draw_line_coefficients,
     generate_batch_planes,
     lattice_gammas,
+    series_sum,
 )
 from holofading.spectrum import shaping_gains
 from holofading.wavenumber import lattice_wavenumbers
@@ -237,7 +238,7 @@ class TestSynthesize:
         hz = np.zeros(len(t), dtype=complex)
         dc = np.flatnonzero((t.ls == 0) & (t.ms == 0))[0]
         hz[dc] = 1.0
-        out = synthesize_plane(hz, t, ap)
+        out = synthesize(hz, t, ap)
         assert np.allclose(out, 1.0, rtol=0, atol=1e-14)
 
     def test_single_harmonic_pointwise(self):
@@ -246,32 +247,41 @@ class TestSynthesize:
         hz = np.zeros(len(t), dtype=complex)
         k = np.flatnonzero((t.ls == 1) & (t.ms == 0))[0]
         hz[k] = 1.0
-        out = synthesize_plane(hz, t, ap)
+        out = synthesize(hz, t, ap)
         ns = np.arange(-ap.nx // 2, ap.nx // 2)
         want = np.exp(2j * np.pi * ns / ap.nx)
         assert np.allclose(out, want[np.newaxis, :], atol=1e-13)
 
-    def test_matches_brute_force(self):
-        t = table_2d(4.0, 4.0)
-        ap = Aperture(lx=4, dx=0.5, ly=4, dy=0.5)
+    @pytest.mark.parametrize("ap", [
+        Aperture(lx=4, dx=0.5, ly=4, dy=0.5),
+        Aperture(lx=16, dx=1 / 16),
+        Aperture(lx=4, dx=0.25),
+        Aperture(lx=7, dx=0.5),
+    ], ids=["planar-4x4", "line-16", "line-4", "line-7"])
+    def test_matches_brute_force(self, ap):
+        t = default_table(ap)
         for r in range(25):
-            hz = migrate(draw_coefficients(t, seed=77, realization=r), 0.25)
-            fft = synthesize_plane(hz, t, ap)
-            ref = brute_force_plane(hz, t, ap)
+            if ap.kind == "linear":
+                h = draw_line_coefficients(t, seed=77, realization=r)
+            else:
+                h = migrate(draw_coefficients(t, seed=77, realization=r), 0.25)
+            fft = synthesize(h, t, ap)
+            ref = brute_force_plane(h, t, ap)
+            assert fft.shape == ref.shape == (ap.ny, ap.nx)
             assert np.max(np.abs(fft - ref)) < 1e-10
 
     def test_grid_too_coarse(self):
         t = table_2d(8.0, 8.0)
         ap = Aperture(lx=4, dx=0.5, ly=4, dy=0.5)
         with pytest.raises(GridTooCoarse):
-            synthesize_plane(np.zeros(len(t), dtype=complex), t, ap)
+            synthesize(np.zeros(len(t), dtype=complex), t, ap)
 
     def test_line_single_harmonic(self):
         t = table_1d(4.0)
         ap = Aperture(lx=4, dx=0.25)
         h = np.zeros(len(t.ls), dtype=complex)
         h[np.flatnonzero(t.ls == -2)[0]] = 1.0
-        out = synthesize_line(h, t, ap)[0]
+        out = synthesize(h, t, ap)[0]
         ns = np.arange(-ap.nx // 2, ap.nx // 2)
         assert np.allclose(out, np.exp(-2j * np.pi * 2 * ns / ap.nx), atol=1e-13)
 
@@ -449,6 +459,28 @@ class TestLatticeAcf:
             2.0 * t.sigma_sq * np.exp(2j * np.pi * (t.ls * 0.5 / 4.0 + t.ms * 0.25 / 4.0))
         )
         assert got == pytest.approx(want, rel=1e-12)
+
+        # the reference-run lag windows against the float-lag sums, without
+        # the reduction of l * lag mod L: fig 6 (65 lags at 1/16) and
+        # fig 7/8 (17 x 17 lags at 1/4)
+        t1 = table_1d(16.0)
+        lags = np.arange(65) / 16.0
+        want = np.exp(2j * np.pi * np.outer(lags, t1.ls) / t1.lx) @ (2.0 * t1.sigma_sq)
+        assert np.max(np.abs(lattice_acf_1d(t1, lags) - want)) < 1e-14
+
+        t2 = table_2d(16.0, 16.0)
+        lags = np.arange(17) / 4.0
+        ex = np.exp(2j * np.pi * np.outer(lags, t2.ls) / t2.lx)
+        ey = np.exp(2j * np.pi * np.outer(lags, t2.ms) / t2.ly)
+        want = np.einsum("xk,yk,k->xy", ex, ey, 2.0 * t2.sigma_sq)
+        got = lattice_acf_2d(t2, lags, lags)
+        assert np.max(np.abs(got - want)) < 1e-14
+
+        # integer grid lags with the sample counts as periods are the same points
+        ap = Aperture(lx=16, dx=0.25, ly=16, dy=0.25)
+        k, j = np.arange(17), np.arange(9)
+        grid = series_sum(2.0 * t2.sigma_sq, t2, (k, j), (ap.nx, ap.ny))
+        assert np.max(np.abs(grid - lattice_acf_2d(t2, k * ap.dx, j * ap.dy))) < 1e-14
 
 
 class TestLineDraws:

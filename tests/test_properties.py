@@ -17,7 +17,7 @@ from holofading import (
     migrate,
     table_2d,
 )
-from holofading.generator import brute_force_plane, generate_batch_planes, synthesize_plane
+from holofading.generator import brute_force_plane, generate_batch_planes, synthesize
 from holofading.validation import _accumulate_first_row
 from holofading.wavenumber import KAPPA, lattice_gammas, lattice_wavenumbers
 
@@ -76,7 +76,7 @@ def test_fft_synthesis_equals_brute_force(lx, ly, extra, z_frac, seed, realizati
     aperture = Aperture(lx=lx, dx=dx, ly=ly, dy=dy)
     table = table_2d(lx, ly)
     hz = migrate(draw_coefficients(table, seed, realization), z_frac * min(lx, ly))
-    fft = synthesize_plane(hz, table, aperture)
+    fft = synthesize(hz, table, aperture)
     assert np.max(np.abs(fft - brute_force_plane(hz, table, aperture))) <= 1e-10
 
 

@@ -1,0 +1,102 @@
+"""Print the sha256 of every reference output of the holofading CLI.
+
+Run it before and after a change that must keep outputs bit-identical,
+and compare the two listings:
+
+    python3 tools/output_hashes.py
+
+It runs the package under ``src/`` next to this script in fresh
+interpreters, inside a temporary directory that it removes afterwards.
+The outputs are ``generate`` in each aperture kind and format (with a
+tabulated directional factor it writes itself), ``validate --fig 6/7/8``
+and ``compare-kl`` at M = 1200 on two workers, and the row estimate of
+``lambda_half_independence``. Standard library only; no options.
+"""
+from __future__ import annotations
+
+import hashlib
+import math
+import os
+import subprocess
+import sys
+import tempfile
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+M = "1200"
+
+# name -> (generate argv after --out, whether it takes the factor CSV)
+GENERATE = {
+    "generate-planar-factor.bin": (("--aperture", "16,16", "--spacing", "0.25",
+                                    "--realizations", "24", "--seed", "3", "--threads", "2"), True),
+    "generate-volumetric.bin": (("--aperture", "8,8,2", "--spacing", "0.5,0.5,0.5",
+                                 "--realizations", "6", "--seed", "5"), False),
+    "generate-line-factor.bin": (("--aperture", "16", "--spacing", "0.0625",
+                                  "--realizations", "40", "--seed", "7", "--threads", "2"), True),
+    "generate-planar.csv": (("--aperture", "4,4", "--spacing", "0.5", "--realizations", "3",
+                             "--seed", "11", "--format", "csv"), False),
+}
+
+LAMBDA_HALF = (
+    "import sys\n"
+    "from holofading.validation import lambda_half_independence\n"
+    f"row, _ = lambda_half_independence(m={M}, threads=2)\n"
+    "open(sys.argv[1], 'wb').write(row.tobytes())\n"
+)
+
+
+def write_factor(path: str) -> None:
+    """Tabulated directional factor: cosine lobes of different depth and
+    direction in the two half-spaces."""
+    base = 2 * math.pi / math.sqrt(2 * math.pi)
+    with open(path, "w") as fh:
+        fh.write("k_r_over_kappa,k_phi_rad,a_plus,a_minus\n")
+        for i in range(5):
+            for j in range(12):
+                p = 2 * math.pi * j / 12
+                fh.write(f"{i / 4},{p},{base * (1 + 0.6 * math.cos(p - 1.0))},"
+                         f"{base * (1 + 0.3 * math.cos(p + 2.0)) * (1 + 0.2 * i / 4)}\n")
+
+
+def run(*argv: str) -> int:
+    """Run ``python argv`` against the package in SRC; exit code 0 or 1."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):
+        sys.exit(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.returncode
+
+
+def sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        factor = os.path.join(tmp, "factor.csv")
+        write_factor(factor)
+        outputs = []
+        for name, (argv, directional) in GENERATE.items():
+            out = os.path.join(tmp, name)
+            extra = ("--factor", factor) if directional else ()
+            run("-m", "holofading.cli", "generate", "--out", out, *argv, *extra)
+            outputs.append((name, out))
+        for fig in (6, 7, 8):
+            out = os.path.join(tmp, f"fig{fig}")
+            run("-m", "holofading.cli", "validate", "--fig", str(fig), "--realizations", M,
+                "--threads", "2", "--out", out)
+            outputs += [(f"validate-fig{fig}/{f}", os.path.join(out, f))
+                        for f in ("curve.csv", "report.json")]
+        out = os.path.join(tmp, "kl.csv")
+        run("-m", "holofading.cli", "compare-kl", "--realizations", M, "--threads", "2",
+            "--out", out)
+        outputs.append(("compare-kl/kl.csv", out))
+        out = os.path.join(tmp, "lambda_half_row.bin")
+        run("-c", LAMBDA_HALF, out)
+        outputs.append(("lambda_half_independence/row", out))
+        for name, path in outputs:
+            print(f"{sha256(path)}  {name}")
+
+
+if __name__ == "__main__":
+    main()
