@@ -2,8 +2,9 @@
 baseline sampler.
 
 Isotropic scattering gives the classical autocorrelations between points at
-distance r: sinc(2r/lambda) = sin(kappa r)/(kappa r) for fields in 3D space
-and J0(2*pi*r/lambda) for fields observed on a line. The baseline sampler
+distance r: sinc(2r) = sin(kappa r)/(kappa r) for fields in 3D space and
+J0(2*pi*r) for fields observed on a line, with r in wavelengths
+(kappa = 2*pi); no function here takes the wavelength. The baseline sampler
 draws correlated vectors h = C^{1/2} e with e ~ complex standard normal and
 C the correlation matrix sampled from those closed forms; it exists to
 cross-check the series generator at desk scale, not to scale.
@@ -24,17 +25,17 @@ from .generator import Aperture
 from .rng import STREAM_BASELINE, complex_standard_normals
 
 
-def clarke_acf_3d(r, lam: float = 1.0):
+def clarke_acf_3d(r):
     """sin(kappa r)/(kappa r) with the removable singularity giving exactly
     1 at r = 0; zero at every half-wavelength multiple."""
-    return np.sinc(2.0 * np.asarray(r, dtype=float) / lam)
+    return np.sinc(2.0 * np.asarray(r, dtype=float))
 
 
-def clarke_acf_2d(r, lam: float = 1.0):
-    """J0(2 pi r / lambda)."""
+def clarke_acf_2d(r):
+    """J0(2 pi r)."""
     import scipy.special
 
-    return scipy.special.j0(2.0 * math.pi * np.asarray(r, dtype=float) / lam)
+    return scipy.special.j0(2.0 * math.pi * np.asarray(r, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,6 @@ class AcfClosedForm:
     """Closed-form isotropic autocorrelation, 'sinc-3d' or 'bessel-2d'."""
 
     kind: str
-    lam: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("sinc-3d", "bessel-2d"):
@@ -50,8 +50,8 @@ class AcfClosedForm:
 
     def __call__(self, r):
         if self.kind == "sinc-3d":
-            return clarke_acf_3d(r, self.lam)
-        return clarke_acf_2d(r, self.lam)
+            return clarke_acf_3d(r)
+        return clarke_acf_2d(r)
 
 
 MAX_DENSE_POINTS = 8192

@@ -317,11 +317,11 @@ def cmd_validate(args) -> int:
     if args.fig not in (6, 7, 8):
         raise ConfigError(f"--fig must be 6, 7 or 8, got {args.fig}")
     check_realizations(args.realizations)  # before --out is touched
+    threads = _thread_count(args.threads)  # so is a malformed HOLO_THREADS
     if args.out:
         os.makedirs(args.out, exist_ok=True)  # a bad --out fails before the run
     report = run_figure(
-        args.fig, m=args.realizations, seed=args.seed,
-        out_dir=args.out, threads=args.threads,
+        args.fig, m=args.realizations, seed=args.seed, out_dir=args.out, threads=threads
     )
     status = "PASS" if report.passed else "FAIL"
     print(
@@ -338,9 +338,10 @@ def cmd_validate(args) -> int:
 
 def cmd_compare_kl(args) -> int:
     check_realizations(args.realizations)  # before --out is touched
+    threads = _thread_count(args.threads)  # so is a malformed HOLO_THREADS
     # a bad --out fails before the run
     with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as fh:
-        result = compare_kl(m=args.realizations, seed=args.seed, threads=args.threads)
+        result = compare_kl(m=args.realizations, seed=args.seed, threads=threads)
         if fh is not None:
             fh.write("lag_over_lambda,model_estimate,kl_estimate,closed_form\n")
             for lag, a, b, c in zip(

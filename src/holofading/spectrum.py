@@ -2,21 +2,25 @@
 
 A scattering environment is described by a pair of nonnegative directional
 weights (a_plus, a_minus) on the disk of radius kappa, one per propagation
-half-space. The per-half-space power density they describe is
+half-space. Wavenumbers are in wavelength units, so kappa is always
+``wavenumber.KAPPA`` = 2*pi; no constructor takes it. The per-half-space
+power density the weights describe is
 
     S(kx, ky) = a(kx, ky)^2 / (4 * pi * gamma(kx, ky))
 
 which is singular (but integrable) at the disk boundary. Isotropic
-scattering corresponds to the constant weight 2*pi/sqrt(kappa) in 3D and
-2*sqrt(pi) for a field observed on a line (both normalized to unit total
-power), and any other environment is reachable from the isotropic one
-through a memoryless wavenumber gain
+scattering corresponds to the constant weight ``ISOTROPIC_FACTOR_3D`` =
+2*pi/sqrt(kappa) in 3D and ``ISOTROPIC_FACTOR_2D`` = 2*sqrt(pi) for a field
+observed on a line (both normalized to unit total power), and any other
+environment is reachable from the isotropic one through a memoryless
+wavenumber gain
 
     g(kx, ky) = sqrt(kappa) * a(kx, ky) / (2 * pi)
 
 which equals 1 everywhere for the isotropic weight. ``shaping_gains``
 evaluates it at the harmonics of a rectangular aperture and
-``line_shaping_gain`` at those of a line aperture.
+``line_shaping_gain`` at those of a line aperture; both still take kappa
+as an argument, and every caller passes ``KAPPA``.
 """
 from __future__ import annotations
 
@@ -24,6 +28,8 @@ import csv
 import math
 
 import numpy as np
+
+from .wavenumber import KAPPA
 
 ISOTROPIC_3D = "isotropic-3d"
 ISOTROPIC_2D = "isotropic-2d"
@@ -35,18 +41,10 @@ _PROBE_RADII = 64
 _PROBE_ANGLES = 64
 
 
-def isotropic_factor_3d(kappa: float) -> float:
-    """Constant directional weight of the unit-power isotropic 3D channel,
-    2*pi/sqrt(kappa)."""
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive")
-    return 2.0 * math.pi / math.sqrt(kappa)
-
-
-def isotropic_factor_2d(kappa: float | None = None) -> float:
-    """Constant directional weight of the unit-power isotropic channel
-    observed on a line, 2*sqrt(pi) independent of kappa."""
-    return 2.0 * math.sqrt(math.pi)
+# Constant directional weights of the unit-power isotropic channel: in 3D,
+# 2*pi/sqrt(kappa); observed on a line, 2*sqrt(pi) (independent of kappa).
+ISOTROPIC_FACTOR_3D = 2.0 * math.pi / math.sqrt(KAPPA)
+ISOTROPIC_FACTOR_2D = 2.0 * math.sqrt(math.pi)
 
 
 class SpectralFactor:
@@ -57,30 +55,30 @@ class SpectralFactor:
     'isotropic-3d', 'isotropic-2d', 'tabulated', 'analytic'.
     """
 
-    def __init__(self, kind, a_plus, a_minus, kappa):
+    def __init__(self, kind, a_plus, a_minus):
         self.kind = kind
         self._a_plus = a_plus
         self._a_minus = a_minus
-        self.kappa = float(kappa)
         self._probe()
 
     @classmethod
-    def isotropic_3d(cls, kappa: float = 2.0 * math.pi) -> "SpectralFactor":
-        a = isotropic_factor_3d(kappa)
-        return cls(ISOTROPIC_3D, _const(a), _const(a), kappa)
+    def isotropic_3d(cls) -> "SpectralFactor":
+        a = _const(ISOTROPIC_FACTOR_3D)
+        return cls(ISOTROPIC_3D, a, a)
 
     @classmethod
-    def isotropic_2d(cls, kappa: float = 2.0 * math.pi) -> "SpectralFactor":
-        a = isotropic_factor_2d(kappa)
-        return cls(ISOTROPIC_2D, _const(a), _const(a), kappa)
+    def isotropic_2d(cls) -> "SpectralFactor":
+        a = _const(ISOTROPIC_FACTOR_2D)
+        return cls(ISOTROPIC_2D, a, a)
 
     @classmethod
-    def from_callables(cls, a_plus, a_minus=None, kappa: float = 2.0 * math.pi) -> "SpectralFactor":
-        """Wrap vectorized callables a(kx, ky) -> weight (nonnegative)."""
-        return cls(ANALYTIC, a_plus, a_minus if a_minus is not None else a_plus, kappa)
+    def from_callables(cls, a_plus, a_minus=None) -> "SpectralFactor":
+        """Wrap vectorized callables a(kx, ky) -> weight (nonnegative),
+        defined on the whole disk |k| <= KAPPA."""
+        return cls(ANALYTIC, a_plus, a_minus if a_minus is not None else a_plus)
 
     @classmethod
-    def from_csv(cls, path, kappa: float = 2.0 * math.pi) -> "SpectralFactor":
+    def from_csv(cls, path) -> "SpectralFactor":
         """Load a tabulated factor from CSV.
 
         Required header: ``k_r_over_kappa, k_phi_rad, a_plus, a_minus``.
@@ -89,9 +87,11 @@ class SpectralFactor:
         azimuth wrapping at 2*pi, so the disk boundary is a grid line.
         """
         radii, angles, table_p, table_m = _read_polar_csv(path)
-        interp_p = _PolarInterpolator(radii, angles, table_p, kappa)
-        interp_m = _PolarInterpolator(radii, angles, table_m, kappa)
-        return cls(TABULATED, interp_p, interp_m, kappa)
+        return cls(
+            TABULATED,
+            _PolarInterpolator(radii, angles, table_p),
+            _PolarInterpolator(radii, angles, table_m),
+        )
 
     @property
     def is_isotropic(self) -> bool:
@@ -104,7 +104,7 @@ class SpectralFactor:
         return self._a_plus(kx, ky), self._a_minus(kx, ky)
 
     def _probe(self):
-        r = np.linspace(0.0, self.kappa, _PROBE_RADII)
+        r = np.linspace(0.0, KAPPA, _PROBE_RADII)
         phi = np.linspace(0.0, 2.0 * math.pi, _PROBE_ANGLES, endpoint=False)
         kx = np.outer(r, np.cos(phi)).ravel()
         ky = np.outer(r, np.sin(phi)).ravel()
@@ -127,16 +127,15 @@ def _const(value):
 class _PolarInterpolator:
     """Bilinear interpolation on a (radius, azimuth) grid over the disk."""
 
-    def __init__(self, radii, angles, table, kappa):
-        self.radii = radii              # ascending, spanning [0, 1] (of kappa)
+    def __init__(self, radii, angles, table):
+        self.radii = radii              # ascending, spanning [0, 1] (of KAPPA)
         self.angles = angles            # ascending in [0, 2*pi)
         self.table = table              # shape (len(radii), len(angles))
-        self.kappa = kappa
 
     def __call__(self, kx, ky):
         kx = np.asarray(kx, dtype=float)
         ky = np.asarray(ky, dtype=float)
-        r = np.hypot(kx, ky) / self.kappa
+        r = np.hypot(kx, ky) / KAPPA
         r = np.clip(r, 0.0, 1.0)
         phi = np.mod(np.arctan2(ky, kx), 2.0 * math.pi)
 
@@ -228,5 +227,4 @@ def line_shaping_gain(factor: SpectralFactor, kx, kappa: float):
         return np.ones_like(kx)
     kxc = np.clip(kx, -kappa, kappa)
     ap, am = factor.amplitudes(kxc, np.zeros_like(kxc))
-    norm = isotropic_factor_2d()
-    return np.sqrt((np.square(ap) + np.square(am)) / 2.0) / norm
+    return np.sqrt((np.square(ap) + np.square(am)) / 2.0) / ISOTROPIC_FACTOR_2D

@@ -464,42 +464,37 @@ class KlComparison:
     passed: bool
 
 
-def compare_kl(
-    m: int = 10_000,
-    seed: int = 0,
-    lx: float = 16.0,
-    dx: float = 1.0 / 16.0,
-    threads: int | None = None,
-) -> KlComparison:
-    """Series generator vs dense correlated-Gaussian baseline on a line grid.
+def compare_kl(m: int = 10_000, seed: int = 0, threads: int | None = None) -> KlComparison:
+    """Series generator vs dense correlated-Gaussian baseline on the line
+    grid of fig 6.
 
     Both samplers estimate the first-row covariance from the grid origin
     over the quarter-aperture lag window; they must agree entrywise within
-    6/sqrt(M) and each match J0 within the reference-run thresholds.
+    6/sqrt(M) and each match J0 within fig 6's thresholds.
     """
-    aperture = Aperture(lx=lx, dx=dx)
-    lag_cells = round(0.25 * lx / dx)
+    cfg = FIGURE_CONFIGS[6]
+    aperture = Aperture(**cfg["aperture"])
+    lag_cells = round(0.25 * aperture.lx / aperture.dx)
     table = table_1d(aperture.lx)
     (gen_est,) = _accumulate_first_row(
         aperture, seed, m, (0.0,), lag_cells, threads, table=table
     )
 
-    oracle = AcfClosedForm("bessel-2d")
+    oracle = AcfClosedForm(cfg["oracle"])
     cmatrix = correlation_matrix(aperture, oracle)
     draws = kl_sample(cmatrix, seed, m)
     raw = _lag_sum(draws[:, None, :], (0, aperture.nx // 2), (0, lag_cells)) / m
-    kl_est = _estimate(raw, m, (dx,), (lx,), tilted=False)
+    kl_est = _estimate(raw, m, (aperture.dx,), (aperture.lx,), tilted=False)
 
     model_vals = gen_est.detilted().real
     kl_vals = kl_est.values.real
     entrywise = float(np.max(np.abs(model_vals - kl_vals)))
     model_report = compare(gen_est, oracle)
     kl_report = compare(kl_est, oracle)
-    budget = 6.0 / math.sqrt(m)
-    passed = (
-        entrywise < budget
-        and model_report.rmse < 0.03 and model_report.max_abs_dev < 0.06
-        and kl_report.rmse < 0.03 and kl_report.max_abs_dev < 0.06
+    limits = cfg["thresholds"]
+    passed = entrywise < 6.0 / math.sqrt(m) and all(
+        r.rmse < limits["rmse"] and r.max_abs_dev < limits["max_abs_dev"]
+        for r in (model_report, kl_report)
     )
     return KlComparison(
         lags=gen_est.lags_x,

@@ -1,9 +1,12 @@
 """Per-harmonic variances of the aperture series for isotropic scattering.
 
-Line aperture of length Lx: harmonic l in {-Lx/lambda, ..., Lx/lambda - 1}
-carries
+Every length is in wavelengths (lambda = 1, kappa = 2*pi), and no function
+here takes the wavelength: a side of Lx wavelengths samples the unit disk
+of kx/kappa in steps of 1/Lx.
 
-    sigma2_l = (1/2pi) * (arcsin((l+1) * lambda/Lx) - arcsin(l * lambda/Lx))
+Line aperture of length Lx: harmonic l in {-Lx, ..., Lx - 1} carries
+
+    sigma2_l = (1/2pi) * (arcsin((l+1)/Lx) - arcsin(l/Lx))
 
 for l >= 0, mirrored through sigma2_{-l-1} = sigma2_l. The sum of 2*sigma2
 over the full index range telescopes to exactly 1.
@@ -12,7 +15,7 @@ Rectangular aperture (Lx, Ly): harmonic (l, m) carries the isotropic
 spectral mass of its wavenumber cell
 
     sigma2_lm = (1/4pi) * integral over
-                [l*lambda/Lx, (l+1)*lambda/Lx] x [m*lambda/Ly, (m+1)*lambda/Ly]
+                [l/Lx, (l+1)/Lx] x [m/Ly, (m+1)/Ly]
                 of 1_{unit disk}(kx, ky) / sqrt(1 - kx^2 - ky^2)
 
 i.e. the solid angle subtended on the unit hemisphere by the in-disk part
@@ -33,7 +36,7 @@ Two independent routes compute the cell mass:
   corners. Accepted only on agreement with the quadrature oracle.
 
 The closed-form table evaluates ``_corner_mass`` once per lattice corner
-(i/ax, j/ay) and forms every cell from its four corners as array
+(i/Lx, j/Ly) and forms every cell from its four corners as array
 operations, in the scalar function's operand order, so each entry is
 bitwise ``variance_2d_closed_form``. ``_corner_mass`` stays scalar:
 vectorized arcsin/arctan2 can differ from ``math`` in the last bit. Only
@@ -41,7 +44,7 @@ the quadrature oracle imports ``scipy.integrate``, on first use, so a
 command that builds closed-form tables never loads it.
 
 The table index set is the cell-coverage set: all (l, m) in
-{-ceil(Lx/lambda) .. ceil(Lx/lambda)-1} x {same in y} whose mirrored cell
+{-ceil(Lx) .. ceil(Lx)-1} x {same in y} whose mirrored cell
 corner lies strictly inside the unit disk. This is the 2D analog of the 1D
 index range above; the covered cells tile the disk exactly, so the table's
 total power 1 is preserved at every aperture size.
@@ -73,29 +76,27 @@ def _fold(idx: np.ndarray) -> np.ndarray:
 # line aperture
 # ---------------------------------------------------------------------------
 
-def _band_1d(lx: float, lam: float) -> int:
-    n = lx / lam
-    n_int = round(n)
-    if abs(n - n_int) > 1e-9 or n_int < 1:
+def _band_1d(lx: float) -> int:
+    n = round(lx)
+    if abs(lx - n) > 1e-9 or n < 1:
         raise ValueError(
-            f"Lx/lambda must be a positive integer for the line series, got {n:g}"
+            f"Lx/lambda must be a positive integer for the line series, got {lx:g}"
         )
-    return n_int
+    return n
 
 
-def variance_1d(l: int, lx: float, lam: float = 1.0) -> float:
+def variance_1d(l: int, lx: float) -> float:
     """Variance sigma2_l of line harmonic l (arcsin difference of its cell).
 
     Args:
-        l: harmonic index in {-Lx/lambda, ..., Lx/lambda - 1}.
-        lx: aperture length; lx/lam must be a positive integer.
-        lam: wavelength.
+        l: harmonic index in {-Lx, ..., Lx - 1}.
+        lx: aperture length in wavelengths, a positive whole number.
 
     Raises:
         IndexOutOfBand: l outside the index range.
-        ValueError: non-integer lx/lam.
+        ValueError: non-integer lx.
     """
-    n = _band_1d(lx, lam)
+    n = _band_1d(lx)
     if not -n <= l <= n - 1:
         raise IndexOutOfBand(f"l = {l} outside {{-{n}, ..., {n - 1}}}")
     lf = fold_index(l)
@@ -115,43 +116,43 @@ class CoefficientVariances1D:
         return float(np.sum(2.0 * self.sigma_sq))
 
 
-def table_1d(lx: float, lam: float = 1.0) -> CoefficientVariances1D:
-    n = _band_1d(lx, lam)
+def table_1d(lx: float) -> CoefficientVariances1D:
+    n = _band_1d(lx)
     ls = np.arange(-n, n)
-    sig = np.array([variance_1d(int(l), lx, lam) for l in ls])
-    return CoefficientVariances1D(lx=lx / lam, ls=ls, sigma_sq=sig)
+    sig = np.array([variance_1d(int(l), lx) for l in ls])
+    return CoefficientVariances1D(lx=float(lx), ls=ls, sigma_sq=sig)
 
 
 # ---------------------------------------------------------------------------
 # rectangular aperture: cell geometry
 # ---------------------------------------------------------------------------
 
-def _cell_bounds(l: int, m: int, ax: float, ay: float):
+def _cell_bounds(l: int, m: int, lx: float, ly: float):
     """First-quadrant cell of (l, m) in disk units (kx/kappa, ky/kappa)."""
     lf, mf = fold_index(l), fold_index(m)
-    return lf / ax, (lf + 1) / ax, mf / ay, (mf + 1) / ay
+    return lf / lx, (lf + 1) / lx, mf / ly, (mf + 1) / ly
 
 
-def _in_band_2d(l: int, m: int, ax: float, ay: float) -> bool:
+def _in_band_2d(l: int, m: int, lx: float, ly: float) -> bool:
     """Admissible indices: lattice-ellipse members or covered cells."""
-    on_ellipse = (l / ax) ** 2 + (m / ay) ** 2 <= 1.0 + 1e-12
-    x1, _, y1, _ = _cell_bounds(l, m, ax, ay)
+    on_ellipse = (l / lx) ** 2 + (m / ly) ** 2 <= 1.0 + 1e-12
+    x1, _, y1, _ = _cell_bounds(l, m, lx, ly)
     covered = x1 * x1 + y1 * y1 < 1.0
     return on_ellipse or covered
 
 
-def coefficient_indices(lx: float, ly: float, lam: float = 1.0) -> np.ndarray:
+def coefficient_indices(lx: float, ly: float) -> np.ndarray:
     """Index set of the rectangular-aperture table: all (l, m) whose cell
-    overlaps the unit disk with positive measure.
+    overlaps the unit disk with positive measure (sides in wavelengths).
 
     Returns an (n, 2) int array in deterministic row-major order (m outer,
     l inner, ascending).
     """
-    ax, ay = lx / lam, ly / lam
-    nx, ny = math.ceil(ax), math.ceil(ay)
+    lx, ly = float(lx), float(ly)
+    nx, ny = math.ceil(lx), math.ceil(ly)
     ls, ms = np.arange(-nx, nx), np.arange(-ny, ny)
-    x1 = _fold(ls) / ax
-    y1 = _fold(ms) / ay
+    x1 = _fold(ls) / lx
+    y1 = _fold(ms) / ly
     covered = (x1 * x1)[np.newaxis, :] + (y1 * y1)[:, np.newaxis] < 1.0
     mm, ll = np.nonzero(covered)  # row-major: m outer, l inner
     return np.stack([ls[ll], ms[mm]], axis=1)
@@ -221,23 +222,21 @@ def _cell_mass_quadrature(x1, x2, y1, y2, tol):
 
 
 def variance_2d_quadrature(
-    l: int, m: int, lx: float, ly: float, lam: float = 1.0, tol: float = DEFAULT_QUAD_TOL
+    l: int, m: int, lx: float, ly: float, tol: float = DEFAULT_QUAD_TOL
 ) -> float:
     """Variance sigma2_lm by the polar quadrature oracle.
 
     Args:
         l, m: harmonic index.
-        lx, ly: aperture side lengths.
-        lam: wavelength.
+        lx, ly: aperture side lengths in wavelengths.
         tol: absolute tolerance on the returned variance.
 
     Raises:
         IndexOutOfBand: index outside the admissible band.
     """
-    ax, ay = lx / lam, ly / lam
-    if not _in_band_2d(l, m, ax, ay):
+    if not _in_band_2d(l, m, lx, ly):
         raise IndexOutOfBand(f"index ({l}, {m}) outside the admissible band")
-    x1, x2, y1, y2 = _cell_bounds(l, m, ax, ay)
+    x1, x2, y1, y2 = _cell_bounds(l, m, lx, ly)
     return _cell_mass_quadrature(x1, x2, y1, y2, tol) / (4.0 * math.pi)
 
 
@@ -271,16 +270,16 @@ def _corner_mass(a: float, b: float) -> float:
     return base + bracket
 
 
-def variance_2d_closed_form(l: int, m: int, lx: float, ly: float, lam: float = 1.0) -> float:
-    """Variance sigma2_lm by the exact corner antiderivative.
+def variance_2d_closed_form(l: int, m: int, lx: float, ly: float) -> float:
+    """Variance sigma2_lm by the exact corner antiderivative (sides in
+    wavelengths).
 
     Must agree with ``variance_2d_quadrature`` to 1e-8 relative; that
     agreement is asserted by the test suite on full index sets.
     """
-    ax, ay = lx / lam, ly / lam
-    if not _in_band_2d(l, m, ax, ay):
+    if not _in_band_2d(l, m, lx, ly):
         raise IndexOutOfBand(f"index ({l}, {m}) outside the admissible band")
-    x1, x2, y1, y2 = _cell_bounds(l, m, ax, ay)
+    x1, x2, y1, y2 = _cell_bounds(l, m, lx, ly)
     mass = (
         _corner_mass(x2, y2)
         - _corner_mass(x1, y2)
@@ -315,57 +314,49 @@ class CoefficientVariances2D:
         return float(np.sum(2.0 * self.sigma_sq))
 
 
-def _closed_form_cells(ax: float, ay: float) -> np.ndarray:
+def _closed_form_cells(lx: float, ly: float) -> np.ndarray:
     """Closed-form sigma2 of every first-quadrant cell, indexed [lf, mf].
 
-    ``_corner_mass`` runs once per lattice corner (i/ax, j/ay); each cell is
+    ``_corner_mass`` runs once per lattice corner (i/lx, j/ly); each cell is
     then the inclusion-exclusion of ``variance_2d_closed_form``, in the same
     operand order, so every value is bitwise the scalar definition's.
     """
-    nx, ny = math.ceil(ax), math.ceil(ay)
+    nx, ny = math.ceil(lx), math.ceil(ly)
     c = np.array(
-        [[_corner_mass(i / ax, j / ay) for j in range(ny + 1)] for i in range(nx + 1)]
+        [[_corner_mass(i / lx, j / ly) for j in range(ny + 1)] for i in range(nx + 1)]
     )
     mass = c[1:, 1:] - c[:-1, 1:] - c[1:, :-1] + c[:-1, :-1]
     return np.maximum(mass, 0.0) / (4.0 * math.pi)
 
 
 @lru_cache(maxsize=32)
-def _table_2d_cached(lx, ly, lam, method, tol):
-    idx = coefficient_indices(lx, ly, lam)
+def _table_2d_cached(lx, ly, method):
+    idx = coefficient_indices(lx, ly)
     folded = _fold(idx)
-    ax, ay = lx / lam, ly / lam
     if method == "closed-form":
-        cells = _closed_form_cells(ax, ay)
+        cells = _closed_form_cells(lx, ly)
     elif method == "quadrature":
-        cells = np.zeros((math.ceil(ax), math.ceil(ay)))
+        cells = np.zeros((math.ceil(lx), math.ceil(ly)))
         # distinct first-quadrant cells only; mirrors share the value
         for lf, mf in set(map(tuple, folded.tolist())):
-            cells[lf, mf] = variance_2d_quadrature(lf, mf, lx, ly, lam, tol)
+            cells[lf, mf] = variance_2d_quadrature(lf, mf, lx, ly)
     else:
         raise ValueError(f"unknown method {method!r}")
     sig = cells[folded[:, 0], folded[:, 1]]
     table = CoefficientVariances2D(
-        lx=ax, ly=ay, ls=idx[:, 0].copy(), ms=idx[:, 1].copy(), sigma_sq=sig
+        lx=lx, ly=ly, ls=idx[:, 0].copy(), ms=idx[:, 1].copy(), sigma_sq=sig
     )
     for arr in (table.ls, table.ms, table.sigma_sq):
         arr.flags.writeable = False  # shared by every caller of the cache
     return table
 
 
-def table_2d(
-    lx: float,
-    ly: float,
-    lam: float = 1.0,
-    method: str = "closed-form",
-    tol: float = DEFAULT_QUAD_TOL,
-) -> CoefficientVariances2D:
+def table_2d(lx: float, ly: float, method: str = "closed-form") -> CoefficientVariances2D:
     """Build the full variance table of a rectangular aperture.
 
     Args:
-        lx, ly: aperture side lengths.
-        lam: wavelength.
-        method: 'closed-form' (fast path) or 'quadrature' (oracle).
-        tol: quadrature tolerance (ignored by the closed form).
+        lx, ly: aperture side lengths in wavelengths.
+        method: 'closed-form' (fast path) or 'quadrature' (the oracle at
+            its default tolerance).
     """
-    return _table_2d_cached(float(lx), float(ly), float(lam), method, float(tol))
+    return _table_2d_cached(float(lx), float(ly), method)

@@ -13,18 +13,7 @@ import time
 
 import numpy as np
 
-from holofading import (
-    Aperture,
-    coefficient_indices,
-    compare_kl,
-    lambda_half_independence,
-    run_figure,
-    table_1d,
-    table_2d,
-    variance_1d,
-    variance_2d_closed_form,
-    variance_2d_quadrature,
-)
+from holofading import Aperture
 from holofading.cli import bench_baseline, bench_series, fit_exponent
 from holofading.generator import (
     brute_force_plane,
@@ -32,7 +21,16 @@ from holofading.generator import (
     migrate,
     synthesize,
 )
-from holofading.variances import fold_index
+from holofading.validation import compare_kl, lambda_half_independence, run_figure
+from holofading.variances import (
+    coefficient_indices,
+    fold_index,
+    table_1d,
+    table_2d,
+    variance_1d,
+    variance_2d_closed_form,
+    variance_2d_quadrature,
+)
 
 M = 10_000
 

@@ -5,17 +5,15 @@ import pytest
 import scipy.linalg
 from scipy import integrate, special
 
-from holofading import (
+from holofading import Aperture, GridTooLarge, NotPSD
+from holofading.baseline import (
     AcfClosedForm,
-    Aperture,
-    GridTooLarge,
-    NotPSD,
+    CorrelationMatrix,
     clarke_acf_2d,
     clarke_acf_3d,
     correlation_matrix,
     kl_sample,
 )
-from holofading.baseline import CorrelationMatrix
 
 
 def _j0(z):
@@ -83,9 +81,6 @@ class TestClarkeAcf:
     def test_2d_bounded(self):
         vals = clarke_acf_2d(np.linspace(0, 30, 3001))
         assert np.max(np.abs(vals)) <= 1.0
-
-    def test_wavelength_scaling(self):
-        assert clarke_acf_2d(1.0, lam=2.0) == pytest.approx(clarke_acf_2d(0.5), rel=1e-14)
 
     def test_2d_is_scipy_j0(self):
         r = np.linspace(0.0, 40.0, 2001)

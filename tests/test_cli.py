@@ -371,6 +371,20 @@ def test_bad_input_exits_2_with_json(case, argv, tmp_path, capsys, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["file"]  # no output left behind
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("validate", "--fig", "7", "--realizations", "100", "--out", "{tmp}/d"),
+     ("compare-kl", "--realizations", "100", "--out", "{tmp}/kl.csv")],
+    ids=["validate", "compare-kl"],
+)
+def test_malformed_thread_env_leaves_no_output(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HOLO_THREADS", "abc")
+    code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert json.loads(err.splitlines()[-1])["failures"][0]["check"] == "config"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _write_lobed_factor(path):
     """Tabulated directional factor: cosine lobes of different depth and
     direction in the two half-spaces."""
@@ -557,7 +571,7 @@ class TestStartup:
         assert not loaded & {"scipy.integrate", "scipy.linalg", "scipy.special"}
 
     def test_quadrature_variances_in_fresh_interpreter(self):
-        from holofading import coefficient_indices, variance_2d_quadrature
+        from holofading.variances import coefficient_indices, variance_2d_quadrature
 
         proc = _fresh_python(
             "-m", "holofading.cli", "variances", "--aperture", "4,4", "--method", "quadrature"

@@ -3,32 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from holofading import (
-    Aperture,
-    GridTooCoarse,
-    MigrationRange,
-    SpectralFactor,
-    draw_coefficients,
-    generate,
-    isotropic_factor_2d,
-    lattice_acf_1d,
-    lattice_acf_2d,
-    migrate,
-    shape_coefficients,
-    synthesize,
-    table_1d,
-    table_2d,
-)
+from holofading import Aperture, GridTooCoarse, MigrationRange, SpectralFactor, generate
 from holofading.generator import (
     CoefficientDraw,
     brute_force_plane,
     default_table,
+    draw_coefficients,
     draw_line_coefficients,
     generate_batch_planes,
+    lattice_acf_1d,
+    lattice_acf_2d,
     lattice_gammas,
+    migrate,
     series_sum,
+    shape_coefficients,
+    synthesize,
 )
-from holofading.spectrum import shaping_gains
+from holofading.spectrum import ISOTROPIC_FACTOR_2D, shaping_gains
+from holofading.variances import table_1d, table_2d
 from holofading.wavenumber import lattice_wavenumbers
 
 KAPPA = 2.0 * math.pi
@@ -370,7 +362,7 @@ class TestFieldStatistics:
     def test_shaped_line_generation(self):
         ap = Aperture(lx=16, dx=0.25)
         t = table_1d(16.0)
-        amp = 2.0 * isotropic_factor_2d() * math.sqrt(2.0)
+        amp = 2.0 * ISOTROPIC_FACTOR_2D * math.sqrt(2.0)
         f = SpectralFactor.from_callables(
             lambda kx, ky: np.where(kx < 0, 0.0, amp)
         )

@@ -1,0 +1,48 @@
+"""The package root's surface and the one unit system of its signatures."""
+import importlib
+import inspect
+import types
+
+import holofading
+
+MODULES = (
+    "baseline", "cli", "errors", "generator", "rng",
+    "spectrum", "validation", "variances", "wavenumber",
+)
+# the disk radius stays an argument of the two gain functions only
+KAPPA_ARGUMENT = {"spectrum.shaping_gains", "spectrum.line_shaping_gain"}
+
+
+def _signatures(module):
+    """(qualified name, signature) of every function and method defined in
+    the module, private ones and dataclass-generated __init__ included."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members = [(f"{name}.{k}", v) for k, v in vars(obj).items()]
+        for qual, fn in members:
+            fn = inspect.unwrap(getattr(fn, "__func__", fn))
+            if inspect.isfunction(fn):
+                yield qual, inspect.signature(fn)
+
+
+def test_root_exports_exactly_all():
+    public = {
+        name for name, obj in vars(holofading).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert len(holofading.__all__) == len(set(holofading.__all__))
+    assert public == set(holofading.__all__)
+    assert {"Aperture", "SpectralFactor", "generate", "HoloFadingError"} <= public
+
+
+def test_no_signature_takes_a_wavelength_or_kappa():
+    found = set()
+    for name in MODULES:
+        module = importlib.import_module(f"holofading.{name}")
+        for qual, sig in _signatures(module):
+            if {"lam", "kappa"} & set(sig.parameters):
+                found.add(f"{name}.{qual}")
+    assert found == KAPPA_ARGUMENT

@@ -8,17 +8,16 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from holofading import (
-    Aperture,
-    SpectralFactor,
-    coefficient_indices,
+from holofading import Aperture, SpectralFactor, generate
+from holofading.generator import (
+    brute_force_plane,
     draw_coefficients,
-    generate,
+    generate_batch_planes,
     migrate,
-    table_2d,
+    synthesize,
 )
-from holofading.generator import brute_force_plane, generate_batch_planes, synthesize
 from holofading.validation import _accumulate_first_row
+from holofading.variances import coefficient_indices, table_2d
 from holofading.wavenumber import KAPPA, lattice_gammas, lattice_wavenumbers
 
 sides = st.floats(min_value=1.0, max_value=12.0, allow_nan=False, allow_infinity=False)

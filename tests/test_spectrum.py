@@ -3,39 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from holofading import SpectralFactor, isotropic_factor_2d, isotropic_factor_3d
-from holofading.spectrum import line_shaping_gain, shaping_gains
+from holofading import SpectralFactor
+from holofading.spectrum import (
+    ISOTROPIC_FACTOR_2D,
+    ISOTROPIC_FACTOR_3D,
+    line_shaping_gain,
+    shaping_gains,
+)
 from holofading.variances import table_2d
-
-KAPPA = 2.0 * math.pi
+from holofading.wavenumber import KAPPA
 
 
 class TestIsotropicFactors:
     def test_3d_at_unit_wavelength(self):
-        assert isotropic_factor_3d(KAPPA) == pytest.approx(math.sqrt(KAPPA), rel=1e-15)
+        assert ISOTROPIC_FACTOR_3D == pytest.approx(math.sqrt(KAPPA), rel=1e-15)
 
-    def test_3d_at_unit_kappa(self):
-        assert isotropic_factor_3d(1.0) == pytest.approx(2 * math.pi, rel=1e-15)
-
-    @pytest.mark.parametrize("kappa", [0.3, 1.0, KAPPA, 17.2])
-    def test_3d_normalization_identity(self, kappa):
-        a = isotropic_factor_3d(kappa)
-        assert a * a * kappa / (4 * math.pi**2) == pytest.approx(1.0, rel=1e-14)
-
-    def test_3d_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            isotropic_factor_3d(0.0)
+    def test_3d_normalization_identity(self):
+        a = ISOTROPIC_FACTOR_3D
+        assert a * a * KAPPA / (4 * math.pi**2) == pytest.approx(1.0, rel=1e-14)
 
     def test_2d_constant(self):
-        assert isotropic_factor_2d() == pytest.approx(3.5449077018, rel=1e-9)
-        assert isotropic_factor_2d(5.0) == isotropic_factor_2d(0.1)
+        assert ISOTROPIC_FACTOR_2D == pytest.approx(3.5449077018, rel=1e-9)
 
     def test_2d_squared(self):
-        assert isotropic_factor_2d() ** 2 == pytest.approx(4 * math.pi, rel=1e-15)
-
-    def test_ratio_at_kappa_pi(self):
-        # 2*sqrt(pi) / (2*pi/sqrt(pi)) = 1
-        assert isotropic_factor_2d(math.pi) / isotropic_factor_3d(math.pi) == pytest.approx(1.0, rel=1e-14)
+        assert ISOTROPIC_FACTOR_2D**2 == pytest.approx(4 * math.pi, rel=1e-15)
 
 
 class TestPlaneWaveSpectrum:
@@ -43,13 +34,13 @@ class TestPlaneWaveSpectrum:
         c = 2.5
         path = tmp_path / "const.csv"
         _write_polar_csv(path, lambda r, p: c, lambda r, p: c)
-        f = SpectralFactor.from_csv(path, KAPPA)
+        f = SpectralFactor.from_csv(path)
         assert f.amplitudes(0.3 * KAPPA, 0.0) == (c, c)
 
 
 class TestShapingResponse:
     def test_isotropic_is_identity(self):
-        f = SpectralFactor.isotropic_3d(KAPPA)
+        f = SpectralFactor.isotropic_3d()
         rng = np.random.default_rng(0)
         r = KAPPA * np.sqrt(rng.random(64))
         phi = 2 * math.pi * rng.random(64)
@@ -59,21 +50,21 @@ class TestShapingResponse:
 
     def test_double_weight_doubles_gain(self):
         a = 4 * math.pi / math.sqrt(KAPPA)
-        f = SpectralFactor.from_callables(lambda kx, ky: np.full(np.shape(kx), a), kappa=KAPPA)
+        f = SpectralFactor.from_callables(lambda kx, ky: np.full(np.shape(kx), a))
         gp, gm = shaping_gains(f, 0.1, 0.2, KAPPA)
         assert gp == pytest.approx(2.0, rel=1e-13)
         assert gm == pytest.approx(2.0, rel=1e-13)
 
     def test_one_sided_scattering(self):
         f = SpectralFactor.from_callables(
-            lambda kx, ky: np.where(kx < 0, 0.0, isotropic_factor_3d(KAPPA)), kappa=KAPPA
+            lambda kx, ky: np.where(kx < 0, 0.0, ISOTROPIC_FACTOR_3D)
         )
         gp, _ = shaping_gains(f, np.array([-0.5, 0.5]), np.zeros(2), KAPPA)
         assert gp[0] == 0.0
         assert gp[1] == pytest.approx(1.0, rel=1e-13)
 
     def test_vectorized_gains_clamp_rim_points(self):
-        f = SpectralFactor.isotropic_3d(KAPPA)
+        f = SpectralFactor.isotropic_3d()
         gp, gm = shaping_gains(f, np.array([0.0, 1.01 * KAPPA]), np.array([0.0, 0.0]), KAPPA)
         assert np.allclose(gp, 1.0, atol=1e-12)
         assert np.allclose(gm, 1.0, atol=1e-12)
@@ -83,7 +74,7 @@ class TestShapingResponse:
             assert np.all(line_shaping_gain(f, np.linspace(-KAPPA, KAPPA, 9), KAPPA) == 1.0)
 
     def test_line_gain_constant_factor(self):
-        c = 2.0 * isotropic_factor_2d()
+        c = 2.0 * ISOTROPIC_FACTOR_2D
         f = SpectralFactor.from_callables(lambda kx, ky: np.full(np.shape(kx), c))
         assert np.allclose(line_shaping_gain(f, np.array([0.0, 1.0]), KAPPA), 2.0)
 
@@ -92,7 +83,7 @@ class TestIsotropicNormalization:
     def test_disk_integral_is_unit_power(self):
         # (1/(2 pi)^2) * integral of (S+ + S-) over the disk equals the
         # total cell mass of the quadrature table, which must be 1.
-        table = table_2d(4.0, 4.0, method="quadrature", tol=1e-10)
+        table = table_2d(4.0, 4.0, method="quadrature")
         assert table.total_power() == pytest.approx(1.0, abs=1e-6)
 
 
@@ -101,7 +92,7 @@ class TestTabulatedFactors:
         prof = lambda r, p: 1.0 + 0.5 * r  # linear in radius: bilinear is exact
         path = tmp_path / "smooth.csv"
         _write_polar_csv(path, prof, prof, nr=9, nphi=8)
-        f = SpectralFactor.from_csv(path, KAPPA)
+        f = SpectralFactor.from_csv(path)
         ap, am = f.amplitudes(np.array([0.25 * KAPPA]), np.array([0.0]))
         assert ap[0] == pytest.approx(1.125, rel=1e-12)
 
@@ -109,13 +100,13 @@ class TestTabulatedFactors:
         path = tmp_path / "bad.csv"
         _write_polar_csv(path, lambda r, p: math.inf if r > 0.9 else 1.0, lambda r, p: 1.0)
         with pytest.raises(ValueError, match="unbounded"):
-            SpectralFactor.from_csv(path, KAPPA)
+            SpectralFactor.from_csv(path)
 
     def test_rejects_negative(self, tmp_path):
         path = tmp_path / "neg.csv"
         _write_polar_csv(path, lambda r, p: -1.0, lambda r, p: 1.0)
         with pytest.raises(ValueError, match="negative"):
-            SpectralFactor.from_csv(path, KAPPA)
+            SpectralFactor.from_csv(path)
 
     def test_rejects_partial_grid(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -123,14 +114,23 @@ class TestTabulatedFactors:
             fh.write("k_r_over_kappa,k_phi_rad,a_plus,a_minus\n")
             fh.write("0.0,0.0,1.0,1.0\n1.0,0.0,1.0,1.0\n1.0,1.0,1.0,1.0\n")
         with pytest.raises(ValueError, match="full polar grid"):
-            SpectralFactor.from_csv(path, KAPPA)
+            SpectralFactor.from_csv(path)
+
+    def test_kappa_is_not_a_parameter(self, tmp_path):
+        # the disk radius is always KAPPA; a caller cannot probe a smaller one
+        path = tmp_path / "const.csv"
+        _write_polar_csv(path, lambda r, p: 1.0, lambda r, p: 1.0)
+        with pytest.raises(TypeError):
+            SpectralFactor.from_callables(lambda kx, ky: np.ones(np.shape(kx)), kappa=1.0)
+        with pytest.raises(TypeError):
+            SpectralFactor.from_csv(path, kappa=1.0)
 
     def test_rejects_missing_header(self, tmp_path):
         path = tmp_path / "nohdr.csv"
         with open(path, "w") as fh:
             fh.write("r,phi,a,b\n0,0,1,1\n")
         with pytest.raises(ValueError, match="header"):
-            SpectralFactor.from_csv(path, KAPPA)
+            SpectralFactor.from_csv(path)
 
 
 def _write_polar_csv(path, fplus, fminus, nr=5, nphi=6):

@@ -7,24 +7,28 @@ import numpy as np
 import pytest
 
 from holofading import (
-    AcfClosedForm,
-    AcfEstimate,
     Aperture,
     ConfigError,
     InsufficientRealizations,
     LagMismatch,
     SpectralFactor,
+)
+from holofading.baseline import AcfClosedForm, CorrelationMatrix, kl_sample
+from holofading.generator import generate_batch_planes, lattice_acf_1d
+import holofading.validation as valmod
+from holofading.validation import (
+    AcfEstimate,
+    _accumulate_first_row,
+    _lag_sum,
+    _thread_count,
     compare,
+    compare_kl,
     empirical_acf,
     lambda_half_independence,
-    lattice_acf_1d,
+    ordered_map,
     run_figure,
-    table_1d,
 )
-from holofading.baseline import CorrelationMatrix, kl_sample
-from holofading.generator import generate_batch_planes
-import holofading.validation as valmod
-from holofading.validation import _accumulate_first_row, _lag_sum, _thread_count, ordered_map
+from holofading.variances import table_1d
 
 
 def _estimate(values, lags, lx=16.0, m=10_000, tilted=True):
@@ -294,3 +298,13 @@ class TestRunFigure:
         report = run_figure(8, m=150, seed=1)
         assert report.z_consistency_max is not None
         assert report.to_json_dict()["z_consistency_max"] == report.z_consistency_max
+
+
+class TestCompareKl:
+    def test_series_side_is_the_fig6_run(self):
+        # compare-kl takes its grid from fig 6, so its model column is
+        # fig 6's estimate at the same seed, bit for bit
+        kl = compare_kl(m=200, seed=1)
+        fig = run_figure(6, m=200, seed=1)
+        assert np.array_equal(kl.lags, fig.lags_x)
+        assert np.array_equal(kl.model_estimate, fig.empirical)

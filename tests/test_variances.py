@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from holofading import (
-    IndexOutOfBand,
+from holofading import IndexOutOfBand
+from holofading.variances import (
     coefficient_indices,
+    fold_index,
     table_1d,
     table_2d,
     variance_1d,
     variance_2d_closed_form,
     variance_2d_quadrature,
 )
-from holofading.variances import fold_index
 
 
 class TestVariance1D:
@@ -49,6 +49,10 @@ class TestVariance1D:
 
     def test_all_nonnegative(self):
         assert np.all(table_1d(16.0).sigma_sq >= 0.0)
+
+    def test_whole_number_side_is_stored_as_float(self):
+        table = table_1d(16)
+        assert type(table.lx) is float and table.lx == 16.0
 
 
 class TestVariance2DQuadrature:
@@ -166,27 +170,31 @@ class TestTables:
         assert np.array_equal(a.ls, b.ls)
         assert np.allclose(a.sigma_sq, b.sigma_sq, rtol=1e-8, atol=1e-13)
 
+    def test_quadrature_table_is_the_oracle_at_its_default_tolerance(self):
+        table = table_2d(4.0, 4.0, method="quadrature")
+        want = [variance_2d_quadrature(int(l), int(m), 4.0, 4.0) for l, m in zip(table.ls, table.ms)]
+        assert np.array_equal(table.sigma_sq, want)
 
-def _reference_indices(lx, ly, lam=1.0):
+
+def _reference_indices(lx, ly):
     """The index set as a double loop over the cell-coverage test."""
-    ax, ay = lx / lam, ly / lam
-    nx, ny = math.ceil(ax), math.ceil(ay)
+    nx, ny = math.ceil(lx), math.ceil(ly)
     out = []
     for m in range(-ny, ny):
         for l in range(-nx, nx):
-            x1, y1 = fold_index(l) / ax, fold_index(m) / ay
+            x1, y1 = fold_index(l) / lx, fold_index(m) / ly
             if x1 * x1 + y1 * y1 < 1.0:
                 out.append((l, m))
     return np.array(out, dtype=int)
 
 
-def _assert_table_is_scalar_definition(lx, ly, lam=1.0):
-    idx = coefficient_indices(lx, ly, lam)
-    assert idx.dtype == np.int_ and np.array_equal(idx, _reference_indices(lx, ly, lam))
-    table = table_2d(lx, ly, lam)
+def _assert_table_is_scalar_definition(lx, ly):
+    idx = coefficient_indices(lx, ly)
+    assert idx.dtype == np.int_ and np.array_equal(idx, _reference_indices(lx, ly))
+    table = table_2d(lx, ly)
     assert np.array_equal(table.ls, idx[:, 0]) and np.array_equal(table.ms, idx[:, 1])
     want = np.array(
-        [variance_2d_closed_form(int(l), int(m), lx, ly, lam) for l, m in idx]
+        [variance_2d_closed_form(int(l), int(m), lx, ly) for l, m in idx]
     )
     assert np.array_equal(table.sigma_sq.view(np.uint64), want.view(np.uint64))
 
@@ -198,12 +206,13 @@ class TestClosedFormTable:
     @pytest.mark.parametrize(
         "lx, ly, lam",
         [(1.0, 1.0, 1.0), (16.0, 16.0, 1.0), (128.0, 128.0, 1.0), (16.0, 8.0, 1.0),
-         (7.5, 3.25, 1.0), (3.3, 5.7, 1.0), (8.0, 4.0, 0.5), (3.3, 5.7, 0.5),
+         (8.0, 4.0, 0.5), (7.5, 3.25, 1.0), (3.3, 5.7, 1.0), (3.3, 5.7, 0.5),
          # corners exactly on the rim: (3/5)^2 + (4/5)^2 and (7/25)^2 + (24/25)^2 == 1.0
          (5.0, 5.0, 1.0), (25.0, 25.0, 1.0)],
     )
     def test_bitwise_equal_to_scalar_definition(self, lx, ly, lam):
-        _assert_table_is_scalar_definition(lx, ly, lam)
+        # sides in metres at wavelength lam; the table takes them in wavelengths
+        _assert_table_is_scalar_definition(lx / lam, ly / lam)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from holofading import CoefficientVariances2D, coefficient_indices, table_1d, table_2d
+from holofading.variances import CoefficientVariances2D, coefficient_indices, table_1d, table_2d
 from holofading.wavenumber import KAPPA, lattice_gammas, lattice_wavenumbers
 
 

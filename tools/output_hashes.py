@@ -9,8 +9,9 @@ It runs the package under ``src/`` next to this script in fresh
 interpreters, inside a temporary directory that it removes afterwards.
 The outputs are ``generate`` in each aperture kind and format (with a
 tabulated directional factor it writes itself), ``validate --fig 6/7/8``
-and ``compare-kl`` at M = 1200 on two workers, and the row estimate of
-``lambda_half_independence``. Standard library only; no options.
+and ``compare-kl`` at M = 1200 on two workers, the row estimate of
+``lambda_half_independence``, and ``variances`` tables of line and
+rectangular apertures by both methods. Standard library only; no options.
 """
 from __future__ import annotations
 
@@ -34,6 +35,14 @@ GENERATE = {
                                   "--realizations", "40", "--seed", "7", "--threads", "2"), True),
     "generate-planar.csv": (("--aperture", "4,4", "--spacing", "0.5", "--realizations", "3",
                              "--seed", "11", "--format", "csv"), False),
+}
+
+# name -> variances argv after --out
+VARIANCES = {
+    "variances-16x16.csv": ("--aperture", "16,16"),
+    "variances-7.5x3.25.csv": ("--aperture", "7.5,3.25"),
+    "variances-16.csv": ("--aperture", "16"),
+    "variances-4x4-quadrature.csv": ("--aperture", "4,4", "--method", "quadrature"),
 }
 
 LAMBDA_HALF = (
@@ -94,6 +103,10 @@ def main() -> None:
         out = os.path.join(tmp, "lambda_half_row.bin")
         run("-c", LAMBDA_HALF, out)
         outputs.append(("lambda_half_independence/row", out))
+        for name, argv in VARIANCES.items():
+            out = os.path.join(tmp, name)
+            run("-m", "holofading.cli", "variances", "--out", out, *argv)
+            outputs.append((name, out))
         for name, path in outputs:
             print(f"{sha256(path)}  {name}")
 
