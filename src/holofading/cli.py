@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, HoloFadingError
-from .generator import Aperture, generate_batch_planes, shared_table
+from .generator import Aperture, default_table, generate_batch_planes, shared_table
 from .spectrum import SpectralFactor
 from .validation import _thread_count, check_realizations, compare_kl, ordered_map, run_figure
 from .variances import table_1d, table_2d
@@ -243,17 +243,37 @@ def _write_csv(fh, aperture, m, batches, first_real=0):
             r += 1
 
 
+def write_figure_artifacts(report, out_dir: str) -> None:
+    """curve.csv and report.json of a figure run into an existing out_dir."""
+    with open(os.path.join(out_dir, "curve.csv"), "w", newline="") as fh:
+        if report.lags_y is None:
+            fh.write("lag_over_lambda,empirical,closed_form\n")
+            for lag, e, c in zip(report.lags_x, report.empirical, report.closed_form):
+                fh.write(f"{float(lag)!r},{float(e)!r},{float(c)!r}\n")
+        else:
+            fh.write("lag_over_lambda,lag_y_over_lambda,empirical,closed_form\n")
+            for i, lx in enumerate(report.lags_x):
+                for j, ly in enumerate(report.lags_y):
+                    fh.write(
+                        f"{float(lx)!r},{float(ly)!r},"
+                        f"{float(report.empirical[i, j])!r},{float(report.closed_form[i, j])!r}\n"
+                    )
+    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _field_batches(aperture, factor, seed, m, threads):
     """(B, nz, ny, nx) blocks of realizations 0 .. m - 1, in order,
     synthesized on ``threads`` workers that split CHUNK_BYTES between them."""
     z_planes = aperture.z_planes()
     per_realization = aperture.nx * aperture.ny * aperture.nz * np.dtype(complex).itemsize
     batch = max(1, CHUNK_BYTES // (threads * per_realization))
-    table = shared_table(aperture, factor)
+    shared_table(aperture, factor)  # warm the caches before the workers share them
 
     def run_chunk(start):
         reals = range(start, min(start + batch, m))
-        planes = generate_batch_planes(aperture, factor, seed, reals, z_planes, table)
+        planes = generate_batch_planes(aperture, factor, seed, reals, z_planes)
         return np.stack(planes, axis=1)
 
     return ordered_map(run_chunk, range(0, m, batch), threads)
@@ -274,6 +294,10 @@ def cmd_generate(args) -> int:
     if args.format == "bin" and m >= 1 << 32:
         raise ConfigError(f"--realizations {m} does not fit the uint32 count of the binary header")
     threads = _thread_count(args.threads)  # a malformed HOLO_THREADS fails before --out opens
+    try:  # so does a side the variance table rejects (a line of 7.5 wavelengths)
+        default_table(aperture)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     batches = _field_batches(aperture, factor, args.seed, m, threads)
     if args.format == "bin":
         with open(args.out, "wb") as fh:
@@ -320,9 +344,9 @@ def cmd_validate(args) -> int:
     threads = _thread_count(args.threads)  # so is a malformed HOLO_THREADS
     if args.out:
         os.makedirs(args.out, exist_ok=True)  # a bad --out fails before the run
-    report = run_figure(
-        args.fig, m=args.realizations, seed=args.seed, out_dir=args.out, threads=threads
-    )
+    report = run_figure(args.fig, m=args.realizations, seed=args.seed, threads=threads)
+    if args.out:
+        write_figure_artifacts(report, args.out)
     status = "PASS" if report.passed else "FAIL"
     print(
         f"fig {report.fig}: rmse={report.rmse:.5f} max_abs_dev={report.max_abs_dev:.5f} "
@@ -391,10 +415,10 @@ def bench_series(sizes, per: int = 8, seed: int = 0) -> tuple[list[int], list[fl
     points, times = [], []
     for n in sizes:
         aperture = Aperture(lx=n / 2.0, dx=0.5, ly=n / 2.0, dy=0.5)
-        table = table_2d(aperture.lx, aperture.ly)
+        default_table(aperture)  # built and cached outside the timed region
 
         def run():
-            generate_batch_planes(aperture, None, seed, range(per), (0.0,), table)
+            generate_batch_planes(aperture, None, seed, range(per), (0.0,))
 
         points.append(n * n)
         times.append(_time_once(run) / per)
@@ -430,6 +454,9 @@ def cmd_bench(args) -> int:
     kl_sizes = _parse_counts(args.kl_sizes, "kl-sizes")
     if any(n > 4096 for n in kl_sizes):
         raise ConfigError("--kl-sizes are capped at 4096 points (dense baseline)")
+    for flag, counts in (("--sizes", sizes), ("--kl-sizes", kl_sizes)):
+        if len(set(counts)) < 2:  # an exponent is a slope fitted through the sizes
+            raise ConfigError(f"{flag}: need at least two distinct sizes, got {counts}")
     per = _at_least_one(args.per_size, "--per-size")
 
     gen_points, gen_times = bench_series(sizes, per=per, seed=args.seed)

@@ -17,6 +17,11 @@ n = -Nx/2 .. Nx/2 - 1 by a half-grid cyclic shift (``synthesize``).
 same series by direct summation: the exact ACFs, the FFT oracle and the
 validation lag windows.
 
+The aperture's sides fix the harmonics and their variances, so the
+pipeline functions take the aperture alone and read its table from
+``default_table``; only the table-level stages (draws, shaping, migration,
+``series_sum``) take a table.
+
 A line aperture uses the single-coefficient series h(x_n) = sum over l of
 H_l e^{i 2 pi l n / N} with H_l of variance 2*sigma2_l, observed at
 y = z = 0; migration off the line is not defined for it.
@@ -151,13 +156,10 @@ class Aperture:
 
 @dataclass(frozen=True)
 class CoefficientDraw:
-    """Coefficient pairs per harmonic of a rectangular aperture, reproducible
-    from (seed, realization). ``realization`` is one counter, giving (n,)
-    arrays, or a sequence of them, giving (B, n) arrays."""
+    """Coefficient pairs per harmonic of a rectangular aperture's table:
+    (n,) arrays for one realization, (B, n) arrays for a batch."""
 
     table: CoefficientVariances2D
-    seed: int
-    realization: int | Sequence[int]
     h_plus: np.ndarray
     h_minus: np.ndarray
 
@@ -197,7 +199,7 @@ def draw_coefficients(
     """Independent circularly-symmetric draws H+, H- with per-index variance
     sigma2_lm, from the counter-based stream of (seed, realization)."""
     h = _scaled_normals(seed, realization, np.sqrt(table.sigma_sq), 2)
-    return CoefficientDraw(table, seed, realization, h[..., 0, :], h[..., 1, :])
+    return CoefficientDraw(table, h[..., 0, :], h[..., 1, :])
 
 
 @lru_cache(maxsize=8)
@@ -255,23 +257,21 @@ def migrate(draw: CoefficientDraw, z: float) -> np.ndarray:
     return draw.h_plus * phase + draw.h_minus * np.conj(phase)
 
 
-def synthesize(h: np.ndarray, table, aperture: Aperture) -> np.ndarray:
-    """Evaluate the series of the coefficients h (any leading batch axes)
-    on the aperture grid: zero-embed them at their FFT bins, inverse FFT
-    over the grid axes without the 1/N factor, and reindex onto
-    n = -N/2 .. N/2 - 1. Returns (..., ny, nx); ny = 1 for a line table."""
-    line = not isinstance(table, CoefficientVariances2D)
+def synthesize(h: np.ndarray, aperture: Aperture) -> np.ndarray:
+    """Evaluate the series of the coefficients h (any leading batch axes,
+    in the harmonic order of the aperture's table) on the aperture grid:
+    zero-embed them at their FFT bins, inverse FFT over the grid axes
+    without the 1/N factor, and reindex onto n = -N/2 .. N/2 - 1.
+    Returns (..., ny, nx); ny = 1 for a line aperture."""
+    table = default_table(aperture)
+    line = aperture.kind == LINEAR
     axes = ((table.ls, aperture.nx),)
     if not line:
         axes = ((table.ms, aperture.ny),) + axes
     shape = tuple(n for _, n in axes)
-    if any(np.max(np.abs(idx)) * 2 > n for idx, n in axes):
-        raise GridTooCoarse(
-            f"{' x '.join(map(str, reversed(shape)))} grid cannot hold every "
-            f"harmonic of the variance table (Lx = {table.lx:g} wavelengths)"
-        )
     spec = np.zeros(h.shape[:-1] + shape, dtype=complex)
-    # bins are distinct: the grid holds one full period of every harmonic
+    # bins are distinct: Aperture guarantees N >= 2 * ceil(L), and the
+    # indices span -ceil(L) .. ceil(L) - 1, one full period of the grid
     spec[(Ellipsis,) + tuple(idx % n for idx, n in axes)] = h
     grid = tuple(range(-len(shape), 0))
     out = np.fft.fftshift(np.fft.ifftn(spec, axes=grid) * math.prod(shape), axes=grid)
@@ -327,7 +327,6 @@ def generate(
     seed: int = 0,
     z_planes: Sequence[float] | None = None,
     realization: int = 0,
-    table=None,
 ) -> FieldRealization:
     """Full pipeline for one realization: draw, shape, migrate, synthesize.
 
@@ -338,7 +337,6 @@ def generate(
         z_planes: planes to synthesize; defaults to the aperture's grid.
             A line aperture only supports z = 0.
         realization: realization counter within the seed's stream.
-        table: precomputed variance table (built on demand otherwise).
 
     Returns:
         FieldRealization with samples of shape (len(z_planes), ny, nx).
@@ -346,7 +344,7 @@ def generate(
     if factor is None:
         factor = default_factor(aperture)
     zs = tuple(z_planes) if z_planes is not None else aperture.z_planes()
-    planes = generate_batch_planes(aperture, factor, seed, (realization,), zs, table)
+    planes = generate_batch_planes(aperture, factor, seed, (realization,), zs)
     return FieldRealization(
         np.concatenate(planes), aperture, seed, realization, factor.kind, zs
     )
@@ -358,7 +356,6 @@ def plane_coefficients(
     seed: int,
     realizations: Sequence[int],
     z_planes: Sequence[float],
-    table=None,
 ) -> list[np.ndarray]:
     """The coefficient stages of the pipeline over a batch of realizations:
     draw, shape, migrate to each z-plane. Returns one (B, n) array of
@@ -368,8 +365,7 @@ def plane_coefficients(
     if factor is None:
         factor = default_factor(aperture)
     _check_planes(aperture.lx, aperture.ly, z_planes)
-    if table is None:
-        table = default_table(aperture)
+    table = default_table(aperture)
     if aperture.kind == LINEAR:
         h = draw_line_coefficients(table, seed, realizations, factor)
         return [h for _ in z_planes]
@@ -385,7 +381,6 @@ def generate_batch_planes(
     seed: int,
     realizations: Sequence[int],
     z_planes: Sequence[float],
-    table=None,
 ) -> list[np.ndarray]:
     """The synthesis pipeline over a batch of realizations: the
     ``plane_coefficients`` of each z-plane, synthesized on the grid.
@@ -393,10 +388,8 @@ def generate_batch_planes(
     bit-identical to its single ``generate``. A line aperture only
     supports z = 0.
     """
-    if table is None:
-        table = default_table(aperture)
-    planes = plane_coefficients(aperture, factor, seed, realizations, z_planes, table)
-    return [synthesize(h, table, aperture) for h in planes]
+    planes = plane_coefficients(aperture, factor, seed, realizations, z_planes)
+    return [synthesize(h, aperture) for h in planes]
 
 
 def series_sum(weights: np.ndarray, table, lags, periods) -> np.ndarray:
@@ -419,11 +412,11 @@ def series_sum(weights: np.ndarray, table, lags, periods) -> np.ndarray:
     return (ex * weights) @ phases(lags[1], table.ms, periods[1]).T
 
 
-def brute_force_plane(h, table, aperture) -> np.ndarray:
+def brute_force_plane(h, aperture: Aperture) -> np.ndarray:
     """The series on the (ny, nx) grid by direct summation; FFT-path oracle."""
     ns = np.arange(-(aperture.nx // 2), aperture.nx // 2)
     js = np.arange(-(aperture.ny // 2), aperture.ny // 2)
-    return series_sum(h, table, (ns, js), (aperture.nx, aperture.ny)).T
+    return series_sum(h, default_table(aperture), (ns, js), (aperture.nx, aperture.ny)).T
 
 
 def lattice_acf_1d(table: CoefficientVariances1D, lags: np.ndarray) -> np.ndarray:

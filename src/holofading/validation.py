@@ -16,7 +16,10 @@ h_r(origin) = sum_k H_rk and the estimator is linear in the coefficients:
 the exact series autocorrelation with 2*sigma2_k replaced by its Monte Carlo
 estimate w_k / M. Each chunk accumulates w from ``plane_coefficients``; after
 the reduction, ``generator.series_sum`` evaluates the series once over the
-lag window, at integer grid lags reduced mod (Nx, Ny).
+lag window, at integer grid lags reduced mod (Nx, Ny). The runs take an
+aperture and read its variance table from ``generator.shared_table``
+before the workers start; this module builds no table of its own.
+Results are returned, not written: the CLI writes the artifacts.
 ``empirical_acf`` applies the estimator to given fields.
 
 Two oracles serve two different claims:
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 import collections
 import itertools
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -49,8 +51,7 @@ import numpy as np
 
 from .baseline import AcfClosedForm, correlation_matrix, kl_sample
 from .errors import ConfigError, InsufficientRealizations, LagMismatch
-from .generator import Aperture, FieldRealization, default_table, plane_coefficients, series_sum
-from .variances import table_1d, table_2d
+from .generator import Aperture, FieldRealization, plane_coefficients, series_sum, shared_table
 
 MIN_REALIZATIONS = 100
 DEFAULT_BATCH = 512
@@ -281,18 +282,17 @@ def _chunk_means(run_chunk, m: int, batch: int, threads: int | None) -> list[np.
 
 def _first_row_sums(
     aperture: Aperture, factor, seed: int, m: int, z_planes: Sequence[float],
-    lags, threads: int | None, batch: int, table,
+    lags, threads: int | None, batch: int,
 ) -> list[np.ndarray]:
     """First-row covariances from the grid origin, one (kx + 1, ky + 1)
     lag window per z-plane, over m realizations: the origin weights are
     accumulated per chunk from the plane coefficients and reduced in chunk
     order, then the series is evaluated once over the window."""
-    if table is None:
-        table = default_table(aperture)
+    table = shared_table(aperture, factor)  # warm before the workers share it
 
     def run_chunk(start: int) -> list[np.ndarray]:
         reals = range(start, min(start + batch, m))
-        planes = plane_coefficients(aperture, factor, seed, reals, z_planes, table)
+        planes = plane_coefficients(aperture, factor, seed, reals, z_planes)
         return [_origin_weights(h) for h in planes]
 
     weights = _chunk_means(run_chunk, m, batch, threads)
@@ -310,7 +310,6 @@ def _accumulate_first_row(
     threads: int | None = None,
     batch: int = DEFAULT_BATCH,
     factor=None,
-    table=None,
 ) -> list[AcfEstimate]:
     """First-row covariance accumulation over m realizations, one estimate
     per requested z-plane (all planes share each realization's draws);
@@ -323,7 +322,7 @@ def _accumulate_first_row(
         raise ValueError(f"lag window {lag_cells} exceeds the grid from the origin")
 
     sides = (aperture.lx,) if one_d else (aperture.lx, aperture.ly)
-    raws = _first_row_sums(aperture, factor, seed, m, z_planes, lags, threads, batch, table)
+    raws = _first_row_sums(aperture, factor, seed, m, z_planes, lags, threads, batch)
     return [_estimate(raw, m, (aperture.dx, aperture.dy), sides) for raw in raws]
 
 
@@ -371,7 +370,6 @@ def run_figure(
     fig: int,
     m: int = 10_000,
     seed: int = 0,
-    out_dir: str | None = None,
     threads: int | None = None,
 ) -> FigureReport:
     """Reproduce one reference validation run.
@@ -381,8 +379,6 @@ def run_figure(
            oracle sinc of the lag distance.
     fig 8: as 7 but migrated to z = lambda/2, sharing fig 7's draws; also
            checks the z = lambda/2 estimate against the z = 0 estimate.
-
-    When ``out_dir`` is given, writes curve.csv and report.json there.
     """
     if fig not in FIGURE_CONFIGS:
         raise ValueError(f"unknown figure {fig}; choose 6, 7 or 8")
@@ -392,10 +388,7 @@ def run_figure(
     lag_cells = round(0.25 * aperture.lx / aperture.dx)
 
     if fig == 8:
-        table = table_2d(aperture.lx, aperture.ly)
-        est0, estz = _accumulate_first_row(
-            aperture, seed, m, (0.0, cfg["z"]), lag_cells, threads, table=table
-        )
+        est0, estz = _accumulate_first_row(aperture, seed, m, (0.0, cfg["z"]), lag_cells, threads)
         report = compare(estz, oracle)
         zdiff = float(np.max(np.abs(estz.values - est0.values)))
         z_budget = cfg["thresholds"]["z_consistency"] / math.sqrt(m)
@@ -403,10 +396,7 @@ def run_figure(
         est = estz
         zmax = zdiff
     else:
-        table = table_1d(aperture.lx) if fig == 6 else table_2d(aperture.lx, aperture.ly)
-        (est,) = _accumulate_first_row(
-            aperture, seed, m, (0.0,), lag_cells, threads, table=table
-        )
+        (est,) = _accumulate_first_row(aperture, seed, m, (0.0,), lag_cells, threads)
         report = compare(est, oracle)
         passed = report.rmse < cfg["thresholds"]["rmse"]
         if "max_abs_dev" in cfg["thresholds"]:
@@ -414,37 +404,13 @@ def run_figure(
         zmax = None
 
     closed = oracle(est.lag_radii())
-    result = FigureReport(
+    return FigureReport(
         fig=fig, m=m, seed=seed, rmse=report.rmse, max_abs_dev=report.max_abs_dev,
         passed=passed, thresholds=cfg["thresholds"],
         lags_x=est.lags_x, lags_y=est.lags_y,
         empirical=est.detilted().real, closed_form=closed,
         z_consistency_max=zmax,
     )
-    if out_dir is not None:
-        write_figure_artifacts(result, out_dir)
-    return result
-
-
-def write_figure_artifacts(report: FigureReport, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    curve = os.path.join(out_dir, "curve.csv")
-    with open(curve, "w", newline="") as fh:
-        if report.lags_y is None:
-            fh.write("lag_over_lambda,empirical,closed_form\n")
-            for lag, e, c in zip(report.lags_x, report.empirical, report.closed_form):
-                fh.write(f"{float(lag)!r},{float(e)!r},{float(c)!r}\n")
-        else:
-            fh.write("lag_over_lambda,lag_y_over_lambda,empirical,closed_form\n")
-            for i, lx in enumerate(report.lags_x):
-                for j, ly in enumerate(report.lags_y):
-                    fh.write(
-                        f"{float(lx)!r},{float(ly)!r},"
-                        f"{float(report.empirical[i, j])!r},{float(report.closed_form[i, j])!r}\n"
-                    )
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +441,7 @@ def compare_kl(m: int = 10_000, seed: int = 0, threads: int | None = None) -> Kl
     cfg = FIGURE_CONFIGS[6]
     aperture = Aperture(**cfg["aperture"])
     lag_cells = round(0.25 * aperture.lx / aperture.dx)
-    table = table_1d(aperture.lx)
-    (gen_est,) = _accumulate_first_row(
-        aperture, seed, m, (0.0,), lag_cells, threads, table=table
-    )
+    (gen_est,) = _accumulate_first_row(aperture, seed, m, (0.0,), lag_cells, threads)
 
     oracle = AcfClosedForm(cfg["oracle"])
     cmatrix = correlation_matrix(aperture, oracle)
@@ -532,7 +495,7 @@ def lambda_half_independence(
     check_realizations(m)
     aperture = Aperture(lx=lx, dx=0.5, ly=lx, dy=0.5)
     (raw,) = _first_row_sums(
-        aperture, None, seed, m, (0.0,), (0, aperture.nx // 2), threads, batch, None
+        aperture, None, seed, m, (0.0,), (0, aperture.nx // 2), threads, batch
     )
     row = _normalize(raw[:, 0])
     return row, float(np.max(np.abs(row[1:])))

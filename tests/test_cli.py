@@ -318,7 +318,10 @@ _BAD_INPUTS = {
                       "--out", "{tmp}/x.bin"),
     "zero-bench-size": ("bench", "--sizes", "0"),
     "fractional-bench-size": ("bench", "--sizes", "0.5"),
-    "zero-per-size": ("bench", "--sizes", "8", "--kl-sizes", "16", "--per-size", "0"),
+    "zero-per-size": ("bench", "--sizes", "8,16", "--kl-sizes", "16,32", "--per-size", "0"),
+    # an exponent is fitted through the sizes: one distinct size gives no slope
+    "single-bench-size": ("bench", "--sizes", "8"),
+    "repeated-kl-size": ("bench", "--sizes", "8,16", "--kl-sizes", "16,16"),
     "factor-is-directory": ("generate", "--aperture", "4", "--spacing", "0.5",
                             "--factor", "{tmp}", "--out", "{tmp}/x.bin"),
     "out-in-missing-dir": ("variances", "--aperture", "4", "--out", "{tmp}/missing/x.csv"),
@@ -337,6 +340,9 @@ _BAD_INPUTS = {
     # 7.9 / 0.5 = 15.8 cells: the grid would not sample the series at n * 0.5
     "spacing-does-not-tile": ("generate", "--aperture", "7.9,7.9", "--spacing", "0.5",
                               "--out", "{tmp}/x.bin"),
+    # the line's variance table needs a whole number of wavelengths
+    "line-side-not-whole": ("generate", "--aperture", "7.5", "--spacing", "0.25",
+                            "--out", "{tmp}/x.bin"),
     "validate-too-few-realizations": ("validate", "--fig", "6", "--realizations", "50",
                                       "--out", "{tmp}/d"),
     "kl-too-few-realizations": ("compare-kl", "--realizations", "50", "--out", "{tmp}/kl.csv"),
@@ -542,7 +548,7 @@ class TestGenerateChunks:
         factor = SpectralFactor.from_csv(tmp_path / "factor.csv")
         gain = line_shaping_gain(factor, lattice_wavenumbers(table), KAPPA)
         draws = genmod.draw_line_coefficients(table, 7, range(18)) * gain
-        want = genmod.synthesize(draws, table, Aperture(lx=16.0, dx=0.0625))
+        want = genmod.synthesize(draws, Aperture(lx=16.0, dx=0.0625))
         assert out.read_bytes()[24:] == np.ascontiguousarray(want, dtype="<c16").tobytes()
 
 

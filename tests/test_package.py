@@ -1,4 +1,5 @@
-"""The package root's surface and the one unit system of its signatures."""
+"""The package root's surface, the one unit system of its signatures and
+the one source of the variance table."""
 import importlib
 import inspect
 import types
@@ -46,3 +47,15 @@ def test_no_signature_takes_a_wavelength_or_kappa():
             if {"lam", "kappa"} & set(sig.parameters):
                 found.add(f"{name}.{qual}")
     assert found == KAPPA_ARGUMENT
+
+
+def test_no_signature_takes_both_an_aperture_and_a_table():
+    # the aperture's sides fix its variance table (generator.default_table);
+    # a table passed beside it could only contradict it
+    found = {
+        f"{name}.{qual}"
+        for name in MODULES
+        for qual, sig in _signatures(importlib.import_module(f"holofading.{name}"))
+        if {"aperture", "table"} <= set(sig.parameters)
+    }
+    assert found == set()

@@ -14,6 +14,7 @@ from holofading import (
     SpectralFactor,
 )
 from holofading.baseline import AcfClosedForm, CorrelationMatrix, kl_sample
+from holofading.cli import write_figure_artifacts
 from holofading.generator import generate_batch_planes, lattice_acf_1d
 import holofading.validation as valmod
 from holofading.validation import (
@@ -28,7 +29,7 @@ from holofading.validation import (
     ordered_map,
     run_figure,
 )
-from holofading.variances import table_1d
+from holofading.variances import table_1d, table_2d
 
 
 def _estimate(values, lags, lx=16.0, m=10_000, tilted=True):
@@ -121,10 +122,9 @@ class TestCompare:
 class TestSelfConsistency:
     def test_disjoint_seed_ranges_agree(self):
         ap = Aperture(lx=16.0, dx=0.25)
-        t = table_1d(16.0)
         m = 2000
-        (a,) = _accumulate_first_row(ap, 101, m, (0.0,), 16, threads=1, table=t)
-        (b,) = _accumulate_first_row(ap, 202, m, (0.0,), 16, threads=1, table=t)
+        (a,) = _accumulate_first_row(ap, 101, m, (0.0,), 16, threads=1)
+        (b,) = _accumulate_first_row(ap, 202, m, (0.0,), 16, threads=1)
         assert np.max(np.abs(a.values - b.values)) < 6.0 / math.sqrt(m)
 
     def test_deviation_scales_with_realizations(self):
@@ -136,7 +136,7 @@ class TestSelfConsistency:
         oracle = lattice_acf_1d(t, lags)
         devs = {}
         for m in (1000, 4000):
-            (est,) = _accumulate_first_row(ap, 55, m, (0.0,), 16, threads=1, table=t)
+            (est,) = _accumulate_first_row(ap, 55, m, (0.0,), 16, threads=1)
             devs[m] = np.max(np.abs(est.raw - oracle))
         assert devs[4000] <= devs[1000] * 0.6
 
@@ -156,10 +156,32 @@ class TestSelfConsistency:
 
     def test_threaded_accumulation_bit_identical(self):
         ap = Aperture(lx=16.0, dx=0.25)
-        t = table_1d(16.0)
-        (a,) = _accumulate_first_row(ap, 7, 600, (0.0,), 16, threads=1, table=t, batch=128)
-        (b,) = _accumulate_first_row(ap, 7, 600, (0.0,), 16, threads=4, table=t, batch=128)
+        (a,) = _accumulate_first_row(ap, 7, 600, (0.0,), 16, threads=1, batch=128)
+        (b,) = _accumulate_first_row(ap, 7, 600, (0.0,), 16, threads=4, batch=128)
         assert np.array_equal(a.values, b.values)
+
+    def test_shaping_gains_evaluated_once_per_run(self, monkeypatch):
+        import time
+
+        import holofading.generator as genmod
+
+        calls = []
+        real = genmod.shaping_gains
+
+        def counting(*args):
+            calls.append(len(args[1]))
+            time.sleep(0.05)  # long enough for two workers on a cold cache to both miss it
+            return real(*args)
+
+        monkeypatch.setattr(genmod, "shaping_gains", counting)
+        # a factor of its own, so the gains cache starts cold
+        factor = SpectralFactor.from_callables(
+            lambda kx, ky: 1.0 + 0.4 * np.cos(np.arctan2(ky, kx)),
+            lambda kx, ky: 1.0 + 0.1 * ky / (2.0 * math.pi),
+        )
+        ap = Aperture(lx=8.0, dx=0.5, ly=8.0, dy=0.5)
+        _accumulate_first_row(ap, 3, 400, (0.0,), 4, threads=2, batch=100, factor=factor)
+        assert calls == [len(table_2d(8.0, 8.0))]
 
 
 _DIRECTIONAL = SpectralFactor.from_callables(
@@ -279,7 +301,8 @@ class TestRunFigure:
             run_figure(5)
 
     def test_small_run_artifacts(self, tmp_path):
-        report = run_figure(6, m=200, seed=1, out_dir=str(tmp_path))
+        report = run_figure(6, m=200, seed=1)
+        write_figure_artifacts(report, str(tmp_path))
         curve = (tmp_path / "curve.csv").read_text().splitlines()
         assert curve[0] == "lag_over_lambda,empirical,closed_form"
         assert len(curve) == 1 + 65
@@ -289,7 +312,7 @@ class TestRunFigure:
         assert report.lags_x[-1] == pytest.approx(4.0)
 
     def test_fig7_grid_artifacts(self, tmp_path):
-        run_figure(7, m=150, seed=1, out_dir=str(tmp_path))
+        write_figure_artifacts(run_figure(7, m=150, seed=1), str(tmp_path))
         curve = (tmp_path / "curve.csv").read_text().splitlines()
         assert curve[0] == "lag_over_lambda,lag_y_over_lambda,empirical,closed_form"
         assert len(curve) == 1 + 17 * 17

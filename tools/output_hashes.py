@@ -8,10 +8,11 @@ and compare the two listings:
 It runs the package under ``src/`` next to this script in fresh
 interpreters, inside a temporary directory that it removes afterwards.
 The outputs are ``generate`` in each aperture kind and format (with a
-tabulated directional factor it writes itself), ``validate --fig 6/7/8``
-and ``compare-kl`` at M = 1200 on two workers, the row estimate of
-``lambda_half_independence``, and ``variances`` tables of line and
-rectangular apertures by both methods. Standard library only; no options.
+tabulated directional factor it writes itself, also over several z-planes
+on two workers), ``validate --fig 6/7/8`` and ``compare-kl`` at M = 1200
+on two workers, the row estimate of ``lambda_half_independence``, and
+``variances`` tables of line and rectangular apertures by both methods.
+Standard library only; no options.
 """
 from __future__ import annotations
 
@@ -31,6 +32,9 @@ GENERATE = {
                                     "--realizations", "24", "--seed", "3", "--threads", "2"), True),
     "generate-volumetric.bin": (("--aperture", "8,8,2", "--spacing", "0.5,0.5,0.5",
                                  "--realizations", "6", "--seed", "5"), False),
+    "generate-volumetric-factor.bin": (("--aperture", "8,8,2", "--spacing", "0.5",
+                                        "--realizations", "6", "--seed", "9",
+                                        "--threads", "2"), True),
     "generate-line-factor.bin": (("--aperture", "16", "--spacing", "0.0625",
                                   "--realizations", "40", "--seed", "7", "--threads", "2"), True),
     "generate-planar.csv": (("--aperture", "4,4", "--spacing", "0.5", "--realizations", "3",
