@@ -110,6 +110,9 @@ def kl_sample(c: CorrelationMatrix, seed: int, m: int) -> np.ndarray:
     Cholesky is not an option and small negative eigenvalues are clipped
     at zero.
 
+    The noise e of all m draws comes from one batched call over
+    realizations 0 .. m-1 of the baseline stream.
+
     Returns:
         (m, N) complex array, deterministic from the seed.
 
@@ -123,8 +126,5 @@ def kl_sample(c: CorrelationMatrix, seed: int, m: int) -> np.ndarray:
             f"eigenvalue {eigvals[0]:g} below the PSD tolerance {-PSD_REL_TOL * top:g}"
         )
     root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
-    n = c.values.shape[0]
-    draws = np.stack(
-        [complex_standard_normals(seed, r, n, stream=STREAM_BASELINE) for r in range(m)]
-    )
+    draws = complex_standard_normals(seed, range(m), c.values.shape[0], STREAM_BASELINE)
     return draws @ root.T

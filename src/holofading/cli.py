@@ -397,20 +397,29 @@ def fit_exponent(sizes, times) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def _time_once(fn, repeats=3) -> float:
-    best = math.inf
-    for _ in range(repeats):
+def _best_time(fn, repeats=3, min_seconds=0.0) -> float:
+    """Best wall time of at least ``repeats`` timed calls of ``fn``, calling
+    it again until the timed calls add up to ``min_seconds``."""
+    best, total, calls = math.inf, 0.0, 0
+    while calls < repeats or total < min_seconds:
         t0 = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
+        elapsed = time.perf_counter() - t0
+        best, total, calls = min(best, elapsed), total + elapsed, calls + 1
     return best
+
+
+# timed work per series size: a best-of over many calls, so that fixed
+# per-call cost and noise do not dominate the smallest grid's point
+SERIES_MIN_TIMED_S = 0.2
 
 
 def bench_series(sizes, per: int = 8, seed: int = 0) -> tuple[list[int], list[float]]:
     """Per-realization synthesis wall time over square grid sides.
 
-    The variance table is built outside the timed region; the timing covers
-    the per-realization pipeline (draws, migration, IFFT).
+    The variance table is built, and each size run once, outside the timed
+    region; the timing covers the per-realization pipeline (draws,
+    migration, IFFT), best of as many calls as fill ``SERIES_MIN_TIMED_S``.
     """
     points, times = [], []
     for n in sizes:
@@ -420,17 +429,20 @@ def bench_series(sizes, per: int = 8, seed: int = 0) -> tuple[list[int], list[fl
         def run():
             generate_batch_planes(aperture, None, seed, range(per), (0.0,))
 
+        run()  # first-call costs of this size stay out of the timing
         points.append(n * n)
-        times.append(_time_once(run) / per)
+        times.append(_best_time(run, min_seconds=SERIES_MIN_TIMED_S) / per)
     return points, times
 
 
 def bench_baseline(sizes, seed: int = 0) -> tuple[list[int], list[float]]:
     """Dense-baseline wall time (matrix build + eigendecomposition + draws)
-    over 1D point counts."""
+    over 1D point counts. A 64-point run first pays J0's scipy import and
+    the first eigendecomposition outside the timed region."""
     from .baseline import AcfClosedForm, correlation_matrix, kl_sample
 
     acf = AcfClosedForm("bessel-2d")
+    kl_sample(correlation_matrix(Aperture(lx=4.0, dx=1.0 / 16.0), acf), seed, 4)
     times = []
     for n in sizes:
         aperture = Aperture(lx=n / 16.0, dx=1.0 / 16.0)
@@ -438,7 +450,7 @@ def bench_baseline(sizes, seed: int = 0) -> tuple[list[int], list[float]]:
         def run_kl():
             kl_sample(correlation_matrix(aperture, acf), seed, 4)
 
-        times.append(_time_once(run_kl, repeats=1))
+        times.append(_best_time(run_kl, repeats=1))
     return list(sizes), times
 
 

@@ -182,15 +182,14 @@ class FieldRealization:
 def _scaled_normals(seed, realization, scale, per_harmonic) -> np.ndarray:
     """scale * complex standard normals, ``per_harmonic`` draws per harmonic
     from each realization's counter-based stream; shape (B, per_harmonic, n),
-    without the leading axis for a single realization."""
-    single = np.ndim(realization) == 0
-    reals = (realization,) if single else realization
+    without the leading axis for a single realization. The whole batch is
+    one ``complex_standard_normals`` call, scaled in place in the block it
+    returns; the result is a transposed view of that block."""
     n = len(scale)
-    out = np.empty((len(reals), per_harmonic, n), dtype=complex)
-    for i, r in enumerate(reals):
-        z = complex_standard_normals(seed, r, per_harmonic * n)
-        out[i] = scale * z.reshape(n, per_harmonic).T
-    return out[0] if single else out
+    z = complex_standard_normals(seed, realization, per_harmonic * n)
+    z = z.reshape(z.shape[:-1] + (n, per_harmonic))
+    z *= scale[:, np.newaxis]
+    return np.swapaxes(z, -1, -2)
 
 
 def draw_coefficients(
@@ -274,7 +273,9 @@ def synthesize(h: np.ndarray, aperture: Aperture) -> np.ndarray:
     # indices span -ceil(L) .. ceil(L) - 1, one full period of the grid
     spec[(Ellipsis,) + tuple(idx % n for idx, n in axes)] = h
     grid = tuple(range(-len(shape), 0))
-    out = np.fft.fftshift(np.fft.ifftn(spec, axes=grid) * math.prod(shape), axes=grid)
+    np.fft.ifftn(spec, axes=grid, out=spec)
+    spec *= math.prod(shape)
+    out = np.fft.fftshift(spec, axes=grid)
     return out[..., np.newaxis, :] if line else out
 
 

@@ -12,10 +12,18 @@ Gaussian variates use the Box-Muller transform of uniform draws so each
 complex draw consumes exactly two 64-bit counter words: draw i of a
 realization always occupies words [2*i, 2*i + 2), independent of batching
 or evaluation order, and distinct realizations never share counter space.
+
+A call draws one realization or a batch of them. Each realization's
+uniforms are written straight into its row of the complex output (viewed
+as float64), and one in-place Box-Muller pass then transforms the whole
+block, so a batch costs one set of array operations rather than one per
+realization. The counter layout above is unchanged by batching: row i of
+a batch is bit-identical to the single call of realization i.
 """
 from __future__ import annotations
 
 import threading
+from typing import Sequence
 
 import numpy as np
 
@@ -49,20 +57,35 @@ def _positioned(seed: int, realization: int, stream: int) -> np.random.Generator
 
 
 def complex_standard_normals(
-    seed: int, realization: int, n: int, stream: int = STREAM_COEFFICIENTS
+    seed: int,
+    realization: int | Sequence[int],
+    n: int,
+    stream: int = STREAM_COEFFICIENTS,
 ) -> np.ndarray:
-    """n circularly-symmetric complex normals with unit total variance.
+    """n circularly-symmetric complex normals with unit total variance per
+    realization: shape (n,) for one realization, (B, n) for a sequence of
+    them, row i equal to the single call of realization i.
 
     Real and imaginary parts each have variance 1/2. The transform is
     Box-Muller on (1 - u) so the open interval [0, 1) of the uniform source
-    never reaches log(0).
+    never reaches log(0). Each row's uniforms are drawn into the output's
+    own float64 view (u0 in the real slot, u1 in the imaginary slot), then
+    one pass over the whole block turns them in place into radius and
+    phase, and radius and phase into the complex normals.
     """
-    u = _positioned(seed, realization, stream).random((n, 2))
-    radius = np.sqrt(-np.log1p(-u[:, 0]))  # Rayleigh with E[r^2] = 1
-    phase = 2.0 * np.pi * u[:, 1]
-    out = np.empty(n, dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    out.real *= radius
-    out.imag *= radius
-    return out
+    single = np.ndim(realization) == 0
+    reals = (realization,) if single else realization
+    out = np.empty((len(reals), n), dtype=complex)
+    for row, r in zip(out.view(np.float64), reals):
+        _positioned(seed, r, stream).random(out=row)  # 2n uniforms per row
+    radius, phase = out.real, out.imag  # u0 and u1 of each draw
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)
+    np.negative(radius, out=radius)
+    np.sqrt(radius, out=radius)  # Rayleigh with E[r^2] = 1
+    phase *= 2.0 * np.pi
+    cos = np.cos(phase)
+    np.sin(phase, out=phase)
+    phase *= radius  # imaginary part: r sin(phase)
+    radius *= cos  # real part: r cos(phase)
+    return out[0] if single else out

@@ -3,8 +3,12 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holofading.rng import STREAM_BASELINE, complex_standard_normals
+from holofading.rng import STREAM_BASELINE, STREAM_COEFFICIENTS, complex_standard_normals
+
+WORD = st.integers(0, 2**64 - 1)
 
 
 class TestDeterminism:
@@ -67,6 +71,81 @@ class TestThreads:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in workers)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _reference(seed, realization, n, stream):
+    """The documented stream computed the plain way, independent of the
+    module's in-place transform: a fresh Philox at counter (0, 0,
+    realization, stream), then Box-Muller on (1 - u)."""
+    counter = np.array([0, 0, realization, stream], dtype=np.uint64)
+    key = np.array([seed, 0], dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(counter=counter, key=key)).random((n, 2))
+    radius = np.sqrt(-np.log1p(-u[:, 0]))
+    phase = 2.0 * np.pi * u[:, 1]
+    out = np.empty(n, dtype=complex)
+    out.real = radius * np.cos(phase)
+    out.imag = radius * np.sin(phase)
+    return out
+
+
+class TestBatches:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=WORD,
+        # small indices make repeats likely; lists come unsorted
+        reals=st.lists(st.one_of(st.integers(0, 5), WORD), max_size=6),
+        n=st.integers(1, 40),
+        stream=st.sampled_from([STREAM_COEFFICIENTS, STREAM_BASELINE]),
+    )
+    def test_rows_equal_single_calls(self, seed, reals, n, stream):
+        batch = complex_standard_normals(seed, reals, n, stream)
+        assert batch.shape == (len(reals), n)
+        for row, r in zip(batch, reals):
+            single = complex_standard_normals(seed, r, n, stream)
+            assert single.shape == (n,)
+            assert np.array_equal(row.view(np.uint64), single.view(np.uint64))
+            want = _reference(seed, r, n, stream)
+            np.testing.assert_array_max_ulp(row.real, want.real, maxulp=2)
+            np.testing.assert_array_max_ulp(row.imag, want.imag, maxulp=2)
+
+    def test_range_and_tuple_sequences(self):
+        a = complex_standard_normals(4, range(3), 5, STREAM_BASELINE)
+        b = complex_standard_normals(4, (0, 1, 2), 5, STREAM_BASELINE)
+        assert a.shape == (3, 5)
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _in_two_threads(calls):
+    """Results of complex_standard_normals(*call) for every call, made by
+    two threads taking alternate calls under a tiny switch interval."""
+    got = [None] * len(calls)
+
+    def work(first):
+        for i in range(first, len(calls), 2):
+            got[i] = complex_standard_normals(*calls[i])
+
+    workers = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    return got
+
+
+class TestBatchThreads:
+    def test_concurrent_batches_match_sequential(self):
+        # a batch repositions the thread's generator once per row; another
+        # thread's repositioning must not land between a row's set and fill
+        calls = [(3, [r + k * 7 for k in range(1 + r % 5)], 1 + r % 53) for r in range(300)]
+        want = [complex_standard_normals(*c) for c in calls]
+        got = _in_two_threads(calls)
+        assert all(np.array_equal(g.view(np.uint64), w.view(np.uint64)) for g, w in zip(got, want))
 
 
 class TestDistribution:
