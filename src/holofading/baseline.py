@@ -102,19 +102,13 @@ def correlation_matrix(grid, acf: AcfClosedForm) -> CorrelationMatrix:
 PSD_REL_TOL = 1e-8
 
 
-def kl_sample(c: CorrelationMatrix, seed: int, m: int) -> np.ndarray:
-    """m correlated draws h = C^{1/2} e, e ~ complex standard normal.
-
-    The square root is the symmetric eigendecomposition root; sinc/J0
-    correlation matrices of dense grids are numerically rank-deficient, so
-    Cholesky is not an option and small negative eigenvalues are clipped
-    at zero.
-
-    The noise e of all m draws comes from one batched call over
-    realizations 0 .. m-1 of the baseline stream.
-
-    Returns:
-        (m, N) complex array, deterministic from the seed.
+def kl_root(c: CorrelationMatrix) -> np.ndarray:
+    """The symmetric eigendecomposition root C^{1/2} of a correlation
+    matrix, (N, N). sinc/J0 correlation matrices of dense grids are
+    numerically rank-deficient, so Cholesky is not an option and small
+    negative eigenvalues are clipped at zero. This is the one
+    eigendecomposition and PSD check of the baseline: ``kl_sample`` and
+    compare-kl's streamed estimate both take their root from here.
 
     Raises:
         NotPSD: an eigenvalue below -1e-8 relative to the largest.
@@ -125,6 +119,23 @@ def kl_sample(c: CorrelationMatrix, seed: int, m: int) -> np.ndarray:
         raise NotPSD(
             f"eigenvalue {eigvals[0]:g} below the PSD tolerance {-PSD_REL_TOL * top:g}"
         )
-    root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
+    return (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
+
+
+def kl_sample(c: CorrelationMatrix, seed: int, m: int) -> np.ndarray:
+    """m correlated draws h = C^{1/2} e, e ~ complex standard normal:
+    draws @ ``kl_root(c)``.T with the noise e of all m draws from one
+    batched call over realizations 0 .. m-1 of the baseline stream.
+
+    All m draws are held at once; compare-kl instead streams the same
+    noise in row blocks through the columns of the root it reads.
+
+    Returns:
+        (m, N) complex array, deterministic from the seed.
+
+    Raises:
+        NotPSD: an eigenvalue below -1e-8 relative to the largest.
+    """
+    root = kl_root(c)
     draws = complex_standard_normals(seed, range(m), c.values.shape[0], STREAM_BASELINE)
     return draws @ root.T

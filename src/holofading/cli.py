@@ -265,16 +265,17 @@ def write_figure_artifacts(report, out_dir: str) -> None:
 
 def _field_batches(aperture, factor, seed, m, threads):
     """(B, nz, ny, nx) blocks of realizations 0 .. m - 1, in order,
-    synthesized on ``threads`` workers that split CHUNK_BYTES between them."""
+    synthesized on ``threads`` workers that split CHUNK_BYTES between them.
+    Each is the block that ``generate_batch_planes`` synthesizes into, so
+    the chunk is never copied."""
     z_planes = aperture.z_planes()
     per_realization = aperture.nx * aperture.ny * aperture.nz * np.dtype(complex).itemsize
     batch = max(1, CHUNK_BYTES // (threads * per_realization))
-    shared_table(aperture, factor)  # warm the caches before the workers share them
+    shared_table(aperture, factor, z_planes)  # warm the caches before the workers share them
 
     def run_chunk(start):
         reals = range(start, min(start + batch, m))
-        planes = generate_batch_planes(aperture, factor, seed, reals, z_planes)
-        return np.stack(planes, axis=1)
+        return generate_batch_planes(aperture, factor, seed, reals, z_planes).swapaxes(0, 1)
 
     return ordered_map(run_chunk, range(0, m, batch), threads)
 

@@ -22,6 +22,16 @@ before the workers start; this module builds no table of its own.
 Results are returned, not written: the CLI writes the artifacts.
 ``empirical_acf`` applies the estimator to given fields.
 
+Memory is bounded by row blocks, not by M. A worker holds one chunk of
+DEFAULT_BATCH realizations, and draws it in row blocks of about
+SUB_BLOCK_BYTES of coefficients; compare-kl's dense baseline is drawn in
+chunks and multiplied only by the root rows its lag window reads. Every
+sum over realizations goes through ``_fold_rows``, which adds the rows of
+a block to a running total one at a time, in realization order: the
+order one ``np.sum`` over the whole batch uses. So the results are
+bit-identical for any block size and worker count, and to the estimate
+over all M realizations held at once.
+
 Two oracles serve two different claims:
 
 * the exact series autocorrelation (``generator.lattice_acf_*``: the same
@@ -49,12 +59,16 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .baseline import AcfClosedForm, correlation_matrix, kl_sample
+from .baseline import AcfClosedForm, correlation_matrix, kl_root
 from .errors import ConfigError, InsufficientRealizations, LagMismatch
 from .generator import Aperture, FieldRealization, plane_coefficients, series_sum, shared_table
+from .rng import STREAM_BASELINE, complex_standard_normals
 
 MIN_REALIZATIONS = 100
 DEFAULT_BATCH = 512
+# coefficient draws a worker holds at once: each chunk of DEFAULT_BATCH
+# realizations is drawn and folded in row blocks of about this many bytes
+SUB_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -115,6 +129,21 @@ def _normalize(raw: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fold_rows(total, s: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """total + sum_r conj(s_r) * h_r over the rows r of s (B,) and h (B, ...),
+    added one row at a time in row order.
+
+    The products are written into one buffer whose row 0 is the running
+    total, and ``np.add.reduce`` adds its rows in order from 0. So folding
+    a batch in row blocks, block by block from a zero total, gives the
+    bits of one ``np.sum`` over all its rows (which also starts from 0).
+    """
+    buf = np.empty((1 + len(h),) + h.shape[1:], dtype=complex)
+    buf[0] = total
+    np.multiply(np.conj(s).reshape((-1,) + (1,) * (h.ndim - 1)), h, out=buf[1:])
+    return np.add.reduce(buf, axis=0)
+
+
 def _lag_sum(h: np.ndarray, ref, lags) -> np.ndarray:
     """First-row lag products summed over realizations,
     sum_r conj(h_r(ref)) * h_r(ref + lag), of (B, ny, nx) fields over lags
@@ -126,13 +155,7 @@ def _lag_sum(h: np.ndarray, ref, lags) -> np.ndarray:
     """
     (ry, rx), (ky, kx) = ref, lags
     block = h[:, ry : ry + ky + 1, rx : rx + kx + 1]
-    return np.sum(np.conj(h[:, ry, rx])[:, None, None] * block, axis=0).T
-
-
-def _origin_weights(h: np.ndarray) -> np.ndarray:
-    """w_k = sum_r conj(h_r(origin)) H_rk of (B, n) coefficients: every
-    harmonic is 1 at the grid origin, so h_r(origin) = sum_k H_rk."""
-    return np.sum(np.conj(h.sum(axis=-1))[:, None] * h, axis=0)
+    return _fold_rows(0.0, h[:, ry, rx], block).T
 
 
 def _estimate(raw, m, spacings, sides, tilted=True) -> AcfEstimate:
@@ -287,13 +310,25 @@ def _first_row_sums(
     """First-row covariances from the grid origin, one (kx + 1, ky + 1)
     lag window per z-plane, over m realizations: the origin weights are
     accumulated per chunk from the plane coefficients and reduced in chunk
-    order, then the series is evaluated once over the window."""
-    table = shared_table(aperture, factor)  # warm before the workers share it
+    order, then the series is evaluated once over the window. Each chunk
+    draws its coefficients in row blocks of about SUB_BLOCK_BYTES and folds
+    them in realization order, so the chunk sums do not depend on the
+    block size."""
+    table = shared_table(aperture, factor, z_planes)  # warm before the workers share it
+    per_harmonic = 1 if aperture.kind == "linear" else 2  # H, or H+ and H-
+    row_bytes = per_harmonic * len(table.ls) * np.dtype(complex).itemsize
+    rows = max(1, SUB_BLOCK_BYTES // row_bytes)
 
     def run_chunk(start: int) -> list[np.ndarray]:
-        reals = range(start, min(start + batch, m))
-        planes = plane_coefficients(aperture, factor, seed, reals, z_planes)
-        return [_origin_weights(h) for h in planes]
+        # w_k = sum_r conj(h_r(origin)) H_rk: every harmonic is 1 at the
+        # grid origin, so h_r(origin) = sum_k H_rk
+        end = min(start + batch, m)
+        sums = [0.0] * len(z_planes)
+        for a in range(start, end, rows):
+            reals = range(a, min(a + rows, end))
+            planes = plane_coefficients(aperture, factor, seed, reals, z_planes)
+            sums = [_fold_rows(w, h.sum(axis=-1), h) for w, h in zip(sums, planes)]
+        return sums
 
     weights = _chunk_means(run_chunk, m, batch, threads)
     ky, kx = lags
@@ -430,6 +465,34 @@ class KlComparison:
     passed: bool
 
 
+def _kl_first_row(root: np.ndarray, seed: int, m: int, lag_cells: int, threads) -> np.ndarray:
+    """First-row covariance of the dense baseline h = C^{1/2} e from the
+    line's origin over lags 0 .. lag_cells; shape (lag_cells + 1, 1).
+
+    The estimate is ``_lag_sum`` of ``kl_sample``'s m draws divided by m,
+    bit for bit, without holding them: workers draw the noise e in chunks of
+    DEFAULT_BATCH realizations, and this thread multiplies each chunk by
+    the root rows of the lag window (the reference is its first column)
+    and folds the lag products into one running sum in realization order.
+    A one-row chunk would be multiplied as a matrix-vector product, whose
+    last bits differ, so a one-row remainder joins the chunk before it.
+    """
+    rx = root.shape[0] // 2
+    window = root[rx : rx + lag_cells + 1].T
+    bounds = [*range(0, m - 1, DEFAULT_BATCH), m]
+
+    def draw_chunk(span: tuple[int, int]) -> np.ndarray:
+        return complex_standard_normals(seed, range(*span), root.shape[0], STREAM_BASELINE)
+
+    total = np.zeros(lag_cells + 1, dtype=complex)
+    for e in ordered_map(draw_chunk, list(zip(bounds, bounds[1:])), _thread_count(threads)):
+        # one product at a time, on this thread: BLAS runs threads of its
+        # own, which products on every worker would oversubscribe
+        h = e @ window
+        total = _fold_rows(total, h[:, 0], h)
+    return total[:, np.newaxis] / m
+
+
 def compare_kl(m: int = 10_000, seed: int = 0, threads: int | None = None) -> KlComparison:
     """Series generator vs dense correlated-Gaussian baseline on the line
     grid of fig 6.
@@ -444,9 +507,7 @@ def compare_kl(m: int = 10_000, seed: int = 0, threads: int | None = None) -> Kl
     (gen_est,) = _accumulate_first_row(aperture, seed, m, (0.0,), lag_cells, threads)
 
     oracle = AcfClosedForm(cfg["oracle"])
-    cmatrix = correlation_matrix(aperture, oracle)
-    draws = kl_sample(cmatrix, seed, m)
-    raw = _lag_sum(draws[:, None, :], (0, aperture.nx // 2), (0, lag_cells)) / m
+    raw = _kl_first_row(kl_root(correlation_matrix(aperture, oracle)), seed, m, lag_cells, threads)
     kl_est = _estimate(raw, m, (aperture.dx,), (aperture.lx,), tilted=False)
 
     model_vals = gen_est.detilted().real

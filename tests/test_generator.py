@@ -15,6 +15,7 @@ from holofading.generator import (
     lattice_acf_2d,
     lattice_gammas,
     migrate,
+    plane_coefficients,
     series_sum,
     shape_coefficients,
     synthesize,
@@ -213,6 +214,37 @@ class TestMigrate:
             # 3 sigma of the chi-square sample mean
             assert np.all(np.abs(got - want) <= 3.0 * want / math.sqrt(m) + 1e-12)
 
+    def test_phases_evaluated_once_per_plane(self, monkeypatch):
+        # e^{i gamma z} is cached per (sides, z) and read-only; the draw,
+        # which callers reuse across planes, is left as it was
+        import holofading.generator as genmod
+
+        calls = []
+        real = genmod.lattice_gammas
+
+        def counting(table):
+            calls.append(len(table))
+            return real(table)
+
+        monkeypatch.setattr(genmod, "lattice_gammas", counting)
+        t = table_2d(4.0, 4.0)
+        d = draw_coefficients(t, seed=4, realization=range(3))
+        kept = d.h_plus.copy(), d.h_minus.copy()
+        zs = (0.1234, -0.4321)  # planes no other test migrates to: a cold cache
+        first = [migrate(d, z) for z in zs]
+        again = [migrate(d, z) for z in zs]
+        assert calls == [len(t)] * len(zs)
+        for z, a, b in zip(zs, first, again):
+            phase = np.exp(1j * real(t) * z)
+            assert np.array_equal(a, d.h_plus * phase + d.h_minus * np.conj(phase))
+            assert np.array_equal(a, b)
+        assert np.array_equal(d.h_plus, kept[0]) and np.array_equal(d.h_minus, kept[1])
+        up, down = genmod._migration_phases(4.0, 4.0, zs[0])
+        with pytest.raises(ValueError):
+            up[0] = 0.0
+        with pytest.raises(ValueError):
+            down[0] = 0.0
+
     def test_boundary_index_constant_in_z(self):
         t = table_2d(16.0, 16.0)
         d = draw_coefficients(t, seed=5)
@@ -224,6 +256,20 @@ class TestMigrate:
 
 
 class TestSynthesize:
+    @pytest.mark.parametrize("ap, zs", [
+        (Aperture(lx=4, dx=0.5, ly=3, dy=0.25, lz=1, dz=0.5), (0.0, 0.5)),
+        (Aperture(lx=4, dx=0.5), (0.0,)),
+    ], ids=["volumetric", "line"])
+    def test_batch_planes_are_views_of_one_block(self, ap, zs):
+        # generate writes each chunk as the block its planes were
+        # synthesized into, with no stacking copy
+        planes = generate_batch_planes(ap, None, 3, range(3), zs)
+        block = planes.swapaxes(0, 1)
+        assert block.shape == (3, len(zs), ap.ny, ap.nx) and block.flags.c_contiguous
+        for plane, h in zip(planes, plane_coefficients(ap, None, 3, range(3), zs)):
+            assert np.shares_memory(plane, block)
+            assert np.array_equal(plane, synthesize(h, ap))
+
     def test_single_dc_coefficient(self):
         t = table_2d(4.0, 4.0)
         ap = Aperture(lx=4, dx=0.5, ly=4, dy=0.5)

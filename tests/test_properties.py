@@ -3,6 +3,7 @@
 Hypothesis runs derandomized, so every run checks the same examples.
 """
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -16,7 +17,8 @@ from holofading.generator import (
     migrate,
     synthesize,
 )
-from holofading.validation import _accumulate_first_row
+import holofading.validation as valmod
+from holofading.validation import _accumulate_first_row, lambda_half_independence, run_figure
 from holofading.variances import coefficient_indices, table_2d
 from holofading.wavenumber import KAPPA, lattice_gammas, lattice_wavenumbers
 
@@ -133,17 +135,30 @@ def test_batch_equals_per_realization_generate(lx, ly, extra, z_frac, directiona
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(100, 400),
     batch=st.integers(16, 128),
+    sub_block=st.integers(0, 21).map(lambda e: 1 << e),
 )
-def test_first_row_accumulation_thread_invariant(lx, ly, extra, directional, seed, m, batch):
-    # two workers at most: the property is the chunk-ordered reduction
+def test_first_row_accumulation_thread_invariant(lx, ly, extra, directional, seed, m, batch,
+                                                 sub_block):
+    # two workers at most: the property is the chunk-ordered reduction,
+    # each chunk folded in row blocks of any size (down to one row)
     aperture = _aperture(lx, ly, extra)
     factor = _DIRECTIONAL if directional else None
     zs = (0.0,) if ly == 0.0 else (0.0, 0.5 * min(lx, ly))
     lag = min(aperture.nx, aperture.ny if ly else aperture.nx) // 4
-    runs = [
-        _accumulate_first_row(aperture, seed, m, zs, lag, threads=t, batch=batch, factor=factor)
-        for t in (1, 2)
-    ]
-    for one, two in zip(*runs):
-        assert np.array_equal(one.raw, two.raw)
-        assert np.array_equal(one.values, two.values)
+
+    def results(threads):
+        ests = _accumulate_first_row(aperture, seed, m, zs, lag, threads=threads, batch=batch,
+                                     factor=factor)
+        return [
+            *(e.raw for e in ests),
+            *(e.values for e in ests),
+            run_figure(8, m=m, seed=seed, threads=threads).empirical,
+            lambda_half_independence(m=m, seed=seed, lx=8.0, threads=threads, batch=batch)[0],
+        ]
+
+    one = results(1)
+    with mock.patch.object(valmod, "SUB_BLOCK_BYTES", sub_block):
+        two = results(2)
+    for a, b in zip(one, two, strict=True):
+        assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                              np.ascontiguousarray(b).view(np.uint64))

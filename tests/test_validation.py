@@ -2,6 +2,7 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +14,20 @@ from holofading import (
     LagMismatch,
     SpectralFactor,
 )
-from holofading.baseline import AcfClosedForm, CorrelationMatrix, kl_sample
+from holofading.baseline import (
+    AcfClosedForm,
+    CorrelationMatrix,
+    correlation_matrix,
+    kl_root,
+    kl_sample,
+)
 from holofading.cli import write_figure_artifacts
 from holofading.generator import generate_batch_planes, lattice_acf_1d
 import holofading.validation as valmod
 from holofading.validation import (
     AcfEstimate,
     _accumulate_first_row,
+    _kl_first_row,
     _lag_sum,
     _thread_count,
     compare,
@@ -30,6 +38,10 @@ from holofading.validation import (
     run_figure,
 )
 from holofading.variances import table_1d, table_2d
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 def _estimate(values, lags, lx=16.0, m=10_000, tilted=True):
@@ -183,6 +195,25 @@ class TestSelfConsistency:
         _accumulate_first_row(ap, 3, 400, (0.0,), 4, threads=2, batch=100, factor=factor)
         assert calls == [len(table_2d(8.0, 8.0))]
 
+    def test_migration_phases_evaluated_once_per_run(self, monkeypatch):
+        import time
+
+        import holofading.generator as genmod
+
+        calls = []
+        real = genmod.lattice_gammas
+
+        def counting(table):
+            calls.append(len(table))
+            time.sleep(0.05)  # long enough for two workers on a cold cache to both miss it
+            return real(table)
+
+        monkeypatch.setattr(genmod, "lattice_gammas", counting)
+        ap = Aperture(lx=8.0, dx=0.5, ly=8.0, dy=0.5)
+        zs = (0.0625, 0.3125)  # planes no other test migrates to: a cold cache
+        _accumulate_first_row(ap, 3, 400, zs, 4, threads=2, batch=100)
+        assert calls == [len(table_2d(8.0, 8.0))] * len(zs)
+
 
 _DIRECTIONAL = SpectralFactor.from_callables(
     lambda kx, ky: 1.0 + 0.5 * np.cos(np.arctan2(ky, kx) - 0.3),
@@ -331,3 +362,36 @@ class TestCompareKl:
         fig = run_figure(6, m=200, seed=1)
         assert np.array_equal(kl.lags, fig.lags_x)
         assert np.array_equal(kl.model_estimate, fig.empirical)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("m", [100, 513, 1025, 1200])
+    def test_streamed_kl_estimate_is_the_dense_one_bit_for_bit(self, m, threads):
+        # 513 and 1025 leave one realization past whole chunks of 512; a
+        # one-row chunk would go through gemv and change the last bits
+        ap = Aperture(**valmod.FIGURE_CONFIGS[6]["aperture"])
+        c = correlation_matrix(ap, AcfClosedForm("bessel-2d"))
+        want = _lag_sum(kl_sample(c, 3, m)[:, None, :], (0, ap.nx // 2), (0, 64)) / m
+        got = _kl_first_row(kl_root(c), 3, m, 64, threads)
+        assert np.array_equal(_bits(got), _bits(want))
+        est = valmod._estimate(want, m, (ap.dx,), (ap.lx,), tilted=False)
+        assert np.array_equal(_bits(compare_kl(m, 3, threads).kl_estimate), _bits(est.values.real))
+
+
+class TestBoundedMemory:
+    """The Monte Carlo runs hold row blocks, not whole batches: the
+    traced peaks were 84.6 MB (compare-kl) and 70.3 MB (fig 8) when each
+    held its batch at once."""
+
+    @pytest.mark.parametrize("run, limit_mb", [
+        (lambda: compare_kl(m=10_000, threads=2), 25.0),
+        (lambda: run_figure(8, m=2000, threads=2), 30.0),
+    ], ids=["compare-kl", "fig8"])
+    def test_traced_peak(self, run, limit_mb):
+        AcfClosedForm("bessel-2d")(0.0)  # scipy's import is not the run's memory
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mb * 1e6

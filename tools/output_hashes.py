@@ -10,7 +10,8 @@ interpreters, inside a temporary directory that it removes afterwards.
 The outputs are ``generate`` in each aperture kind and format (with a
 tabulated directional factor it writes itself, also over several z-planes
 on two workers), ``validate --fig 6/7/8`` and ``compare-kl`` at M = 1200
-on two workers, the row estimate of ``lambda_half_independence``, and
+on two workers, ``compare-kl`` at M = 513 (one realization past a whole
+chunk of 512), the row estimate of ``lambda_half_independence``, and
 ``variances`` tables of line and rectangular apertures by both methods.
 Standard library only; no options.
 """
@@ -100,10 +101,11 @@ def main() -> None:
                 "--threads", "2", "--out", out)
             outputs += [(f"validate-fig{fig}/{f}", os.path.join(out, f))
                         for f in ("curve.csv", "report.json")]
-        out = os.path.join(tmp, "kl.csv")
-        run("-m", "holofading.cli", "compare-kl", "--realizations", M, "--threads", "2",
-            "--out", out)
-        outputs.append(("compare-kl/kl.csv", out))
+        for m, name in ((M, "compare-kl"), ("513", "compare-kl-513")):
+            out = os.path.join(tmp, f"{name}.csv")
+            run("-m", "holofading.cli", "compare-kl", "--realizations", m, "--threads", "2",
+                "--out", out)
+            outputs.append((f"{name}/kl.csv", out))
         out = os.path.join(tmp, "lambda_half_row.bin")
         run("-c", LAMBDA_HALF, out)
         outputs.append(("lambda_half_independence/row", out))
