@@ -391,11 +391,23 @@ def cmd_compare_kl(args) -> int:
     return 0
 
 
-def fit_exponent(sizes, times) -> float:
-    """Least-squares slope of log(time) against log(size)."""
+def _log_fit(sizes, times):
+    """log(size), log(time) and the least-squares line through them."""
     x = np.log(np.asarray(sizes, dtype=float))
     y = np.log(np.asarray(times, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])
+    return x, y, np.polyfit(x, y, 1)
+
+
+def fit_exponent(sizes, times) -> float:
+    """Least-squares slope of log(time) against log(size)."""
+    return float(_log_fit(sizes, times)[2][0])
+
+
+def fit_residual(sizes, times) -> float:
+    """RMS residual of ``fit_exponent``'s line, in natural-log units of
+    time: how far the timings sit from a power law."""
+    x, y, line = _log_fit(sizes, times)
+    return float(np.sqrt(np.mean(np.square(y - np.polyval(line, x)))))
 
 
 def _best_time(fn, repeats=3, min_seconds=0.0) -> float:
@@ -485,10 +497,14 @@ def cmd_bench(args) -> int:
 
     gen_exp = fit_exponent(gen_points, gen_times)
     kl_exp = fit_exponent(kl_sizes, kl_times)
+    gen_res = fit_residual(gen_points, gen_times)
+    kl_res = fit_residual(kl_sizes, kl_times)
     gen_ok = 0.9 <= gen_exp <= 1.3
     kl_ok = kl_exp > 1.8
-    print(f"series synthesis exponent (time vs points): {gen_exp:.3f} (want [0.9, 1.3])")
-    print(f"dense baseline exponent  (time vs points): {kl_exp:.3f} (want > 1.8)")
+    print(f"series synthesis exponent (time vs points): {gen_exp:.3f} "
+          f"(rms log residual {gen_res:.3f}; want [0.9, 1.3])")
+    print(f"dense baseline exponent  (time vs points): {kl_exp:.3f} "
+          f"(rms log residual {kl_res:.3f}; want > 1.8)")
 
     if args.out:
         with open(args.out, "w") as fh:
@@ -497,6 +513,8 @@ def cmd_bench(args) -> int:
                     "rows": [{"kind": k, "points": p, "seconds": t} for k, p, t in rows],
                     "series_exponent": gen_exp,
                     "baseline_exponent": kl_exp,
+                    "series_residual": gen_res,
+                    "baseline_residual": kl_res,
                     "pass": gen_ok and kl_ok,
                 },
                 fh, indent=2, sort_keys=True,

@@ -17,6 +17,17 @@ n = -Nx/2 .. Nx/2 - 1 by a half-grid cyclic shift (``synthesize``).
 same series by direct summation: the exact ACFs, the FFT oracle and the
 validation lag windows.
 
+``coefficient_blocks`` is the one row-block stream of coefficients. It
+walks a sequence of realizations in row blocks of about SUB_BLOCK_BYTES of
+coefficient draws and yields each block's realizations with their
+``plane_coefficients``: drawn, scaled, shaped in place and migrated.
+``generate_batch_planes`` synthesizes each block straight into its rows
+of the output block, and the validation runs fold each block into their
+sums, so neither holds more than one block of coefficients. Draws come
+from counter-based streams, every later stage is elementwise per
+realization, and each realization's IFFT is its own; so the block size
+changes no output bit.
+
 The aperture's sides fix the harmonics and their variances, so the
 pipeline functions take the aperture alone and read its table from
 ``default_table``; only the table-level stages (draws, shaping, migration,
@@ -32,9 +43,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +63,10 @@ from .wavenumber import KAPPA, lattice_gammas, lattice_wavenumbers
 LINEAR = "linear"
 PLANAR = "planar"
 VOLUMETRIC = "volumetric"
+
+# coefficient draws held at once: ``coefficient_blocks`` draws its
+# realizations in row blocks of about this many bytes (at least one row)
+SUB_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -235,13 +250,22 @@ def _migration_phases(lx: float, ly: float, z: float) -> tuple[np.ndarray, np.nd
     return phases
 
 
-def shape_coefficients(draw: CoefficientDraw, factor: SpectralFactor) -> CoefficientDraw:
-    """Multiply each coefficient pair by the factor's shaping gains at its
-    harmonic's wavenumber point. Isotropic factors are the identity."""
-    if factor.is_isotropic:
-        return draw
-    gp, gm = _plane_gains(factor, draw.table.lx, draw.table.ly)
-    return replace(draw, h_plus=draw.h_plus * gp, h_minus=draw.h_minus * gm)
+def _directional(factor: SpectralFactor | None) -> bool:
+    """Whether the factor shapes anything: None means isotropic, and no
+    factor is built for it."""
+    return factor is not None and not factor.is_isotropic
+
+
+def shape_coefficients(draw: CoefficientDraw, factor: SpectralFactor | None) -> CoefficientDraw:
+    """Multiply each coefficient pair, in place, by the factor's shaping
+    gains at its harmonic's wavenumber point, and return the draw: the
+    pipeline owns its draw, so shaping allocates no copy. Isotropic
+    factors (and None) are the identity."""
+    if _directional(factor):
+        gp, gm = _plane_gains(factor, draw.table.lx, draw.table.ly)
+        np.multiply(draw.h_plus, gp, out=draw.h_plus)
+        np.multiply(draw.h_minus, gm, out=draw.h_minus)
+    return draw
 
 
 def _check_planes(lx: float, ly: float, zs: Sequence[float]) -> None:
@@ -312,8 +336,8 @@ def draw_line_coefficients(
     shaped by a spectral factor's line gain; (n,) for one realization,
     (B, n) for a sequence of them."""
     h = _scaled_normals(seed, realization, np.sqrt(2.0 * table.sigma_sq), 1)[..., 0, :]
-    if factor is not None and not factor.is_isotropic:
-        h = h * _line_gains(factor, table.lx)
+    if _directional(factor):
+        h *= _line_gains(factor, table.lx)
     return h
 
 
@@ -340,7 +364,7 @@ def shared_table(aperture: Aperture, factor: SpectralFactor | None, z_planes: Se
     that thread's malloc arena, where it kept about 3 MB more of a
     256 x 256 ``generate`` resident."""
     table = default_table(aperture)
-    if factor is not None and not factor.is_isotropic:
+    if _directional(factor):
         if aperture.kind == LINEAR:
             _line_gains(factor, table.lx)
         else:
@@ -388,19 +412,36 @@ def plane_coefficients(
     """The coefficient stages of the pipeline over a batch of realizations:
     draw, shape, migrate to each z-plane. Returns one (B, n) array of
     per-harmonic coefficients per plane, in the table's harmonic order.
-    A line aperture only supports z = 0.
+    ``factor`` None is isotropic. A line aperture only supports z = 0.
     """
-    if factor is None:
-        factor = default_factor(aperture)
     _check_planes(aperture.lx, aperture.ly, z_planes)
     table = default_table(aperture)
     if aperture.kind == LINEAR:
         h = draw_line_coefficients(table, seed, realizations, factor)
         return [h for _ in z_planes]
-    # the unshaped draw is not kept: at full batch size each copy of the
-    # coefficient pairs is as large as a synthesized plane
     draw = shape_coefficients(draw_coefficients(table, seed, realizations), factor)
     return [migrate(draw, z) for z in z_planes]
+
+
+def coefficient_blocks(
+    aperture: Aperture,
+    factor: SpectralFactor | None,
+    seed: int,
+    realizations: Sequence[int],
+    z_planes: Sequence[float],
+) -> Iterator[tuple[Sequence[int], list[np.ndarray]]]:
+    """The row-block stream of coefficients: walks ``realizations`` in
+    order, in row blocks of as many realizations as fit SUB_BLOCK_BYTES of
+    coefficient draws (at least one), and yields each block's slice of
+    ``realizations`` with its ``plane_coefficients``. Each block is
+    bit-identical to the same rows of one call over all realizations.
+    """
+    per_harmonic = 1 if aperture.kind == LINEAR else 2  # H, or H+ and H-
+    row_bytes = per_harmonic * len(default_table(aperture).ls) * np.dtype(complex).itemsize
+    rows = max(1, SUB_BLOCK_BYTES // row_bytes)
+    for a in range(0, len(realizations), rows):
+        reals = realizations[a : a + rows]
+        yield reals, plane_coefficients(aperture, factor, seed, reals, z_planes)
 
 
 def generate_batch_planes(
@@ -410,19 +451,22 @@ def generate_batch_planes(
     realizations: Sequence[int],
     z_planes: Sequence[float],
 ) -> np.ndarray:
-    """The synthesis pipeline over a batch of realizations: the
-    ``plane_coefficients`` of each z-plane, synthesized on the grid.
-    Returns the planes as one (len(z_planes), B, ny, nx) array, a
-    plane-major view of the realization-major (B, len(z_planes), ny, nx)
-    block that each plane is synthesized into; ``.swapaxes(0, 1)`` gives
-    that block back without a copy. Every realization is bit-identical
-    to its single ``generate``. A line aperture only supports z = 0.
+    """The synthesis pipeline over a batch of realizations: each row
+    block of ``coefficient_blocks``, synthesized plane by plane into its
+    rows of one output block, so only one row block of coefficients is
+    held at a time. Returns the planes as one (len(z_planes), B, ny, nx)
+    array, a plane-major view of the realization-major
+    (B, len(z_planes), ny, nx) block; ``.swapaxes(0, 1)`` gives that
+    block back without a copy. Every realization is bit-identical to its
+    single ``generate``. A line aperture only supports z = 0.
     """
-    planes = plane_coefficients(aperture, factor, seed, realizations, z_planes)
-    # allocated after the coefficient stage: its temporaries are the peak
     block = np.empty((len(realizations), len(z_planes), aperture.ny, aperture.nx), dtype=complex)
-    for i, h in enumerate(planes):
-        synthesize(h, aperture, block[:, i])
+    start = 0
+    for reals, planes in coefficient_blocks(aperture, factor, seed, realizations, z_planes):
+        rows = block[start : start + len(reals)]
+        for i, h in enumerate(planes):
+            synthesize(h, aperture, rows[:, i])
+        start += len(reals)
     return block.swapaxes(0, 1)
 
 

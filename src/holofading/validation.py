@@ -14,7 +14,7 @@ h_r(origin) = sum_k H_rk and the estimator is linear in the coefficients:
     w_k = sum_r conj(sum_k' H_rk') H_rk,
 
 the exact series autocorrelation with 2*sigma2_k replaced by its Monte Carlo
-estimate w_k / M. Each chunk accumulates w from ``plane_coefficients``; after
+estimate w_k / M. Each chunk accumulates w from ``coefficient_blocks``; after
 the reduction, ``generator.series_sum`` evaluates the series once over the
 lag window, at integer grid lags reduced mod (Nx, Ny). The runs take an
 aperture and read its variance table from ``generator.shared_table``
@@ -23,10 +23,11 @@ Results are returned, not written: the CLI writes the artifacts.
 ``empirical_acf`` applies the estimator to given fields.
 
 Memory is bounded by row blocks, not by M. A worker holds one chunk of
-DEFAULT_BATCH realizations, and draws it in row blocks of about
-SUB_BLOCK_BYTES of coefficients; compare-kl's dense baseline is drawn in
-chunks and multiplied only by the root rows its lag window reads. Every
-sum over realizations goes through ``_fold_rows``, which adds the rows of
+DEFAULT_BATCH realizations, and folds it as ``generator.coefficient_blocks``
+draws it, in row blocks of about ``generator.SUB_BLOCK_BYTES`` of
+coefficients; compare-kl's dense baseline is drawn in chunks and
+multiplied only by the root rows its lag window reads. Every sum over
+realizations goes through ``_fold_rows``, which adds the rows of
 a block to a running total one at a time, in realization order: the
 order one ``np.sum`` over the whole batch uses. So the results are
 bit-identical for any block size and worker count, and to the estimate
@@ -61,14 +62,17 @@ import numpy as np
 
 from .baseline import AcfClosedForm, correlation_matrix, kl_root
 from .errors import ConfigError, InsufficientRealizations, LagMismatch
-from .generator import Aperture, FieldRealization, plane_coefficients, series_sum, shared_table
+from .generator import (
+    Aperture,
+    FieldRealization,
+    coefficient_blocks,
+    series_sum,
+    shared_table,
+)
 from .rng import STREAM_BASELINE, complex_standard_normals
 
 MIN_REALIZATIONS = 100
 DEFAULT_BATCH = 512
-# coefficient draws a worker holds at once: each chunk of DEFAULT_BATCH
-# realizations is drawn and folded in row blocks of about this many bytes
-SUB_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -311,22 +315,16 @@ def _first_row_sums(
     lag window per z-plane, over m realizations: the origin weights are
     accumulated per chunk from the plane coefficients and reduced in chunk
     order, then the series is evaluated once over the window. Each chunk
-    draws its coefficients in row blocks of about SUB_BLOCK_BYTES and folds
-    them in realization order, so the chunk sums do not depend on the
-    block size."""
+    folds the row blocks of ``coefficient_blocks`` in realization order,
+    so the chunk sums do not depend on the block size."""
     table = shared_table(aperture, factor, z_planes)  # warm before the workers share it
-    per_harmonic = 1 if aperture.kind == "linear" else 2  # H, or H+ and H-
-    row_bytes = per_harmonic * len(table.ls) * np.dtype(complex).itemsize
-    rows = max(1, SUB_BLOCK_BYTES // row_bytes)
 
     def run_chunk(start: int) -> list[np.ndarray]:
         # w_k = sum_r conj(h_r(origin)) H_rk: every harmonic is 1 at the
         # grid origin, so h_r(origin) = sum_k H_rk
-        end = min(start + batch, m)
+        reals = range(start, min(start + batch, m))
         sums = [0.0] * len(z_planes)
-        for a in range(start, end, rows):
-            reals = range(a, min(a + rows, end))
-            planes = plane_coefficients(aperture, factor, seed, reals, z_planes)
+        for _, planes in coefficient_blocks(aperture, factor, seed, reals, z_planes):
             sums = [_fold_rows(w, h.sum(axis=-1), h) for w, h in zip(sums, planes)]
         return sums
 

@@ -302,6 +302,15 @@ class TestBench:
         times = [1e-6 * n * n for n in sizes]
         assert fit_exponent(sizes, times) == pytest.approx(2.0, abs=1e-12)
 
+    def test_residual_of_a_power_law(self):
+        from holofading.cli import fit_residual
+
+        sizes = [64, 128, 256, 512]
+        assert fit_residual(sizes, [3e-7 * n**1.5 for n in sizes]) < 1e-12
+        # off the line by a factor e^(+-0.1) at alternate sizes
+        times = [1e-6 * n * math.exp(0.1 * (-1) ** i) for i, n in enumerate(sizes)]
+        assert 0.05 < fit_residual(sizes, times) < 0.1
+
     def test_kl_size_cap(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--kl-sizes", "8192")
         assert code == 2
@@ -368,7 +377,7 @@ def test_bad_input_exits_2_with_json(case, argv, tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(valmod, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(climod, "generate_batch_planes", no_generation)
-    monkeypatch.setattr(valmod, "plane_coefficients", no_generation)
+    monkeypatch.setattr(valmod, "coefficient_blocks", no_generation)
     (tmp_path / "file").write_text("")
     code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2

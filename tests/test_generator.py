@@ -131,8 +131,14 @@ class TestShapeCoefficients:
     def test_isotropic_identity(self):
         t = table_2d(4.0, 4.0)
         d = draw_coefficients(t, seed=1)
-        s = shape_coefficients(d, SpectralFactor.isotropic_3d())
+        s = shape_coefficients(draw_coefficients(t, seed=1), SpectralFactor.isotropic_3d())
         assert np.array_equal(s.h_plus, d.h_plus)
+
+    def test_shapes_in_place(self):
+        # the pipeline owns its draw: shaping writes into it, no copy
+        d = draw_coefficients(table_2d(4.0, 4.0), seed=1)
+        s = shape_coefficients(d, self._lobed())
+        assert s.h_plus is d.h_plus and s.h_minus is d.h_minus
 
     def test_half_disk_blackout(self):
         t = table_2d(4.0, 4.0)
@@ -140,7 +146,7 @@ class TestShapeCoefficients:
         f = SpectralFactor.from_callables(
             lambda kx, ky: np.where(kx < 0, 0.0, 1.0)
         )
-        s = shape_coefficients(d, f)
+        s = shape_coefficients(draw_coefficients(t, seed=1), f)
         assert np.all(s.h_plus[t.ls < 0] == 0.0)
         scale = math.sqrt(KAPPA) / (2 * math.pi)
         assert np.all(s.h_plus[t.ls >= 0] == d.h_plus[t.ls >= 0] * scale)
@@ -151,7 +157,7 @@ class TestShapeCoefficients:
         g = 2.0
         a = g * 2.0 * math.pi / math.sqrt(KAPPA)
         f = SpectralFactor.from_callables(lambda kx, ky: np.full(np.shape(kx), a))
-        s = shape_coefficients(d, f)
+        s = shape_coefficients(draw_coefficients(t, seed=3), f)
         assert np.allclose(np.abs(s.h_plus) ** 2, g * g * np.abs(d.h_plus) ** 2, rtol=1e-12)
 
     @staticmethod
@@ -176,8 +182,8 @@ class TestShapeCoefficients:
         gains = []
         for method in ("closed-form", "quadrature"):
             t = table_2d(4.0, 4.0, method=method)
-            ones = np.ones(len(t), dtype=complex)
-            s = shape_coefficients(CoefficientDraw(t, ones, ones), f)
+            ones = np.ones((2, len(t)), dtype=complex)
+            s = shape_coefficients(CoefficientDraw(t, *ones), f)
             # the cached gains equal a direct evaluation at this table's harmonics
             gp, gm = shaping_gains(f, *lattice_wavenumbers(t), KAPPA)
             assert np.array_equal(s.h_plus, gp) and np.array_equal(s.h_minus, gm)

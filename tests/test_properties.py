@@ -17,7 +17,7 @@ from holofading.generator import (
     migrate,
     synthesize,
 )
-import holofading.validation as valmod
+import holofading.generator as genmod
 from holofading.validation import _accumulate_first_row, lambda_half_independence, run_figure
 from holofading.variances import coefficient_indices, table_2d
 from holofading.wavenumber import KAPPA, lattice_gammas, lattice_wavenumbers
@@ -140,7 +140,8 @@ def test_batch_equals_per_realization_generate(lx, ly, extra, z_frac, directiona
 def test_first_row_accumulation_thread_invariant(lx, ly, extra, directional, seed, m, batch,
                                                  sub_block):
     # two workers at most: the property is the chunk-ordered reduction,
-    # each chunk folded in row blocks of any size (down to one row)
+    # each chunk folded in row blocks of any size (down to one row); the
+    # generated fields share the same row-block stream
     aperture = _aperture(lx, ly, extra)
     factor = _DIRECTIONAL if directional else None
     zs = (0.0,) if ly == 0.0 else (0.0, 0.5 * min(lx, ly))
@@ -154,10 +155,11 @@ def test_first_row_accumulation_thread_invariant(lx, ly, extra, directional, see
             *(e.values for e in ests),
             run_figure(8, m=m, seed=seed, threads=threads).empirical,
             lambda_half_independence(m=m, seed=seed, lx=8.0, threads=threads, batch=batch)[0],
+            generate_batch_planes(aperture, factor, seed, range(m // 10), zs),
         ]
 
     one = results(1)
-    with mock.patch.object(valmod, "SUB_BLOCK_BYTES", sub_block):
+    with mock.patch.object(genmod, "SUB_BLOCK_BYTES", sub_block):
         two = results(2)
     for a, b in zip(one, two, strict=True):
         assert np.array_equal(np.ascontiguousarray(a).view(np.uint64),

@@ -22,7 +22,7 @@ from holofading.baseline import (
     kl_sample,
 )
 from holofading.cli import write_figure_artifacts
-from holofading.generator import generate_batch_planes, lattice_acf_1d
+from holofading.generator import generate_batch_planes, lattice_acf_1d, shared_table
 import holofading.validation as valmod
 from holofading.validation import (
     AcfEstimate,
@@ -214,6 +214,20 @@ class TestSelfConsistency:
         _accumulate_first_row(ap, 3, 400, zs, 4, threads=2, batch=100)
         assert calls == [len(table_2d(8.0, 8.0))] * len(zs)
 
+    def test_isotropic_run_builds_no_factor(self, monkeypatch):
+        # None is isotropic: no SpectralFactor (and its probe of the disk)
+        # per row block
+        made = []
+        init = SpectralFactor.__init__
+
+        def spy(self, kind, *args):
+            made.append(kind)
+            init(self, kind, *args)
+
+        monkeypatch.setattr(SpectralFactor, "__init__", spy)
+        run_figure(8, m=2000, threads=2)
+        assert made == []
+
 
 _DIRECTIONAL = SpectralFactor.from_callables(
     lambda kx, ky: 1.0 + 0.5 * np.cos(np.arctan2(ky, kx) - 0.3),
@@ -395,3 +409,17 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert peak < limit_mb * 1e6
+
+    def test_generate_traced_peak(self):
+        # a chunk of 4 realizations of the 256 x 256 grid (a 4.19 MB output
+        # block) holds one realization's coefficients at a time; 13.4 MB
+        # when the whole chunk was drawn, shaped and migrated at once
+        ap = Aperture(lx=128.0, dx=0.5, ly=128.0, dy=0.5)
+        shared_table(ap, _DIRECTIONAL, (0.0,))  # the cached table is not the chunk's memory
+        tracemalloc.start()
+        try:
+            generate_batch_planes(ap, _DIRECTIONAL, 5, range(4), (0.0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6

@@ -9,10 +9,12 @@ It runs the package under ``src/`` next to this script in fresh
 interpreters, inside a temporary directory that it removes afterwards.
 The outputs are ``generate`` in each aperture kind and format (with a
 tabulated directional factor it writes itself, also over several z-planes
-on two workers), ``validate --fig 6/7/8`` and ``compare-kl`` at M = 1200
-on two workers, ``compare-kl`` at M = 513 (one realization past a whole
-chunk of 512), the row estimate of ``lambda_half_independence``, and
-``variances`` tables of line and rectangular apertures by both methods.
+on two workers, and on a 64 x 64 aperture whose chunks of 16 and 5
+realizations each span several coefficient row blocks), ``validate --fig
+6/7/8`` and ``compare-kl`` at M = 1200 on two workers, ``compare-kl`` at
+M = 513 (one realization past a whole chunk of 512), the row estimate of
+``lambda_half_independence``, and ``variances`` tables of line and
+rectangular apertures by both methods.
 Standard library only; no options.
 """
 from __future__ import annotations
@@ -38,6 +40,9 @@ GENERATE = {
                                         "--threads", "2"), True),
     "generate-line-factor.bin": (("--aperture", "16", "--spacing", "0.0625",
                                   "--realizations", "40", "--seed", "7", "--threads", "2"), True),
+    "generate-planar-factor-rowblocks.bin": (("--aperture", "64,64", "--spacing", "0.5",
+                                              "--realizations", "21", "--seed", "13",
+                                              "--threads", "2"), True),
     "generate-planar.csv": (("--aperture", "4,4", "--spacing", "0.5", "--realizations", "3",
                              "--seed", "11", "--format", "csv"), False),
 }
