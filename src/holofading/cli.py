@@ -32,17 +32,13 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, HoloFadingError
-from .generator import Aperture, default_table, generate_batch_planes, shared_table
+from .generator import Aperture, block_rows, default_table, generate_batch_planes, shared_table
 from .spectrum import SpectralFactor
 from .validation import _thread_count, check_realizations, compare_kl, ordered_map, run_figure
 from .variances import table_1d, table_2d
 
 BIN_MAGIC = b"HOLO"
 BIN_VERSION = 1
-# each of generate's T workers synthesizes max(1, CHUNK_BYTES // T // bytes
-# per realization) realizations at a time, so its memory does not grow with
-# --realizations or with the worker count
-CHUNK_BYTES = 8 << 20
 
 
 def _parse_lengths(text: str, name: str, max_parts: int = 3) -> list[float]:
@@ -265,12 +261,15 @@ def write_figure_artifacts(report, out_dir: str) -> None:
 
 def _field_batches(aperture, factor, seed, m, threads):
     """(B, nz, ny, nx) blocks of realizations 0 .. m - 1, in order,
-    synthesized on ``threads`` workers that split CHUNK_BYTES between them.
-    Each is the block that ``generate_batch_planes`` synthesizes into, so
-    the chunk is never copied."""
+    synthesized on ``threads`` workers. Each task is ``block_rows``
+    realizations of output, as many as fit ``generator.SUB_BLOCK_BYTES``
+    (at least one; one on a 256 x 256 grid) whatever the worker count, so
+    the writer and T workers hold about T + 1 such blocks. Each is the
+    block that ``generate_batch_planes`` synthesizes into, so it is never
+    copied."""
     z_planes = aperture.z_planes()
     per_realization = aperture.nx * aperture.ny * aperture.nz * np.dtype(complex).itemsize
-    batch = max(1, CHUNK_BYTES // (threads * per_realization))
+    batch = block_rows(per_realization)
     shared_table(aperture, factor, z_planes)  # warm the caches before the workers share them
 
     def run_chunk(start):

@@ -19,7 +19,8 @@ validation lag windows.
 
 ``coefficient_blocks`` is the one row-block stream of coefficients. It
 walks a sequence of realizations in row blocks of about SUB_BLOCK_BYTES of
-coefficient draws and yields each block's realizations with their
+coefficient draws (``block_rows``, which sizes the CLI's ``generate``
+tasks by the same budget) and yields each block's realizations with their
 ``plane_coefficients``: drawn, scaled, shaped in place and migrated.
 ``generate_batch_planes`` synthesizes each block straight into its rows
 of the output block, and the validation runs fold each block into their
@@ -64,9 +65,17 @@ LINEAR = "linear"
 PLANAR = "planar"
 VOLUMETRIC = "volumetric"
 
-# coefficient draws held at once: ``coefficient_blocks`` draws its
-# realizations in row blocks of about this many bytes (at least one row)
+# the pipeline's one byte budget (``block_rows``): ``coefficient_blocks``
+# draws its realizations in row blocks of about this many bytes of
+# coefficients, and the CLI's ``generate`` synthesizes its pooled tasks in
+# blocks of about this many bytes of output (each at least one realization)
 SUB_BLOCK_BYTES = 1 << 20
+
+
+def block_rows(row_bytes: int) -> int:
+    """How many rows of ``row_bytes`` bytes each fit SUB_BLOCK_BYTES; at
+    least one, so a budget below one row still makes progress."""
+    return max(1, SUB_BLOCK_BYTES // row_bytes)
 
 
 @dataclass(frozen=True)
@@ -431,14 +440,15 @@ def coefficient_blocks(
     z_planes: Sequence[float],
 ) -> Iterator[tuple[Sequence[int], list[np.ndarray]]]:
     """The row-block stream of coefficients: walks ``realizations`` in
-    order, in row blocks of as many realizations as fit SUB_BLOCK_BYTES of
-    coefficient draws (at least one), and yields each block's slice of
-    ``realizations`` with its ``plane_coefficients``. Each block is
-    bit-identical to the same rows of one call over all realizations.
+    order, in row blocks of ``block_rows`` realizations, as many as fit
+    SUB_BLOCK_BYTES of coefficient draws (at least one; one on a 256 x 256
+    grid), and yields each block's slice of ``realizations`` with its
+    ``plane_coefficients``. Each block is bit-identical to the same rows
+    of one call over all realizations.
     """
     per_harmonic = 1 if aperture.kind == LINEAR else 2  # H, or H+ and H-
     row_bytes = per_harmonic * len(default_table(aperture).ls) * np.dtype(complex).itemsize
-    rows = max(1, SUB_BLOCK_BYTES // row_bytes)
+    rows = block_rows(row_bytes)
     for a in range(0, len(realizations), rows):
         reals = realizations[a : a + rows]
         yield reals, plane_coefficients(aperture, factor, seed, reals, z_planes)
@@ -454,11 +464,14 @@ def generate_batch_planes(
     """The synthesis pipeline over a batch of realizations: each row
     block of ``coefficient_blocks``, synthesized plane by plane into its
     rows of one output block, so only one row block of coefficients is
-    held at a time. Returns the planes as one (len(z_planes), B, ny, nx)
-    array, a plane-major view of the realization-major
-    (B, len(z_planes), ny, nx) block; ``.swapaxes(0, 1)`` gives that
-    block back without a copy. Every realization is bit-identical to its
-    single ``generate``. A line aperture only supports z = 0.
+    held at a time beside the output. The output block holds the whole
+    batch; the CLI's ``generate`` keeps it near SUB_BLOCK_BYTES by passing
+    batches of ``block_rows`` realizations of output. Returns the planes as one
+    (len(z_planes), B, ny, nx) array, a plane-major view of the
+    realization-major (B, len(z_planes), ny, nx) block; ``.swapaxes(0, 1)``
+    gives that block back without a copy. Every realization is
+    bit-identical to its single ``generate``. A line aperture only
+    supports z = 0.
     """
     block = np.empty((len(realizations), len(z_planes), aperture.ny, aperture.nx), dtype=complex)
     start = 0

@@ -446,18 +446,19 @@ class TestGenerateChunks:
     def test_output_independent_of_chunk_budget(
         self, argv, points, per_chunk, tmp_path, capsys, monkeypatch, batch_sizes
     ):
-        import holofading.cli as climod
+        import holofading.generator as genmod
 
         _write_lobed_factor(tmp_path / "factor.csv")
         argv = [a.format(factor=tmp_path / "factor.csv") for a in argv]
         m = int(argv[argv.index("--realizations") + 1])
         whole, chunked = tmp_path / "whole", tmp_path / "chunked"
-        argv += ["--seed", "4", "--threads", "1"]  # one worker gets the whole budget
+        argv += ["--seed", "4", "--threads", "1"]
         assert run_cli(capsys, "generate", *argv, "--out", str(whole))[0] == 0
         assert batch_sizes == [m]  # the default budget holds every realization
         batch_sizes.clear()
-        # a budget just short of per_chunk + 1 realizations
-        monkeypatch.setattr(climod, "CHUNK_BYTES", (per_chunk + 1) * points * 16 - 1)
+        # a budget just short of per_chunk + 1 realizations (it also cuts
+        # the coefficient row blocks)
+        monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", (per_chunk + 1) * points * 16 - 1)
         assert run_cli(capsys, "generate", *argv, "--out", str(chunked))[0] == 0
         assert batch_sizes == [per_chunk] * (m // per_chunk) + [m % per_chunk] * (m % per_chunk > 0)
         assert chunked.read_bytes() == whole.read_bytes()
@@ -466,13 +467,13 @@ class TestGenerateChunks:
     def test_output_independent_of_worker_count(
         self, argv, points, tmp_path, capsys, monkeypatch, batch_sizes
     ):
-        import holofading.cli as climod
+        import holofading.generator as genmod
 
         _write_lobed_factor(tmp_path / "factor.csv")
         argv = [a.format(factor=tmp_path / "factor.csv") for a in argv] + ["--seed", "5"]
         m = int(argv[argv.index("--realizations") + 1])
-        # two realizations in all: one per chunk for each of two workers
-        monkeypatch.setattr(climod, "CHUNK_BYTES", 2 * points * 16)
+        # one realization per task, on one worker as on two
+        monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", points * 16)
         outputs = []
         for threads in ("1", "2"):
             outputs.append(tmp_path / f"threads{threads}")
@@ -480,25 +481,51 @@ class TestGenerateChunks:
                 capsys, "generate", *argv, "--threads", threads, "--out", str(outputs[-1])
             )
             assert code == 0
-        assert batch_sizes[-m:] == [1] * m and m >= 4  # the two-worker run's chunks
+        assert batch_sizes == [1] * (2 * m) and m >= 4  # the task size ignores the worker count
         assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
     def test_budget_below_one_realization_still_progresses(
         self, tmp_path, capsys, monkeypatch, batch_sizes
     ):
-        import holofading.cli as climod
+        import holofading.generator as genmod
 
-        monkeypatch.setattr(climod, "CHUNK_BYTES", 1)
+        monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", 1)
         out = tmp_path / "f.bin"
         argv = ("generate", "--aperture", "4,4", "--spacing", "0.5", "--realizations", "3")
         assert run_cli(capsys, *argv, "--out", str(out))[0] == 0
         assert batch_sizes == [1, 1, 1]
         assert len(out.read_bytes()) == 24 + 3 * 8 * 8 * 16
 
+    def test_traced_peak_of_command(self, tmp_path, capsys):
+        # 256 x 256 grid: each task is one 1 MiB realization, so the writer
+        # and two workers hold about 3 MiB of output; 11.8 MB in all, and
+        # 18.2 MB when each worker's task was 4 realizations (half of an
+        # 8 MiB chunk budget)
+        import tracemalloc
+
+        from holofading.generator import shared_table
+
+        _write_lobed_factor(tmp_path / "factor.csv")
+        # the cached variance table and migration phases are not the
+        # command's memory (the factor's gains are: each command loads it)
+        shared_table(Aperture(lx=128.0, dx=0.5, ly=128.0, dy=0.5), None, (0.0,))
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(
+                capsys, "generate", "--aperture", "128,128", "--spacing", "0.5",
+                "--realizations", "8", "--factor", str(tmp_path / "factor.csv"),
+                "--threads", "2", "--out", str(tmp_path / "f.bin"),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert (tmp_path / "f.bin").stat().st_size == 24 + 8 * 256 * 256 * 16
+        assert peak < 13e6
+
     def test_shaping_gains_evaluated_once_per_command(self, tmp_path, capsys, monkeypatch):
         import time
 
-        import holofading.cli as climod
         import holofading.generator as genmod
 
         calls = []
@@ -510,7 +537,7 @@ class TestGenerateChunks:
             return real(*args)
 
         monkeypatch.setattr(genmod, "shaping_gains", counting)
-        monkeypatch.setattr(climod, "CHUNK_BYTES", 2 * 16 * 16 * 16)
+        monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", 16 * 16 * 16)  # one realization a task
         _write_lobed_factor(tmp_path / "factor.csv")
         n = len(table_2d(8.0, 8.0))
         # each command loads its own factor, so each starts on a cold cache
@@ -528,7 +555,6 @@ class TestGenerateChunks:
     ):
         import time
 
-        import holofading.cli as climod
         import holofading.generator as genmod
         from holofading.spectrum import SpectralFactor, line_shaping_gain
         from holofading.wavenumber import KAPPA, lattice_wavenumbers
@@ -541,7 +567,7 @@ class TestGenerateChunks:
             return line_shaping_gain(*args)
 
         monkeypatch.setattr(genmod, "line_shaping_gain", counting)
-        monkeypatch.setattr(climod, "CHUNK_BYTES", 2 * 4 * 256 * 16)  # 4 realizations a worker
+        monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", 4 * 256 * 16)  # 4 realizations a task
         _write_lobed_factor(tmp_path / "factor.csv")
         out = tmp_path / "f.bin"
         code, _, _ = run_cli(

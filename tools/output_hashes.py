@@ -6,11 +6,14 @@ and compare the two listings:
     python3 tools/output_hashes.py
 
 It runs the package under ``src/`` next to this script in fresh
-interpreters, inside a temporary directory that it removes afterwards.
+interpreters, inside a temporary directory that it removes afterwards,
+with one BLAS thread (``BLAS_THREADS``): the eigendecomposition behind
+compare-kl's baseline changes in its last bits with the BLAS thread
+count, so without the pin the compare-kl lines would depend on the host.
 The outputs are ``generate`` in each aperture kind and format (with a
 tabulated directional factor it writes itself, also over several z-planes
-on two workers, and on a 64 x 64 aperture whose chunks of 16 and 5
-realizations each span several coefficient row blocks), ``validate --fig
+on two workers, and on a 64 x 64 aperture whose tasks of 4 realizations
+each span two coefficient row blocks), ``validate --fig
 6/7/8`` and ``compare-kl`` at M = 1200 on two workers, ``compare-kl`` at
 M = 513 (one realization past a whole chunk of 512), the row estimate of
 ``lambda_half_independence``, and ``variances`` tables of line and
@@ -28,6 +31,8 @@ import tempfile
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 M = "1200"
+BLAS_THREADS = {name: "1" for name in
+                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 # name -> (generate argv after --out, whether it takes the factor CSV)
 GENERATE = {
@@ -78,7 +83,7 @@ def write_factor(path: str) -> None:
 
 def run(*argv: str) -> int:
     """Run ``python argv`` against the package in SRC; exit code 0 or 1."""
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = dict(os.environ, PYTHONPATH=SRC, **BLAS_THREADS)
     proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
         sys.exit(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
