@@ -62,8 +62,6 @@ class CorrelationMatrix:
     """Dense correlation matrix over grid-point pairs."""
 
     values: np.ndarray
-    points: np.ndarray
-    is_toeplitz: bool
 
 
 def correlation_matrix(grid, acf: AcfClosedForm) -> CorrelationMatrix:
@@ -93,10 +91,10 @@ def correlation_matrix(grid, acf: AcfClosedForm) -> CorrelationMatrix:
         lags = np.linalg.norm(points - points[0], axis=1)
         i = np.arange(n)
         values = acf(lags)[np.abs(np.subtract.outer(i, i))]
-        return CorrelationMatrix(values=values, points=points, is_toeplitz=True)
+        return CorrelationMatrix(values)
     diff = points[:, np.newaxis, :] - points[np.newaxis, :, :]
     values = acf(np.sqrt(np.sum(diff * diff, axis=-1)))
-    return CorrelationMatrix(values=values, points=points, is_toeplitz=False)
+    return CorrelationMatrix(values)
 
 
 PSD_REL_TOL = 1e-8

@@ -89,16 +89,20 @@ def load_factor(spec: str) -> SpectralFactor | None:
 def read_config_file(path: str) -> dict[str, str]:
     if not os.path.exists(path):
         raise ConfigError(f"config file {path!r} does not exist")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path!r} is not valid UTF-8: {exc}") from None
     out: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
@@ -226,9 +230,9 @@ def _write_bin(fh, aperture, m, batches):
         fh.write(np.ascontiguousarray(block, dtype="<c16").data)
 
 
-def _write_csv(fh, aperture, m, batches, first_real=0):
+def _write_csv(fh, batches):
     fh.write("realization,z_index,y_index,x_index,re,im\n")
-    r = first_real
+    r = 0
     for block in batches:
         for real in block:
             for iz in range(real.shape[0]):
@@ -304,7 +308,7 @@ def cmd_generate(args) -> int:
             _write_bin(fh, aperture, m, batches)
     else:
         with open(args.out, "w", newline="") as fh:
-            _write_csv(fh, aperture, m, batches)
+            _write_csv(fh, batches)
     print(f"wrote {m} realization(s) of a {aperture.kind} aperture to {args.out}")
     return 0
 

@@ -14,8 +14,8 @@ lattice index l maps to FFT bin l mod Nx and the output is reindexed onto
 n = -Nx/2 .. Nx/2 - 1 by a half-grid cyclic shift (``synthesize``).
 ``plane_coefficients`` runs the stages before it (the per-plane H(l, m; z));
 ``generate_batch_planes`` synthesizes those. ``series_sum`` evaluates the
-same series by direct summation: the exact ACFs, the FFT oracle and the
-validation lag windows.
+same series by direct summation, for the exact ACFs and the validation lag
+windows.
 
 ``coefficient_blocks`` is the one row-block stream of coefficients. It
 walks a sequence of realizations in row blocks of about SUB_BLOCK_BYTES of
@@ -191,16 +191,14 @@ class CoefficientDraw:
 
 @dataclass(frozen=True)
 class FieldRealization:
-    """Complex fading samples on the aperture grid plus generation metadata.
+    """Complex fading samples on the aperture grid, with the aperture and
+    the z-planes they were synthesized on.
 
-    ``samples`` has shape (nz, ny, nx), x fastest.
+    ``samples`` has shape (len(z_planes), ny, nx), x fastest.
     """
 
     samples: np.ndarray
     aperture: Aperture
-    seed: int
-    realization: int
-    factor_kind: str
     z_planes: tuple[float, ...] = field(default=(0.0,))
 
 
@@ -350,13 +348,6 @@ def draw_line_coefficients(
     return h
 
 
-def default_factor(aperture: Aperture) -> SpectralFactor:
-    """Isotropic factor in the normalization native to the aperture kind."""
-    if aperture.kind == LINEAR:
-        return SpectralFactor.isotropic_2d()
-    return SpectralFactor.isotropic_3d()
-
-
 def default_table(aperture: Aperture) -> CoefficientVariances1D | CoefficientVariances2D:
     """Variance table of the aperture's sides (line or rectangle)."""
     if aperture.kind == LINEAR:
@@ -395,7 +386,7 @@ def generate(
 
     Args:
         aperture: geometry and grid.
-        factor: spectral factor; defaults to isotropic.
+        factor: spectral factor; None (the default) is isotropic.
         seed: RNG key; fixed seed gives bit-identical output.
         z_planes: planes to synthesize; defaults to the aperture's grid.
             A line aperture only supports z = 0.
@@ -404,11 +395,9 @@ def generate(
     Returns:
         FieldRealization with samples of shape (len(z_planes), ny, nx).
     """
-    if factor is None:
-        factor = default_factor(aperture)
     zs = tuple(z_planes) if z_planes is not None else aperture.z_planes()
     planes = generate_batch_planes(aperture, factor, seed, (realization,), zs)
-    return FieldRealization(planes[:, 0], aperture, seed, realization, factor.kind, zs)
+    return FieldRealization(planes[:, 0], aperture, zs)
 
 
 def plane_coefficients(
@@ -501,13 +490,6 @@ def series_sum(weights: np.ndarray, table, lags, periods) -> np.ndarray:
     if not isinstance(table, CoefficientVariances2D):
         return (ex * weights).sum(axis=1, keepdims=True)
     return (ex * weights) @ phases(lags[1], table.ms, periods[1]).T
-
-
-def brute_force_plane(h, aperture: Aperture) -> np.ndarray:
-    """The series on the (ny, nx) grid by direct summation; FFT-path oracle."""
-    ns = np.arange(-(aperture.nx // 2), aperture.nx // 2)
-    js = np.arange(-(aperture.ny // 2), aperture.ny // 2)
-    return series_sum(h, default_table(aperture), (ns, js), (aperture.nx, aperture.ny)).T
 
 
 def lattice_acf_1d(table: CoefficientVariances1D, lags: np.ndarray) -> np.ndarray:

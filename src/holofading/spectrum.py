@@ -158,28 +158,26 @@ class _PolarInterpolator:
 
 
 def _read_polar_csv(path):
+    columns = ("k_r_over_kappa", "k_phi_rad", "a_plus", "a_minus")
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"k_r_over_kappa", "k_phi_rad", "a_plus", "a_minus"}
-        if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
+        if reader.fieldnames is None or not set(columns).issubset(reader.fieldnames):
             raise ValueError(
-                f"tabulated factor CSV must have header columns {sorted(required)}"
+                f"tabulated factor CSV must have header columns {sorted(columns)}"
             )
-        rows = [
-            (
-                float(row["k_r_over_kappa"]),
-                float(row["k_phi_rad"]),
-                float(row["a_plus"]),
-                float(row["a_minus"]),
-            )
-            for row in reader
-        ]
+        rows = []
+        for row in reader:
+            if any(row[c] is None for c in columns):  # DictReader's fill for a short row
+                raise ValueError(f"tabulated factor CSV line {reader.line_num} has missing columns")
+            rows.append(tuple(float(row[c]) for c in columns))
     if not rows:
         raise ValueError("tabulated factor CSV has no data rows")
     radii = np.array(sorted({r for r, _, _, _ in rows}))
     angles = np.array(sorted({p for _, p, _, _ in rows}))
     if radii[0] != 0.0 or radii[-1] != 1.0:
         raise ValueError("radial grid must span k_r/kappa in [0, 1]")
+    if len({(r, p) for r, p, _, _ in rows}) != len(rows):
+        raise ValueError("tabulated factor CSV repeats a (k_r_over_kappa, k_phi_rad) point")
     if len(rows) != len(radii) * len(angles):
         raise ValueError("tabulated factor rows do not form a full polar grid")
     table_p = np.empty((len(radii), len(angles)))

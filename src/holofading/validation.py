@@ -20,7 +20,6 @@ lag window, at integer grid lags reduced mod (Nx, Ny). The runs take an
 aperture and read its variance table from ``generator.shared_table``
 before the workers start; this module builds no table of its own.
 Results are returned, not written: the CLI writes the artifacts.
-``empirical_acf`` applies the estimator to given fields.
 
 Memory is bounded by row blocks, not by M. A worker holds one chunk of
 DEFAULT_BATCH realizations, and folds it as ``generator.coefficient_blocks``
@@ -56,7 +55,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,7 +63,6 @@ from .baseline import AcfClosedForm, correlation_matrix, kl_root
 from .errors import ConfigError, InsufficientRealizations, LagMismatch
 from .generator import (
     Aperture,
-    FieldRealization,
     coefficient_blocks,
     series_sum,
     shared_table,
@@ -72,6 +70,7 @@ from .generator import (
 from .rng import STREAM_BASELINE, complex_standard_normals
 
 MIN_REALIZATIONS = 100
+# realizations per chunk, the one chunk size of every Monte Carlo run
 DEFAULT_BATCH = 512
 
 
@@ -92,10 +91,6 @@ class AcfEstimate:
     lx: float
     ly: float | None
     tilted: bool = True  # estimates of the plain-l series carry its phase
-
-    @property
-    def stderr(self) -> float:
-        return 1.0 / math.sqrt(self.m)
 
     def detilted(self) -> np.ndarray:
         """Values with the half-cell series phase removed (continuum frame)."""
@@ -148,20 +143,6 @@ def _fold_rows(total, s: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.add.reduce(buf, axis=0)
 
 
-def _lag_sum(h: np.ndarray, ref, lags) -> np.ndarray:
-    """First-row lag products summed over realizations,
-    sum_r conj(h_r(ref)) * h_r(ref + lag), of (B, ny, nx) fields over lags
-    (0..ky, 0..kx) from ref = (ry, rx); shape (kx + 1, ky + 1), x lag first.
-
-    The row window is a basic slice: index arrays on two axes would reorder
-    the products in memory, and with it numpy's summation order and the
-    last bits of the result.
-    """
-    (ry, rx), (ky, kx) = ref, lags
-    block = h[:, ry : ry + ky + 1, rx : rx + kx + 1]
-    return _fold_rows(0.0, h[:, ry, rx], block).T
-
-
 def _estimate(raw, m, spacings, sides, tilted=True) -> AcfEstimate:
     """AcfEstimate of a (kx + 1, ky + 1) lag-window covariance; with one
     spacing and side (a line) only the x lags are kept."""
@@ -171,58 +152,6 @@ def _estimate(raw, m, spacings, sides, tilted=True) -> AcfEstimate:
         return AcfEstimate(lags_x, None, _normalize(raw), raw, m, sides[0], None, tilted)
     lags_y = np.arange(raw.shape[1]) * spacings[1]
     return AcfEstimate(lags_x, lags_y, _normalize(raw), raw, m, *sides, tilted)
-
-
-def empirical_acf(
-    realizations: Iterable[FieldRealization] | np.ndarray,
-    reference: tuple[int, ...] | None = None,
-    max_lag_cells: int | None = None,
-) -> AcfEstimate:
-    """First-row autocorrelation estimate from a stream of realizations.
-
-    Args:
-        realizations: iterable of FieldRealization (their z-plane 0 is
-            used), or an (M, ny, nx) / (M, nx) sample array.
-        reference: grid index of the reference point; defaults to the grid
-            origin n = 0 (array index N/2 per axis).
-        max_lag_cells: lag window length per axis; defaults to a quarter
-            of the grid.
-
-    Raises:
-        InsufficientRealizations: fewer than 100 realizations.
-    """
-    fields = []
-    aperture = None
-    for item in realizations:
-        if isinstance(item, FieldRealization):
-            aperture = item.aperture
-            fields.append(item.samples[0])
-        else:
-            fields.append(np.asarray(item))
-    h = np.stack(fields)
-    if h.ndim == 2:
-        h = h[:, np.newaxis, :]
-    m, ny, nx = h.shape
-    check_realizations(m)
-
-    ref = reference if reference is not None else ((ny // 2, nx // 2) if ny > 1 else (0, nx // 2))
-    if len(ref) == 1:
-        ref = (0, ref[0])
-    ry, rx = ref
-
-    if aperture is not None:
-        dx, dy, lx, ly = aperture.dx, aperture.dy, aperture.lx, aperture.ly
-    else:
-        dx = dy = 1.0
-        lx, ly = float(nx), float(ny)
-
-    kx, ky = (nx // 4, ny // 4) if max_lag_cells is None else (max_lag_cells,) * 2
-    if ny == 1:
-        ky = 0
-    if rx + kx >= nx or ry + ky >= ny:
-        raise ValueError(f"lag window ({kx}, {ky}) from ({rx}, {ry}) exceeds the grid")
-    raw = _lag_sum(h, (ry, rx), (ky, kx)) / m
-    return _estimate(raw, m, (dx, dy), (lx, ly) if ny > 1 else (lx,))
 
 
 def compare(est: AcfEstimate, oracle) -> CompareReport:
@@ -293,23 +222,23 @@ def ordered_map(fn: Callable, items: Sequence, threads: int) -> Iterator:
             yield result
 
 
-def _chunk_means(run_chunk, m: int, batch: int, threads: int | None) -> list[np.ndarray]:
+def _chunk_means(run_chunk, m: int, threads: int | None) -> list[np.ndarray]:
     """Means over m realizations of the partial sums that
-    ``run_chunk(start)`` returns (a list of arrays) for the realizations
-    start .. start + batch - 1.
+    ``run_chunk(start)`` returns (a list of arrays) for the chunk of
+    DEFAULT_BATCH realizations from start.
 
     Partial sums are folded in chunk order from 0, as ``sum`` would, so
     results are bit-identical for any worker count.
     """
     sums: list = []
-    for parts in ordered_map(run_chunk, range(0, m, batch), _thread_count(threads)):
+    for parts in ordered_map(run_chunk, range(0, m, DEFAULT_BATCH), _thread_count(threads)):
         sums = [s + p for s, p in zip(sums or [0] * len(parts), parts)]
     return [s / m for s in sums]
 
 
 def _first_row_sums(
     aperture: Aperture, factor, seed: int, m: int, z_planes: Sequence[float],
-    lags, threads: int | None, batch: int,
+    lags, threads: int | None,
 ) -> list[np.ndarray]:
     """First-row covariances from the grid origin, one (kx + 1, ky + 1)
     lag window per z-plane, over m realizations: the origin weights are
@@ -322,13 +251,13 @@ def _first_row_sums(
     def run_chunk(start: int) -> list[np.ndarray]:
         # w_k = sum_r conj(h_r(origin)) H_rk: every harmonic is 1 at the
         # grid origin, so h_r(origin) = sum_k H_rk
-        reals = range(start, min(start + batch, m))
+        reals = range(start, min(start + DEFAULT_BATCH, m))
         sums = [0.0] * len(z_planes)
         for _, planes in coefficient_blocks(aperture, factor, seed, reals, z_planes):
             sums = [_fold_rows(w, h.sum(axis=-1), h) for w, h in zip(sums, planes)]
         return sums
 
-    weights = _chunk_means(run_chunk, m, batch, threads)
+    weights = _chunk_means(run_chunk, m, threads)
     ky, kx = lags
     window = (np.arange(kx + 1), np.arange(ky + 1))
     return [series_sum(w, table, window, (aperture.nx, aperture.ny)) for w in weights]
@@ -341,7 +270,6 @@ def _accumulate_first_row(
     z_planes: Sequence[float],
     lag_cells: int,
     threads: int | None = None,
-    batch: int = DEFAULT_BATCH,
     factor=None,
 ) -> list[AcfEstimate]:
     """First-row covariance accumulation over m realizations, one estimate
@@ -355,7 +283,7 @@ def _accumulate_first_row(
         raise ValueError(f"lag window {lag_cells} exceeds the grid from the origin")
 
     sides = (aperture.lx,) if one_d else (aperture.lx, aperture.ly)
-    raws = _first_row_sums(aperture, factor, seed, m, z_planes, lags, threads, batch)
+    raws = _first_row_sums(aperture, factor, seed, m, z_planes, lags, threads)
     return [_estimate(raw, m, (aperture.dx, aperture.dy), sides) for raw in raws]
 
 
@@ -467,8 +395,9 @@ def _kl_first_row(root: np.ndarray, seed: int, m: int, lag_cells: int, threads) 
     """First-row covariance of the dense baseline h = C^{1/2} e from the
     line's origin over lags 0 .. lag_cells; shape (lag_cells + 1, 1).
 
-    The estimate is ``_lag_sum`` of ``kl_sample``'s m draws divided by m,
-    bit for bit, without holding them: workers draw the noise e in chunks of
+    The estimate is the lag sum sum_r conj(h_r(origin)) h_r(origin + lag)
+    of ``kl_sample``'s m draws divided by m, bit for bit, without holding
+    the draws: workers draw the noise e in chunks of
     DEFAULT_BATCH realizations, and this thread multiplies each chunk by
     the root rows of the lag window (the reference is its first column)
     and folds the lag products into one running sum in realization order.
@@ -536,7 +465,6 @@ def lambda_half_independence(
     seed: int = 0,
     lx: float = 16.0,
     threads: int | None = None,
-    batch: int = DEFAULT_BATCH,
 ) -> tuple[np.ndarray, float]:
     """Row correlations of a square-aperture field sampled at exactly
     lambda/2; all nonzero lags should be below 4/sqrt(M).
@@ -553,8 +481,6 @@ def lambda_half_independence(
     """
     check_realizations(m)
     aperture = Aperture(lx=lx, dx=0.5, ly=lx, dy=0.5)
-    (raw,) = _first_row_sums(
-        aperture, None, seed, m, (0.0,), (0, aperture.nx // 2), threads, batch
-    )
+    (raw,) = _first_row_sums(aperture, None, seed, m, (0.0,), (0, aperture.nx // 2), threads)
     row = _normalize(raw[:, 0])
     return row, float(np.max(np.abs(row[1:])))

@@ -1,0 +1,68 @@
+"""Field-space oracles: the estimates and the series evaluated straight
+from synthesized fields and coefficients, independent of the
+coefficient-space estimator and the FFT synthesis that they check."""
+import numpy as np
+
+from holofading.generator import Aperture, default_table, series_sum
+from holofading.validation import AcfEstimate, _estimate, check_realizations
+
+
+def lag_sum(h: np.ndarray, ref, lags) -> np.ndarray:
+    """First-row lag products summed over realizations,
+    sum_r conj(h_r(ref)) * h_r(ref + lag), of (B, ny, nx) fields over lags
+    (0..ky, 0..kx) from ref = (ry, rx); shape (kx + 1, ky + 1), x lag first.
+
+    One ``np.sum`` over the realization axis, which adds the rows in
+    realization order. The row window is a basic slice: index arrays on
+    two axes would reorder the products in memory, and with it the last
+    bits of the sum.
+    """
+    (ry, rx), (ky, kx) = ref, lags
+    block = h[:, ry : ry + ky + 1, rx : rx + kx + 1]
+    return np.sum(np.conj(h[:, ry, rx])[:, np.newaxis, np.newaxis] * block, axis=0).T
+
+
+def empirical_acf(
+    fields: np.ndarray,
+    reference: tuple[int, ...] | None = None,
+    max_lag_cells: int | None = None,
+) -> AcfEstimate:
+    """First-row autocorrelation estimate of an (M, ny, nx) or (M, nx)
+    sample array, with lags in grid cells.
+
+    Args:
+        fields: the sample array.
+        reference: grid index of the reference point; defaults to the grid
+            origin n = 0 (array index N/2 per axis).
+        max_lag_cells: lag window length per axis; defaults to a quarter
+            of the grid.
+
+    Raises:
+        InsufficientRealizations: fewer than 100 realizations.
+    """
+    h = np.asarray(fields)
+    if h.ndim == 2:
+        h = h[:, np.newaxis, :]
+    m, ny, nx = h.shape
+    check_realizations(m)
+
+    ref = reference if reference is not None else ((ny // 2, nx // 2) if ny > 1 else (0, nx // 2))
+    if len(ref) == 1:
+        ref = (0, ref[0])
+    ry, rx = ref
+
+    kx, ky = (nx // 4, ny // 4) if max_lag_cells is None else (max_lag_cells,) * 2
+    if ny == 1:
+        ky = 0
+    if rx + kx >= nx or ry + ky >= ny:
+        raise ValueError(f"lag window ({kx}, {ky}) from ({rx}, {ry}) exceeds the grid")
+    raw = lag_sum(h, (ry, rx), (ky, kx)) / m
+    return _estimate(raw, m, (1.0, 1.0), (float(nx), float(ny)) if ny > 1 else (float(nx),))
+
+
+def brute_force_plane(h, aperture: Aperture) -> np.ndarray:
+    """The series of the coefficients h on the (ny, nx) grid by direct
+    summation; the oracle of the FFT synthesis."""
+    ns = np.arange(-(aperture.nx // 2), aperture.nx // 2)
+    js = np.arange(-(aperture.ny // 2), aperture.ny // 2)
+    return series_sum(h, default_table(aperture), (ns, js), (aperture.nx, aperture.ny)).T

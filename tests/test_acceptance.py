@@ -15,12 +15,7 @@ import numpy as np
 
 from holofading import Aperture
 from holofading.cli import bench_baseline, bench_series, fit_exponent
-from holofading.generator import (
-    brute_force_plane,
-    draw_coefficients,
-    migrate,
-    synthesize,
-)
+from holofading.generator import draw_coefficients, migrate, synthesize
 from holofading.validation import compare_kl, lambda_half_independence, run_figure
 from holofading.variances import (
     coefficient_indices,
@@ -31,6 +26,7 @@ from holofading.variances import (
     variance_2d_closed_form,
     variance_2d_quadrature,
 )
+from oracles import brute_force_plane
 
 M = 10_000
 

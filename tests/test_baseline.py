@@ -112,7 +112,6 @@ class TestCorrelationMatrix:
     def test_uniform_line_grid_exactly_toeplitz(self):
         ap = Aperture(lx=4.0, dx=0.25)
         c = correlation_matrix(ap, AcfClosedForm("bessel-2d"))
-        assert c.is_toeplitz
         n = c.values.shape[0]
         for i in range(1, n):
             assert np.array_equal(c.values[i, i:], c.values[0, : n - i])
@@ -123,7 +122,8 @@ class TestCorrelationMatrix:
         ap = Aperture(lx=8.0, dx=0.125)
         acf = AcfClosedForm(kind)
         c = correlation_matrix(ap, acf)
-        lags = np.linalg.norm(c.points - c.points[0], axis=1)
+        points = ap.grid_coords()
+        lags = np.linalg.norm(points - points[0], axis=1)
         want = scipy.linalg.toeplitz(acf(lags))
         assert c.values.shape == want.shape
         assert np.array_equal(c.values.view(np.uint64), want.view(np.uint64))
@@ -147,20 +147,20 @@ class TestCorrelationMatrix:
 
 class TestKlSample:
     def test_identity_gives_iid(self):
-        c = CorrelationMatrix(values=np.eye(8), points=np.zeros((8, 3)), is_toeplitz=True)
+        c = CorrelationMatrix(values=np.eye(8))
         draws = kl_sample(c, seed=1, m=20_000)
         cov = draws.conj().T @ draws / draws.shape[0]
         assert np.max(np.abs(cov - np.eye(8))) < 3.0 / math.sqrt(20_000)
 
     def test_deterministic(self):
-        c = CorrelationMatrix(values=np.eye(4), points=np.zeros((4, 3)), is_toeplitz=True)
+        c = CorrelationMatrix(values=np.eye(4))
         assert np.array_equal(kl_sample(c, 3, 5), kl_sample(c, 3, 5))
         assert not np.allclose(kl_sample(c, 3, 5), kl_sample(c, 4, 5))
 
     def test_clipping_noop_on_clean_psd(self):
         # identity is cleanly PSD: sampler must reproduce plain iid draws
         vals = np.eye(6)
-        c = CorrelationMatrix(values=vals, points=np.zeros((6, 3)), is_toeplitz=True)
+        c = CorrelationMatrix(values=vals)
         draws = kl_sample(c, seed=9, m=3)
         eigvals, eigvecs = np.linalg.eigh(vals)
         root = (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
@@ -173,7 +173,7 @@ class TestKlSample:
 
     def test_not_psd_raises(self):
         vals = np.array([[1.0, 1.1], [1.1, 1.0]])
-        c = CorrelationMatrix(values=vals, points=np.zeros((2, 3)), is_toeplitz=False)
+        c = CorrelationMatrix(values=vals)
         with pytest.raises(NotPSD):
             kl_sample(c, 0, 1)
 

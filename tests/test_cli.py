@@ -72,6 +72,28 @@ class TestConfigFile:
         failures = json.loads(err)["failures"]
         assert "bogus_key" in failures[0]["detail"]
 
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed=1\n\xff=2\n")
+        code, _, err = run_cli(capsys, "variances", "--aperture", "4", "--config", str(cfg))
+        assert code == 2
+        failure = json.loads(err)["failures"][0]
+        assert failure["check"] == "config" and "UTF-8" in failure["detail"]
+
+    @pytest.mark.parametrize("rows", [
+        "0,0,1,1\n0,3,1\n1,0,1,1\n1,3,1,1\n",  # a row without a_minus
+        "0,0,1,1\n0,0,1,1\n1,0,1,1\n1,3,1,1\n",  # (0, 0) twice, (0, 3) never
+    ], ids=["missing-column", "repeated-point"])
+    def test_malformed_factor_csv_is_config_error(self, rows, tmp_path, capsys):
+        factor = tmp_path / "factor.csv"
+        factor.write_text("k_r_over_kappa,k_phi_rad,a_plus,a_minus\n" + rows)
+        out = tmp_path / "x.bin"
+        code, _, err = run_cli(capsys, "generate", "--aperture", "4", "--spacing", "0.5",
+                               "--factor", str(factor), "--out", str(out))
+        assert code == 2
+        assert json.loads(err)["failures"][0]["check"] == "config"
+        assert not out.exists()
+
     def test_missing_required(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--aperture", "8")
         assert code == 2

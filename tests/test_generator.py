@@ -6,7 +6,6 @@ import pytest
 from holofading import Aperture, GridTooCoarse, MigrationRange, SpectralFactor, generate
 from holofading.generator import (
     CoefficientDraw,
-    brute_force_plane,
     default_table,
     draw_coefficients,
     draw_line_coefficients,
@@ -23,6 +22,7 @@ from holofading.generator import (
 from holofading.spectrum import ISOTROPIC_FACTOR_2D, shaping_gains
 from holofading.variances import table_1d, table_2d
 from holofading.wavenumber import lattice_wavenumbers
+from oracles import brute_force_plane
 
 KAPPA = 2.0 * math.pi
 
@@ -387,6 +387,24 @@ class TestGenerate:
         f = generate(ap, seed=3)
         assert f.samples.shape == (2, 16, 16)
         assert f.z_planes == (0.0, 0.5)
+
+    @pytest.mark.parametrize("ap", [
+        Aperture(lx=4, dx=0.5, ly=4, dy=0.5),
+        Aperture(lx=4, dx=0.25),
+    ], ids=["planar", "line"])
+    def test_isotropic_generate_builds_no_factor(self, ap, monkeypatch):
+        # None is isotropic: no SpectralFactor (and its probe of the disk)
+        # per call
+        made = []
+        init = SpectralFactor.__init__
+
+        def spy(self, kind, *args):
+            made.append(kind)
+            init(self, kind, *args)
+
+        monkeypatch.setattr(SpectralFactor, "__init__", spy)
+        generate(ap, seed=1)
+        assert made == []
 
 
 class TestFieldStatistics:

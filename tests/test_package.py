@@ -1,7 +1,9 @@
 """The package root's surface, the one unit system of its signatures and
 the one source of the variance table."""
+import ast
 import importlib
 import inspect
+import pathlib
 import types
 
 import holofading
@@ -59,3 +61,31 @@ def test_no_signature_takes_both_an_aperture_and_a_table():
         if {"aperture", "table"} <= set(sig.parameters)
     }
     assert found == set()
+
+
+def _unread_parameters(path):
+    """(function, parameter) of every function in the file whose body
+    never reads that parameter; nested functions count as the body."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {
+            node.id
+            for stmt in body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for p in params:
+            if p is not None and p.arg not in read:
+                yield f"{path.stem}.{getattr(fn, 'name', '<lambda>')}({p.arg})"
+
+
+def test_every_parameter_is_read():
+    # a parameter that no body reads is a keyword callers set for nothing
+    src = pathlib.Path(holofading.__file__).parent
+    found = [u for path in sorted(src.glob("*.py")) for u in _unread_parameters(path)]
+    assert found == []

@@ -11,16 +11,17 @@ from hypothesis import strategies as st
 
 from holofading import Aperture, SpectralFactor, generate
 from holofading.generator import (
-    brute_force_plane,
     draw_coefficients,
     generate_batch_planes,
     migrate,
     synthesize,
 )
 import holofading.generator as genmod
+import holofading.validation as valmod
 from holofading.validation import _accumulate_first_row, lambda_half_independence, run_figure
 from holofading.variances import coefficient_indices, table_2d
 from holofading.wavenumber import KAPPA, lattice_gammas, lattice_wavenumbers
+from oracles import brute_force_plane
 
 sides = st.floats(min_value=1.0, max_value=12.0, allow_nan=False, allow_infinity=False)
 fixed = settings(derandomize=True, deadline=None)
@@ -148,13 +149,15 @@ def test_first_row_accumulation_thread_invariant(lx, ly, extra, directional, see
     lag = min(aperture.nx, aperture.ny if ly else aperture.nx) // 4
 
     def results(threads):
-        ests = _accumulate_first_row(aperture, seed, m, zs, lag, threads=threads, batch=batch,
-                                     factor=factor)
+        with mock.patch.object(valmod, "DEFAULT_BATCH", batch):
+            ests = _accumulate_first_row(aperture, seed, m, zs, lag, threads=threads,
+                                         factor=factor)
+            row = lambda_half_independence(m=m, seed=seed, lx=8.0, threads=threads)[0]
         return [
             *(e.raw for e in ests),
             *(e.values for e in ests),
             run_figure(8, m=m, seed=seed, threads=threads).empirical,
-            lambda_half_independence(m=m, seed=seed, lx=8.0, threads=threads, batch=batch)[0],
+            row,
             generate_batch_planes(aperture, factor, seed, range(m // 10), zs),
         ]
 

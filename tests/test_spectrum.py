@@ -116,6 +116,24 @@ class TestTabulatedFactors:
         with pytest.raises(ValueError, match="full polar grid"):
             SpectralFactor.from_csv(path)
 
+    def test_rejects_missing_column(self, tmp_path):
+        # csv.DictReader fills a short row's missing fields with None
+        path = tmp_path / "short.csv"
+        with open(path, "w") as fh:
+            fh.write("k_r_over_kappa,k_phi_rad,a_plus,a_minus\n")
+            fh.write("0.0,0.0,1.0,1.0\n0.0,3.0,1.0\n1.0,0.0,1.0,1.0\n1.0,3.0,1.0,1.0\n")
+        with pytest.raises(ValueError, match="missing columns"):
+            SpectralFactor.from_csv(path)
+
+    def test_rejects_repeated_point(self, tmp_path):
+        # (0, 0) twice and (0, 3) never: as many rows as a full 2 x 2 grid
+        path = tmp_path / "repeated.csv"
+        with open(path, "w") as fh:
+            fh.write("k_r_over_kappa,k_phi_rad,a_plus,a_minus\n")
+            fh.write("0.0,0.0,1.0,1.0\n0.0,0.0,1.0,1.0\n1.0,0.0,1.0,1.0\n1.0,3.0,1.0,1.0\n")
+        with pytest.raises(ValueError, match="repeats"):
+            SpectralFactor.from_csv(path)
+
     def test_kappa_is_not_a_parameter(self, tmp_path):
         # the disk radius is always KAPPA; a caller cannot probe a smaller one
         path = tmp_path / "const.csv"
