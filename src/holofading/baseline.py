@@ -12,10 +12,20 @@ cross-check the series generator at desk scale, not to scale.
 J0 is ``scipy.special.j0``; the test suite checks it against quadrature of
 the integral representation (1/pi) * int_0^pi cos(z sin t) dt. It is
 imported on first use, so commands that evaluate no J0 never load scipy.
+
+The root's ``eigh`` runs on one BLAS thread, because its last bits change
+with the BLAS thread count. The count is set through numpy's bundled
+OpenBLAS, looked up with ctypes on the first root; a numpy built on
+another BLAS (MKL, Accelerate) has no such library, and its count is left
+alone.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,18 +110,55 @@ def correlation_matrix(grid, acf: AcfClosedForm) -> CorrelationMatrix:
 PSD_REL_TOL = 1e-8
 
 
+@functools.cache
+def _openblas_threads():
+    """The (set, get) thread-count calls of numpy's bundled OpenBLAS, found
+    once; None where numpy ships no OpenBLAS that has them."""
+    package = os.path.dirname(np.__file__)
+    for folder in (os.path.join(os.path.dirname(package), "numpy.libs"),
+                   os.path.join(package, ".dylibs")):
+        names = sorted(os.listdir(folder)) if os.path.isdir(folder) else []
+        for name in (n for n in names if "openblas" in n):
+            try:
+                lib = ctypes.CDLL(os.path.join(folder, name))
+                return lib.scipy_openblas_set_num_threads64_, lib.scipy_openblas_get_num_threads64_
+            except (OSError, AttributeError):
+                continue
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the count it had;
+    a no-op without numpy's bundled OpenBLAS."""
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    set_threads, get_threads = calls
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def kl_root(c: CorrelationMatrix) -> np.ndarray:
     """The symmetric eigendecomposition root C^{1/2} of a correlation
     matrix, (N, N). sinc/J0 correlation matrices of dense grids are
     numerically rank-deficient, so Cholesky is not an option and small
     negative eigenvalues are clipped at zero. This is the one
     eigendecomposition and PSD check of the baseline: ``kl_sample`` and
-    compare-kl's streamed estimate both take their root from here.
+    compare-kl's streamed estimate both take their root from here. The
+    decomposition runs on one BLAS thread, so the root's bits do not
+    depend on the BLAS thread count.
 
     Raises:
         NotPSD: an eigenvalue below -1e-8 relative to the largest.
     """
-    eigvals, eigvecs = np.linalg.eigh(c.values)
+    with _one_blas_thread():
+        eigvals, eigvecs = np.linalg.eigh(c.values)
     top = float(eigvals[-1])
     if eigvals[0] < -PSD_REL_TOL * top:
         raise NotPSD(

@@ -297,7 +297,9 @@ def migrate(draw: CoefficientDraw, z: float) -> np.ndarray:
     """
     _check_planes(draw.table.lx, draw.table.ly, (z,))
     up, down = _migration_phases(draw.table.lx, draw.table.ly, z)
-    return draw.h_plus * up + draw.h_minus * down
+    h = np.multiply(draw.h_plus, up)
+    h += draw.h_minus * down  # two arrays held, not three
+    return h
 
 
 def synthesize(h: np.ndarray, aperture: Aperture, out: np.ndarray | None = None) -> np.ndarray:

@@ -15,9 +15,11 @@ or evaluation order, and distinct realizations never share counter space.
 
 A call draws one realization or a batch of them. Each realization's
 uniforms are written straight into its row of the complex output (viewed
-as float64), and one in-place Box-Muller pass then transforms the whole
-block, so a batch costs one set of array operations rather than one per
-realization. The counter layout above is unchanged by batching: row i of
+as float64), and the in-place Box-Muller transform then runs over the
+flattened block in fixed slices of _SLICE draws, so a batch costs one set
+of array operations per slice rather than one per realization, and its
+only scratch is one slice of cos values. Every stage after the draw is
+elementwise, so neither the batch nor the slicing changes a bit: row i of
 a batch is bit-identical to the single call of realization i.
 """
 from __future__ import annotations
@@ -29,6 +31,9 @@ import numpy as np
 
 STREAM_COEFFICIENTS = 0
 STREAM_BASELINE = 1
+
+# draws per Box-Muller slice: the length of the transform's one temporary
+_SLICE = 8192
 
 _MASK64 = (1 << 64) - 1
 # one generator per thread, repositioned for every stream: a Generator and
@@ -70,7 +75,7 @@ def complex_standard_normals(
     Box-Muller on (1 - u) so the open interval [0, 1) of the uniform source
     never reaches log(0). Each row's uniforms are drawn into the output's
     own float64 view (u0 in the real slot, u1 in the imaginary slot), then
-    one pass over the whole block turns them in place into radius and
+    each slice of the flattened block is turned in place into radius and
     phase, and radius and phase into the complex normals.
     """
     single = np.ndim(realization) == 0
@@ -78,14 +83,18 @@ def complex_standard_normals(
     out = np.empty((len(reals), n), dtype=complex)
     for row, r in zip(out.view(np.float64), reals):
         _positioned(seed, r, stream).random(out=row)  # 2n uniforms per row
-    radius, phase = out.real, out.imag  # u0 and u1 of each draw
-    np.negative(radius, out=radius)
-    np.log1p(radius, out=radius)
-    np.negative(radius, out=radius)
-    np.sqrt(radius, out=radius)  # Rayleigh with E[r^2] = 1
-    phase *= 2.0 * np.pi
-    cos = np.cos(phase)
-    np.sin(phase, out=phase)
-    phase *= radius  # imaginary part: r sin(phase)
-    radius *= cos  # real part: r cos(phase)
+    flat = out.reshape(-1)
+    cos = np.empty(min(_SLICE, flat.size))
+    for a in range(0, flat.size, _SLICE):
+        part = flat[a : a + _SLICE]
+        radius, phase = part.real, part.imag  # u0 and u1 of each draw
+        np.negative(radius, out=radius)
+        np.log1p(radius, out=radius)
+        np.negative(radius, out=radius)
+        np.sqrt(radius, out=radius)  # Rayleigh with E[r^2] = 1
+        phase *= 2.0 * np.pi
+        c = np.cos(phase, out=cos[: len(part)])
+        np.sin(phase, out=phase)
+        phase *= radius  # imaginary part: r sin(phase)
+        radius *= c  # real part: r cos(phase)
     return out[0] if single else out

@@ -176,6 +176,8 @@ def _read_polar_csv(path):
     angles = np.array(sorted({p for _, p, _, _ in rows}))
     if radii[0] != 0.0 or radii[-1] != 1.0:
         raise ValueError("radial grid must span k_r/kappa in [0, 1]")
+    if not np.all((angles >= 0.0) & (angles < 2.0 * math.pi)):
+        raise ValueError("azimuths k_phi_rad must lie in [0, 2*pi)")
     if len({(r, p) for r, p, _, _ in rows}) != len(rows):
         raise ValueError("tabulated factor CSV repeats a (k_r_over_kappa, k_phi_rad) point")
     if len(rows) != len(radii) * len(angles):

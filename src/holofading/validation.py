@@ -24,8 +24,9 @@ Results are returned, not written: the CLI writes the artifacts.
 Memory is bounded by row blocks, not by M. A worker holds one chunk of
 DEFAULT_BATCH realizations, and folds it as ``generator.coefficient_blocks``
 draws it, in row blocks of about ``generator.SUB_BLOCK_BYTES`` of
-coefficients; compare-kl's dense baseline is drawn in chunks and
-multiplied only by the root rows its lag window reads. Every sum over
+coefficients; compare-kl's dense baseline noise is drawn in row blocks of
+the same budget (``generator.block_rows``) and multiplied only by the root
+rows its lag window reads. Every sum over
 realizations goes through ``_fold_rows``, which adds the rows of
 a block to a running total one at a time, in realization order: the
 order one ``np.sum`` over the whole batch uses. So the results are
@@ -63,6 +64,7 @@ from .baseline import AcfClosedForm, correlation_matrix, kl_root
 from .errors import ConfigError, InsufficientRealizations, LagMismatch
 from .generator import (
     Aperture,
+    block_rows,
     coefficient_blocks,
     series_sum,
     shared_table,
@@ -70,7 +72,7 @@ from .generator import (
 from .rng import STREAM_BASELINE, complex_standard_normals
 
 MIN_REALIZATIONS = 100
-# realizations per chunk, the one chunk size of every Monte Carlo run
+# realizations per chunk of the coefficient-space runs
 DEFAULT_BATCH = 512
 
 
@@ -397,22 +399,24 @@ def _kl_first_row(root: np.ndarray, seed: int, m: int, lag_cells: int, threads) 
 
     The estimate is the lag sum sum_r conj(h_r(origin)) h_r(origin + lag)
     of ``kl_sample``'s m draws divided by m, bit for bit, without holding
-    the draws: workers draw the noise e in chunks of
-    DEFAULT_BATCH realizations, and this thread multiplies each chunk by
-    the root rows of the lag window (the reference is its first column)
-    and folds the lag products into one running sum in realization order.
-    A one-row chunk would be multiplied as a matrix-vector product, whose
-    last bits differ, so a one-row remainder joins the chunk before it.
+    the draws: workers draw the noise e in row blocks of about
+    ``generator.SUB_BLOCK_BYTES`` (256 realizations of 256 points), and
+    this thread multiplies each block by the root rows of the lag window
+    (the reference is its first column) and folds the lag products into
+    one running sum in realization order. A one-row block would be
+    multiplied as a matrix-vector product, whose last bits differ, so a
+    one-row remainder joins the block before it.
     """
-    rx = root.shape[0] // 2
+    n = root.shape[0]
+    rx = n // 2
     window = root[rx : rx + lag_cells + 1].T
-    bounds = [*range(0, m - 1, DEFAULT_BATCH), m]
+    bounds = [*range(0, m - 1, block_rows(n * np.dtype(complex).itemsize)), m]
 
-    def draw_chunk(span: tuple[int, int]) -> np.ndarray:
-        return complex_standard_normals(seed, range(*span), root.shape[0], STREAM_BASELINE)
+    def draw_block(span: tuple[int, int]) -> np.ndarray:
+        return complex_standard_normals(seed, range(*span), n, STREAM_BASELINE)
 
     total = np.zeros(lag_cells + 1, dtype=complex)
-    for e in ordered_map(draw_chunk, list(zip(bounds, bounds[1:])), _thread_count(threads)):
+    for e in ordered_map(draw_block, list(zip(bounds, bounds[1:])), _thread_count(threads)):
         # one product at a time, on this thread: BLAS runs threads of its
         # own, which products on every worker would oversubscribe
         h = e @ window

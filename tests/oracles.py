@@ -1,9 +1,11 @@
 """Field-space oracles: the estimates and the series evaluated straight
 from synthesized fields and coefficients, independent of the
-coefficient-space estimator and the FFT synthesis that they check."""
+coefficient-space estimator and the FFT synthesis that they check; and
+the draws with one unsliced Box-Muller pass over the whole block."""
 import numpy as np
 
 from holofading.generator import Aperture, default_table, series_sum
+from holofading.rng import _positioned
 from holofading.validation import AcfEstimate, _estimate, check_realizations
 
 
@@ -66,3 +68,24 @@ def brute_force_plane(h, aperture: Aperture) -> np.ndarray:
     ns = np.arange(-(aperture.nx // 2), aperture.nx // 2)
     js = np.arange(-(aperture.ny // 2), aperture.ny // 2)
     return series_sum(h, default_table(aperture), (ns, js), (aperture.nx, aperture.ny)).T
+
+
+def unsliced_normals(seed: int, realizations, n: int, stream: int) -> np.ndarray:
+    """(B, n) draws of ``rng.complex_standard_normals`` with Box-Muller run
+    in place over the whole block at once, in one pass with a full-size cos
+    temporary: the same uniforms and ufuncs in the same order, without the
+    slices, so the sliced transform must match it bit for bit."""
+    out = np.empty((len(realizations), n), dtype=complex)
+    for row, r in zip(out.view(np.float64), realizations):
+        _positioned(seed, r, stream).random(out=row)
+    radius, phase = out.real, out.imag
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)
+    np.negative(radius, out=radius)
+    np.sqrt(radius, out=radius)
+    phase *= 2.0 * np.pi
+    cos = np.cos(phase)
+    np.sin(phase, out=phase)
+    phase *= radius
+    radius *= cos
+    return out

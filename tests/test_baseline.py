@@ -6,12 +6,14 @@ import scipy.linalg
 from scipy import integrate, special
 
 from holofading import Aperture, GridTooLarge, NotPSD
+from holofading import baseline
 from holofading.baseline import (
     AcfClosedForm,
     CorrelationMatrix,
     clarke_acf_2d,
     clarke_acf_3d,
     correlation_matrix,
+    kl_root,
     kl_sample,
 )
 
@@ -184,3 +186,27 @@ class TestKlSample:
         draws = kl_sample(c, seed=5, m=m)
         cov = draws.conj().T @ draws / m
         assert np.max(np.abs(cov - c.values)) < 3.0 / math.sqrt(m)
+
+
+class TestKlRootBlasThreads:
+    def test_eigh_runs_on_one_thread_and_the_count_is_restored(self, monkeypatch):
+        calls = baseline._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy links no bundled OpenBLAS; kl_root leaves its threads alone")
+        set_threads, get_threads = calls
+        seen = []
+        eigh = np.linalg.eigh
+
+        def spy(a):
+            seen.append(get_threads())
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        before = get_threads()
+        set_threads(2)
+        try:
+            kl_root(CorrelationMatrix(values=np.eye(4)))
+            assert seen == [1]
+            assert get_threads() == 2
+        finally:
+            set_threads(before)

@@ -83,7 +83,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("rows", [
         "0,0,1,1\n0,3,1\n1,0,1,1\n1,3,1,1\n",  # a row without a_minus
         "0,0,1,1\n0,0,1,1\n1,0,1,1\n1,3,1,1\n",  # (0, 0) twice, (0, 3) never
-    ], ids=["missing-column", "repeated-point"])
+        "0,0,1,1\n0,7,5,1\n1,0,1,1\n1,7,5,1\n",  # azimuth 7 rad, past 2 pi
+    ], ids=["missing-column", "repeated-point", "azimuth-out-of-range"])
     def test_malformed_factor_csv_is_config_error(self, rows, tmp_path, capsys):
         factor = tmp_path / "factor.csv"
         factor.write_text("k_r_over_kappa,k_phi_rad,a_plus,a_minus\n" + rows)
@@ -609,12 +610,13 @@ class TestGenerateChunks:
         assert out.read_bytes()[24:] == np.ascontiguousarray(want, dtype="<c16").tobytes()
 
 
-def _fresh_python(*argv):
-    """Run ``python argv`` in a new interpreter that imports this holofading."""
+def _fresh_python(*argv, **env_vars):
+    """Run ``python argv`` in a new interpreter that imports this holofading,
+    with ``env_vars`` added to its environment."""
     import holofading
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(holofading.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **env_vars)
     return subprocess.run(
         [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
     )
@@ -646,6 +648,23 @@ class TestStartup:
         lines = ["l,m,sigma_sq"] + [f"{l},{m},{s!r}" for (l, m), s in zip(idx, sig.tolist())]
         lines.append(f"# total_power={float(np.sum(2.0 * sig))!r}")
         assert proc.stdout == "\n".join(lines) + "\n"
+
+
+class TestBlasThreads:
+    def test_compare_kl_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the root's eigh changes its last bits with the BLAS thread count,
+        # so kl_root runs it on one thread whatever the environment says
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"kl-{threads}.csv"
+            proc = _fresh_python(
+                "-m", "holofading.cli", "compare-kl", "--realizations", "1200",
+                "--threads", "2", "--out", str(out),
+                OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+            )
+            assert proc.returncode in (0, 1), proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestVersion:

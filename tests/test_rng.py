@@ -1,12 +1,19 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holofading.rng import STREAM_BASELINE, STREAM_COEFFICIENTS, complex_standard_normals
+from holofading.rng import (
+    _SLICE,
+    STREAM_BASELINE,
+    STREAM_COEFFICIENTS,
+    complex_standard_normals,
+)
+from oracles import unsliced_normals
 
 WORD = st.integers(0, 2**64 - 1)
 
@@ -113,6 +120,39 @@ class TestBatches:
         b = complex_standard_normals(4, (0, 1, 2), 5, STREAM_BASELINE)
         assert a.shape == (3, 5)
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestSlices:
+    """Box-Muller runs over fixed slices of the flattened block; every
+    stage is elementwise, so the slicing changes no bit."""
+
+    N = 2 * _SLICE + 3  # a row of two whole slices and a remainder
+
+    @pytest.mark.parametrize("stream", [STREAM_COEFFICIENTS, STREAM_BASELINE])
+    def test_row_across_slices_equals_unsliced(self, stream):
+        got = complex_standard_normals(21, 4, self.N, stream)
+        want = unsliced_normals(21, [4], self.N, stream)[0]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_batch_across_slices_equals_unsliced(self):
+        # 3 rows of 2 * _SLICE + 3: slices straddle the row boundaries
+        reals = [0, 9, 2**63 + 5]
+        got = complex_standard_normals(8, reals, self.N, STREAM_BASELINE)
+        want = unsliced_normals(8, reals, self.N, STREAM_BASELINE)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_traced_peak_is_the_output_and_one_slice(self):
+        complex_standard_normals(1, range(2), 8)  # this thread's generator is not the call's memory
+        n = 50 * _SLICE + 7
+        tracemalloc.start()
+        try:
+            out = complex_standard_normals(1, range(2), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the cos scratch is one slice; a full-size temporary would add
+        # half the output again
+        assert peak < out.nbytes + 8 * _SLICE + 64 * 1024
 
 
 def _in_two_threads(calls):

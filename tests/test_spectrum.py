@@ -134,6 +134,18 @@ class TestTabulatedFactors:
         with pytest.raises(ValueError, match="repeats"):
             SpectralFactor.from_csv(path)
 
+    @pytest.mark.parametrize("phi", ["7.0", "-0.5", "6.283185307179586"])
+    def test_rejects_azimuth_outside_one_turn(self, tmp_path, phi):
+        # phi = 7 used to load and interpolate as if on a line: a_plus at
+        # phi = pi read 1 + 4 pi / 7, and the wrap cell [7, 2 pi] had
+        # negative width; 2 pi itself is the azimuth 0 again
+        path = tmp_path / "turn.csv"
+        with open(path, "w") as fh:
+            fh.write("k_r_over_kappa,k_phi_rad,a_plus,a_minus\n")
+            fh.write(f"0.0,0.0,1.0,1.0\n0.0,{phi},5.0,1.0\n1.0,0.0,1.0,1.0\n1.0,{phi},5.0,1.0\n")
+        with pytest.raises(ValueError, match=r"azimuths k_phi_rad must lie in \[0, 2\*pi\)"):
+            SpectralFactor.from_csv(path)
+
     def test_kappa_is_not_a_parameter(self, tmp_path):
         # the disk radius is always KAPPA; a caller cannot probe a smaller one
         path = tmp_path / "const.csv"

@@ -7,17 +7,20 @@ and compare the two listings:
 
 It runs the package under ``src/`` next to this script in fresh
 interpreters, inside a temporary directory that it removes afterwards,
-with one BLAS thread (``BLAS_THREADS``): the eigendecomposition behind
-compare-kl's baseline changes in its last bits with the BLAS thread
-count, so without the pin the compare-kl lines would depend on the host.
+with one BLAS thread (``BLAS_VARS`` set to 1), so that no line depends
+on the host's BLAS thread count. The eigendecomposition behind
+compare-kl's baseline changes in its last bits with that count;
+``baseline.kl_root`` runs it on one thread itself, and the line
+``compare-kl-blas2/kl.csv``, compare-kl at M = 1200 run with two BLAS
+threads, checks that: it must equal the ``compare-kl/kl.csv`` line.
 The outputs are ``generate`` in each aperture kind and format (with a
 tabulated directional factor it writes itself, also over several z-planes
 on two workers, and on a 64 x 64 aperture whose tasks of 4 realizations
 each span two coefficient row blocks), ``validate --fig
 6/7/8`` and ``compare-kl`` at M = 1200 on two workers, ``compare-kl`` at
-M = 513 (one realization past a whole chunk of 512), the row estimate of
-``lambda_half_independence``, and ``variances`` tables of line and
-rectangular apertures by both methods.
+M = 513 (one realization past whole row blocks of the baseline noise),
+the row estimate of ``lambda_half_independence``, and ``variances``
+tables of line and rectangular apertures by both methods.
 Standard library only; no options.
 """
 from __future__ import annotations
@@ -31,8 +34,7 @@ import tempfile
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 M = "1200"
-BLAS_THREADS = {name: "1" for name in
-                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # name -> (generate argv after --out, whether it takes the factor CSV)
 GENERATE = {
@@ -81,9 +83,10 @@ def write_factor(path: str) -> None:
                          f"{base * (1 + 0.3 * math.cos(p + 2.0)) * (1 + 0.2 * i / 4)}\n")
 
 
-def run(*argv: str) -> int:
-    """Run ``python argv`` against the package in SRC; exit code 0 or 1."""
-    env = dict(os.environ, PYTHONPATH=SRC, **BLAS_THREADS)
+def run(*argv: str, blas_threads: str = "1") -> int:
+    """Run ``python argv`` against the package in SRC on ``blas_threads``
+    BLAS threads; exit code 0 or 1."""
+    env = dict(os.environ, PYTHONPATH=SRC, **{name: blas_threads for name in BLAS_VARS})
     proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
         sys.exit(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
@@ -116,6 +119,10 @@ def main() -> None:
             run("-m", "holofading.cli", "compare-kl", "--realizations", m, "--threads", "2",
                 "--out", out)
             outputs.append((f"{name}/kl.csv", out))
+        out = os.path.join(tmp, "compare-kl-blas2.csv")
+        run("-m", "holofading.cli", "compare-kl", "--realizations", M, "--threads", "2",
+            "--out", out, blas_threads="2")
+        outputs.append(("compare-kl-blas2/kl.csv", out))
         out = os.path.join(tmp, "lambda_half_row.bin")
         run("-c", LAMBDA_HALF, out)
         outputs.append(("lambda_half_independence/row", out))
