@@ -268,9 +268,9 @@ def _field_batches(aperture, factor, seed, m, threads):
     synthesized on ``threads`` workers. Each task is ``block_rows``
     realizations of output, as many as fit ``generator.SUB_BLOCK_BYTES``
     (at least one; one on a 256 x 256 grid) whatever the worker count, so
-    the writer and T workers hold about T + 1 such blocks. Each is the
-    block that ``generate_batch_planes`` synthesizes into, so it is never
-    copied."""
+    the writer and the T + 1 queued tasks hold about T + 2 such blocks.
+    Each is the block that ``generate_batch_planes`` synthesizes into, so
+    it is never copied."""
     z_planes = aperture.z_planes()
     per_realization = aperture.nx * aperture.ny * aperture.nz * np.dtype(complex).itemsize
     batch = block_rows(per_realization)

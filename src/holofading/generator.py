@@ -17,17 +17,16 @@ n = -Nx/2 .. Nx/2 - 1 by a half-grid cyclic shift (``synthesize``).
 same series by direct summation, for the exact ACFs and the validation lag
 windows.
 
-``coefficient_blocks`` is the one row-block stream of coefficients. It
-walks a sequence of realizations in row blocks of about SUB_BLOCK_BYTES of
-coefficient draws (``block_rows``, which sizes the CLI's ``generate``
-tasks by the same budget) and yields each block's realizations with their
-``plane_coefficients``: drawn, scaled, shaped in place and migrated.
-``generate_batch_planes`` synthesizes each block straight into its rows
-of the output block, and the validation runs fold each block into their
-sums, so neither holds more than one block of coefficients. Draws come
-from counter-based streams, every later stage is elementwise per
-realization, and each realization's IFFT is its own; so the block size
-changes no output bit.
+``plane_coefficients`` draws, scales, shapes in place and migrates a row
+block of realizations; ``coefficient_rows`` is how many fit
+SUB_BLOCK_BYTES of coefficient draws (``block_rows``, which sizes the
+CLI's ``generate`` tasks by the same budget). ``generate_batch_planes``
+synthesizes each such block straight into its rows of the output block,
+and the validation runs fold each block into their sums, so neither holds
+more than one block of coefficients per task. Draws come from
+counter-based streams, every later stage is elementwise per realization,
+and each realization's IFFT is its own; so the block size changes no
+output bit.
 
 The aperture's sides fix the harmonics and their variances, so the
 pipeline functions take the aperture alone and read its table from
@@ -46,7 +45,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,10 +64,10 @@ LINEAR = "linear"
 PLANAR = "planar"
 VOLUMETRIC = "volumetric"
 
-# the pipeline's one byte budget (``block_rows``): ``coefficient_blocks``
-# draws its realizations in row blocks of about this many bytes of
-# coefficients, and the CLI's ``generate`` synthesizes its pooled tasks in
-# blocks of about this many bytes of output (each at least one realization)
+# the pipeline's one byte budget (``block_rows``): coefficient draws
+# (``coefficient_rows``), compare-kl's baseline noise and the output of the
+# CLI's ``generate`` tasks come in row blocks of about this many bytes, each
+# at least one realization
 SUB_BLOCK_BYTES = 1 << 20
 
 
@@ -411,38 +410,25 @@ def plane_coefficients(
 ) -> list[np.ndarray]:
     """The coefficient stages of the pipeline over a batch of realizations:
     draw, shape, migrate to each z-plane. Returns one (B, n) array of
-    per-harmonic coefficients per plane, in the table's harmonic order.
-    ``factor`` None is isotropic. A line aperture only supports z = 0.
+    per-harmonic coefficients per plane, in the table's harmonic order,
+    each an array of its own that the caller may write over. ``factor``
+    None is isotropic. A line aperture only supports z = 0.
     """
     _check_planes(aperture.lx, aperture.ly, z_planes)
     table = default_table(aperture)
     if aperture.kind == LINEAR:
         h = draw_line_coefficients(table, seed, realizations, factor)
-        return [h for _ in z_planes]
+        return [h, *(h.copy() for _ in z_planes[1:])]
     draw = shape_coefficients(draw_coefficients(table, seed, realizations), factor)
     return [migrate(draw, z) for z in z_planes]
 
 
-def coefficient_blocks(
-    aperture: Aperture,
-    factor: SpectralFactor | None,
-    seed: int,
-    realizations: Sequence[int],
-    z_planes: Sequence[float],
-) -> Iterator[tuple[Sequence[int], list[np.ndarray]]]:
-    """The row-block stream of coefficients: walks ``realizations`` in
-    order, in row blocks of ``block_rows`` realizations, as many as fit
-    SUB_BLOCK_BYTES of coefficient draws (at least one; one on a 256 x 256
-    grid), and yields each block's slice of ``realizations`` with its
-    ``plane_coefficients``. Each block is bit-identical to the same rows
-    of one call over all realizations.
-    """
+def coefficient_rows(aperture: Aperture) -> int:
+    """How many realizations' coefficient draws fit SUB_BLOCK_BYTES (at
+    least one; one on a 256 x 256 grid): the row block of
+    ``plane_coefficients`` calls."""
     per_harmonic = 1 if aperture.kind == LINEAR else 2  # H, or H+ and H-
-    row_bytes = per_harmonic * len(default_table(aperture).ls) * np.dtype(complex).itemsize
-    rows = block_rows(row_bytes)
-    for a in range(0, len(realizations), rows):
-        reals = realizations[a : a + rows]
-        yield reals, plane_coefficients(aperture, factor, seed, reals, z_planes)
+    return block_rows(per_harmonic * len(default_table(aperture).ls) * np.dtype(complex).itemsize)
 
 
 def generate_batch_planes(
@@ -452,12 +438,13 @@ def generate_batch_planes(
     realizations: Sequence[int],
     z_planes: Sequence[float],
 ) -> np.ndarray:
-    """The synthesis pipeline over a batch of realizations: each row
-    block of ``coefficient_blocks``, synthesized plane by plane into its
-    rows of one output block, so only one row block of coefficients is
-    held at a time beside the output. The output block holds the whole
-    batch; the CLI's ``generate`` keeps it near SUB_BLOCK_BYTES by passing
-    batches of ``block_rows`` realizations of output. Returns the planes as one
+    """The synthesis pipeline over a batch of realizations: the
+    ``plane_coefficients`` of each row block of ``coefficient_rows``
+    realizations, synthesized plane by plane into its rows of one output
+    block, so only one row block of coefficients is held at a time beside
+    the output. The output block holds the whole batch; the CLI's
+    ``generate`` keeps it near SUB_BLOCK_BYTES by passing batches of
+    ``block_rows`` realizations of output. Returns the planes as one
     (len(z_planes), B, ny, nx) array, a plane-major view of the
     realization-major (B, len(z_planes), ny, nx) block; ``.swapaxes(0, 1)``
     gives that block back without a copy. Every realization is
@@ -465,12 +452,11 @@ def generate_batch_planes(
     supports z = 0.
     """
     block = np.empty((len(realizations), len(z_planes), aperture.ny, aperture.nx), dtype=complex)
-    start = 0
-    for reals, planes in coefficient_blocks(aperture, factor, seed, realizations, z_planes):
-        rows = block[start : start + len(reals)]
+    rows = coefficient_rows(aperture)
+    for a in range(0, len(realizations), rows):
+        planes = plane_coefficients(aperture, factor, seed, realizations[a : a + rows], z_planes)
         for i, h in enumerate(planes):
-            synthesize(h, aperture, rows[:, i])
-        start += len(reals)
+            synthesize(h, aperture, block[a : a + rows, i])
     return block.swapaxes(0, 1)
 
 

@@ -14,24 +14,25 @@ h_r(origin) = sum_k H_rk and the estimator is linear in the coefficients:
     w_k = sum_r conj(sum_k' H_rk') H_rk,
 
 the exact series autocorrelation with 2*sigma2_k replaced by its Monte Carlo
-estimate w_k / M. Each chunk accumulates w from ``coefficient_blocks``; after
-the reduction, ``generator.series_sum`` evaluates the series once over the
-lag window, at integer grid lags reduced mod (Nx, Ny). The runs take an
-aperture and read its variance table from ``generator.shared_table``
-before the workers start; this module builds no table of its own.
-Results are returned, not written: the CLI writes the artifacts.
+estimate w_k / M. The mean weights are folded from
+``generator.plane_coefficients``; then ``generator.series_sum`` evaluates
+the series once over the lag window, at integer grid lags reduced mod
+(Nx, Ny). The runs take an aperture and read its variance table from
+``generator.shared_table`` before the workers start; this module builds no
+table of its own. Results are returned, not written: the CLI writes the
+artifacts.
 
-Memory is bounded by row blocks, not by M. A worker holds one chunk of
-DEFAULT_BATCH realizations, and folds it as ``generator.coefficient_blocks``
-draws it, in row blocks of about ``generator.SUB_BLOCK_BYTES`` of
-coefficients; compare-kl's dense baseline noise is drawn in row blocks of
-the same budget (``generator.block_rows``) and multiplied only by the root
-rows its lag window reads. Every sum over
-realizations goes through ``_fold_rows``, which adds the rows of
-a block to a running total one at a time, in realization order: the
-order one ``np.sum`` over the whole batch uses. So the results are
-bit-identical for any block size and worker count, and to the estimate
-over all M realizations held at once.
+Memory is bounded by row blocks, not by M. Every Monte Carlo estimate
+goes through one fold, ``_mean_folds``: workers draw row blocks of about
+``generator.SUB_BLOCK_BYTES`` (``generator.block_rows``), the plane
+coefficients or compare-kl's dense baseline noise, at most T + 1 blocks
+queued on T workers; this thread turns each block into (reference,
+target) pairs, the baseline noise multiplied only by the root rows its
+lag window reads, and ``_fold_rows`` adds their products to a running
+total one row at a time, in realization order: the order one ``np.sum``
+over all M rows uses. So every estimate is bit-identical for any block
+size and worker count, and to the estimate over all M realizations held
+at once.
 
 Two oracles serve two different claims:
 
@@ -65,15 +66,14 @@ from .errors import ConfigError, InsufficientRealizations, LagMismatch
 from .generator import (
     Aperture,
     block_rows,
-    coefficient_blocks,
+    coefficient_rows,
+    plane_coefficients,
     series_sum,
     shared_table,
 )
 from .rng import STREAM_BASELINE, complex_standard_normals
 
 MIN_REALIZATIONS = 100
-# realizations per chunk of the coefficient-space runs
-DEFAULT_BATCH = 512
 
 
 @dataclass(frozen=True)
@@ -132,17 +132,16 @@ def _normalize(raw: np.ndarray) -> np.ndarray:
 
 def _fold_rows(total, s: np.ndarray, h: np.ndarray) -> np.ndarray:
     """total + sum_r conj(s_r) * h_r over the rows r of s (B,) and h (B, ...),
-    added one row at a time in row order.
+    added one row at a time in row order; the products are written over h.
 
-    The products are written into one buffer whose row 0 is the running
-    total, and ``np.add.reduce`` adds its rows in order from 0. So folding
-    a batch in row blocks, block by block from a zero total, gives the
-    bits of one ``np.sum`` over all its rows (which also starts from 0).
+    The running total is added into row 0 (IEEE addition commutes), and
+    ``np.add.reduce`` adds the rows in order from 0. So folding a batch in
+    row blocks, block by block from a zero total, gives the bits of one
+    ``np.sum`` over all its rows.
     """
-    buf = np.empty((1 + len(h),) + h.shape[1:], dtype=complex)
-    buf[0] = total
-    np.multiply(np.conj(s).reshape((-1,) + (1,) * (h.ndim - 1)), h, out=buf[1:])
-    return np.add.reduce(buf, axis=0)
+    np.multiply(np.conj(s).reshape((-1,) + (1,) * (h.ndim - 1)), h, out=h)
+    h[0] += total
+    return np.add.reduce(h, axis=0)
 
 
 def _estimate(raw, m, spacings, sides, tilted=True) -> AcfEstimate:
@@ -208,34 +207,44 @@ def ordered_map(fn: Callable, items: Sequence, threads: int) -> Iterator:
     """fn over items, yielding the results in item order.
 
     With more than one thread and item, the calls run on a pool of
-    ``threads`` workers. At most ``threads`` calls are in flight: the next
-    item is submitted only when the caller takes a result, so a caller that
-    stops early waits only for the calls in flight.
+    ``threads`` workers, ``threads + 1`` items submitted ahead of the
+    caller: one more than the workers, so a worker that finishes never
+    waits for the caller to take an earlier result. The next item is
+    submitted only when the caller takes a result, so a caller that stops
+    early waits only for the calls in flight, and a taken result is
+    dropped here before the next one is awaited.
     """
     if threads <= 1 or len(items) <= 1:
         yield from map(fn, items)
         return
     todo = iter(items)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = collections.deque(pool.submit(fn, item) for item in itertools.islice(todo, threads))
+        pending = collections.deque(pool.submit(fn, i) for i in itertools.islice(todo, threads + 1))
         while pending:
             result = pending.popleft().result()
-            pending.extend(pool.submit(fn, item) for item in itertools.islice(todo, 1))
+            pending.extend(pool.submit(fn, i) for i in itertools.islice(todo, 1))
             yield result
+            del result
 
 
-def _chunk_means(run_chunk, m: int, threads: int | None) -> list[np.ndarray]:
-    """Means over m realizations of the partial sums that
-    ``run_chunk(start)`` returns (a list of arrays) for the chunk of
-    DEFAULT_BATCH realizations from start.
+def _mean_folds(draw, pairs, m: int, rows: int, threads: int | None) -> list[np.ndarray]:
+    """Means over realizations 0 .. m - 1 of sum_r conj(s_r) * h_r, one per
+    (reference, target) pair (s, h) that ``pairs(block)`` makes of each
+    block that ``draw((start, stop))`` returns.
 
-    Partial sums are folded in chunk order from 0, as ``sum`` would, so
-    results are bit-identical for any worker count.
+    Workers draw spans of ``rows`` realizations; a one-row remainder joins
+    the span before it, because a one-row block would be multiplied as a
+    matrix-vector product, whose last bits differ. This thread makes the
+    pairs and folds them with ``_fold_rows`` in realization order, so each
+    mean is, bit for bit, one ``np.sum`` over all m rows divided by m,
+    whatever the block size and worker count.
     """
-    sums: list = []
-    for parts in ordered_map(run_chunk, range(0, m, DEFAULT_BATCH), _thread_count(threads)):
-        sums = [s + p for s, p in zip(sums or [0] * len(parts), parts)]
-    return [s / m for s in sums]
+    bounds = [0, *range(rows, m - 1, rows), m]  # at least one span, so totals becomes a list
+    totals = itertools.repeat(0.0)
+    for block in ordered_map(draw, list(zip(bounds, bounds[1:])), _thread_count(threads)):
+        totals = [_fold_rows(t, s, h) for t, (s, h) in zip(totals, pairs(block))]
+        del block  # freed before the next block is awaited
+    return [t / m for t in totals]
 
 
 def _first_row_sums(
@@ -243,23 +252,20 @@ def _first_row_sums(
     lags, threads: int | None,
 ) -> list[np.ndarray]:
     """First-row covariances from the grid origin, one (kx + 1, ky + 1)
-    lag window per z-plane, over m realizations: the origin weights are
-    accumulated per chunk from the plane coefficients and reduced in chunk
-    order, then the series is evaluated once over the window. Each chunk
-    folds the row blocks of ``coefficient_blocks`` in realization order,
-    so the chunk sums do not depend on the block size."""
+    lag window per z-plane, over m realizations: the mean origin weights
+    are folded from the plane coefficients, then the series is evaluated
+    once over the window."""
     table = shared_table(aperture, factor, z_planes)  # warm before the workers share it
 
-    def run_chunk(start: int) -> list[np.ndarray]:
+    def draw(span: tuple[int, int]) -> list[np.ndarray]:
+        return plane_coefficients(aperture, factor, seed, range(*span), z_planes)
+
+    def pairs(planes: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
         # w_k = sum_r conj(h_r(origin)) H_rk: every harmonic is 1 at the
         # grid origin, so h_r(origin) = sum_k H_rk
-        reals = range(start, min(start + DEFAULT_BATCH, m))
-        sums = [0.0] * len(z_planes)
-        for _, planes in coefficient_blocks(aperture, factor, seed, reals, z_planes):
-            sums = [_fold_rows(w, h.sum(axis=-1), h) for w, h in zip(sums, planes)]
-        return sums
+        return [(h.sum(axis=-1), h) for h in planes]
 
-    weights = _chunk_means(run_chunk, m, threads)
+    weights = _mean_folds(draw, pairs, m, coefficient_rows(aperture), threads)
     ky, kx = lags
     window = (np.arange(kx + 1), np.arange(ky + 1))
     return [series_sum(w, table, window, (aperture.nx, aperture.ny)) for w in weights]
@@ -275,8 +281,10 @@ def _accumulate_first_row(
     factor=None,
 ) -> list[AcfEstimate]:
     """First-row covariance accumulation over m realizations, one estimate
-    per requested z-plane (all planes share each realization's draws);
-    bit-identical for any worker count."""
+    per requested z-plane (all planes share each realization's draws).
+    Each estimate is, bit for bit, the one over all m realizations' plane
+    coefficients held at once, whatever the row block size and worker
+    count."""
     check_realizations(m)
     nx, ny = aperture.nx, aperture.ny
     one_d = aperture.kind == "linear"
@@ -401,27 +409,27 @@ def _kl_first_row(root: np.ndarray, seed: int, m: int, lag_cells: int, threads) 
     of ``kl_sample``'s m draws divided by m, bit for bit, without holding
     the draws: workers draw the noise e in row blocks of about
     ``generator.SUB_BLOCK_BYTES`` (256 realizations of 256 points), and
-    this thread multiplies each block by the root rows of the lag window
-    (the reference is its first column) and folds the lag products into
-    one running sum in realization order. A one-row block would be
-    multiplied as a matrix-vector product, whose last bits differ, so a
-    one-row remainder joins the block before it.
+    ``_mean_folds`` multiplies each block by the root rows of the lag
+    window (the reference is its first column) on this thread. Only a
+    copy of those rows is kept, not the root.
     """
     n = root.shape[0]
     rx = n // 2
-    window = root[rx : rx + lag_cells + 1].T
-    bounds = [*range(0, m - 1, block_rows(n * np.dtype(complex).itemsize)), m]
+    window = np.array(root[rx : rx + lag_cells + 1]).T
+    del root
 
-    def draw_block(span: tuple[int, int]) -> np.ndarray:
+    def draw(span: tuple[int, int]) -> np.ndarray:
         return complex_standard_normals(seed, range(*span), n, STREAM_BASELINE)
 
-    total = np.zeros(lag_cells + 1, dtype=complex)
-    for e in ordered_map(draw_block, list(zip(bounds, bounds[1:])), _thread_count(threads)):
+    def pairs(e: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         # one product at a time, on this thread: BLAS runs threads of its
         # own, which products on every worker would oversubscribe
         h = e @ window
-        total = _fold_rows(total, h[:, 0], h)
-    return total[:, np.newaxis] / m
+        return [(h[:, 0], h)]
+
+    rows = block_rows(n * np.dtype(complex).itemsize)
+    (mean,) = _mean_folds(draw, pairs, m, rows, threads)
+    return mean[:, np.newaxis]
 
 
 def compare_kl(m: int = 10_000, seed: int = 0, threads: int | None = None) -> KlComparison:

@@ -1,10 +1,11 @@
 """Field-space oracles: the estimates and the series evaluated straight
 from synthesized fields and coefficients, independent of the
-coefficient-space estimator and the FFT synthesis that they check; and
-the draws with one unsliced Box-Muller pass over the whole block."""
+coefficient-space estimator and the FFT synthesis that they check; the
+coefficient-space estimate over all realizations held at once; and the
+draws with one unsliced Box-Muller pass over the whole block."""
 import numpy as np
 
-from holofading.generator import Aperture, default_table, series_sum
+from holofading.generator import Aperture, default_table, plane_coefficients, series_sum
 from holofading.rng import _positioned
 from holofading.validation import AcfEstimate, _estimate, check_realizations
 
@@ -22,6 +23,20 @@ def lag_sum(h: np.ndarray, ref, lags) -> np.ndarray:
     (ry, rx), (ky, kx) = ref, lags
     block = h[:, ry : ry + ky + 1, rx : rx + kx + 1]
     return np.sum(np.conj(h[:, ry, rx])[:, np.newaxis, np.newaxis] * block, axis=0).T
+
+
+def first_row_sums(aperture: Aperture, factor, seed: int, m: int, z_planes, lags) -> list:
+    """``validation._first_row_sums`` with every realization's plane
+    coefficients held at once: per plane, one ``np.sum`` over the m
+    realizations of conj(sum_k H_rk) * H_rk, divided by m, evaluated by
+    ``series_sum`` over the (0..kx, 0..ky) lag window of lags = (ky, kx)."""
+    ky, kx = lags
+    window = (np.arange(kx + 1), np.arange(ky + 1))
+    out = []
+    for h in plane_coefficients(aperture, factor, seed, range(m), z_planes):
+        w = np.sum(np.conj(h.sum(axis=-1))[:, np.newaxis] * h, axis=0) / m
+        out.append(series_sum(w, default_table(aperture), window, (aperture.nx, aperture.ny)))
+    return out
 
 
 def empirical_acf(

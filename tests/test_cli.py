@@ -400,7 +400,7 @@ def test_bad_input_exits_2_with_json(case, argv, tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(valmod, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(climod, "generate_batch_planes", no_generation)
-    monkeypatch.setattr(valmod, "coefficient_blocks", no_generation)
+    monkeypatch.setattr(valmod, "plane_coefficients", no_generation)
     (tmp_path / "file").write_text("")
     code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2

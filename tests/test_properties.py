@@ -17,7 +17,6 @@ from holofading.generator import (
     synthesize,
 )
 import holofading.generator as genmod
-import holofading.validation as valmod
 from holofading.validation import _accumulate_first_row, lambda_half_independence, run_figure
 from holofading.variances import coefficient_indices, table_2d
 from holofading.wavenumber import KAPPA, lattice_gammas, lattice_wavenumbers
@@ -135,24 +134,20 @@ def test_batch_equals_per_realization_generate(lx, ly, extra, z_frac, directiona
     directional=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(100, 400),
-    batch=st.integers(16, 128),
     sub_block=st.integers(0, 21).map(lambda e: 1 << e),
 )
-def test_first_row_accumulation_thread_invariant(lx, ly, extra, directional, seed, m, batch,
-                                                 sub_block):
-    # two workers at most: the property is the chunk-ordered reduction,
-    # each chunk folded in row blocks of any size (down to one row); the
-    # generated fields share the same row-block stream
+def test_first_row_accumulation_thread_invariant(lx, ly, extra, directional, seed, m, sub_block):
+    # two workers at most: the property is the one fold in realization
+    # order, over row blocks of any size (down to one row); the generated
+    # fields share the same row-block rule
     aperture = _aperture(lx, ly, extra)
     factor = _DIRECTIONAL if directional else None
     zs = (0.0,) if ly == 0.0 else (0.0, 0.5 * min(lx, ly))
     lag = min(aperture.nx, aperture.ny if ly else aperture.nx) // 4
 
     def results(threads):
-        with mock.patch.object(valmod, "DEFAULT_BATCH", batch):
-            ests = _accumulate_first_row(aperture, seed, m, zs, lag, threads=threads,
-                                         factor=factor)
-            row = lambda_half_independence(m=m, seed=seed, lx=8.0, threads=threads)[0]
+        ests = _accumulate_first_row(aperture, seed, m, zs, lag, threads=threads, factor=factor)
+        row = lambda_half_independence(m=m, seed=seed, lx=8.0, threads=threads)[0]
         return [
             *(e.raw for e in ests),
             *(e.values for e in ests),

@@ -2,7 +2,9 @@ import json
 import math
 import os
 import threading
+import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -22,11 +24,13 @@ from holofading.baseline import (
     kl_sample,
 )
 from holofading.cli import write_figure_artifacts
+import holofading.generator as genmod
 from holofading.generator import generate_batch_planes, lattice_acf_1d, shared_table
 import holofading.validation as valmod
 from holofading.validation import (
     AcfEstimate,
     _accumulate_first_row,
+    _first_row_sums,
     _kl_first_row,
     _thread_count,
     compare,
@@ -36,7 +40,7 @@ from holofading.validation import (
     run_figure,
 )
 from holofading.variances import table_1d, table_2d
-from oracles import empirical_acf, lag_sum
+from oracles import empirical_acf, first_row_sums, lag_sum
 
 
 def _bits(a):
@@ -157,17 +161,13 @@ class TestSelfConsistency:
             _thread_count(None)
 
     def test_threaded_accumulation_bit_identical(self, monkeypatch):
-        monkeypatch.setattr(valmod, "DEFAULT_BATCH", 128)
+        monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", 1 << 16)  # 5 blocks of up to 128 rows
         ap = Aperture(lx=16.0, dx=0.25)
         (a,) = _accumulate_first_row(ap, 7, 600, (0.0,), 16, threads=1)
         (b,) = _accumulate_first_row(ap, 7, 600, (0.0,), 16, threads=4)
         assert np.array_equal(a.values, b.values)
 
     def test_shaping_gains_evaluated_once_per_run(self, monkeypatch):
-        import time
-
-        import holofading.generator as genmod
-
         calls = []
         real = genmod.shaping_gains
 
@@ -177,7 +177,7 @@ class TestSelfConsistency:
             return real(*args)
 
         monkeypatch.setattr(genmod, "shaping_gains", counting)
-        monkeypatch.setattr(valmod, "DEFAULT_BATCH", 100)
+        monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", 1 << 18)  # 12 blocks of up to 36 rows
         # a factor of its own, so the gains cache starts cold
         factor = SpectralFactor.from_callables(
             lambda kx, ky: 1.0 + 0.4 * np.cos(np.arctan2(ky, kx)),
@@ -188,10 +188,6 @@ class TestSelfConsistency:
         assert calls == [len(table_2d(8.0, 8.0))]
 
     def test_migration_phases_evaluated_once_per_run(self, monkeypatch):
-        import time
-
-        import holofading.generator as genmod
-
         calls = []
         real = genmod.lattice_gammas
 
@@ -201,7 +197,7 @@ class TestSelfConsistency:
             return real(table)
 
         monkeypatch.setattr(genmod, "lattice_gammas", counting)
-        monkeypatch.setattr(valmod, "DEFAULT_BATCH", 100)
+        monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", 1 << 18)  # 12 blocks of up to 36 rows
         ap = Aperture(lx=8.0, dx=0.5, ly=8.0, dy=0.5)
         zs = (0.0625, 0.3125)  # planes no other test migrates to: a cold cache
         _accumulate_first_row(ap, 3, 400, zs, 4, threads=2)
@@ -238,7 +234,7 @@ class TestCoefficientSpaceEstimator:
         (Aperture(lx=8.0, dx=0.25, ly=6.0, dy=0.5), _DIRECTIONAL, (0.0, 0.5), 5),
     ], ids=["fig6-line", "planar-directional"])
     def test_first_row_matches_fft_fields(self, ap, factor, z_planes, lag_cells, monkeypatch):
-        monkeypatch.setattr(valmod, "DEFAULT_BATCH", 128)
+        monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", 1 << 16)  # 3 (line) or 25 blocks
         m = 300
         ests = _accumulate_first_row(ap, 9, m, z_planes, lag_cells, threads=1, factor=factor)
         fields = generate_batch_planes(ap, factor, 9, range(m), z_planes)
@@ -248,13 +244,38 @@ class TestCoefficientSpaceEstimator:
             raw = lag_sum(h, (ap.ny // 2, ap.nx // 2), lags) / m
             assert np.max(np.abs(est.raw - raw.reshape(est.raw.shape))) <= 1e-12
 
+    @pytest.mark.parametrize("sub_block", [None, 16 * 1024], ids=["default-budget", "16KiB"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("ap, factor, m, z_planes, lags", [
+        (Aperture(**valmod.FIGURE_CONFIGS[6]["aperture"]), None, 1200, (0.0,), (0, 64)),
+        (Aperture(lx=8.0, dx=0.25, ly=6.0, dy=0.5), _DIRECTIONAL, 700, (0.0, 0.5), (5, 5)),
+    ], ids=["fig6-line", "planar-directional"])
+    def test_first_row_sums_are_one_sum_over_all_realizations(
+        self, ap, factor, m, z_planes, lags, threads, sub_block, monkeypatch
+    ):
+        if sub_block is not None:
+            monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", sub_block)
+        got = _first_row_sums(ap, factor, 5, m, z_planes, lags, threads)
+        want = first_row_sums(ap, factor, 5, m, z_planes, lags)
+        assert len(got) == len(want) == len(z_planes)
+        for a, b in zip(got, want):
+            assert np.array_equal(_bits(a), _bits(b))
+
+    def test_repeated_line_plane_is_folded_once_per_plane(self):
+        # a line's planes share their draws; each plane's coefficients are
+        # written over by its own fold, so the second must not see the first's
+        ap = Aperture(lx=16.0, dx=0.25)
+        (one,) = _accumulate_first_row(ap, 2, 300, (0.0,), 16, threads=1)
+        for est in _accumulate_first_row(ap, 2, 300, (0.0, 0.0), 16, threads=1):
+            assert np.array_equal(_bits(est.raw), _bits(one.raw))
+
     @pytest.mark.parametrize("m", [0, 5])
     def test_lambda_half_needs_enough_realizations(self, m):
         with pytest.raises(InsufficientRealizations):
             lambda_half_independence(m=m, seed=0, lx=8.0, threads=1)
 
     def test_lambda_half_row_matches_cyclic_fft_row(self, monkeypatch):
-        monkeypatch.setattr(valmod, "DEFAULT_BATCH", 128)
+        monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", 1 << 18)  # 9 blocks of up to 36 rows
         m = 300
         row, _ = lambda_half_independence(m=m, seed=4, lx=8.0, threads=1)
         ap = Aperture(lx=8.0, dx=0.5, ly=8.0, dy=0.5)
@@ -296,12 +317,54 @@ class TestOrderedMap:
         assert waited == [True]  # item 1 finished while item 0 still ran
         assert submitted == [0, 1, 2, 3, 4]
 
-    def test_in_flight_never_exceeds_threads(self, submitted):
+    def test_a_worker_runs_on_while_an_earlier_item_is_not_taken(self):
+        # two workers: item 0 holds one, item 1 frees the other, and item 2
+        # runs there only if it was submitted before result 0 was taken
+        third_done = threading.Event()
+        waited = []
+
+        def fn(item):
+            if item == 0:
+                waited.append(third_done.wait(timeout=10.0))
+            elif item == 2:
+                third_done.set()
+            return item
+
+        assert list(ordered_map(fn, range(4), 2)) == [0, 1, 2, 3]
+        assert waited == [True]
+
+    def test_a_taken_result_is_not_held_while_the_next_is_awaited(self):
+        class Result:
+            pass
+
+        armed = threading.Event()
+        refs, freed = [], []
+
+        def fn(item):
+            if item == 1:
+                # runs while the consumer awaits it, after dropping result 0
+                assert armed.wait(timeout=10.0)
+                deadline = time.monotonic() + 5.0
+                while refs[0]() is not None and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                freed.append(refs[0]() is None)
+            return Result()
+
+        results = ordered_map(fn, range(3), 2)
+        first = next(results)
+        refs.append(weakref.ref(first))
+        del first
+        armed.set()
+        next(results)
+        results.close()
+        assert freed == [True]
+
+    def test_one_more_item_in_flight_than_threads(self, submitted):
         taken = 0
         for _ in ordered_map(lambda item: item, range(9), 2):
             taken += 1
             # the result in hand is taken; the rest are in flight
-            assert len(submitted) - taken <= 2
+            assert len(submitted) - taken == min(3, 9 - taken)
         assert taken == 9 and submitted == list(range(9))
 
     def test_nothing_submitted_after_the_consumer_stops(self, submitted):
@@ -309,8 +372,8 @@ class TestOrderedMap:
         results = ordered_map(started.append, range(10), 2)
         next(results)
         results.close()
-        assert submitted == [0, 1, 2]  # two at the start, one when result 0 was taken
-        assert set(started) <= {0, 1, 2}
+        assert submitted == [0, 1, 2, 3]  # three at the start, one when result 0 was taken
+        assert set(started) <= {0, 1, 2, 3}
 
     def test_worker_exception_reaches_the_consumer(self, submitted):
         def fn(item):
@@ -322,7 +385,7 @@ class TestOrderedMap:
         assert [next(results), next(results)] == [0, 1]
         with pytest.raises(KeyError):
             next(results)
-        assert submitted == [0, 1, 2, 3]
+        assert submitted == [0, 1, 2, 3, 4]
 
     @pytest.mark.parametrize("threads, items", [(1, range(4)), (2, range(1))])
     def test_no_pool_for_one_worker_or_one_item(self, monkeypatch, threads, items):
