@@ -13,7 +13,8 @@ never a flag. A flat key=value config file may supply any long option of
 the chosen subcommand (unknown keys are rejected); explicit flags win over
 file values. ``--threads`` caps the worker threads of generate, validate
 and compare-kl (default: env var HOLO_THREADS, else the CPUs this process
-may run on; a malformed HOLO_THREADS is a configuration error). Exit codes:
+may run on; a --threads below 1 or a malformed HOLO_THREADS is a
+configuration error). Exit codes:
 0 all checks passed, 1 a validation failed (machine-readable failure list
 on stderr), 2 bad configuration or an unreadable/unwritable path (JSON
 failure on stderr, never a traceback).
@@ -283,8 +284,8 @@ def _field_batches(aperture, factor, seed, m, threads):
     return ordered_map(run_chunk, range(0, m, batch), threads)
 
 
-def _at_least_one(value: int, flag: str) -> int:
-    if value < 1:
+def _at_least_one(value: int | None, flag: str) -> int | None:
+    if value is not None and value < 1:  # None: an optional flag not given
         raise ConfigError(f"{flag} must be at least 1, got {value}")
     return value
 
@@ -297,7 +298,8 @@ def cmd_generate(args) -> int:
     m = _at_least_one(args.realizations, "--realizations")
     if args.format == "bin" and m >= 1 << 32:
         raise ConfigError(f"--realizations {m} does not fit the uint32 count of the binary header")
-    threads = _thread_count(args.threads)  # a malformed HOLO_THREADS fails before --out opens
+    # a --threads below 1 or a malformed HOLO_THREADS fails before --out opens
+    threads = _thread_count(_at_least_one(args.threads, "--threads"))
     try:  # so does a side the variance table rejects (a line of 7.5 wavelengths)
         default_table(aperture)
     except ValueError as exc:
@@ -345,7 +347,7 @@ def cmd_validate(args) -> int:
     if args.fig not in (6, 7, 8):
         raise ConfigError(f"--fig must be 6, 7 or 8, got {args.fig}")
     check_realizations(args.realizations)  # before --out is touched
-    threads = _thread_count(args.threads)  # so is a malformed HOLO_THREADS
+    threads = _thread_count(_at_least_one(args.threads, "--threads"))  # so is a bad thread cap
     if args.out:
         os.makedirs(args.out, exist_ok=True)  # a bad --out fails before the run
     report = run_figure(args.fig, m=args.realizations, seed=args.seed, threads=threads)
@@ -366,27 +368,26 @@ def cmd_validate(args) -> int:
 
 def cmd_compare_kl(args) -> int:
     check_realizations(args.realizations)  # before --out is touched
-    threads = _thread_count(args.threads)  # so is a malformed HOLO_THREADS
+    threads = _thread_count(_at_least_one(args.threads, "--threads"))  # so is a bad thread cap
     # a bad --out fails before the run
     with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as fh:
         result = compare_kl(m=args.realizations, seed=args.seed, threads=threads)
+        fig = result.figure
         if fh is not None:
             fh.write("lag_over_lambda,model_estimate,kl_estimate,closed_form\n")
-            for lag, a, b, c in zip(
-                result.lags, result.model_estimate, result.kl_estimate, result.closed_form
-            ):
+            for lag, a, b, c in zip(fig.lags_x, fig.empirical, result.kl_estimate, fig.closed_form):
                 fh.write(f"{float(lag)!r},{float(a)!r},{float(b)!r},{float(c)!r}\n")
     print(
         f"compare-kl: entrywise_max={result.entrywise_max:.5f} "
-        f"model rmse={result.model_report.rmse:.5f} kl rmse={result.kl_report.rmse:.5f} "
-        f"M={result.m} -> {'PASS' if result.passed else 'FAIL'}"
+        f"model rmse={fig.rmse:.5f} kl rmse={result.kl_report.rmse:.5f} "
+        f"M={fig.m} -> {'PASS' if result.passed else 'FAIL'}"
     )
     if not result.passed:
         _fail([{
             "check": "compare-kl",
             "entrywise_max": result.entrywise_max,
-            "model_rmse": result.model_report.rmse,
-            "model_max_abs_dev": result.model_report.max_abs_dev,
+            "model_rmse": fig.rmse,
+            "model_max_abs_dev": fig.max_abs_dev,
             "kl_rmse": result.kl_report.rmse,
             "kl_max_abs_dev": result.kl_report.max_abs_dev,
         }])

@@ -239,7 +239,7 @@ def _plane_gains(factor: SpectralFactor, lx: float, ly: float) -> tuple[np.ndarr
 def _line_gains(factor: SpectralFactor, lx: float) -> np.ndarray:
     """Read-only line shaping gain at every harmonic of an lx line table;
     the line counterpart of ``_plane_gains``."""
-    gain = line_shaping_gain(factor, lattice_wavenumbers(table_1d(lx)), KAPPA)
+    gain = line_shaping_gain(factor, lattice_wavenumbers(table_1d(lx)))
     gain.flags.writeable = False  # shared by every caller of the cache
     return gain
 

@@ -19,8 +19,8 @@ wavenumber gain
 
 which equals 1 everywhere for the isotropic weight. ``shaping_gains``
 evaluates it at the harmonics of a rectangular aperture and
-``line_shaping_gain`` at those of a line aperture; both still take kappa
-as an argument, and every caller passes ``KAPPA``.
+``line_shaping_gain`` at those of a line aperture. ``shaping_gains`` still
+takes kappa as an argument, and every caller passes ``KAPPA``.
 """
 from __future__ import annotations
 
@@ -212,7 +212,7 @@ def shaping_gains(factor: SpectralFactor, kx, ky, kappa: float):
     return ap * scale, am * scale
 
 
-def line_shaping_gain(factor: SpectralFactor, kx, kappa: float):
+def line_shaping_gain(factor: SpectralFactor, kx):
     """Shaping gain for the single-coefficient line series.
 
     The line series lumps the two half-space coefficients into one draw of
@@ -225,6 +225,6 @@ def line_shaping_gain(factor: SpectralFactor, kx, kappa: float):
     kx = np.asarray(kx, dtype=float)
     if factor.is_isotropic:
         return np.ones_like(kx)
-    kxc = np.clip(kx, -kappa, kappa)
+    kxc = np.clip(kx, -KAPPA, KAPPA)
     ap, am = factor.amplitudes(kxc, np.zeros_like(kxc))
     return np.sqrt((np.square(ap) + np.square(am)) / 2.0) / ISOTROPIC_FACTOR_2D

@@ -141,15 +141,15 @@ def test_criterion_8_baseline_equivalence():
     budget = 6.0 / math.sqrt(M)
     ok = (
         result.entrywise_max < budget
-        and result.model_report.rmse < 0.03 and result.model_report.max_abs_dev < 0.06
+        and result.figure.rmse < 0.03 and result.figure.max_abs_dev < 0.06
         and result.kl_report.rmse < 0.03 and result.kl_report.max_abs_dev < 0.06
     )
     _report(8, "series vs dense-baseline covariances", ok,
             f"entrywise={result.entrywise_max:.5f} (budget {budget:.3f}), "
-            f"model rmse={result.model_report.rmse:.5f}, kl rmse={result.kl_report.rmse:.5f}")
+            f"model rmse={result.figure.rmse:.5f}, kl rmse={result.kl_report.rmse:.5f}")
     assert result.entrywise_max < budget
-    assert result.model_report.rmse < 0.03
-    assert result.model_report.max_abs_dev < 0.06
+    assert result.figure.rmse < 0.03
+    assert result.figure.max_abs_dev < 0.06
     assert result.kl_report.rmse < 0.03
     assert result.kl_report.max_abs_dev < 0.06
 

@@ -423,6 +423,29 @@ def test_malformed_thread_env_leaves_no_output(argv, tmp_path, capsys, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("generate", "--aperture", "8,8", "--spacing", "0.5", "--out", "{out}/x.bin"),
+     ("validate", "--fig", "7", "--realizations", "100", "--out", "{out}/d"),
+     ("compare-kl", "--realizations", "100", "--out", "{out}/kl.csv")],
+    ids=["generate", "validate", "compare-kl"],
+)
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exits_2_before_out_opens(argv, threads, tmp_path, capsys):
+    # HOLO_THREADS below 1 falls back to one thread; a flag or key below 1
+    # is a mistake, not a request for every CPU
+    out = tmp_path / "out"
+    out.mkdir()
+    config = tmp_path / "threads.cfg"
+    config.write_text(f"threads={threads}\n")
+    for extra in (("--threads", threads), ("--config", str(config))):
+        code, _, err = run_cli(capsys, *(a.format(out=out) for a in argv), *extra)
+        assert code == 2
+        failure = json.loads(err.splitlines()[-1])["failures"][0]
+        assert failure["check"] == "config" and "--threads" in failure["detail"]
+        assert list(out.iterdir()) == []
+
+
 def _write_lobed_factor(path):
     """Tabulated directional factor: cosine lobes of different depth and
     direction in the two half-spaces."""
@@ -580,7 +603,7 @@ class TestGenerateChunks:
 
         import holofading.generator as genmod
         from holofading.spectrum import SpectralFactor, line_shaping_gain
-        from holofading.wavenumber import KAPPA, lattice_wavenumbers
+        from holofading.wavenumber import lattice_wavenumbers
 
         calls = []
 
@@ -604,7 +627,7 @@ class TestGenerateChunks:
         assert calls == [len(table.ls)]
         # the bytes of the uncached definition: each draw times the gain
         factor = SpectralFactor.from_csv(tmp_path / "factor.csv")
-        gain = line_shaping_gain(factor, lattice_wavenumbers(table), KAPPA)
+        gain = line_shaping_gain(factor, lattice_wavenumbers(table))
         draws = genmod.draw_line_coefficients(table, 7, range(18)) * gain
         want = genmod.synthesize(draws, Aperture(lx=16.0, dx=0.0625))
         assert out.read_bytes()[24:] == np.ascontiguousarray(want, dtype="<c16").tobytes()

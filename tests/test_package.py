@@ -12,8 +12,8 @@ MODULES = (
     "baseline", "cli", "errors", "generator", "rng",
     "spectrum", "validation", "variances", "wavenumber",
 )
-# the disk radius stays an argument of the two gain functions only
-KAPPA_ARGUMENT = {"spectrum.shaping_gains", "spectrum.line_shaping_gain"}
+# the disk radius stays an argument of shaping_gains only
+KAPPA_ARGUMENT = {"spectrum.shaping_gains"}
 
 
 def _signatures(module):

@@ -71,12 +71,12 @@ class TestShapingResponse:
 
     def test_line_gain_identity_for_isotropic(self):
         for f in (SpectralFactor.isotropic_2d(), SpectralFactor.isotropic_3d()):
-            assert np.all(line_shaping_gain(f, np.linspace(-KAPPA, KAPPA, 9), KAPPA) == 1.0)
+            assert np.all(line_shaping_gain(f, np.linspace(-KAPPA, KAPPA, 9)) == 1.0)
 
     def test_line_gain_constant_factor(self):
         c = 2.0 * ISOTROPIC_FACTOR_2D
         f = SpectralFactor.from_callables(lambda kx, ky: np.full(np.shape(kx), c))
-        assert np.allclose(line_shaping_gain(f, np.array([0.0, 1.0]), KAPPA), 2.0)
+        assert np.allclose(line_shaping_gain(f, np.array([0.0, 1.0])), 2.0)
 
 
 class TestIsotropicNormalization:

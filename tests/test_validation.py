@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from holofading.generator import generate_batch_planes, lattice_acf_1d, shared_t
 import holofading.validation as valmod
 from holofading.validation import (
     AcfEstimate,
+    FigureReport,
     _accumulate_first_row,
     _first_row_sums,
     _kl_first_row,
@@ -418,6 +420,17 @@ class TestRunFigure:
         assert curve[0] == "lag_over_lambda,lag_y_over_lambda,empirical,closed_form"
         assert len(curve) == 1 + 17 * 17
 
+    @pytest.mark.parametrize("fig", [6, 7, 8])
+    def test_every_threshold_decides_the_verdict(self, fig, monkeypatch):
+        thresholds = valmod.FIGURE_CONFIGS[fig]["thresholds"]
+        for key in thresholds:
+            monkeypatch.setitem(thresholds, key, math.inf)
+        assert run_figure(fig, m=150, seed=1).passed
+        for key in list(thresholds):
+            monkeypatch.setitem(thresholds, key, 0.0)
+            assert not run_figure(fig, m=150, seed=1).passed, key
+            monkeypatch.setitem(thresholds, key, math.inf)
+
     def test_fig8_reports_z_consistency(self):
         report = run_figure(8, m=150, seed=1)
         assert report.z_consistency_max is not None
@@ -426,12 +439,34 @@ class TestRunFigure:
 
 class TestCompareKl:
     def test_series_side_is_the_fig6_run(self):
-        # compare-kl takes its grid from fig 6, so its model column is
-        # fig 6's estimate at the same seed, bit for bit
-        kl = compare_kl(m=200, seed=1)
-        fig = run_figure(6, m=200, seed=1)
-        assert np.array_equal(kl.lags, fig.lags_x)
-        assert np.array_equal(kl.model_estimate, fig.empirical)
+        # compare-kl's series side is fig 6's run at the same seed, bit for bit
+        got = compare_kl(200, 1, 2).figure
+        want = run_figure(6, 200, 1, 2)
+        for field in dataclasses.fields(FigureReport):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                assert np.array_equal(_bits(a), _bits(b)), field.name
+            else:
+                assert a == b, field.name
+
+    def test_baseline_half_alone_fails_the_comparison(self, monkeypatch):
+        # thresholds wide enough for the series half at M = 200, and a
+        # baseline moved 0.1 off J0 at every nonzero lag: it stays within
+        # the entrywise budget 6/sqrt(M) = 0.42 but misses the rmse
+        thresholds = dict(rmse=0.08, max_abs_dev=0.3)
+        monkeypatch.setitem(valmod.FIGURE_CONFIGS[6], "thresholds", thresholds)
+        real = valmod._kl_first_row
+
+        def off_baseline(*args):
+            raw = real(*args)
+            raw[1:] += 0.1 * raw[0]
+            return raw
+
+        monkeypatch.setattr(valmod, "_kl_first_row", off_baseline)
+        result = compare_kl(200, 1, 2)
+        assert result.figure.passed and result.entrywise_max < 6.0 / math.sqrt(200)
+        assert result.kl_report.rmse > 0.08
+        assert not result.passed
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("m", [100, 257, 513, 769, 1025, 1200])

@@ -16,7 +16,9 @@ threads, checks that: it must equal the ``compare-kl/kl.csv`` line.
 The outputs are ``generate`` in each aperture kind and format (with a
 tabulated directional factor it writes itself, also over several z-planes
 on two workers, and on a 64 x 64 aperture whose tasks of 4 realizations
-each span two coefficient row blocks), ``validate --fig
+each span two coefficient row blocks; and on a 30 x 18 plane and a
+60-point line, grids that are not a power of two, where an FFT identity
+that is exact on 2^k grids is not), ``validate --fig
 6/7/8`` and ``compare-kl`` at M = 1200 on two workers, ``compare-kl`` at
 M = 513 (one realization past whole row blocks of the baseline noise),
 the row estimate of ``lambda_half_independence``, and ``variances``
@@ -52,6 +54,10 @@ GENERATE = {
                                               "--threads", "2"), True),
     "generate-planar.csv": (("--aperture", "4,4", "--spacing", "0.5", "--realizations", "3",
                              "--seed", "11", "--format", "csv"), False),
+    "generate-planar-30x18.bin": (("--aperture", "7.5,4.5", "--spacing", "0.25",
+                                   "--realizations", "5", "--seed", "17", "--threads", "2"), False),
+    "generate-line-60.bin": (("--aperture", "15", "--spacing", "0.25", "--realizations", "7",
+                              "--seed", "19"), False),
 }
 
 # name -> variances argv after --out
