@@ -13,11 +13,12 @@ J0 is ``scipy.special.j0``; the test suite checks it against quadrature of
 the integral representation (1/pi) * int_0^pi cos(z sin t) dt. It is
 imported on first use, so commands that evaluate no J0 never load scipy.
 
-The root's ``eigh`` runs on one BLAS thread, because its last bits change
-with the BLAS thread count. The count is set through numpy's bundled
-OpenBLAS, looked up with ctypes on the first root; a numpy built on
-another BLAS (MKL, Accelerate) has no such library, and its count is left
-alone.
+The root runs on one BLAS thread, because the last bits of its ``eigh``
+change with the BLAS thread count; compare-kl's Monte Carlo fold runs on
+one too, so that its workers are the only threads. The count is set
+through numpy's bundled OpenBLAS, looked up with ctypes on first use; a
+numpy built on another BLAS (MKL, Accelerate) has no such library, and
+its count is left alone.
 """
 from __future__ import annotations
 
@@ -151,20 +152,20 @@ def kl_root(c: CorrelationMatrix) -> np.ndarray:
     negative eigenvalues are clipped at zero. This is the one
     eigendecomposition and PSD check of the baseline: ``kl_sample`` and
     compare-kl's streamed estimate both take their root from here. The
-    decomposition runs on one BLAS thread, so the root's bits do not
-    depend on the BLAS thread count.
+    decomposition and the root product run on one BLAS thread, so the
+    root's bits do not depend on the BLAS thread count.
 
     Raises:
         NotPSD: an eigenvalue below -1e-8 relative to the largest.
     """
     with _one_blas_thread():
         eigvals, eigvecs = np.linalg.eigh(c.values)
-    top = float(eigvals[-1])
-    if eigvals[0] < -PSD_REL_TOL * top:
-        raise NotPSD(
-            f"eigenvalue {eigvals[0]:g} below the PSD tolerance {-PSD_REL_TOL * top:g}"
-        )
-    return (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
+        top = float(eigvals[-1])
+        if eigvals[0] < -PSD_REL_TOL * top:
+            raise NotPSD(
+                f"eigenvalue {eigvals[0]:g} below the PSD tolerance {-PSD_REL_TOL * top:g}"
+            )
+        return (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
 
 
 def kl_sample(c: CorrelationMatrix, seed: int, m: int) -> np.ndarray:

@@ -426,8 +426,9 @@ def _best_time(fn, repeats=3, min_seconds=0.0) -> float:
     return best
 
 
-# timed work per series size: a best-of over many calls, so that fixed
-# per-call cost and noise do not dominate the smallest grid's point
+# timed work per bench size, series or dense baseline: a best-of over many
+# calls, so that fixed per-call cost and noise do not dominate the smallest
+# size's point; a size slower than this is timed once
 SERIES_MIN_TIMED_S = 0.2
 
 
@@ -454,8 +455,10 @@ def bench_series(sizes, per: int = 8, seed: int = 0) -> tuple[list[int], list[fl
 
 def bench_baseline(sizes, seed: int = 0) -> tuple[list[int], list[float]]:
     """Dense-baseline wall time (matrix build + eigendecomposition + draws)
-    over 1D point counts. A 64-point run first pays J0's scipy import and
-    the first eigendecomposition outside the timed region."""
+    over 1D point counts, best of as many calls as fill
+    ``SERIES_MIN_TIMED_S`` (one call for a size slower than that). A
+    64-point run first pays J0's scipy import and the first
+    eigendecomposition outside the timed region."""
     from .baseline import AcfClosedForm, correlation_matrix, kl_sample
 
     acf = AcfClosedForm("bessel-2d")
@@ -467,7 +470,7 @@ def bench_baseline(sizes, seed: int = 0) -> tuple[list[int], list[float]]:
         def run_kl():
             kl_sample(correlation_matrix(aperture, acf), seed, 4)
 
-        times.append(_best_time(run_kl, repeats=1))
+        times.append(_best_time(run_kl, repeats=1, min_seconds=SERIES_MIN_TIMED_S))
     return list(sizes), times
 
 

@@ -289,12 +289,15 @@ def _check_planes(lx: float, ly: float, zs: Sequence[float]) -> None:
 
 def migrate(draw: CoefficientDraw, z: float) -> np.ndarray:
     """Per-harmonic coefficients on the plane at height z:
-    H(z) = H+ e^{+i gamma z} + H- e^{-i gamma z}.
+    H(z) = H+ e^{+i gamma z} + H- e^{-i gamma z}; at z = 0 both phases
+    are exactly 1, so the plane is the sum H+ + H-.
 
     Raises:
         MigrationRange: if |z| >= min(Lx, Ly).
     """
     _check_planes(draw.table.lx, draw.table.ly, (z,))
+    if z == 0.0:
+        return np.add(draw.h_plus, draw.h_minus)
     up, down = _migration_phases(draw.table.lx, draw.table.ly, z)
     h = np.multiply(draw.h_plus, up)
     h += draw.h_minus * down  # two arrays held, not three
@@ -321,16 +324,17 @@ def synthesize(h: np.ndarray, aperture: Aperture, out: np.ndarray | None = None)
     spec[(Ellipsis,) + tuple(idx % n for idx, n in axes)] = h
     grid = tuple(range(-len(shape), 0))
     np.fft.ifftn(spec, axes=grid, out=spec)
-    spec *= math.prod(shape)
     if out is None:
         out = np.empty(h.shape[:-1] + (aperture.ny, aperture.nx), dtype=complex)
-    # fftshift into out: every N is even, so the shift swaps the two
-    # halves of each grid axis, one copy per combination of halves
+    # fftshift into out, undoing ifftn's 1/N on the way: every N is even,
+    # so the shift swaps the two halves of each grid axis, one scaled copy
+    # per combination of halves
+    scale = math.prod(shape)
     halves = [(slice(None, n // 2), slice(n // 2, None)) for n in shape]
     swapped = [half[::-1] for half in halves]
     dest = out[..., 0, :] if line else out
     for to, src in zip(itertools.product(*halves), itertools.product(*swapped)):
-        dest[(Ellipsis,) + to] = spec[(Ellipsis,) + src]
+        np.multiply(spec[(Ellipsis,) + src], scale, out=dest[(Ellipsis,) + to])
     return out
 
 
@@ -359,7 +363,8 @@ def default_table(aperture: Aperture) -> CoefficientVariances1D | CoefficientVar
 def shared_table(aperture: Aperture, factor: SpectralFactor | None, z_planes: Sequence[float]):
     """The aperture's variance table, with the shaping gains of a
     directional ``factor`` and the migration phases of the ``z_planes``
-    already in their caches. Call it once before threads share a run:
+    other than z = 0 (which needs none) already in their caches. Call it
+    once before threads share a run:
     workers that meet cold caches together would each build the table and
     evaluate the gains, and a cache entry made on a worker thread stays in
     that thread's malloc arena, where it kept about 3 MB more of a
@@ -372,7 +377,8 @@ def shared_table(aperture: Aperture, factor: SpectralFactor | None, z_planes: Se
             _plane_gains(factor, table.lx, table.ly)
     if aperture.kind != LINEAR:
         for z in z_planes:
-            _migration_phases(table.lx, table.ly, z)
+            if z != 0.0:
+                _migration_phases(table.lx, table.ly, z)
     return table
 
 

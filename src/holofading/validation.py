@@ -27,14 +27,15 @@ column, and every verdict is one rule, ``_within``, over fig 6/7/8's
 Memory is bounded by row blocks, not by M. Every Monte Carlo estimate
 goes through one fold, ``_mean_folds``: workers draw row blocks of about
 ``generator.SUB_BLOCK_BYTES`` (``generator.block_rows``), the plane
-coefficients or compare-kl's dense baseline noise, at most T + 1 blocks
-queued on T workers; this thread turns each block into (reference,
-target) pairs, the baseline noise multiplied only by the root rows its
-lag window reads, and ``_fold_rows`` adds their products to a running
+coefficients or compare-kl's dense baseline noise, which the worker
+multiplies by the root rows its lag window reads; at most T + 1 blocks
+are queued on T workers. This thread turns each block into (reference,
+target) pairs, and ``_fold_rows`` adds their products to a running
 total one row at a time, in realization order: the order one ``np.sum``
 over all M rows uses. So every estimate is bit-identical for any block
 size and worker count, and to the estimate over all M realizations held
-at once.
+at once. BLAS runs on one thread while the fold runs, so the workers are
+its only parallelism.
 
 Two oracles serve two different claims:
 
@@ -63,7 +64,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .baseline import AcfClosedForm, correlation_matrix, kl_root
+from .baseline import AcfClosedForm, _one_blas_thread, correlation_matrix, kl_root
 from .errors import ConfigError, InsufficientRealizations, LagMismatch
 from .generator import (
     Aperture,
@@ -239,13 +240,15 @@ def _mean_folds(draw, pairs, m: int, rows: int, threads: int | None) -> list[np.
     matrix-vector product, whose last bits differ. This thread makes the
     pairs and folds them with ``_fold_rows`` in realization order, so each
     mean is, bit for bit, one ``np.sum`` over all m rows divided by m,
-    whatever the block size and worker count.
+    whatever the block size and worker count. BLAS runs on one thread
+    meanwhile, so the workers are the only parallelism.
     """
     bounds = [0, *range(rows, m - 1, rows), m]  # at least one span, so totals becomes a list
     totals = itertools.repeat(0.0)
-    for block in ordered_map(draw, list(zip(bounds, bounds[1:])), _thread_count(threads)):
-        totals = [_fold_rows(t, s, h) for t, (s, h) in zip(totals, pairs(block))]
-        del block  # freed before the next block is awaited
+    with _one_blas_thread():
+        for block in ordered_map(draw, list(zip(bounds, bounds[1:])), _thread_count(threads)):
+            totals = [_fold_rows(t, s, h) for t, (s, h) in zip(totals, pairs(block))]
+            del block  # freed before the next block is awaited
     return [t / m for t in totals]
 
 
@@ -403,11 +406,12 @@ def _kl_first_row(root: np.ndarray, seed: int, m: int, lag_cells: int, threads) 
 
     The estimate is the lag sum sum_r conj(h_r(origin)) h_r(origin + lag)
     of ``kl_sample``'s m draws divided by m, bit for bit, without holding
-    the draws: workers draw the noise e in row blocks of about
-    ``generator.SUB_BLOCK_BYTES`` (256 realizations of 256 points), and
-    ``_mean_folds`` multiplies each block by the root rows of the lag
-    window (the reference is its first column) on this thread. Only a
-    copy of those rows is kept, not the root.
+    the draws: each worker draws the noise e in row blocks of about
+    ``generator.SUB_BLOCK_BYTES`` (256 realizations of 256 points) and
+    multiplies it by the root rows of the lag window on one BLAS thread,
+    so only the product h = e @ window is queued, and ``_mean_folds``
+    folds it with its first column as the reference. Only a copy of those
+    rows is kept, not the root.
     """
     n = root.shape[0]
     rx = n // 2
@@ -415,12 +419,9 @@ def _kl_first_row(root: np.ndarray, seed: int, m: int, lag_cells: int, threads) 
     del root
 
     def draw(span: tuple[int, int]) -> np.ndarray:
-        return complex_standard_normals(seed, range(*span), n, STREAM_BASELINE)
+        return complex_standard_normals(seed, range(*span), n, STREAM_BASELINE) @ window
 
-    def pairs(e: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        # one product at a time, on this thread: BLAS runs threads of its
-        # own, which products on every worker would oversubscribe
-        h = e @ window
+    def pairs(h: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         return [(h[:, 0], h)]
 
     rows = block_rows(n * np.dtype(complex).itemsize)

@@ -198,6 +198,42 @@ class TestMigrate:
         d = draw_coefficients(t, seed=4)
         assert np.allclose(migrate(d, 0.0), d.h_plus + d.h_minus, rtol=0, atol=0)
 
+    def test_zero_plane_is_the_phase_path(self):
+        # e^{i gamma 0} = 1 exactly, so the z = 0 sum is the phase path
+        # H+ (1 + 0j) + H- (1 - 0j), also where zero gains leave zero
+        # coefficients; there the sum may keep a -0 that the multiply by
+        # 1 + 0j turns into +0, a sign no synthesized sample carries
+        half = SpectralFactor.from_callables(lambda kx, ky: np.where(kx < 0, 0.0, 1.0 + ky / KAPPA))
+        ap = Aperture(lx=4.0, dx=0.5, ly=4.0, dy=0.5)
+        t = default_table(ap)
+        d = shape_coefficients(draw_coefficients(t, seed=4, realization=range(3)), half)
+        one = np.exp(1j * lattice_gammas(t) * 0.0)
+        want = d.h_plus * one + d.h_minus * np.conj(one)
+        got = migrate(d, 0.0)
+        assert np.count_nonzero(got == 0) > 0  # the factor is 0 on half the disk
+        assert np.array_equal(got, want)
+        live = got != 0
+        assert np.array_equal(got[live].view(np.uint64), want[live].view(np.uint64))
+        fields = synthesize(got, ap), synthesize(want, ap)
+        assert np.array_equal(fields[0].view(np.uint64), fields[1].view(np.uint64))
+
+    def test_zero_plane_evaluates_no_gammas(self, monkeypatch):
+        import holofading.generator as genmod
+
+        calls = []
+        real = genmod.lattice_gammas
+
+        def counting(table):
+            calls.append(len(table))
+            return real(table)
+
+        monkeypatch.setattr(genmod, "lattice_gammas", counting)
+        genmod._migration_phases.cache_clear()  # a cold cache, whatever ran before
+        ap = Aperture(lx=4.0, dx=0.5, ly=4.0, dy=0.5)
+        genmod.shared_table(ap, None, (0.0,))
+        migrate(draw_coefficients(default_table(ap), seed=4), 0.0)
+        assert calls == []
+
     def test_range_check(self):
         t = table_2d(4.0, 4.0)
         d = draw_coefficients(t, seed=4)

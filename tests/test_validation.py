@@ -17,6 +17,7 @@ from holofading import (
     LagMismatch,
     SpectralFactor,
 )
+from holofading import baseline
 from holofading.baseline import (
     AcfClosedForm,
     CorrelationMatrix,
@@ -483,16 +484,50 @@ class TestCompareKl:
         est = valmod._estimate(want, m, (ap.dx,), (ap.lx,), tilted=False)
         assert np.array_equal(_bits(compare_kl(m, 3, threads).kl_estimate), _bits(est.values.real))
 
+    def test_baseline_products_run_on_the_workers_on_one_blas_thread(self, monkeypatch):
+        # the pool is the only parallelism: each worker multiplies the
+        # noise block it drew on one BLAS thread, and the count the run
+        # found comes back afterwards
+        calls = baseline._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy links no bundled OpenBLAS; the fold leaves its threads alone")
+        set_threads, get_threads = calls
+        seen = []
+
+        class Spied(np.ndarray):
+            def __matmul__(self, other):
+                seen.append((threading.current_thread(), get_threads()))
+                return np.asarray(self) @ other
+
+        draw = valmod.complex_standard_normals
+        monkeypatch.setattr(valmod, "complex_standard_normals",
+                            lambda *args: draw(*args).view(Spied))
+        c = correlation_matrix(Aperture(**valmod.FIGURE_CONFIGS[6]["aperture"]),
+                               AcfClosedForm("bessel-2d"))
+        root = kl_root(c)
+        before = get_threads()
+        set_threads(2)
+        try:
+            _kl_first_row(root, 3, 600, 64, 2)  # blocks of 256, 256 and 88 realizations
+            assert len(seen) == 3
+            assert all(t is not threading.main_thread() for t, _ in seen)
+            assert [n for _, n in seen] == [1, 1, 1]
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+
 
 class TestBoundedMemory:
     """The Monte Carlo runs hold row blocks, not whole batches: the
     traced peaks were 84.6 MB (compare-kl) and 70.3 MB (fig 8) when each
-    held its batch at once. compare-kl peaks at 4.6 MB with its baseline
-    noise in 1 MiB row blocks and sliced Box-Muller, against 9.5 MB with
-    2 MiB chunks and a full-size cos temporary per draw call."""
+    held its batch at once. compare-kl peaks at 3.5-4.5 MB with its
+    baseline noise in 1 MiB row blocks and sliced Box-Muller, each block
+    multiplied on the worker that drew it; 4.95-5.03 MB when the noise
+    blocks were queued for the calling thread to multiply, and 9.5 MB
+    with 2 MiB chunks and a full-size cos temporary per draw call."""
 
     @pytest.mark.parametrize("run, limit_mb", [
-        (lambda: compare_kl(m=10_000, threads=2), 5.5),
+        (lambda: compare_kl(m=10_000, threads=2), 4.75),
         (lambda: run_figure(8, m=2000, threads=2), 30.0),
     ], ids=["compare-kl", "fig8"])
     def test_traced_peak(self, run, limit_mb):

@@ -16,9 +16,11 @@ threads, checks that: it must equal the ``compare-kl/kl.csv`` line.
 The outputs are ``generate`` in each aperture kind and format (with a
 tabulated directional factor it writes itself, also over several z-planes
 on two workers, and on a 64 x 64 aperture whose tasks of 4 realizations
-each span two coefficient row blocks; and on a 30 x 18 plane and a
-60-point line, grids that are not a power of two, where an FFT identity
-that is exact on 2^k grids is not), ``validate --fig
+each span two coefficient row blocks; with a second factor that is zero
+in both half-spaces on one azimuth sector, over the planes z = 0 and
+z != 0, so that zero coefficients go through both migrations; and on a
+30 x 18 plane and a 60-point line, grids that are not a power of two,
+where an FFT identity that is exact on 2^k grids is not), ``validate --fig
 6/7/8`` and ``compare-kl`` at M = 1200 on two workers, ``compare-kl`` at
 M = 513 (one realization past whole row blocks of the baseline noise),
 the row estimate of ``lambda_half_independence``, and ``variances``
@@ -38,26 +40,31 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 M = "1200"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# name -> (generate argv after --out, whether it takes the factor CSV)
+# name -> (generate argv after --out, the factor CSV it takes or None)
 GENERATE = {
     "generate-planar-factor.bin": (("--aperture", "16,16", "--spacing", "0.25",
-                                    "--realizations", "24", "--seed", "3", "--threads", "2"), True),
+                                    "--realizations", "24", "--seed", "3", "--threads", "2"),
+                                   "factor.csv"),
     "generate-volumetric.bin": (("--aperture", "8,8,2", "--spacing", "0.5,0.5,0.5",
-                                 "--realizations", "6", "--seed", "5"), False),
+                                 "--realizations", "6", "--seed", "5"), None),
     "generate-volumetric-factor.bin": (("--aperture", "8,8,2", "--spacing", "0.5",
                                         "--realizations", "6", "--seed", "9",
-                                        "--threads", "2"), True),
+                                        "--threads", "2"), "factor.csv"),
     "generate-line-factor.bin": (("--aperture", "16", "--spacing", "0.0625",
-                                  "--realizations", "40", "--seed", "7", "--threads", "2"), True),
+                                  "--realizations", "40", "--seed", "7", "--threads", "2"),
+                                 "factor.csv"),
     "generate-planar-factor-rowblocks.bin": (("--aperture", "64,64", "--spacing", "0.5",
                                               "--realizations", "21", "--seed", "13",
-                                              "--threads", "2"), True),
+                                              "--threads", "2"), "factor.csv"),
     "generate-planar.csv": (("--aperture", "4,4", "--spacing", "0.5", "--realizations", "3",
-                             "--seed", "11", "--format", "csv"), False),
+                             "--seed", "11", "--format", "csv"), None),
     "generate-planar-30x18.bin": (("--aperture", "7.5,4.5", "--spacing", "0.25",
-                                   "--realizations", "5", "--seed", "17", "--threads", "2"), False),
+                                   "--realizations", "5", "--seed", "17", "--threads", "2"), None),
     "generate-line-60.bin": (("--aperture", "15", "--spacing", "0.25", "--realizations", "7",
-                              "--seed", "19"), False),
+                              "--seed", "19"), None),
+    "generate-volumetric-zero-sector.bin": (("--aperture", "8,8,2", "--spacing", "0.5",
+                                             "--realizations", "6", "--seed", "23",
+                                             "--threads", "2"), "factor-zero-sector.csv"),
 }
 
 # name -> variances argv after --out
@@ -76,17 +83,19 @@ LAMBDA_HALF = (
 )
 
 
-def write_factor(path: str) -> None:
+def write_factor(path: str, zero_sector: range = range(0)) -> None:
     """Tabulated directional factor: cosine lobes of different depth and
-    direction in the two half-spaces."""
+    direction in the two half-spaces, and a_plus = a_minus = 0 at the
+    azimuths of ``zero_sector`` (indices of the 12 azimuths)."""
     base = 2 * math.pi / math.sqrt(2 * math.pi)
     with open(path, "w") as fh:
         fh.write("k_r_over_kappa,k_phi_rad,a_plus,a_minus\n")
         for i in range(5):
             for j in range(12):
                 p = 2 * math.pi * j / 12
-                fh.write(f"{i / 4},{p},{base * (1 + 0.6 * math.cos(p - 1.0))},"
-                         f"{base * (1 + 0.3 * math.cos(p + 2.0)) * (1 + 0.2 * i / 4)}\n")
+                on = j not in zero_sector
+                fh.write(f"{i / 4},{p},{on * base * (1 + 0.6 * math.cos(p - 1.0))},"
+                         f"{on * base * (1 + 0.3 * math.cos(p + 2.0)) * (1 + 0.2 * i / 4)}\n")
 
 
 def run(*argv: str, blas_threads: str = "1") -> int:
@@ -106,12 +115,12 @@ def sha256(path: str) -> str:
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        factor = os.path.join(tmp, "factor.csv")
-        write_factor(factor)
+        write_factor(os.path.join(tmp, "factor.csv"))
+        write_factor(os.path.join(tmp, "factor-zero-sector.csv"), zero_sector=range(3, 6))
         outputs = []
-        for name, (argv, directional) in GENERATE.items():
+        for name, (argv, factor) in GENERATE.items():
             out = os.path.join(tmp, name)
-            extra = ("--factor", factor) if directional else ()
+            extra = ("--factor", os.path.join(tmp, factor)) if factor else ()
             run("-m", "holofading.cli", "generate", "--out", out, *argv, *extra)
             outputs.append((name, out))
         for fig in (6, 7, 8):
