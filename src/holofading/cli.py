@@ -27,6 +27,7 @@ import json
 import math
 import os
 import sys
+import threading
 import time
 
 import numpy as np
@@ -222,13 +223,25 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _write_bin(fh, aperture, m, batches):
+def _bin_writer(fh, aperture, m):
+    """Write the binary header to ``fh`` and return ``write(start, block)``,
+    which writes a (B, nz, ny, nx) block of realizations start ..
+    start + B - 1 at their place in the file. Blocks may come in any order
+    and from any thread: one lock covers each seek and its write."""
     header = BIN_MAGIC + np.array(
         [BIN_VERSION, aperture.nx, aperture.ny, aperture.nz, m], dtype="<u4"
     ).tobytes()
     fh.write(header)
-    for block in batches:  # (B, nz, ny, nx) complex
-        fh.write(np.ascontiguousarray(block, dtype="<c16").data)
+    per_realization = aperture.nx * aperture.ny * aperture.nz * np.dtype("<c16").itemsize
+    lock = threading.Lock()
+
+    def write(start, block):
+        data = np.ascontiguousarray(block, dtype="<c16").data
+        with lock:
+            fh.seek(len(header) + start * per_realization)
+            fh.write(data)
+
+    return write
 
 
 def _write_csv(fh, batches):
@@ -264,14 +277,17 @@ def write_figure_artifacts(report, out_dir: str) -> None:
         fh.write("\n")
 
 
-def _field_batches(aperture, factor, seed, m, threads):
+def _field_batches(aperture, factor, seed, m, threads, write=None):
     """(B, nz, ny, nx) blocks of realizations 0 .. m - 1, in order,
-    synthesized on ``threads`` workers. Each task is ``block_rows``
-    realizations of output, as many as fit ``generator.SUB_BLOCK_BYTES``
-    (at least one; one on a 256 x 256 grid) whatever the worker count, so
-    the writer and the T + 1 queued tasks hold about T + 2 such blocks.
-    Each is the block that ``generate_batch_planes`` synthesizes into, so
-    it is never copied."""
+    synthesized on ``threads`` workers; with ``write``, each worker calls
+    ``write(start, block)`` on each block it made, for realizations
+    start .. start + B - 1, and None is yielded in its place. Each task is
+    ``block_rows`` realizations of output, as many as fit
+    ``generator.SUB_BLOCK_BYTES`` (at least one; one on a 256 x 256 grid)
+    whatever the worker count, and T + 1 tasks are queued on the T
+    workers. Each block is the one ``generate_batch_planes`` synthesizes
+    into, so it is never copied. With ``write`` a block lives only on its
+    worker; without, the caller and the queue hold about T + 2 blocks."""
     z_planes = aperture.z_planes()
     per_realization = aperture.nx * aperture.ny * aperture.nz * np.dtype(complex).itemsize
     batch = block_rows(per_realization)
@@ -279,7 +295,10 @@ def _field_batches(aperture, factor, seed, m, threads):
 
     def run_chunk(start):
         reals = range(start, min(start + batch, m))
-        return generate_batch_planes(aperture, factor, seed, reals, z_planes).swapaxes(0, 1)
+        block = generate_batch_planes(aperture, factor, seed, reals, z_planes).swapaxes(0, 1)
+        if write is None:
+            return block
+        write(start, block)
 
     return ordered_map(run_chunk, range(0, m, batch), threads)
 
@@ -304,13 +323,14 @@ def cmd_generate(args) -> int:
         default_table(aperture)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    batches = _field_batches(aperture, factor, args.seed, m, threads)
-    if args.format == "bin":
+    if args.format == "bin":  # each worker writes the blocks it made
         with open(args.out, "wb") as fh:
-            _write_bin(fh, aperture, m, batches)
-    else:
+            write = _bin_writer(fh, aperture, m)
+            for _ in _field_batches(aperture, factor, args.seed, m, threads, write):
+                pass
+    else:  # rows are numbered in order, so one writer takes the blocks in order
         with open(args.out, "w", newline="") as fh:
-            _write_csv(fh, batches)
+            _write_csv(fh, _field_batches(aperture, factor, args.seed, m, threads))
     print(f"wrote {m} realization(s) of a {aperture.kind} aperture to {args.out}")
     return 0
 

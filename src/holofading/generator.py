@@ -18,15 +18,19 @@ same series by direct summation, for the exact ACFs and the validation lag
 windows.
 
 ``plane_coefficients`` draws, scales, shapes in place and migrates a row
-block of realizations; ``coefficient_rows`` is how many fit
-SUB_BLOCK_BYTES of coefficient draws (``block_rows``, which sizes the
-CLI's ``generate`` tasks by the same budget). ``generate_batch_planes``
-synthesizes each such block straight into its rows of the output block,
-and the validation runs fold each block into their sums, so neither holds
-more than one block of coefficients per task. Draws come from
-counter-based streams, every later stage is elementwise per realization,
-and each realization's IFFT is its own; so the block size changes no
-output bit.
+block of realizations, over all of the table's harmonics or a slice of
+them; ``coefficient_rows`` is how many realizations fit SUB_BLOCK_BYTES of
+coefficient draws (``block_rows``, which sizes the CLI's ``generate``
+tasks by the same budget). The validation runs fold each block into their
+sums. ``generate_batch_planes`` zero-embeds each block straight into its
+rows of the output block, then transforms those rows in place, so the
+output block is also the spectrum: a realization within the budget goes
+in one piece, and one above it (a 256 x 256 grid) in slices of
+``rng._SLICE`` draws, each scattered into the output before the next is
+drawn. So a task holds its output block and one slice of coefficients.
+Draws come from counter-based streams, every later stage is elementwise
+per harmonic, and each realization's IFFT is its own; so neither the
+block size nor the slices change an output bit.
 
 The aperture's sides fix the harmonics and their variances, so the
 pipeline functions take the aperture alone and read its table from
@@ -50,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GridTooCoarse, MigrationRange
-from .rng import complex_standard_normals
+from .rng import _SLICE, complex_standard_normals
 from .spectrum import SpectralFactor, line_shaping_gain, shaping_gains
 from .variances import (
     CoefficientVariances1D,
@@ -180,12 +184,14 @@ class Aperture:
 
 @dataclass(frozen=True)
 class CoefficientDraw:
-    """Coefficient pairs per harmonic of a rectangular aperture's table:
-    (n,) arrays for one realization, (B, n) arrays for a batch."""
+    """Coefficient pairs per harmonic of a rectangular aperture's table, or
+    of the slice ``harmonics`` of its harmonics: (n,) arrays for one
+    realization, (B, n) arrays for a batch."""
 
     table: CoefficientVariances2D
     h_plus: np.ndarray
     h_minus: np.ndarray
+    harmonics: slice = field(default_factory=lambda: slice(None))  # all of them
 
 
 @dataclass(frozen=True)
@@ -201,14 +207,15 @@ class FieldRealization:
     z_planes: tuple[float, ...] = field(default=(0.0,))
 
 
-def _scaled_normals(seed, realization, scale, per_harmonic) -> np.ndarray:
+def _scaled_normals(seed, realization, scale, per_harmonic, start=0) -> np.ndarray:
     """scale * complex standard normals, ``per_harmonic`` draws per harmonic
-    from each realization's counter-based stream; shape (B, per_harmonic, n),
-    without the leading axis for a single realization. The whole batch is
-    one ``complex_standard_normals`` call, scaled in place in the block it
+    from each realization's counter-based stream, beginning at its draw
+    ``start`` (even); shape (B, per_harmonic, n), without the leading axis
+    for a single realization. The whole batch is one
+    ``complex_standard_normals`` call, scaled in place in the block it
     returns; the result is a transposed view of that block."""
     n = len(scale)
-    z = complex_standard_normals(seed, realization, per_harmonic * n)
+    z = complex_standard_normals(seed, realization, per_harmonic * n, start=start)
     z = z.reshape(z.shape[:-1] + (n, per_harmonic))
     z *= scale[:, np.newaxis]
     return np.swapaxes(z, -1, -2)
@@ -228,8 +235,15 @@ def _plane_gains(factor: SpectralFactor, lx: float, ly: float) -> tuple[np.ndarr
     """Read-only shaping gains (g+, g-) at every harmonic of an lx x ly
     table. ``coefficient_indices`` fixes the harmonics from the sides, so
     one evaluation serves every batch of a run and either table method.
-    The factor is keyed by identity."""
-    gains = shaping_gains(factor, *lattice_wavenumbers(table_2d(lx, ly)), KAPPA)
+    The factor is keyed by identity. A factor is a pointwise function, so
+    it is evaluated over slices of _SLICE harmonics into the two arrays:
+    the same values, with one slice of a tabulated factor's interpolation
+    temporaries held at a time."""
+    kx, ky = lattice_wavenumbers(table_2d(lx, ly))
+    gains = (np.empty(len(kx)), np.empty(len(kx)))
+    for a in range(0, len(kx), _SLICE):
+        part = slice(a, a + _SLICE)
+        gains[0][part], gains[1][part] = shaping_gains(factor, kx[part], ky[part], KAPPA)
     for g in gains:
         g.flags.writeable = False  # shared by every caller of the cache
     return gains
@@ -237,11 +251,41 @@ def _plane_gains(factor: SpectralFactor, lx: float, ly: float) -> tuple[np.ndarr
 
 @lru_cache(maxsize=8)
 def _line_gains(factor: SpectralFactor, lx: float) -> np.ndarray:
-    """Read-only line shaping gain at every harmonic of an lx line table;
-    the line counterpart of ``_plane_gains``."""
-    gain = line_shaping_gain(factor, lattice_wavenumbers(table_1d(lx)))
+    """Read-only line shaping gain at every harmonic of an lx line table,
+    evaluated over slices of _SLICE harmonics; the line counterpart of
+    ``_plane_gains``."""
+    kx = lattice_wavenumbers(table_1d(lx))
+    gain = np.empty(len(kx))
+    for a in range(0, len(kx), _SLICE):
+        gain[a : a + _SLICE] = line_shaping_gain(factor, kx[a : a + _SLICE])
     gain.flags.writeable = False  # shared by every caller of the cache
     return gain
+
+
+@lru_cache(maxsize=8)
+def _draw_scales(aperture: Aperture) -> np.ndarray:
+    """Read-only standard deviations of the pipeline's coefficient draws at
+    every harmonic of the aperture's table: sqrt(sigma2) for H+ and H- of a
+    rectangle, sqrt(2 sigma2) for H of a line."""
+    table = default_table(aperture)
+    var = 2.0 * table.sigma_sq if aperture.kind == LINEAR else table.sigma_sq
+    scale = np.sqrt(var)
+    scale.flags.writeable = False  # shared by every caller of the cache
+    return scale
+
+
+@lru_cache(maxsize=8)
+def _fft_bins(aperture: Aperture) -> np.ndarray:
+    """Read-only FFT bins of the harmonics of the aperture's table on its
+    grid, flattened: (m mod Ny) * Nx + (l mod Nx), and l mod Nx for a
+    line. The bins are distinct: Aperture guarantees N >= 2 * ceil(L), and
+    the indices span -ceil(L) .. ceil(L) - 1, one full period of the grid."""
+    table = default_table(aperture)
+    bins = table.ls % aperture.nx
+    if aperture.kind != LINEAR:
+        bins += table.ms % aperture.ny * aperture.nx
+    bins.flags.writeable = False  # shared by every caller of the cache
+    return bins
 
 
 @lru_cache(maxsize=8)
@@ -269,8 +313,8 @@ def shape_coefficients(draw: CoefficientDraw, factor: SpectralFactor | None) -> 
     factors (and None) are the identity."""
     if _directional(factor):
         gp, gm = _plane_gains(factor, draw.table.lx, draw.table.ly)
-        np.multiply(draw.h_plus, gp, out=draw.h_plus)
-        np.multiply(draw.h_minus, gm, out=draw.h_minus)
+        np.multiply(draw.h_plus, gp[draw.harmonics], out=draw.h_plus)
+        np.multiply(draw.h_minus, gm[draw.harmonics], out=draw.h_minus)
     return draw
 
 
@@ -299,43 +343,52 @@ def migrate(draw: CoefficientDraw, z: float) -> np.ndarray:
     if z == 0.0:
         return np.add(draw.h_plus, draw.h_minus)
     up, down = _migration_phases(draw.table.lx, draw.table.ly, z)
-    h = np.multiply(draw.h_plus, up)
-    h += draw.h_minus * down  # two arrays held, not three
+    h = np.multiply(draw.h_plus, up[draw.harmonics])
+    h += draw.h_minus * down[draw.harmonics]  # two arrays held, not three
     return h
 
 
-def synthesize(h: np.ndarray, aperture: Aperture, out: np.ndarray | None = None) -> np.ndarray:
+def _embed(grid: np.ndarray, h: np.ndarray, aperture: Aperture, harmonics: slice) -> None:
+    """Write the coefficients h of the table's ``harmonics`` (any leading
+    batch axes) at their FFT bins of ``grid`` (..., ny, nx); every other
+    bin keeps its value. Each grid's (ny, nx) samples must be contiguous
+    (a new grid, or a plane of C-contiguous rows), so that merging them
+    into one axis is a view of ``grid``."""
+    grid.reshape(grid.shape[:-2] + (-1,))[..., _fft_bins(aperture)[harmonics]] = h
+
+
+def _grid_series(grid: np.ndarray, aperture: Aperture) -> np.ndarray:
+    """Turn ``grid`` (..., ny, nx), the coefficients ``_embed`` put at their
+    FFT bins and zeros elsewhere, into the series on the aperture grid, in
+    place: inverse FFT over the grid axes without the 1/N factor, then
+    reindex onto n = -N/2 .. N/2 - 1. Returns ``grid``."""
+    shape = (aperture.nx,) if aperture.kind == LINEAR else (aperture.ny, aperture.nx)
+    np.fft.ifftn(grid, axes=tuple(range(-len(shape), 0)), out=grid)
+    # fftshift, undoing ifftn's 1/N on the way: every N is even, so the
+    # shift swaps the two halves of each grid axis, that is each block of
+    # halves with its opposite; one scaled scratch copy per pair of blocks
+    scale = math.prod(shape)
+    halves = [(slice(None, n // 2), slice(n // 2, None)) for n in shape]
+    swapped = [half[::-1] for half in halves]
+    pairs = list(zip(itertools.product(*halves), itertools.product(*swapped)))
+    scratch = None
+    for to, src in pairs[: len(pairs) // 2]:  # the other half are the same pairs
+        a, b = grid[(Ellipsis,) + to], grid[(Ellipsis,) + src]
+        scratch = np.multiply(a, scale, out=scratch)
+        np.multiply(b, scale, out=a)
+        b[...] = scratch
+    return grid
+
+
+def synthesize(h: np.ndarray, aperture: Aperture) -> np.ndarray:
     """Evaluate the series of the coefficients h (any leading batch axes,
     in the harmonic order of the aperture's table) on the aperture grid:
     zero-embed them at their FFT bins, inverse FFT over the grid axes
     without the 1/N factor, and reindex onto n = -N/2 .. N/2 - 1.
-    Returns (..., ny, nx); ny = 1 for a line aperture. The grid is written
-    into ``out`` when one is given (a (..., ny, nx) array, which may be a
-    view into a larger block), else into a new array."""
-    table = default_table(aperture)
-    line = aperture.kind == LINEAR
-    axes = ((table.ls, aperture.nx),)
-    if not line:
-        axes = ((table.ms, aperture.ny),) + axes
-    shape = tuple(n for _, n in axes)
-    spec = np.zeros(h.shape[:-1] + shape, dtype=complex)
-    # bins are distinct: Aperture guarantees N >= 2 * ceil(L), and the
-    # indices span -ceil(L) .. ceil(L) - 1, one full period of the grid
-    spec[(Ellipsis,) + tuple(idx % n for idx, n in axes)] = h
-    grid = tuple(range(-len(shape), 0))
-    np.fft.ifftn(spec, axes=grid, out=spec)
-    if out is None:
-        out = np.empty(h.shape[:-1] + (aperture.ny, aperture.nx), dtype=complex)
-    # fftshift into out, undoing ifftn's 1/N on the way: every N is even,
-    # so the shift swaps the two halves of each grid axis, one scaled copy
-    # per combination of halves
-    scale = math.prod(shape)
-    halves = [(slice(None, n // 2), slice(n // 2, None)) for n in shape]
-    swapped = [half[::-1] for half in halves]
-    dest = out[..., 0, :] if line else out
-    for to, src in zip(itertools.product(*halves), itertools.product(*swapped)):
-        np.multiply(spec[(Ellipsis,) + src], scale, out=dest[(Ellipsis,) + to])
-    return out
+    Returns a new (..., ny, nx) array; ny = 1 for a line aperture."""
+    grid = np.zeros(h.shape[:-1] + (aperture.ny, aperture.nx), dtype=complex)
+    _embed(grid, h, aperture, slice(None))
+    return _grid_series(grid, aperture)
 
 
 def draw_line_coefficients(
@@ -361,15 +414,17 @@ def default_table(aperture: Aperture) -> CoefficientVariances1D | CoefficientVar
 
 
 def shared_table(aperture: Aperture, factor: SpectralFactor | None, z_planes: Sequence[float]):
-    """The aperture's variance table, with the shaping gains of a
-    directional ``factor`` and the migration phases of the ``z_planes``
-    other than z = 0 (which needs none) already in their caches. Call it
-    once before threads share a run:
+    """The aperture's variance table, with its draw scales and FFT bins,
+    the shaping gains of a directional ``factor`` and the migration phases
+    of the ``z_planes`` other than z = 0 (which needs none) already in
+    their caches. Call it once before threads share a run:
     workers that meet cold caches together would each build the table and
     evaluate the gains, and a cache entry made on a worker thread stays in
     that thread's malloc arena, where it kept about 3 MB more of a
     256 x 256 ``generate`` resident."""
     table = default_table(aperture)
+    _draw_scales(aperture)
+    _fft_bins(aperture)
     if _directional(factor):
         if aperture.kind == LINEAR:
             _line_gains(factor, table.lx)
@@ -407,34 +462,53 @@ def generate(
     return FieldRealization(planes[:, 0], aperture, zs)
 
 
+def _per_harmonic(aperture: Aperture) -> int:
+    """Coefficient draws per harmonic: H+ and H- of a rectangle, H of a line."""
+    return 1 if aperture.kind == LINEAR else 2
+
+
 def plane_coefficients(
     aperture: Aperture,
     factor: SpectralFactor | None,
     seed: int,
     realizations: Sequence[int],
     z_planes: Sequence[float],
+    harmonics: slice = slice(None),
 ) -> list[np.ndarray]:
     """The coefficient stages of the pipeline over a batch of realizations:
     draw, shape, migrate to each z-plane. Returns one (B, n) array of
     per-harmonic coefficients per plane, in the table's harmonic order,
-    each an array of its own that the caller may write over. ``factor``
-    None is isotropic. A line aperture only supports z = 0.
+    each an array of its own that the caller may write over. ``harmonics``
+    selects a slice of the table's harmonics (default all of them) whose
+    draws begin at an even draw of each realization's stream; its values
+    are those of the same slice of the whole. ``factor`` None is isotropic.
+    A line aperture only supports z = 0.
     """
     _check_planes(aperture.lx, aperture.ly, z_planes)
-    table = default_table(aperture)
+    scale = _draw_scales(aperture)
+    part = slice(*harmonics.indices(len(scale))[:2])
+    per_harmonic = _per_harmonic(aperture)
+    h = _scaled_normals(seed, realizations, scale[part], per_harmonic, per_harmonic * part.start)
     if aperture.kind == LINEAR:
-        h = draw_line_coefficients(table, seed, realizations, factor)
+        h = h[..., 0, :]
+        if _directional(factor):
+            h *= _line_gains(factor, aperture.lx)[part]
         return [h, *(h.copy() for _ in z_planes[1:])]
-    draw = shape_coefficients(draw_coefficients(table, seed, realizations), factor)
+    draw = CoefficientDraw(default_table(aperture), h[..., 0, :], h[..., 1, :], part)
+    draw = shape_coefficients(draw, factor)
     return [migrate(draw, z) for z in z_planes]
+
+
+def _draw_bytes(aperture: Aperture) -> int:
+    """Bytes of one realization's coefficient draws."""
+    return _per_harmonic(aperture) * len(_draw_scales(aperture)) * np.dtype(complex).itemsize
 
 
 def coefficient_rows(aperture: Aperture) -> int:
     """How many realizations' coefficient draws fit SUB_BLOCK_BYTES (at
     least one; one on a 256 x 256 grid): the row block of
     ``plane_coefficients`` calls."""
-    per_harmonic = 1 if aperture.kind == LINEAR else 2  # H, or H+ and H-
-    return block_rows(per_harmonic * len(default_table(aperture).ls) * np.dtype(complex).itemsize)
+    return block_rows(_draw_bytes(aperture))
 
 
 def generate_batch_planes(
@@ -444,25 +518,38 @@ def generate_batch_planes(
     realizations: Sequence[int],
     z_planes: Sequence[float],
 ) -> np.ndarray:
-    """The synthesis pipeline over a batch of realizations: the
-    ``plane_coefficients`` of each row block of ``coefficient_rows``
-    realizations, synthesized plane by plane into its rows of one output
-    block, so only one row block of coefficients is held at a time beside
-    the output. The output block holds the whole batch; the CLI's
-    ``generate`` keeps it near SUB_BLOCK_BYTES by passing batches of
-    ``block_rows`` realizations of output. Returns the planes as one
-    (len(z_planes), B, ny, nx) array, a plane-major view of the
+    """The synthesis pipeline over a batch of realizations, in one zeroed
+    output block that is also their spectrum. Each row block of
+    ``coefficient_rows`` realizations gets its ``plane_coefficients``
+    written at their FFT bins of its rows, plane by plane: all harmonics
+    at once when one realization's draws fit SUB_BLOCK_BYTES, else (then
+    the row block is one realization) in slices of ``rng._SLICE`` draws,
+    each scattered before the next is drawn. Then the rows are inverse
+    transformed and reindexed in place (``synthesize``'s steps). So beside
+    the output, only one row block or one slice of coefficients is held at
+    a time, and no separate spectrum. The output block holds the whole
+    batch; the CLI's ``generate`` keeps it near SUB_BLOCK_BYTES by passing
+    batches of ``block_rows`` realizations of output. Returns the planes
+    as one (len(z_planes), B, ny, nx) array, a plane-major view of the
     realization-major (B, len(z_planes), ny, nx) block; ``.swapaxes(0, 1)``
     gives that block back without a copy. Every realization is
     bit-identical to its single ``generate``. A line aperture only
     supports z = 0.
     """
-    block = np.empty((len(realizations), len(z_planes), aperture.ny, aperture.nx), dtype=complex)
+    n = len(_draw_scales(aperture))
+    width = _SLICE // _per_harmonic(aperture) if _draw_bytes(aperture) > SUB_BLOCK_BYTES else n
+    block = np.zeros((len(realizations), len(z_planes), aperture.ny, aperture.nx), dtype=complex)
     rows = coefficient_rows(aperture)
     for a in range(0, len(realizations), rows):
-        planes = plane_coefficients(aperture, factor, seed, realizations[a : a + rows], z_planes)
-        for i, h in enumerate(planes):
-            synthesize(h, aperture, block[a : a + rows, i])
+        out = block[a : a + rows]
+        for lo in range(0, n, width):
+            part = slice(lo, lo + width)
+            planes = plane_coefficients(
+                aperture, factor, seed, realizations[a : a + rows], z_planes, part
+            )
+            for i, h in enumerate(planes):
+                _embed(out[:, i], h, aperture, part)
+        _grid_series(out, aperture)
     return block.swapaxes(0, 1)
 
 

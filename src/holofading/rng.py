@@ -12,6 +12,10 @@ Gaussian variates use the Box-Muller transform of uniform draws so each
 complex draw consumes exactly two 64-bit counter words: draw i of a
 realization always occupies words [2*i, 2*i + 2), independent of batching
 or evaluation order, and distinct realizations never share counter space.
+One counter step gives four words, two draws, so a call may start at any
+even draw ``start`` of its realizations: counter word 0 starts at
+start // 2, and the call returns draws start .. start + n - 1, bit for bit
+the same values as the matching columns of a call from draw 0.
 
 A call draws one realization or a batch of them. Each realization's
 uniforms are written straight into its row of the complex output (viewed
@@ -41,16 +45,17 @@ _MASK64 = (1 << 64) - 1
 _local = threading.local()
 
 
-def _positioned(seed: int, realization: int, stream: int) -> np.random.Generator:
-    """This thread's Philox generator, set to the start of one realization's
-    stream: the state a fresh ``Philox(counter=..., key=...)`` starts in."""
+def _positioned(seed: int, realization: int, stream: int, step: int = 0) -> np.random.Generator:
+    """This thread's Philox generator, set to counter step ``step`` of one
+    realization's stream (draw 2 * step): the state a fresh
+    ``Philox(counter=..., key=...)`` starts in."""
     gen = getattr(_local, "generator", None)
     if gen is None:
         gen = _local.generator = np.random.Generator(np.random.Philox())
     gen.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {
-            "counter": (0, 0, realization & _MASK64, stream & _MASK64),
+            "counter": (step & _MASK64, 0, realization & _MASK64, stream & _MASK64),
             "key": (seed & _MASK64, 0),
         },
         "buffer": (0, 0, 0, 0),
@@ -66,10 +71,13 @@ def complex_standard_normals(
     realization: int | Sequence[int],
     n: int,
     stream: int = STREAM_COEFFICIENTS,
+    start: int = 0,
 ) -> np.ndarray:
     """n circularly-symmetric complex normals with unit total variance per
-    realization: shape (n,) for one realization, (B, n) for a sequence of
-    them, row i equal to the single call of realization i.
+    realization, draws ``start`` .. ``start`` + n - 1 of its stream: shape
+    (n,) for one realization, (B, n) for a sequence of them, row i equal to
+    the single call of realization i. ``start`` must be even and
+    nonnegative, so that the draws begin on a counter step.
 
     Real and imaginary parts each have variance 1/2. The transform is
     Box-Muller on (1 - u) so the open interval [0, 1) of the uniform source
@@ -78,11 +86,13 @@ def complex_standard_normals(
     each slice of the flattened block is turned in place into radius and
     phase, and radius and phase into the complex normals.
     """
+    if start < 0 or start % 2:
+        raise ValueError(f"start must be an even draw index >= 0, got {start}")
     single = np.ndim(realization) == 0
     reals = (realization,) if single else realization
     out = np.empty((len(reals), n), dtype=complex)
     for row, r in zip(out.view(np.float64), reals):
-        _positioned(seed, r, stream).random(out=row)  # 2n uniforms per row
+        _positioned(seed, r, stream, start // 2).random(out=row)  # 2n uniforms per row
     flat = out.reshape(-1)
     cos = np.empty(min(_SLICE, flat.size))
     for a in range(0, flat.size, _SLICE):

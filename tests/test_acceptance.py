@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from holofading import Aperture
-from holofading.cli import bench_baseline, bench_series, fit_exponent
+from holofading.cli import bench_baseline, bench_series, fit_exponent, fit_residual
 from holofading.generator import draw_coefficients, migrate, synthesize
 from holofading.validation import compare_kl, lambda_half_independence, run_figure
 from holofading.variances import (
@@ -169,8 +169,13 @@ def test_criterion_10_complexity_scaling():
     kl_sizes, kl_times = bench_baseline((512, 1024, 2048, 4096), seed=0)
     kl_exp = fit_exponent(kl_sizes, kl_times)
     ok = 0.9 <= series_exp <= 1.3 and kl_exp > 1.8
-    _report(10, "synthesis/baseline complexity", ok,
-            f"series exponent={series_exp:.3f} (want [0.9, 1.3]), "
-            f"baseline exponent={kl_exp:.3f} (want > 1.8)")
-    assert 0.9 <= series_exp <= 1.3
-    assert kl_exp > 1.8
+    # what was measured, so that a failing run shows which point moved
+    series = (f"series exponent={series_exp:.3f} (want [0.9, 1.3], rms log residual "
+              f"{fit_residual(pts, times):.3f}; ms/realization "
+              + ", ".join(f"{p}: {t * 1e3:.3f}" for p, t in zip(pts, times)) + ")")
+    baseline = (f"baseline exponent={kl_exp:.3f} (want > 1.8, rms log residual "
+                f"{fit_residual(kl_sizes, kl_times):.3f}; s "
+                + ", ".join(f"{n}: {t:.3f}" for n, t in zip(kl_sizes, kl_times)) + ")")
+    _report(10, "synthesis/baseline complexity", ok, f"{series}, {baseline}")
+    assert 0.9 <= series_exp <= 1.3, series
+    assert kl_exp > 1.8, baseline

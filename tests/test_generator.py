@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from holofading import Aperture, GridTooCoarse, MigrationRange, SpectralFactor, generate
 from holofading.generator import (
     CoefficientDraw,
+    coefficient_rows,
     default_table,
     draw_coefficients,
     draw_line_coefficients,
@@ -19,7 +21,8 @@ from holofading.generator import (
     shape_coefficients,
     synthesize,
 )
-from holofading.spectrum import ISOTROPIC_FACTOR_2D, shaping_gains
+from holofading.rng import _SLICE
+from holofading.spectrum import ISOTROPIC_FACTOR_2D, line_shaping_gain, shaping_gains
 from holofading.variances import table_1d, table_2d
 from holofading.wavenumber import lattice_wavenumbers
 from oracles import brute_force_plane
@@ -191,6 +194,41 @@ class TestShapeCoefficients:
         assert np.array_equal(gains[0][0], gains[1][0])
         assert np.array_equal(gains[0][1], gains[1][1])
 
+    def test_tabulated_gains_are_evaluated_in_slices(self, tmp_path):
+        # the polar interpolation makes about 20 temporaries of its points:
+        # over all 51,940 harmonics of the 256 x 256 grid at once they
+        # peaked at 8.4 MB, over slices of _SLICE harmonics at 2.9 MB
+        from holofading.generator import _plane_gains
+
+        path = tmp_path / "factor.csv"
+        with open(path, "w") as fh:
+            fh.write("k_r_over_kappa,k_phi_rad,a_plus,a_minus\n")
+            for i in range(17):
+                for j in range(48):
+                    p = 2 * math.pi * j / 48
+                    fh.write(f"{i / 16},{p},{1 + 0.5 * math.cos(p - 1)},{1 + 0.3 * math.sin(p)}\n")
+        f = SpectralFactor.from_csv(path)
+        t = table_2d(128.0, 128.0)  # the cached table is not the evaluation's memory
+        tracemalloc.start()
+        try:
+            gp, gm = _plane_gains(f, 128.0, 128.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        # a factor is pointwise, so the slices give the one evaluation's bits
+        want = shaping_gains(f, *lattice_wavenumbers(t), KAPPA)
+        assert np.array_equal(gp, want[0]) and np.array_equal(gm, want[1])
+
+    def test_line_gains_across_slices(self):
+        from holofading.generator import _line_gains
+
+        f = self._lobed()
+        t = table_1d(4100.0)  # 8,200 harmonics: one whole slice and a remainder
+        assert _SLICE < len(t.ls) < 2 * _SLICE
+        want = line_shaping_gain(f, lattice_wavenumbers(t))
+        assert np.array_equal(_line_gains(f, 4100.0), want)
+
 
 class TestMigrate:
     def test_zero_plane_is_sum(self):
@@ -358,6 +396,62 @@ class TestSynthesize:
         out = synthesize(h, ap)[0]
         ns = np.arange(-ap.nx // 2, ap.nx // 2)
         assert np.allclose(out, np.exp(-2j * np.pi * 2 * ns / ap.nx), atol=1e-13)
+
+
+class TestSlicedRealizations:
+    """A realization whose draws exceed SUB_BLOCK_BYTES is drawn, shaped,
+    migrated and zero-embedded in slices of rng._SLICE draws, straight into
+    its output rows; each output bit must be the whole realization's."""
+
+    FACTOR = SpectralFactor.from_callables(
+        lambda kx, ky: 1.0 + 0.5 * np.cos(np.arctan2(ky, kx) - 0.3),
+        lambda kx, ky: 1.0 + 0.2 * kx / KAPPA,
+    )
+
+    @staticmethod
+    def _reference(ap, factor, seed, reals, zs):
+        """All harmonics drawn at once, zero-embedded in a spectrum of their
+        own and transformed out of place, shifted by numpy's fftshift."""
+        t = default_table(ap)
+        planes = []
+        for h in plane_coefficients(ap, factor, seed, reals, zs):
+            spec = np.zeros(h.shape[:-1] + (ap.ny, ap.nx), dtype=complex)
+            spec[..., t.ms % ap.ny, t.ls % ap.nx] = h
+            grid = np.fft.fftshift(np.fft.ifftn(spec, axes=(-2, -1)), axes=(-2, -1))
+            planes.append(grid * (ap.nx * ap.ny))
+        return planes
+
+    def _check(self, ap, zs, monkeypatch):
+        import holofading.generator as genmod
+
+        calls = []
+        real = genmod.complex_standard_normals
+
+        def counting(seed, reals, n, **kwargs):
+            calls.append(n)
+            return real(seed, reals, n, **kwargs)
+
+        monkeypatch.setattr(genmod, "complex_standard_normals", counting)
+        draws = 2 * len(default_table(ap))
+        assert coefficient_rows(ap) == 1 and draws * 16 > genmod.SUB_BLOCK_BYTES
+        got = generate_batch_planes(ap, self.FACTOR, 3, range(2), zs)
+        # one call per slice and realization, the last slice a remainder
+        assert calls == ([_SLICE] * (draws // _SLICE) + [draws % _SLICE]) * 2
+        assert got.shape == (len(zs), 2, ap.ny, ap.nx)
+        for plane, want in zip(got, self._reference(ap, self.FACTOR, 3, range(2), zs)):
+            assert np.array_equal(plane.view(np.uint64), want.view(np.uint64))
+
+    def test_over_budget_plane(self, monkeypatch):
+        # 51,940 harmonics: 1.66 MB of draws a realization, in 13 slices
+        self._check(Aperture(lx=128.0, dx=0.5, ly=128.0, dy=0.5), (0.0, 0.5), monkeypatch)
+
+    def test_over_budget_volumetric(self, monkeypatch):
+        import holofading.generator as genmod
+
+        # 5,172 harmonics, over a 64 KiB budget: two slices, one partial
+        monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", 1 << 16)
+        ap = Aperture(lx=40.0, dx=0.5, ly=40.0, dy=0.5, lz=1.0, dz=0.5)
+        self._check(ap, ap.z_planes(), monkeypatch)
 
 
 class TestGenerate:

@@ -155,6 +155,39 @@ class TestSlices:
         assert peak < out.nbytes + 8 * _SLICE + 64 * 1024
 
 
+class TestStart:
+    """A call from an even draw ``start`` returns draws start .. start + n - 1
+    of the full row: counter word 0 starts at start // 2."""
+
+    FULL = 3 * _SLICE + 10
+
+    @pytest.mark.parametrize("start, n", [
+        (0, 5),
+        (2, 7),
+        (_SLICE - 2, 4),  # straddles a slice boundary of the full row
+        (_SLICE, _SLICE),  # one whole slice on a slice boundary
+        (_SLICE + 6, 2 * _SLICE + 4),  # ends at the end of the full row
+        (3 * _SLICE + 8, 1),
+    ])
+    def test_equals_the_columns_of_the_full_row(self, start, n):
+        full = complex_standard_normals(31, range(3), self.FULL)
+        batch = complex_standard_normals(31, range(3), n, start=start)
+        assert np.array_equal(batch.view(np.uint64), full[:, start : start + n].view(np.uint64))
+        for r in range(3):
+            single = complex_standard_normals(31, r, n, start=start)
+            assert np.array_equal(single.view(np.uint64), full[r, start : start + n].view(np.uint64))
+
+    def test_other_stream(self):
+        full = complex_standard_normals(5, 2, 40, STREAM_BASELINE)
+        part = complex_standard_normals(5, 2, 10, STREAM_BASELINE, start=30)
+        assert np.array_equal(part.view(np.uint64), full[30:].view(np.uint64))
+
+    @pytest.mark.parametrize("start", [1, 3, _SLICE + 1, -2])
+    def test_odd_or_negative_start_raises(self, start):
+        with pytest.raises(ValueError, match="start"):
+            complex_standard_normals(1, 0, 4, start=start)
+
+
 def _in_two_threads(calls):
     """Results of complex_standard_normals(*call) for every call, made by
     two threads taking alternate calls under a tiny switch interval."""

@@ -18,9 +18,12 @@ tabulated directional factor it writes itself, also over several z-planes
 on two workers, and on a 64 x 64 aperture whose tasks of 4 realizations
 each span two coefficient row blocks; with a second factor that is zero
 in both half-spaces on one azimuth sector, over the planes z = 0 and
-z != 0, so that zero coefficients go through both migrations; and on a
+z != 0, so that zero coefficients go through both migrations; on a
 30 x 18 plane and a 60-point line, grids that are not a power of two,
-where an FFT identity that is exact on 2^k grids is not), ``validate --fig
+where an FFT identity that is exact on 2^k grids is not; and on a 208 x 208
+grid over the planes z = 0 and 0.5, whose 34,352 harmonics are 1.10 MB of
+draws a realization, over the 1 MiB budget, so each realization is drawn
+and scattered into its output in slices), ``validate --fig
 6/7/8`` and ``compare-kl`` at M = 1200 on two workers, ``compare-kl`` at
 M = 513 (one realization past whole row blocks of the baseline noise),
 the row estimate of ``lambda_half_independence``, and ``variances``
@@ -65,6 +68,9 @@ GENERATE = {
     "generate-volumetric-zero-sector.bin": (("--aperture", "8,8,2", "--spacing", "0.5",
                                              "--realizations", "6", "--seed", "23",
                                              "--threads", "2"), "factor-zero-sector.csv"),
+    "generate-volumetric-factor-streamed.bin": (("--aperture", "104,104,1", "--spacing", "0.5",
+                                                 "--realizations", "3", "--seed", "29",
+                                                 "--threads", "2"), "factor.csv"),
 }
 
 # name -> variances argv after --out
