@@ -325,6 +325,11 @@ def cmd_generate(args) -> int:
         raise ConfigError(str(exc))
     if args.format == "bin":  # each worker writes the blocks it made
         with open(args.out, "wb") as fh:
+            if not fh.seekable():
+                raise ConfigError(
+                    f"--out {args.out}: --format bin writes each block at its offset, "
+                    "so it needs a file it can seek, not a pipe or terminal"
+                )
             write = _bin_writer(fh, aperture, m)
             for _ in _field_batches(aperture, factor, args.seed, m, threads, write):
                 pass

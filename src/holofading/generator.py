@@ -221,13 +221,26 @@ def _scaled_normals(seed, realization, scale, per_harmonic, start=0) -> np.ndarr
     return np.swapaxes(z, -1, -2)
 
 
+def _span(harmonics: slice, n: int) -> slice:
+    """``harmonics`` of a table of n harmonics as a slice with a numeric
+    start and stop."""
+    return slice(*harmonics.indices(n)[:2])
+
+
 def draw_coefficients(
-    table: CoefficientVariances2D, seed: int, realization: int | Sequence[int] = 0
+    table: CoefficientVariances2D,
+    seed: int,
+    realization: int | Sequence[int] = 0,
+    harmonics: slice = slice(None),
 ) -> CoefficientDraw:
     """Independent circularly-symmetric draws H+, H- with per-index variance
-    sigma2_lm, from the counter-based stream of (seed, realization)."""
-    h = _scaled_normals(seed, realization, np.sqrt(table.sigma_sq), 2)
-    return CoefficientDraw(table, h[..., 0, :], h[..., 1, :])
+    sigma2_lm, from the counter-based stream of (seed, realization), at
+    the table's ``harmonics`` (default all of them): a slice's draws begin
+    at draw 2 * start of the stream, so its values are those of the same
+    slice of the whole draw."""
+    part = _span(harmonics, len(table.draw_std))
+    h = _scaled_normals(seed, realization, table.draw_std[part], 2, 2 * part.start)
+    return CoefficientDraw(table, h[..., 0, :], h[..., 1, :], part)
 
 
 @lru_cache(maxsize=8)
@@ -260,18 +273,6 @@ def _line_gains(factor: SpectralFactor, lx: float) -> np.ndarray:
         gain[a : a + _SLICE] = line_shaping_gain(factor, kx[a : a + _SLICE])
     gain.flags.writeable = False  # shared by every caller of the cache
     return gain
-
-
-@lru_cache(maxsize=8)
-def _draw_scales(aperture: Aperture) -> np.ndarray:
-    """Read-only standard deviations of the pipeline's coefficient draws at
-    every harmonic of the aperture's table: sqrt(sigma2) for H+ and H- of a
-    rectangle, sqrt(2 sigma2) for H of a line."""
-    table = default_table(aperture)
-    var = 2.0 * table.sigma_sq if aperture.kind == LINEAR else table.sigma_sq
-    scale = np.sqrt(var)
-    scale.flags.writeable = False  # shared by every caller of the cache
-    return scale
 
 
 @lru_cache(maxsize=8)
@@ -352,9 +353,12 @@ def _embed(grid: np.ndarray, h: np.ndarray, aperture: Aperture, harmonics: slice
     """Write the coefficients h of the table's ``harmonics`` (any leading
     batch axes) at their FFT bins of ``grid`` (..., ny, nx); every other
     bin keeps its value. Each grid's (ny, nx) samples must be contiguous
-    (a new grid, or a plane of C-contiguous rows), so that merging them
-    into one axis is a view of ``grid``."""
-    grid.reshape(grid.shape[:-2] + (-1,))[..., _fft_bins(aperture)[harmonics]] = h
+    (a new grid, or a plane of C-contiguous rows): merging them into one
+    axis is then a view of ``grid``, and otherwise raises rather than
+    writing into a copy."""
+    flat = grid.view()
+    flat.shape = grid.shape[:-2] + (-1,)  # never a copy, unlike reshape
+    flat[..., _fft_bins(aperture)[harmonics]] = h
 
 
 def _grid_series(grid: np.ndarray, aperture: Aperture) -> np.ndarray:
@@ -396,13 +400,17 @@ def draw_line_coefficients(
     seed: int,
     realization: int | Sequence[int] = 0,
     factor: SpectralFactor | None = None,
+    harmonics: slice = slice(None),
 ) -> np.ndarray:
     """Single-coefficient draws H_l of variance 2*sigma2_l, optionally
     shaped by a spectral factor's line gain; (n,) for one realization,
-    (B, n) for a sequence of them."""
-    h = _scaled_normals(seed, realization, np.sqrt(2.0 * table.sigma_sq), 1)[..., 0, :]
+    (B, n) for a sequence of them. ``harmonics`` selects a slice of the
+    table's harmonics (default all of them) with an even start, whose
+    values are those of the same slice of the whole draw."""
+    part = _span(harmonics, len(table.draw_std))
+    h = _scaled_normals(seed, realization, table.draw_std[part], 1, part.start)[..., 0, :]
     if _directional(factor):
-        h *= _line_gains(factor, table.lx)
+        h *= _line_gains(factor, table.lx)[part]
     return h
 
 
@@ -414,7 +422,7 @@ def default_table(aperture: Aperture) -> CoefficientVariances1D | CoefficientVar
 
 
 def shared_table(aperture: Aperture, factor: SpectralFactor | None, z_planes: Sequence[float]):
-    """The aperture's variance table, with its draw scales and FFT bins,
+    """The aperture's variance table, with its draw_std and FFT bins,
     the shaping gains of a directional ``factor`` and the migration phases
     of the ``z_planes`` other than z = 0 (which needs none) already in
     their caches. Call it once before threads share a run:
@@ -423,7 +431,7 @@ def shared_table(aperture: Aperture, factor: SpectralFactor | None, z_planes: Se
     that thread's malloc arena, where it kept about 3 MB more of a
     256 x 256 ``generate`` resident."""
     table = default_table(aperture)
-    _draw_scales(aperture)
+    table.draw_std  # a cached property of the table
     _fft_bins(aperture)
     if _directional(factor):
         if aperture.kind == LINEAR:
@@ -479,29 +487,24 @@ def plane_coefficients(
     draw, shape, migrate to each z-plane. Returns one (B, n) array of
     per-harmonic coefficients per plane, in the table's harmonic order,
     each an array of its own that the caller may write over. ``harmonics``
-    selects a slice of the table's harmonics (default all of them) whose
-    draws begin at an even draw of each realization's stream; its values
-    are those of the same slice of the whole. ``factor`` None is isotropic.
+    selects a slice of the table's harmonics (default all of them; a
+    line's slice starts at an even harmonic), as ``draw_coefficients``
+    and ``draw_line_coefficients`` draw it. ``factor`` None is isotropic.
     A line aperture only supports z = 0.
     """
     _check_planes(aperture.lx, aperture.ly, z_planes)
-    scale = _draw_scales(aperture)
-    part = slice(*harmonics.indices(len(scale))[:2])
-    per_harmonic = _per_harmonic(aperture)
-    h = _scaled_normals(seed, realizations, scale[part], per_harmonic, per_harmonic * part.start)
+    table = default_table(aperture)
     if aperture.kind == LINEAR:
-        h = h[..., 0, :]
-        if _directional(factor):
-            h *= _line_gains(factor, aperture.lx)[part]
+        h = draw_line_coefficients(table, seed, realizations, factor, harmonics)
         return [h, *(h.copy() for _ in z_planes[1:])]
-    draw = CoefficientDraw(default_table(aperture), h[..., 0, :], h[..., 1, :], part)
+    draw = draw_coefficients(table, seed, realizations, harmonics)
     draw = shape_coefficients(draw, factor)
     return [migrate(draw, z) for z in z_planes]
 
 
 def _draw_bytes(aperture: Aperture) -> int:
     """Bytes of one realization's coefficient draws."""
-    return _per_harmonic(aperture) * len(_draw_scales(aperture)) * np.dtype(complex).itemsize
+    return _per_harmonic(aperture) * len(default_table(aperture).ls) * np.dtype(complex).itemsize
 
 
 def coefficient_rows(aperture: Aperture) -> int:
@@ -536,7 +539,7 @@ def generate_batch_planes(
     bit-identical to its single ``generate``. A line aperture only
     supports z = 0.
     """
-    n = len(_draw_scales(aperture))
+    n = len(default_table(aperture).ls)
     width = _SLICE // _per_harmonic(aperture) if _draw_bytes(aperture) > SUB_BLOCK_BYTES else n
     block = np.zeros((len(realizations), len(z_planes), aperture.ny, aperture.nx), dtype=complex)
     rows = coefficient_rows(aperture)

@@ -611,6 +611,30 @@ class TestGenerateChunks:
         assert contended.read_bytes() == whole.read_bytes()
         assert len(whole.read_bytes()) == 24 + 24 * 16 * 16 * 16
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_bin_to_a_pipe_exits_2_before_the_run(self, tmp_path, capsys, batch_sizes):
+        # workers write bin blocks at their offsets, which a pipe cannot
+        # seek to: the command refuses it before any realization is made
+        import threading
+
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            code, _, err = run_cli(capsys, "generate", "--aperture", "4,4", "--spacing", "0.5",
+                                   "--format", "bin", "--out", str(fifo))
+        finally:
+            reader.join(timeout=10)
+            if reader.is_alive():  # the command never opened the pipe: close it for the reader
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                reader.join()
+        assert code == 2
+        failure = json.loads(err.splitlines()[-1])["failures"][0]
+        assert failure["check"] == "config" and "seek" in failure["detail"]
+        assert read == [b""] and batch_sizes == []
+
     def test_budget_below_one_realization_still_progresses(
         self, tmp_path, capsys, monkeypatch, batch_sizes
     ):

@@ -413,10 +413,11 @@ class TestSlicedRealizations:
         """All harmonics drawn at once, zero-embedded in a spectrum of their
         own and transformed out of place, shifted by numpy's fftshift."""
         t = default_table(ap)
+        rows = 0 if ap.kind == "linear" else t.ms % ap.ny  # a line is one row
         planes = []
         for h in plane_coefficients(ap, factor, seed, reals, zs):
             spec = np.zeros(h.shape[:-1] + (ap.ny, ap.nx), dtype=complex)
-            spec[..., t.ms % ap.ny, t.ls % ap.nx] = h
+            spec[..., rows, t.ls % ap.nx] = h
             grid = np.fft.fftshift(np.fft.ifftn(spec, axes=(-2, -1)), axes=(-2, -1))
             planes.append(grid * (ap.nx * ap.ny))
         return planes
@@ -432,7 +433,7 @@ class TestSlicedRealizations:
             return real(seed, reals, n, **kwargs)
 
         monkeypatch.setattr(genmod, "complex_standard_normals", counting)
-        draws = 2 * len(default_table(ap))
+        draws = (1 if ap.kind == "linear" else 2) * len(default_table(ap).ls)
         assert coefficient_rows(ap) == 1 and draws * 16 > genmod.SUB_BLOCK_BYTES
         got = generate_batch_planes(ap, self.FACTOR, 3, range(2), zs)
         # one call per slice and realization, the last slice a remainder
@@ -452,6 +453,23 @@ class TestSlicedRealizations:
         monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", 1 << 16)
         ap = Aperture(lx=40.0, dx=0.5, ly=40.0, dy=0.5, lz=1.0, dz=0.5)
         self._check(ap, ap.z_planes(), monkeypatch)
+
+    def test_over_budget_line(self, monkeypatch):
+        import holofading.generator as genmod
+
+        # 10,000 harmonics of one draw each, over a 64 KiB budget: a whole
+        # slice of _SLICE harmonics and a partial one
+        monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", 1 << 16)
+        self._check(Aperture(lx=5000.0, dx=0.5), (0.0,), monkeypatch)
+
+    def test_embed_refuses_a_grid_it_cannot_flatten_in_place(self):
+        import holofading.generator as genmod
+
+        ap = Aperture(lx=4.0, dx=0.5, ly=4.0, dy=0.5)
+        h = np.ones((1, len(default_table(ap))), dtype=complex)
+        grid = np.zeros((1, ap.nx, ap.ny), dtype=complex).swapaxes(-2, -1)
+        with pytest.raises(AttributeError):  # a copy would lose every bin
+            genmod._embed(grid, h, ap, slice(None))
 
 
 class TestGenerate:
