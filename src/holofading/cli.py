@@ -6,7 +6,7 @@ Subcommands:
     variances   emit the per-harmonic variance table as CSV
     validate    reproduce a reference validation run (figures 6/7/8)
     compare-kl  series generator vs dense correlated-Gaussian baseline
-    bench       timing sweep: series synthesis vs dense baseline scaling
+    bench       criterion 10's fixed sweep: series vs dense baseline scaling
 
 All lengths on the interface are in wavelengths; the wavelength itself is
 never a flag. A flat key=value config file may supply any long option of
@@ -163,8 +163,16 @@ class _Command:
         self.parser.set_defaults(handler=handler, option_table=self.defaults)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError on a usage error (an unknown flag, a flag without
+    its value), so it exits 2 with JSON; subcommand parsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="holofading",
         description="Fourier plane-wave synthesis of spatially-stationary fading",
     )
@@ -185,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = _Command(sub, "variances", "emit the variance table")
     v.opt("--aperture", str, required=True, help="side lengths Lx[,Ly] in wavelengths")
-    v.opt("--method", str, "closed-form", help="'closed-form' or 'quadrature' (2D only)")
+    v.opt("--method", str, "closed-form", help="'closed-form' or 'quadrature' (rectangles only)")
     v.opt("--out", str, None, help="output CSV path (default stdout)")
     v.opt("--config", str, None, help="key=value config file")
     v.finish(cmd_variances)
@@ -208,9 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     ck.finish(cmd_compare_kl)
 
     b = _Command(sub, "bench", "synthesis/baseline timing sweep")
-    b.opt("--sizes", str, "64,128,256,512", help="square grid sides for the series sweep")
-    b.opt("--kl-sizes", str, "512,1024,2048,4096", help="1D point counts for the baseline sweep")
-    b.opt("--per-size", int, 8, help="realizations timed per size")
     b.opt("--seed", int, 0, help="RNG seed (default 0)")
     b.opt("--out", str, None, help="JSON report path")
     b.opt("--config", str, None, help="key=value config file")
@@ -344,6 +349,9 @@ def cmd_variances(args) -> int:
     sides = _parse_lengths(args.aperture, "aperture", max_parts=2)
     if args.method not in ("closed-form", "quadrature"):
         raise ConfigError(f"--method must be 'closed-form' or 'quadrature', got {args.method!r}")
+    if len(sides) == 1 and args.method == "quadrature":
+        raise ConfigError("--method quadrature is for rectangles only; "
+                          "a line's table is closed-form")
     try:
         if len(sides) == 1:
             table = table_1d(sides[0])
@@ -420,30 +428,32 @@ def cmd_compare_kl(args) -> int:
     return 0
 
 
-def _log_fit(sizes, times):
-    """log(size), log(time) and the least-squares line through them."""
+def fit_power_law(sizes, times) -> tuple[float, float]:
+    """Least-squares slope of log(time) against log(size), and the RMS
+    residual of that line in natural-log units of time: how far the
+    timings sit from a power law."""
     x = np.log(np.asarray(sizes, dtype=float))
     y = np.log(np.asarray(times, dtype=float))
-    return x, y, np.polyfit(x, y, 1)
+    line = np.polyfit(x, y, 1)
+    return float(line[0]), float(np.sqrt(np.mean(np.square(y - np.polyval(line, x)))))
 
 
-def fit_exponent(sizes, times) -> float:
-    """Least-squares slope of log(time) against log(size)."""
-    return float(_log_fit(sizes, times)[2][0])
+# timed work per bench size, series or dense baseline: a best-of over many
+# calls, so that fixed per-call cost and noise do not dominate the smallest
+# size's point; a size slower than this is timed once
+SERIES_MIN_TIMED_S = 0.2
+# bench's one sweep: square grid sides of the series (SERIES_PER_SIZE
+# realizations each) and the dense baseline's line point counts
+SERIES_SIDES = (64, 128, 256, 512)
+SERIES_PER_SIZE = 8
+BASELINE_POINTS = (512, 1024, 2048, 4096)
 
 
-def fit_residual(sizes, times) -> float:
-    """RMS residual of ``fit_exponent``'s line, in natural-log units of
-    time: how far the timings sit from a power law."""
-    x, y, line = _log_fit(sizes, times)
-    return float(np.sqrt(np.mean(np.square(y - np.polyval(line, x)))))
-
-
-def _best_time(fn, repeats=3, min_seconds=0.0) -> float:
+def _best_time(fn, repeats=3) -> float:
     """Best wall time of at least ``repeats`` timed calls of ``fn``, calling
-    it again until the timed calls add up to ``min_seconds``."""
+    it again until the timed calls add up to ``SERIES_MIN_TIMED_S``."""
     best, total, calls = math.inf, 0.0, 0
-    while calls < repeats or total < min_seconds:
+    while calls < repeats or total < SERIES_MIN_TIMED_S:
         t0 = time.perf_counter()
         fn()
         elapsed = time.perf_counter() - t0
@@ -451,86 +461,62 @@ def _best_time(fn, repeats=3, min_seconds=0.0) -> float:
     return best
 
 
-# timed work per bench size, series or dense baseline: a best-of over many
-# calls, so that fixed per-call cost and noise do not dominate the smallest
-# size's point; a size slower than this is timed once
-SERIES_MIN_TIMED_S = 0.2
-
-
-def bench_series(sizes, per: int = 8, seed: int = 0) -> tuple[list[int], list[float]]:
-    """Per-realization synthesis wall time over square grid sides.
+def bench_series(seed: int = 0) -> tuple[list[int], list[float]]:
+    """Per-realization synthesis wall time on the ``SERIES_SIDES`` grids.
 
     The variance table is built, and each size run once, outside the timed
     region; the timing covers the per-realization pipeline (draws,
     migration, IFFT), best of as many calls as fill ``SERIES_MIN_TIMED_S``.
     """
     points, times = [], []
-    for n in sizes:
+    for n in SERIES_SIDES:
         aperture = Aperture(lx=n / 2.0, dx=0.5, ly=n / 2.0, dy=0.5)
         default_table(aperture)  # built and cached outside the timed region
 
         def run():
-            generate_batch_planes(aperture, None, seed, range(per), (0.0,))
+            generate_batch_planes(aperture, None, seed, range(SERIES_PER_SIZE), (0.0,))
 
         run()  # first-call costs of this size stay out of the timing
         points.append(n * n)
-        times.append(_best_time(run, min_seconds=SERIES_MIN_TIMED_S) / per)
+        times.append(_best_time(run) / SERIES_PER_SIZE)
     return points, times
 
 
-def bench_baseline(sizes, seed: int = 0) -> tuple[list[int], list[float]]:
+def bench_baseline(seed: int = 0) -> tuple[list[int], list[float]]:
     """Dense-baseline wall time (matrix build + eigendecomposition + draws)
-    over 1D point counts, best of as many calls as fill
-    ``SERIES_MIN_TIMED_S`` (one call for a size slower than that). A
-    64-point run first pays J0's scipy import and the first
+    over the ``BASELINE_POINTS`` line point counts, best of as many calls
+    as fill ``SERIES_MIN_TIMED_S`` (one call for a size slower than that).
+    A 64-point run first pays J0's scipy import and the first
     eigendecomposition outside the timed region."""
     from .baseline import AcfClosedForm, correlation_matrix, kl_sample
 
     acf = AcfClosedForm("bessel-2d")
     kl_sample(correlation_matrix(Aperture(lx=4.0, dx=1.0 / 16.0), acf), seed, 4)
     times = []
-    for n in sizes:
+    for n in BASELINE_POINTS:
         aperture = Aperture(lx=n / 16.0, dx=1.0 / 16.0)
 
         def run_kl():
             kl_sample(correlation_matrix(aperture, acf), seed, 4)
 
-        times.append(_best_time(run_kl, repeats=1, min_seconds=SERIES_MIN_TIMED_S))
-    return list(sizes), times
-
-
-def _parse_counts(text: str, name: str) -> list[int]:
-    counts = _parse_lengths(text, name, max_parts=16)
-    if any(n != int(n) for n in counts):
-        raise ConfigError(f"--{name}: expected whole numbers, got {text!r}")
-    return [int(n) for n in counts]
+        times.append(_best_time(run_kl, repeats=1))
+    return list(BASELINE_POINTS), times
 
 
 def cmd_bench(args) -> int:
-    sizes = _parse_counts(args.sizes, "sizes")
-    kl_sizes = _parse_counts(args.kl_sizes, "kl-sizes")
-    if any(n > 4096 for n in kl_sizes):
-        raise ConfigError("--kl-sizes are capped at 4096 points (dense baseline)")
-    for flag, counts in (("--sizes", sizes), ("--kl-sizes", kl_sizes)):
-        if len(set(counts)) < 2:  # an exponent is a slope fitted through the sizes
-            raise ConfigError(f"{flag}: need at least two distinct sizes, got {counts}")
-    per = _at_least_one(args.per_size, "--per-size")
-
-    gen_points, gen_times = bench_series(sizes, per=per, seed=args.seed)
+    gen_points, gen_times = bench_series(seed=args.seed)
     rows = []
-    for n, p, t in zip(sizes, gen_points, gen_times):
+    for n, p, t in zip(SERIES_SIDES, gen_points, gen_times):
         rows.append(("series", p, t))
         print(f"series  {n:4d} x {n:<4d} ({p:7d} pts): {t * 1e3:9.3f} ms/realization")
 
-    _, kl_times = bench_baseline(kl_sizes, seed=args.seed)
+    kl_sizes, kl_times = bench_baseline(seed=args.seed)
     for n, t in zip(kl_sizes, kl_times):
         rows.append(("baseline", n, t))
         print(f"baseline 1D N={n:5d}: {t:9.3f} s (matrix + eigendecomposition + draws)")
 
-    gen_exp = fit_exponent(gen_points, gen_times)
-    kl_exp = fit_exponent(kl_sizes, kl_times)
-    gen_res = fit_residual(gen_points, gen_times)
-    kl_res = fit_residual(kl_sizes, kl_times)
+    gen_exp, gen_res = fit_power_law(gen_points, gen_times)
+    kl_exp, kl_res = fit_power_law(kl_sizes, kl_times)
     gen_ok = 0.9 <= gen_exp <= 1.3
     kl_ok = kl_exp > 1.8
     print(f"series synthesis exponent (time vs points): {gen_exp:.3f} "

@@ -124,11 +124,18 @@ class CoefficientVariances1D:
         return std
 
 
-def table_1d(lx: float) -> CoefficientVariances1D:
+@lru_cache(maxsize=32)
+def _table_1d_cached(lx):
     n = _band_1d(lx)
     ls = np.arange(-n, n)
     sig = np.array([variance_1d(int(l), lx) for l in ls])
-    return CoefficientVariances1D(lx=float(lx), ls=ls, sigma_sq=sig)
+    for arr in (ls, sig):
+        arr.flags.writeable = False  # shared by every caller of the cache
+    return CoefficientVariances1D(lx=lx, ls=ls, sigma_sq=sig)
+
+
+def table_1d(lx: float) -> CoefficientVariances1D:
+    return _table_1d_cached(float(lx))
 
 
 # ---------------------------------------------------------------------------

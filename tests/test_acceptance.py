@@ -8,13 +8,14 @@ criteria 5 and 8, so those two run at documented seeds (0 and 3) at which
 the sampled deviation lands inside the budget; all other criteria are
 seed-insensitive.
 """
+import json
 import math
 import time
 
 import numpy as np
 
 from holofading import Aperture
-from holofading.cli import bench_baseline, bench_series, fit_exponent, fit_residual
+from holofading.cli import main
 from holofading.generator import draw_coefficients, migrate, synthesize
 from holofading.validation import compare_kl, lambda_half_independence, run_figure
 from holofading.variances import (
@@ -163,19 +164,24 @@ def test_criterion_9_half_wavelength_independence():
     assert worst < budget
 
 
-def test_criterion_10_complexity_scaling():
-    pts, times = bench_series((64, 128, 256, 512), per=8, seed=0)
-    series_exp = fit_exponent(pts, times)
-    kl_sizes, kl_times = bench_baseline((512, 1024, 2048, 4096), seed=0)
-    kl_exp = fit_exponent(kl_sizes, kl_times)
+def test_criterion_10_complexity_scaling(tmp_path):
+    out = tmp_path / "bench.json"
+    rc = main(["bench", "--out", str(out)])
+    bench = json.loads(out.read_text())
+    series_exp, kl_exp = bench["series_exponent"], bench["baseline_exponent"]
+    rows = {kind: [(r["points"], r["seconds"]) for r in bench["rows"] if r["kind"] == kind]
+            for kind in ("series", "baseline")}
+    assert [p for p, _ in rows["series"]] == [n * n for n in (64, 128, 256, 512)]
+    assert [p for p, _ in rows["baseline"]] == [512, 1024, 2048, 4096]
     ok = 0.9 <= series_exp <= 1.3 and kl_exp > 1.8
     # what was measured, so that a failing run shows which point moved
     series = (f"series exponent={series_exp:.3f} (want [0.9, 1.3], rms log residual "
-              f"{fit_residual(pts, times):.3f}; ms/realization "
-              + ", ".join(f"{p}: {t * 1e3:.3f}" for p, t in zip(pts, times)) + ")")
+              f"{bench['series_residual']:.3f}; ms/realization "
+              + ", ".join(f"{p}: {t * 1e3:.3f}" for p, t in rows["series"]) + ")")
     baseline = (f"baseline exponent={kl_exp:.3f} (want > 1.8, rms log residual "
-                f"{fit_residual(kl_sizes, kl_times):.3f}; s "
-                + ", ".join(f"{n}: {t:.3f}" for n, t in zip(kl_sizes, kl_times)) + ")")
+                f"{bench['baseline_residual']:.3f}; s "
+                + ", ".join(f"{n}: {t:.3f}" for n, t in rows["baseline"]) + ")")
     _report(10, "synthesis/baseline complexity", ok, f"{series}, {baseline}")
+    assert (rc == 0) == ok == bench["pass"], f"rc={rc}, {series}, {baseline}"
     assert 0.9 <= series_exp <= 1.3, series
     assert kl_exp > 1.8, baseline

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import struct
 import subprocess
 import sys
@@ -317,27 +318,30 @@ class TestCompareKlCommand:
 
 class TestBench:
     def test_exponent_fit(self):
-        from holofading.cli import fit_exponent
+        from holofading.cli import fit_power_law
 
         sizes = [64, 128, 256, 512]
         times = [1e-3 * n for n in sizes]
-        assert fit_exponent(sizes, times) == pytest.approx(1.0, abs=1e-12)
+        assert fit_power_law(sizes, times)[0] == pytest.approx(1.0, abs=1e-12)
         times = [1e-6 * n * n for n in sizes]
-        assert fit_exponent(sizes, times) == pytest.approx(2.0, abs=1e-12)
+        assert fit_power_law(sizes, times)[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_residual_of_a_power_law(self):
-        from holofading.cli import fit_residual
+        from holofading.cli import fit_power_law
 
         sizes = [64, 128, 256, 512]
-        assert fit_residual(sizes, [3e-7 * n**1.5 for n in sizes]) < 1e-12
+        assert fit_power_law(sizes, [3e-7 * n**1.5 for n in sizes])[1] < 1e-12
         # off the line by a factor e^(+-0.1) at alternate sizes
         times = [1e-6 * n * math.exp(0.1 * (-1) ** i) for i, n in enumerate(sizes)]
-        assert 0.05 < fit_residual(sizes, times) < 0.1
+        assert 0.05 < fit_power_law(sizes, times)[1] < 0.1
 
-    def test_kl_size_cap(self, capsys):
-        code, _, err = run_cli(capsys, "bench", "--kl-sizes", "8192")
-        assert code == 2
-        assert "4096" in json.loads(err)["failures"][0]["detail"]
+    def test_help_lists_only_seed_out_and_config(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--help"])
+        assert exc.value.code == 0
+        words = capsys.readouterr().out.split()
+        flags = {w.strip("[],") for w in words if w.startswith(("--", "[--"))}
+        assert flags == {"--help", "--seed", "--out", "--config"}
 
 
 _BAD_INPUTS = {
@@ -346,14 +350,17 @@ _BAD_INPUTS = {
     "negative-side": ("variances", "--aperture", "4,-4"),
     "zero-side": ("variances", "--aperture", "4,0"),
     "unknown-method-line": ("variances", "--aperture", "4", "--method", "bogus"),
+    # the quadrature oracle is for rectangles only
+    "quadrature-on-a-line": ("variances", "--aperture", "4", "--method", "quadrature"),
     "infinite-side": ("generate", "--aperture", "inf,4", "--spacing", "0.5",
                       "--out", "{tmp}/x.bin"),
-    "zero-bench-size": ("bench", "--sizes", "0"),
-    "fractional-bench-size": ("bench", "--sizes", "0.5"),
-    "zero-per-size": ("bench", "--sizes", "8,16", "--kl-sizes", "16,32", "--per-size", "0"),
-    # an exponent is fitted through the sizes: one distinct size gives no slope
-    "single-bench-size": ("bench", "--sizes", "8"),
-    "repeated-kl-size": ("bench", "--sizes", "8,16", "--kl-sizes", "16,16"),
+    # bench runs one fixed sweep; its size flags are gone
+    "removed-bench-flag": ("bench", "--sizes", "8"),
+    # argparse's own usage errors
+    "unknown-flag": ("generate", "--bogus", "1"),
+    "no-subcommand": (),
+    "flag-without-value": ("validate", "--fig"),
+    "unknown-subcommand": ("bogus",),
     "factor-is-directory": ("generate", "--aperture", "4", "--spacing", "0.5",
                             "--factor", "{tmp}", "--out", "{tmp}/x.bin"),
     "out-in-missing-dir": ("variances", "--aperture", "4", "--out", "{tmp}/missing/x.csv"),
@@ -457,6 +464,35 @@ def _write_lobed_factor(path):
                 p = 2 * math.pi * j / 12
                 fh.write(f"{i / 4},{p},{base * (1 + 0.6 * math.cos(p - 1.0))},"
                          f"{base * (1 + 0.3 * math.cos(p + 2.0)) * (1 + 0.2 * i / 4)}\n")
+
+
+def test_benchmark_tracer_counts_a_sliced_generate(tmp_path, capsys, monkeypatch):
+    # perfbench's tracer, in-process, on a 208 x 208 grid whose 34,352
+    # harmonics are 1.10 MB of draws a realization, so each realization is
+    # drawn in slices: every draw, plane and gain point must still cross a
+    # traced module boundary, and the summary must be strict JSON (a traced
+    # metric without samples would be written as a bare NaN)
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "perfbench"))
+    from tracer import Tracer
+
+    _write_lobed_factor(tmp_path / "factor.csv")
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code, _, err = run_cli(
+            capsys, "generate", "--aperture", "104,104", "--spacing", "0.5",
+            "--realizations", "2", "--threads", "2", "--factor", str(tmp_path / "factor.csv"),
+            "--out", str(tmp_path / "x.bin"),
+        )
+    finally:
+        tracer.uninstall()
+    assert code == 0, err
+    summary = tracer.summary()
+    counts = summary["counts"]
+    assert counts["rng.draws"] == 137_408  # 2 realizations x 2 draws x 34,352 harmonics
+    assert counts["generator.planes"] == 2
+    assert counts["spectrum.gain_points"] == 34_352
+    json.dumps(summary, allow_nan=False)
 
 
 # generate argv (M = --realizations) and the samples per realization

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from holofading import IndexOutOfBand
+from holofading import Aperture, IndexOutOfBand
+from holofading.generator import default_table
 from holofading.variances import (
     coefficient_indices,
     fold_index,
@@ -138,6 +139,15 @@ class TestTables:
             with pytest.raises(ValueError):
                 arr[:] = 0
         assert table_2d(4.0, 4.0).total_power() == power == pytest.approx(1.0, abs=1e-12)
+
+    def test_cached_line_table_is_one_read_only_object(self):
+        line = Aperture(lx=8.0, dx=0.5)
+        table = default_table(line)
+        assert default_table(line) is table is table_1d(8)
+        for arr in (table.ls, table.sigma_sq):
+            with pytest.raises(ValueError):
+                arr[:] = 0
+        assert table.total_power() == pytest.approx(1.0, abs=1e-12)
 
     def test_total_power_cap_and_monotonicity(self):
         totals = [table_2d(s, s).total_power() for s in (2.0, 4.0, 8.0, 16.0)]
