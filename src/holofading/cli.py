@@ -9,12 +9,13 @@ Subcommands:
     bench       criterion 10's fixed sweep: series vs dense baseline scaling
 
 All lengths on the interface are in wavelengths; the wavelength itself is
-never a flag. A flat key=value config file may supply any long option of
-the chosen subcommand (unknown keys are rejected); explicit flags win over
-file values. ``--threads`` caps the worker threads of generate, validate
-and compare-kl (default: env var HOLO_THREADS, else the CPUs this process
-may run on; a --threads below 1 or a malformed HOLO_THREADS is a
-configuration error). Exit codes:
+never a flag. argparse converts and checks every flag, and a flag must
+name its option in full. A flat key=value config file (``--config``) is
+read as flags: each line ``key=value`` becomes ``--key=value`` right after
+the subcommand name, so a key is a flag name of that subcommand, a file
+value gets the same checks as a flag, and an explicit flag wins.
+``--threads`` caps the worker threads of generate, validate and
+compare-kl (default: the CPUs this process may run on). Exit codes:
 0 all checks passed, 1 a validation failed (machine-readable failure list
 on stderr), 2 bad configuration or an unreadable/unwritable path (JSON
 failure on stderr, never a traceback).
@@ -85,10 +86,11 @@ def load_factor(spec: str) -> SpectralFactor | None:
 
 
 # ---------------------------------------------------------------------------
-# config file / flag merging
+# parser
 # ---------------------------------------------------------------------------
 
-def read_config_file(path: str) -> dict[str, str]:
+def read_config_file(path: str) -> list[tuple[str, str]]:
+    """The (key, value) pairs of a key=value file, in file order."""
     if not os.path.exists(path):
         raise ConfigError(f"config file {path!r} does not exist")
     try:
@@ -96,7 +98,7 @@ def read_config_file(path: str) -> dict[str, str]:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path!r} is not valid UTF-8: {exc}") from None
-    out: dict[str, str] = {}
+    out = []
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -104,122 +106,85 @@ def read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
+        out.append((key.strip(), value.strip()))
     return out
 
 
-def merge_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.Namespace:
-    """Resolve option precedence (explicit flag > config file > default)
-    and convert flag and file values alike; a value that does not parse
-    is a ConfigError."""
-    file_values: dict[str, str] = {}
-    if args.config:
-        file_values = read_config_file(args.config)
-        unknown = set(file_values) - set(parser_defaults)
-        if unknown:
-            raise ConfigError(
-                f"unknown config key(s) {sorted(unknown)}; valid keys: "
-                f"{sorted(parser_defaults)}"
-            )
-    for dest, (default, conv) in parser_defaults.items():
-        flag = getattr(args, dest)
-        if flag is not None:
-            source, text = f"--{dest.replace('_', '-')}", flag
-        elif dest in file_values:
-            source, text = f"config key {dest}", file_values[dest]
-        else:
-            setattr(args, dest, default)
-            continue
-        try:
-            setattr(args, dest, conv(text))
-        except ValueError:
-            raise ConfigError(f"{source}: cannot parse {text!r}")
-    required = [d for d, (default, _) in parser_defaults.items() if default is _REQUIRED]
-    missing = [d for d in required if getattr(args, d) is _REQUIRED]
-    if missing:
-        raise ConfigError(f"missing required option(s): {missing}")
-    return args
-
-
-_REQUIRED = object()
-_THREADS_HELP = "worker thread cap (default: HOLO_THREADS, else the CPUs this process may use)"
-
-
-class _Command:
-    """One subcommand: argparse wiring plus the file-mergeable option table."""
-
-    def __init__(self, sub, name, help_text):
-        self.parser = sub.add_parser(name, help=help_text)
-        self.defaults: dict[str, tuple[object, object]] = {}
-
-    def opt(self, flag, conv=str, default=None, required=False, help=""):  # noqa: A002
-        dest = flag.lstrip("-").replace("-", "_")
-        # values stay strings here: merge_config converts flag and file
-        # values alike, so a bad value exits 2 with JSON, not argparse usage
-        self.parser.add_argument(flag, dest=dest, default=None, help=help)
-        self.defaults[dest] = (_REQUIRED if required else default, conv)
-
-    def finish(self, handler):
-        self.parser.set_defaults(handler=handler, option_table=self.defaults)
+def _count(text: str) -> int:
+    """argparse type of --realizations and --threads: an int of at least 1
+    (a thread cap below 1 is a mistake, not a request for every CPU)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises ConfigError on a usage error (an unknown flag, a flag without
-    its value), so it exits 2 with JSON; subcommand parsers inherit it."""
+    """Raises ConfigError on a usage error (an unknown or abbreviated flag,
+    a flag without its value, a value that fails its type or choices), so
+    it exits 2 with JSON; subcommand parsers inherit it. Each is made with
+    allow_abbrev=False: a flag must name its option in full, as a config
+    key must."""
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
+
+
+_THREADS_HELP = "worker thread cap, at least 1 (default: the CPUs this process may use)"
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="holofading",
         description="Fourier plane-wave synthesis of spatially-stationary fading",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = _Command(sub, "generate", "write fading realizations")
-    g.opt("--aperture", str, required=True, help="side lengths Lx[,Ly[,Lz]] in wavelengths")
-    g.opt("--spacing", str, required=True, help="grid spacings dx[,dy[,dz]] in wavelengths")
-    g.opt("--seed", int, 0, help="RNG seed (default 0)")
-    g.opt("--realizations", int, 1, help="number of realizations M")
-    g.opt("--factor", str, "isotropic", help="'isotropic' or a tabulated-factor CSV")
-    g.opt("--out", str, required=True, help="output path")
-    g.opt("--format", str, "bin", help="'csv' or 'bin'")
-    g.opt("--config", str, None, help="key=value config file")
-    g.opt("--threads", int, None, help=_THREADS_HELP)
-    g.finish(cmd_generate)
+    def command(name, help_text, handler):
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        p.add_argument("--config", help="key=value config file of this command's flags")
+        return p
 
-    v = _Command(sub, "variances", "emit the variance table")
-    v.opt("--aperture", str, required=True, help="side lengths Lx[,Ly] in wavelengths")
-    v.opt("--method", str, "closed-form", help="'closed-form' or 'quadrature' (rectangles only)")
-    v.opt("--out", str, None, help="output CSV path (default stdout)")
-    v.opt("--config", str, None, help="key=value config file")
-    v.finish(cmd_variances)
+    g = command("generate", "write fading realizations", cmd_generate)
+    g.add_argument("--aperture", required=True, help="side lengths Lx[,Ly[,Lz]] in wavelengths")
+    g.add_argument("--spacing", required=True, help="grid spacings dx[,dy[,dz]] in wavelengths")
+    g.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    g.add_argument("--realizations", type=_count, default=1, help="number of realizations M")
+    g.add_argument("--factor", default="isotropic", help="'isotropic' or a tabulated-factor CSV")
+    g.add_argument("--out", required=True, help="output path")
+    g.add_argument("--format", choices=("csv", "bin"), default="bin", help="output format")
+    g.add_argument("--threads", type=_count, help=_THREADS_HELP)
 
-    va = _Command(sub, "validate", "reproduce a reference validation run")
-    va.opt("--fig", int, required=True, help="6, 7 or 8")
-    va.opt("--realizations", int, 10_000, help="Monte Carlo realizations M")
-    va.opt("--seed", int, 0, help="RNG seed (default 0)")
-    va.opt("--out", str, None, help="directory for curve.csv and report.json")
-    va.opt("--config", str, None, help="key=value config file")
-    va.opt("--threads", int, None, help=_THREADS_HELP)
-    va.finish(cmd_validate)
+    v = command("variances", "emit the variance table", cmd_variances)
+    v.add_argument("--aperture", required=True, help="side lengths Lx[,Ly] in wavelengths")
+    v.add_argument("--method", choices=("closed-form", "quadrature"), default="closed-form",
+                   help="quadrature is for rectangles only")
+    v.add_argument("--out", help="output CSV path (default stdout)")
 
-    ck = _Command(sub, "compare-kl", "series generator vs dense baseline")
-    ck.opt("--realizations", int, 10_000, help="Monte Carlo realizations M")
-    ck.opt("--seed", int, 0, help="RNG seed (default 0)")
-    ck.opt("--out", str, None, help="output CSV path")
-    ck.opt("--config", str, None, help="key=value config file")
-    ck.opt("--threads", int, None, help=_THREADS_HELP)
-    ck.finish(cmd_compare_kl)
+    va = command("validate", "reproduce a reference validation run", cmd_validate)
+    va.add_argument("--fig", type=int, choices=(6, 7, 8), required=True, help="figure")
+    va.add_argument("--realizations", type=_count, default=10_000,
+                    help="Monte Carlo realizations M")
+    va.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    va.add_argument("--out", help="directory for curve.csv and report.json")
+    va.add_argument("--threads", type=_count, help=_THREADS_HELP)
 
-    b = _Command(sub, "bench", "synthesis/baseline timing sweep")
-    b.opt("--seed", int, 0, help="RNG seed (default 0)")
-    b.opt("--out", str, None, help="JSON report path")
-    b.opt("--config", str, None, help="key=value config file")
-    b.finish(cmd_bench)
+    ck = command("compare-kl", "series generator vs dense baseline", cmd_compare_kl)
+    ck.add_argument("--realizations", type=_count, default=10_000,
+                    help="Monte Carlo realizations M")
+    ck.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    ck.add_argument("--out", help="output CSV path")
+    ck.add_argument("--threads", type=_count, help=_THREADS_HELP)
+
+    b = command("bench", "synthesis/baseline timing sweep", cmd_bench)
+    b.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    b.add_argument("--out", help="JSON report path")
 
     return parser
 
@@ -308,23 +273,14 @@ def _field_batches(aperture, factor, seed, m, threads, write=None):
     return ordered_map(run_chunk, range(0, m, batch), threads)
 
 
-def _at_least_one(value: int | None, flag: str) -> int | None:
-    if value is not None and value < 1:  # None: an optional flag not given
-        raise ConfigError(f"{flag} must be at least 1, got {value}")
-    return value
-
-
 def cmd_generate(args) -> int:
     aperture = build_aperture(args.aperture, args.spacing)
     factor = load_factor(args.factor)
-    if args.format not in ("csv", "bin"):
-        raise ConfigError(f"--format must be 'csv' or 'bin', got {args.format!r}")
-    m = _at_least_one(args.realizations, "--realizations")
+    m = args.realizations
     if args.format == "bin" and m >= 1 << 32:
         raise ConfigError(f"--realizations {m} does not fit the uint32 count of the binary header")
-    # a --threads below 1 or a malformed HOLO_THREADS fails before --out opens
-    threads = _thread_count(_at_least_one(args.threads, "--threads"))
-    try:  # so does a side the variance table rejects (a line of 7.5 wavelengths)
+    threads = _thread_count(args.threads)
+    try:  # a side the variance table rejects (a line of 7.5 wavelengths) fails before --out opens
         default_table(aperture)
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -347,8 +303,6 @@ def cmd_generate(args) -> int:
 
 def cmd_variances(args) -> int:
     sides = _parse_lengths(args.aperture, "aperture", max_parts=2)
-    if args.method not in ("closed-form", "quadrature"):
-        raise ConfigError(f"--method must be 'closed-form' or 'quadrature', got {args.method!r}")
     if len(sides) == 1 and args.method == "quadrature":
         raise ConfigError("--method quadrature is for rectangles only; "
                           "a line's table is closed-form")
@@ -377,10 +331,8 @@ def cmd_variances(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.fig not in (6, 7, 8):
-        raise ConfigError(f"--fig must be 6, 7 or 8, got {args.fig}")
     check_realizations(args.realizations)  # before --out is touched
-    threads = _thread_count(_at_least_one(args.threads, "--threads"))  # so is a bad thread cap
+    threads = _thread_count(args.threads)
     if args.out:
         os.makedirs(args.out, exist_ok=True)  # a bad --out fails before the run
     report = run_figure(args.fig, m=args.realizations, seed=args.seed, threads=threads)
@@ -401,7 +353,7 @@ def cmd_validate(args) -> int:
 
 def cmd_compare_kl(args) -> int:
     check_realizations(args.realizations)  # before --out is touched
-    threads = _thread_count(_at_least_one(args.threads, "--threads"))  # so is a bad thread cap
+    threads = _thread_count(args.threads)
     # a bad --out fails before the run
     with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as fh:
         result = compare_kl(m=args.realizations, seed=args.seed, threads=threads)
@@ -504,28 +456,29 @@ def bench_baseline(seed: int = 0) -> tuple[list[int], list[float]]:
 
 
 def cmd_bench(args) -> int:
-    gen_points, gen_times = bench_series(seed=args.seed)
-    rows = []
-    for n, p, t in zip(SERIES_SIDES, gen_points, gen_times):
-        rows.append(("series", p, t))
-        print(f"series  {n:4d} x {n:<4d} ({p:7d} pts): {t * 1e3:9.3f} ms/realization")
+    # a bad --out fails before the sweep
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
+        gen_points, gen_times = bench_series(seed=args.seed)
+        rows = []
+        for n, p, t in zip(SERIES_SIDES, gen_points, gen_times):
+            rows.append(("series", p, t))
+            print(f"series  {n:4d} x {n:<4d} ({p:7d} pts): {t * 1e3:9.3f} ms/realization")
 
-    kl_sizes, kl_times = bench_baseline(seed=args.seed)
-    for n, t in zip(kl_sizes, kl_times):
-        rows.append(("baseline", n, t))
-        print(f"baseline 1D N={n:5d}: {t:9.3f} s (matrix + eigendecomposition + draws)")
+        kl_sizes, kl_times = bench_baseline(seed=args.seed)
+        for n, t in zip(kl_sizes, kl_times):
+            rows.append(("baseline", n, t))
+            print(f"baseline 1D N={n:5d}: {t:9.3f} s (matrix + eigendecomposition + draws)")
 
-    gen_exp, gen_res = fit_power_law(gen_points, gen_times)
-    kl_exp, kl_res = fit_power_law(kl_sizes, kl_times)
-    gen_ok = 0.9 <= gen_exp <= 1.3
-    kl_ok = kl_exp > 1.8
-    print(f"series synthesis exponent (time vs points): {gen_exp:.3f} "
-          f"(rms log residual {gen_res:.3f}; want [0.9, 1.3])")
-    print(f"dense baseline exponent  (time vs points): {kl_exp:.3f} "
-          f"(rms log residual {kl_res:.3f}; want > 1.8)")
+        gen_exp, gen_res = fit_power_law(gen_points, gen_times)
+        kl_exp, kl_res = fit_power_law(kl_sizes, kl_times)
+        gen_ok = 0.9 <= gen_exp <= 1.3
+        kl_ok = kl_exp > 1.8
+        print(f"series synthesis exponent (time vs points): {gen_exp:.3f} "
+              f"(rms log residual {gen_res:.3f}; want [0.9, 1.3])")
+        print(f"dense baseline exponent  (time vs points): {kl_exp:.3f} "
+              f"(rms log residual {kl_res:.3f}; want > 1.8)")
 
-    if args.out:
-        with open(args.out, "w") as fh:
+        if fh is not None:
             json.dump(
                 {
                     "rows": [{"kind": k, "points": p, "seconds": t} for k, p, t in rows],
@@ -554,12 +507,16 @@ def _fail(failures: list[dict]) -> None:
 
 
 def parse_config(argv=None) -> argparse.Namespace:
-    """Resolve the run configuration: flags, then config-file values, then
-    defaults; unknown config keys and missing required options raise
-    ConfigError."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return merge_config(args, args.option_table)
+    """Parse the command line, with each key=value line of its --config
+    file read as --key=value right after the subcommand name: file values
+    get the checks of flags, and an explicit flag, parsed later, wins."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    config = _Parser(prog="holofading", add_help=False, allow_abbrev=False)
+    config.add_argument("--config")
+    path = config.parse_known_args(argv)[0].config
+    if path is not None:
+        argv[1:1] = [f"--{key}={value}" for key, value in read_config_file(path)]
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -65,7 +65,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .baseline import AcfClosedForm, _one_blas_thread, correlation_matrix, kl_root
-from .errors import ConfigError, InsufficientRealizations, LagMismatch
+from .errors import InsufficientRealizations, LagMismatch
 from .generator import (
     Aperture,
     block_rows,
@@ -187,20 +187,10 @@ def compare(est: AcfEstimate, oracle) -> CompareReport:
 # ---------------------------------------------------------------------------
 
 def _thread_count(threads: int | None = None) -> int:
-    """Worker count: a positive ``threads``, else the HOLO_THREADS
-    environment variable, else the number of CPUs this process may run on.
-
-    Raises:
-        ConfigError: HOLO_THREADS is set but not an integer.
-    """
+    """Worker count: a positive ``threads``, else the number of CPUs this
+    process may run on."""
     if threads is not None and threads > 0:
         return threads
-    env = os.environ.get("HOLO_THREADS")
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            raise ConfigError(f"HOLO_THREADS must be an integer, got {env!r}") from None
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

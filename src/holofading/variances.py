@@ -149,11 +149,11 @@ def _cell_bounds(l: int, m: int, lx: float, ly: float):
 
 
 def _in_band_2d(l: int, m: int, lx: float, ly: float) -> bool:
-    """Admissible indices: lattice-ellipse members or covered cells."""
-    on_ellipse = (l / lx) ** 2 + (m / ly) ** 2 <= 1.0 + 1e-12
+    """Admissible indices, the members of ``coefficient_indices``: the
+    mirrored cell's lower corner lies strictly inside the unit disk (so l
+    and m lie in their index ranges)."""
     x1, _, y1, _ = _cell_bounds(l, m, lx, ly)
-    covered = x1 * x1 + y1 * y1 < 1.0
-    return on_ellipse or covered
+    return x1 * x1 + y1 * y1 < 1.0
 
 
 def coefficient_indices(lx: float, ly: float) -> np.ndarray:

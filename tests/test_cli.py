@@ -265,28 +265,6 @@ class TestValidateCommand:
         failures = json.loads(err)["failures"]
         assert failures[0]["check"] == "fig6"
 
-    def test_malformed_thread_env_is_config_error(self, tmp_path, capsys, monkeypatch):
-        import holofading.validation as valmod
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("no worker pool may start")
-
-        monkeypatch.setattr(valmod, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setenv("HOLO_THREADS", "abc")
-        for argv in (
-            ("validate", "--fig", "7", "--realizations", "100"),
-            ("generate", "--aperture", "8,8", "--spacing", "0.5", "--realizations", "4",
-             "--out", str(tmp_path / "x.bin")),
-        ):
-            code, _, err = run_cli(capsys, *argv)
-            assert code == 2
-            failure = json.loads(err)["failures"][0]
-            assert failure["check"] == "config" and "HOLO_THREADS" in failure["detail"]
-        assert list(tmp_path.iterdir()) == []  # not even a header-only x.bin
-        # only commands that run worker threads read the variable
-        code, out, _ = run_cli(capsys, "variances", "--aperture", "4")
-        assert code == 0 and out.startswith("l,m,sigma_sq")
-
     def test_validate_byte_identical(self, tmp_path, capsys):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         for d in (d1, d2):
@@ -369,6 +347,7 @@ _BAD_INPUTS = {
                        "--out", "{tmp}/file/sub"),
     "kl-out-in-missing-dir": ("compare-kl", "--realizations", "600", "--threads", "2",
                               "--out", "{tmp}/missing/kl.csv"),
+    "bench-out-in-missing-dir": ("bench", "--out", "{tmp}/missing/b.json"),
     "seed-not-integer": ("generate", "--aperture", "4", "--spacing", "0.5", "--seed", "abc",
                          "--out", "{tmp}/x.bin"),
     "fractional-realizations": ("generate", "--aperture", "4", "--spacing", "0.5",
@@ -385,10 +364,17 @@ _BAD_INPUTS = {
     "validate-too-few-realizations": ("validate", "--fig", "6", "--realizations", "50",
                                       "--out", "{tmp}/d"),
     "kl-too-few-realizations": ("compare-kl", "--realizations", "50", "--out", "{tmp}/kl.csv"),
+    "unknown-format": ("generate", "--aperture", "4", "--spacing", "0.5", "--format", "hdf5",
+                       "--out", "{tmp}/x.bin"),
+    "unknown-figure": ("validate", "--fig", "9", "--out", "{tmp}/d"),
+    # a flag must name its option in full, as a config key must
+    "abbreviated-flag": ("generate", "--aperture", "4", "--spacing", "0.5", "--real", "3",
+                         "--out", "{tmp}/x.bin"),
 }
 # the failure's "check" where it is not "config"
 _CHECKS = dict.fromkeys(
-    ("factor-is-directory", "out-in-missing-dir", "out-below-file", "kl-out-in-missing-dir"), "io"
+    ("factor-is-directory", "out-in-missing-dir", "out-below-file", "kl-out-in-missing-dir",
+     "bench-out-in-missing-dir"), "io"
 ) | dict.fromkeys(
     ("validate-too-few-realizations", "kl-too-few-realizations"), "InsufficientRealizations"
 )
@@ -418,20 +404,6 @@ def test_bad_input_exits_2_with_json(case, argv, tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    [("validate", "--fig", "7", "--realizations", "100", "--out", "{tmp}/d"),
-     ("compare-kl", "--realizations", "100", "--out", "{tmp}/kl.csv")],
-    ids=["validate", "compare-kl"],
-)
-def test_malformed_thread_env_leaves_no_output(argv, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("HOLO_THREADS", "abc")
-    code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
-    assert code == 2
-    assert json.loads(err.splitlines()[-1])["failures"][0]["check"] == "config"
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize(
-    "argv",
     [("generate", "--aperture", "8,8", "--spacing", "0.5", "--out", "{out}/x.bin"),
      ("validate", "--fig", "7", "--realizations", "100", "--out", "{out}/d"),
      ("compare-kl", "--realizations", "100", "--out", "{out}/kl.csv")],
@@ -439,8 +411,7 @@ def test_malformed_thread_env_leaves_no_output(argv, tmp_path, capsys, monkeypat
 )
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_exits_2_before_out_opens(argv, threads, tmp_path, capsys):
-    # HOLO_THREADS below 1 falls back to one thread; a flag or key below 1
-    # is a mistake, not a request for every CPU
+    # a flag or key below 1 is a mistake, not a request for every CPU
     out = tmp_path / "out"
     out.mkdir()
     config = tmp_path / "threads.cfg"
@@ -451,6 +422,54 @@ def test_threads_below_one_exits_2_before_out_opens(argv, threads, tmp_path, cap
         failure = json.loads(err.splitlines()[-1])["failures"][0]
         assert failure["check"] == "config" and "--threads" in failure["detail"]
         assert list(out.iterdir()) == []
+
+
+# _BAD_INPUTS cases -> the flag whose bad value a config key supplies instead
+_FROM_CONFIG = {
+    "seed-not-integer": "--seed",
+    "fractional-realizations": "--realizations",
+    "negative-realizations": "--realizations",
+    "unknown-format": "--format",
+    "unknown-method-line": "--method",
+    "unknown-figure": "--fig",
+}
+
+
+@pytest.mark.parametrize("case, flag", _FROM_CONFIG.items(), ids=_FROM_CONFIG.keys())
+def test_bad_config_value_fails_as_its_flag_does(case, flag, tmp_path, capsys):
+    argv = [a.format(tmp=tmp_path) for a in _BAD_INPUTS[case]]
+    at = argv.index(flag)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{flag[2:]}={argv[at + 1]}\n")
+    failures = []
+    for args in (argv, argv[:at] + argv[at + 2:] + ["--config", str(config)]):
+        code, _, err = run_cli(capsys, *args)
+        assert code == 2
+        failures.append(json.loads(err.splitlines()[-1])["failures"][0])
+    assert failures[0]["check"] == "config" and failures[0] == failures[1]
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_config_supplies_every_required_option(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"aperture=4,4\nspacing=0.5\nrealizations=2\nout={tmp_path / 'a.bin'}\n")
+    code, _, err = run_cli(capsys, "generate", "--config", str(config))
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "generate", "--aperture", "4,4", "--spacing", "0.5",
+                           "--realizations", "2", "--out", str(tmp_path / "b.bin"))
+    assert code == 0, err
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+def test_abbreviated_config_key_is_rejected(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("real=3\n")
+    code, _, err = run_cli(capsys, "generate", "--aperture", "4", "--spacing", "0.5",
+                           "--config", str(config), "--out", str(tmp_path / "x.bin"))
+    assert code == 2
+    failure = json.loads(err.splitlines()[-1])["failures"][0]
+    assert failure["check"] == "config" and "--real=3" in failure["detail"]
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def _write_lobed_factor(path):

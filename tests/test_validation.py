@@ -12,7 +12,6 @@ import pytest
 
 from holofading import (
     Aperture,
-    ConfigError,
     InsufficientRealizations,
     LagMismatch,
     SpectralFactor,
@@ -149,19 +148,10 @@ class TestSelfConsistency:
             devs[m] = np.max(np.abs(est.raw - oracle))
         assert devs[4000] <= devs[1000] * 0.6
 
-    def test_thread_count_resolution(self, monkeypatch):
-        # parsing and fallbacks only; no worker thread is started
-        monkeypatch.delenv("HOLO_THREADS", raising=False)
+    def test_thread_count_resolution(self):
+        # fallbacks only; no worker thread is started
         assert _thread_count(3) == 3
-        assert _thread_count(None) == len(os.sched_getaffinity(0))
-        monkeypatch.setenv("HOLO_THREADS", "5")
-        assert _thread_count(None) == _thread_count(0) == 5
-        assert _thread_count(2) == 2
-        monkeypatch.setenv("HOLO_THREADS", "-4")
-        assert _thread_count(None) == 1
-        monkeypatch.setenv("HOLO_THREADS", "two")
-        with pytest.raises(ConfigError, match="HOLO_THREADS"):
-            _thread_count(None)
+        assert _thread_count(None) == _thread_count(0) == len(os.sched_getaffinity(0))
 
     def test_threaded_accumulation_bit_identical(self, monkeypatch):
         monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", 1 << 16)  # 5 blocks of up to 128 rows

@@ -61,7 +61,9 @@ class TestVariance2DQuadrature:
         assert variance_2d_quadrature(0, 0, 1.0, 1.0) == pytest.approx(0.125, abs=1e-9)
 
     def test_cell_outside_disk(self):
-        assert variance_2d_quadrature(1, 0, 1.0, 1.0) == 0.0
+        # (1, 0) lies on the ellipse, but its cell only touches the disk
+        with pytest.raises(IndexOutOfBand):
+            variance_2d_quadrature(1, 0, 1.0, 1.0)
 
     def test_mirrored_quarter_disk(self):
         assert variance_2d_quadrature(-1, 0, 1.0, 1.0) == pytest.approx(0.125, abs=1e-9)
@@ -101,10 +103,7 @@ class TestClosedFormAgreement:
     @pytest.mark.parametrize("side", [4.0, 16.0])
     def test_matches_quadrature_everywhere(self, side):
         seen = set()
-        # the index set plus the two zero-mass lattice points on the rim
-        s = int(side)
-        indices = [tuple(r) for r in coefficient_indices(side, side)] + [(s, 0), (0, s)]
-        for l, m in indices:
+        for l, m in coefficient_indices(side, side).tolist():
             key = (fold_index(l), fold_index(m))
             if key in seen:
                 continue
@@ -118,6 +117,22 @@ class TestClosedFormAgreement:
             q = variance_2d_quadrature(l, m, 8.0, 4.0, tol=1e-11)
             c = variance_2d_closed_form(l, m, 8.0, 4.0)
             assert c == pytest.approx(q, rel=1e-8, abs=1e-13)
+
+    @pytest.mark.parametrize("lx, ly", [(5.0, 5.0), (7.5, 3.25)])
+    def test_oracles_accept_exactly_the_table_index_set(self, lx, ly):
+        # lattice points on the ellipse, such as (0, 5) and (3, 4) at 5 x 5,
+        # are not in the table: their cells meet the disk in a set of measure 0
+        members = {tuple(r) for r in coefficient_indices(lx, ly).tolist()}
+        accepted = {oracle: set() for oracle in (variance_2d_closed_form, variance_2d_quadrature)}
+        for l in range(-math.ceil(lx) - 2, math.ceil(lx) + 2):
+            for m in range(-math.ceil(ly) - 2, math.ceil(ly) + 2):
+                for oracle, seen in accepted.items():
+                    try:
+                        oracle(l, m, lx, ly)
+                    except IndexOutOfBand:
+                        continue
+                    seen.add((l, m))
+        assert all(seen == members for seen in accepted.values())
 
     def test_non_integer_sides_allowed(self):
         got = variance_2d_closed_form(0, 0, 5.5, 3.25)

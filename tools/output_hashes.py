@@ -13,6 +13,9 @@ compare-kl's baseline changes in its last bits with that count;
 ``baseline.kl_root`` runs it on one thread itself, and the line
 ``compare-kl-blas2/kl.csv``, compare-kl at M = 1200 run with two BLAS
 threads, checks that: it must equal the ``compare-kl/kl.csv`` line.
+Likewise ``generate-planar-factor-config.bin`` is the
+``generate-planar-factor.bin`` run with every option but ``--out`` read
+from a config file that this script writes; it must equal that line.
 The outputs are ``generate`` in each aperture kind and format (with a
 tabulated directional factor it writes itself, also over several z-planes
 on two workers, and on a 64 x 64 aperture whose tasks of 4 realizations
@@ -129,6 +132,14 @@ def main() -> None:
             extra = ("--factor", os.path.join(tmp, factor)) if factor else ()
             run("-m", "holofading.cli", "generate", "--out", out, *argv, *extra)
             outputs.append((name, out))
+        argv, factor = GENERATE["generate-planar-factor.bin"]
+        options = {**dict(zip(argv[::2], argv[1::2])), "--factor": os.path.join(tmp, factor)}
+        config = os.path.join(tmp, "planar-factor.cfg")
+        with open(config, "w") as fh:
+            fh.writelines(f"{flag[2:]}={value}\n" for flag, value in options.items())
+        out = os.path.join(tmp, "generate-planar-factor-config.bin")
+        run("-m", "holofading.cli", "generate", "--config", config, "--out", out)
+        outputs.append(("generate-planar-factor-config.bin", out))
         for fig in (6, 7, 8):
             out = os.path.join(tmp, f"fig{fig}")
             run("-m", "holofading.cli", "validate", "--fig", str(fig), "--realizations", M,
