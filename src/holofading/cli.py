@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, HoloFadingError
-from .generator import Aperture, block_rows, default_table, generate_batch_planes, shared_table
+from .generator import Aperture, block_rows, default_table, generate_batch_planes, run_constants
 from .spectrum import SpectralFactor
 from .validation import _thread_count, check_realizations, compare_kl, ordered_map, run_figure
 from .variances import table_1d, table_2d
@@ -105,8 +105,10 @@ def read_config_file(path: str) -> list[tuple[str, str]]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        out.append((key.strip(), value.strip()))
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "config":  # read as --config=..., which would be parsed but never read
+            raise ConfigError(f"{path}:{lineno}: a config file cannot name another config file")
+        out.append((key, value))
     return out
 
 
@@ -261,7 +263,7 @@ def _field_batches(aperture, factor, seed, m, threads, write=None):
     z_planes = aperture.z_planes()
     per_realization = aperture.nx * aperture.ny * aperture.nz * np.dtype(complex).itemsize
     batch = block_rows(per_realization)
-    shared_table(aperture, factor, z_planes)  # warm the caches before the workers share them
+    run_constants(aperture, factor, z_planes)  # computed before the workers share it
 
     def run_chunk(start):
         reals = range(start, min(start + batch, m))
@@ -416,14 +418,14 @@ def _best_time(fn, repeats=3) -> float:
 def bench_series(seed: int = 0) -> tuple[list[int], list[float]]:
     """Per-realization synthesis wall time on the ``SERIES_SIDES`` grids.
 
-    The variance table is built, and each size run once, outside the timed
-    region; the timing covers the per-realization pipeline (draws,
-    migration, IFFT), best of as many calls as fill ``SERIES_MIN_TIMED_S``.
+    Each size runs once outside the timed region, which builds its variance
+    table and run constants; the timing covers the per-realization pipeline
+    (draws, migration, IFFT), best of as many calls as fill
+    ``SERIES_MIN_TIMED_S``.
     """
     points, times = [], []
     for n in SERIES_SIDES:
         aperture = Aperture(lx=n / 2.0, dx=0.5, ly=n / 2.0, dy=0.5)
-        default_table(aperture)  # built and cached outside the timed region
 
         def run():
             generate_batch_planes(aperture, None, seed, range(SERIES_PER_SIZE), (0.0,))

@@ -32,10 +32,12 @@ Draws come from counter-based streams, every later stage is elementwise
 per harmonic, and each realization's IFFT is its own; so neither the
 block size nor the slices change an output bit.
 
-The aperture's sides fix the harmonics and their variances, so the
-pipeline functions take the aperture alone and read its table from
-``default_table``; only the table-level stages (draws, shaping, migration,
-``series_sum``) take a table.
+The aperture, the factor and the z-planes fix everything a realization
+reads per harmonic: the draws' standard deviations, the shaping gains, the
+migration phases and the FFT bins. ``run_constants`` computes them once
+per run into one read-only record, and the stages (draws, shaping,
+migration, embedding) take its arrays; the pipeline functions take the
+aperture, the factor and the planes and look the record up.
 
 A line aperture uses the single-coefficient series h(x_n) = sum over l of
 H_l e^{i 2 pi l n / N} with H_l of variance 2*sigma2_l, observed at
@@ -184,14 +186,47 @@ class Aperture:
 
 @dataclass(frozen=True)
 class CoefficientDraw:
-    """Coefficient pairs per harmonic of a rectangular aperture's table, or
-    of the slice ``harmonics`` of its harmonics: (n,) arrays for one
-    realization, (B, n) arrays for a batch."""
+    """Coefficient pairs H+, H- per harmonic of a rectangle's table, or of
+    a slice of its harmonics: (n,) arrays for one realization, (B, n)
+    arrays for a batch."""
 
-    table: CoefficientVariances2D
     h_plus: np.ndarray
     h_minus: np.ndarray
-    harmonics: slice = field(default_factory=lambda: slice(None))  # all of them
+
+
+@dataclass(frozen=True, eq=False)
+class RunConstants:
+    """What every realization of a run reads per harmonic, fixed by the
+    aperture, the factor and the z-planes (``run_constants``): read-only
+    arrays over the table's harmonics, or over the slice of them that
+    begins at harmonic ``start``.
+
+    ``std`` is the standard deviation of each draw: sqrt(sigma2_lm) of each
+    of a rectangle's two, sqrt(2 sigma2_l) of a line's one. ``gains`` are
+    the shaping gains (g+, g-), (g,) of a line, and () for an isotropic
+    factor. ``phases`` holds, per z-plane, its ``migration_phases``, and
+    None at z = 0. ``bins`` are the FFT bins on the aperture grid,
+    (m mod Ny) * Nx + (l mod Nx), and l mod Nx for a line; they are
+    distinct, because Aperture guarantees N >= 2 * ceil(L) and the indices
+    span -ceil(L) .. ceil(L) - 1, one full period of the grid.
+    ``run[part]`` is the record over the harmonics ``part``: views of these
+    arrays.
+    """
+
+    std: np.ndarray
+    gains: tuple[np.ndarray, ...]
+    phases: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
+    bins: np.ndarray
+    start: int = 0
+
+    def __getitem__(self, part: slice) -> RunConstants:
+        return RunConstants(
+            self.std[part],
+            tuple(g[part] for g in self.gains),
+            tuple(None if p is None else (p[0][part], p[1][part]) for p in self.phases),
+            self.bins[part],
+            self.start + part.indices(len(self.std))[0],
+        )
 
 
 @dataclass(frozen=True)
@@ -221,144 +256,74 @@ def _scaled_normals(seed, realization, scale, per_harmonic, start=0) -> np.ndarr
     return np.swapaxes(z, -1, -2)
 
 
-def _span(harmonics: slice, n: int) -> slice:
-    """``harmonics`` of a table of n harmonics as a slice with a numeric
-    start and stop."""
-    return slice(*harmonics.indices(n)[:2])
+def draw_coefficients(std: np.ndarray, seed: int, realization=0, start: int = 0) -> CoefficientDraw:
+    """Independent circularly-symmetric draws H+, H- of standard deviation
+    ``std`` per harmonic (``RunConstants.std`` of a rectangle), from the
+    counter-based stream of (seed, realization). The draws of harmonic
+    ``start`` on begin at draw 2 * start of the stream, so a slice of a
+    run's ``std`` and its start give that slice of the whole draw."""
+    h = _scaled_normals(seed, realization, std, 2, 2 * start)
+    return CoefficientDraw(h[..., 0, :], h[..., 1, :])
 
 
-def draw_coefficients(
-    table: CoefficientVariances2D,
-    seed: int,
-    realization: int | Sequence[int] = 0,
-    harmonics: slice = slice(None),
-) -> CoefficientDraw:
-    """Independent circularly-symmetric draws H+, H- with per-index variance
-    sigma2_lm, from the counter-based stream of (seed, realization), at
-    the table's ``harmonics`` (default all of them): a slice's draws begin
-    at draw 2 * start of the stream, so its values are those of the same
-    slice of the whole draw."""
-    part = _span(harmonics, len(table.draw_std))
-    h = _scaled_normals(seed, realization, table.draw_std[part], 2, 2 * part.start)
-    return CoefficientDraw(table, h[..., 0, :], h[..., 1, :], part)
+def draw_line_coefficients(std: np.ndarray, seed: int, realization=0, start: int = 0) -> np.ndarray:
+    """Single-coefficient draws H_l of standard deviation ``std`` per
+    harmonic (``RunConstants.std`` of a line); (n,) for one realization,
+    (B, n) for a sequence of them. The draws of harmonic ``start`` (even)
+    on begin at draw ``start`` of the stream, as in ``draw_coefficients``."""
+    return _scaled_normals(seed, realization, std, 1, start)[..., 0, :]
 
 
-@lru_cache(maxsize=8)
-def _plane_gains(factor: SpectralFactor, lx: float, ly: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only shaping gains (g+, g-) at every harmonic of an lx x ly
-    table. ``coefficient_indices`` fixes the harmonics from the sides, so
-    one evaluation serves every batch of a run and either table method.
-    The factor is keyed by identity. A factor is a pointwise function, so
-    it is evaluated over slices of _SLICE harmonics into the two arrays:
-    the same values, with one slice of a tabulated factor's interpolation
-    temporaries held at a time."""
-    kx, ky = lattice_wavenumbers(table_2d(lx, ly))
-    gains = (np.empty(len(kx)), np.empty(len(kx)))
-    for a in range(0, len(kx), _SLICE):
-        part = slice(a, a + _SLICE)
-        gains[0][part], gains[1][part] = shaping_gains(factor, kx[part], ky[part], KAPPA)
-    for g in gains:
-        g.flags.writeable = False  # shared by every caller of the cache
-    return gains
-
-
-@lru_cache(maxsize=8)
-def _line_gains(factor: SpectralFactor, lx: float) -> np.ndarray:
-    """Read-only line shaping gain at every harmonic of an lx line table,
-    evaluated over slices of _SLICE harmonics; the line counterpart of
-    ``_plane_gains``."""
-    kx = lattice_wavenumbers(table_1d(lx))
-    gain = np.empty(len(kx))
-    for a in range(0, len(kx), _SLICE):
-        gain[a : a + _SLICE] = line_shaping_gain(factor, kx[a : a + _SLICE])
-    gain.flags.writeable = False  # shared by every caller of the cache
-    return gain
-
-
-@lru_cache(maxsize=8)
-def _fft_bins(aperture: Aperture) -> np.ndarray:
-    """Read-only FFT bins of the harmonics of the aperture's table on its
-    grid, flattened: (m mod Ny) * Nx + (l mod Nx), and l mod Nx for a
-    line. The bins are distinct: Aperture guarantees N >= 2 * ceil(L), and
-    the indices span -ceil(L) .. ceil(L) - 1, one full period of the grid."""
-    table = default_table(aperture)
-    bins = table.ls % aperture.nx
-    if aperture.kind != LINEAR:
-        bins += table.ms % aperture.ny * aperture.nx
-    bins.flags.writeable = False  # shared by every caller of the cache
-    return bins
-
-
-@lru_cache(maxsize=8)
-def _migration_phases(lx: float, ly: float, z: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only migration phases (e^{+i gamma z}, e^{-i gamma z}) at every
-    harmonic of an lx x ly table, the second the conjugate of the first:
-    one evaluation per plane serves every batch of a run."""
-    phase = np.exp(1j * lattice_gammas(table_2d(lx, ly)) * z)
-    phases = (phase, np.conj(phase))
-    for p in phases:
-        p.flags.writeable = False  # shared by every caller of the cache
-    return phases
-
-
-def _directional(factor: SpectralFactor | None) -> bool:
-    """Whether the factor shapes anything: None means isotropic, and no
-    factor is built for it."""
-    return factor is not None and not factor.is_isotropic
-
-
-def shape_coefficients(draw: CoefficientDraw, factor: SpectralFactor | None) -> CoefficientDraw:
-    """Multiply each coefficient pair, in place, by the factor's shaping
-    gains at its harmonic's wavenumber point, and return the draw: the
-    pipeline owns its draw, so shaping allocates no copy. Isotropic
-    factors (and None) are the identity."""
-    if _directional(factor):
-        gp, gm = _plane_gains(factor, draw.table.lx, draw.table.ly)
-        np.multiply(draw.h_plus, gp[draw.harmonics], out=draw.h_plus)
-        np.multiply(draw.h_minus, gm[draw.harmonics], out=draw.h_minus)
+def shape_coefficients(draw: CoefficientDraw, gains: tuple[np.ndarray, ...]) -> CoefficientDraw:
+    """Multiply each coefficient pair, in place, by the shaping gains
+    (g+, g-) of its harmonic, and return the draw: the pipeline owns its
+    draw, so shaping allocates no copy. No gains (an isotropic factor) is
+    the identity."""
+    for h, g in zip((draw.h_plus, draw.h_minus), gains):
+        np.multiply(h, g, out=h)
     return draw
 
 
-def _check_planes(lx: float, ly: float, zs: Sequence[float]) -> None:
-    """Reject planes outside the series' validity: |z| < min(Lx, Ly), and
-    z = 0 only for a line aperture (ly = 0)."""
-    for z in zs:
-        if ly == 0.0 and z != 0.0:
-            raise MigrationRange("a line aperture supports z = 0 only")
-        if ly > 0.0 and abs(z) >= min(lx, ly):
-            raise MigrationRange(
-                f"|z| = {abs(z):g} outside the migration range of a "
-                f"{lx:g} x {ly:g} wavelength aperture"
-            )
-
-
-def migrate(draw: CoefficientDraw, z: float) -> np.ndarray:
-    """Per-harmonic coefficients on the plane at height z:
-    H(z) = H+ e^{+i gamma z} + H- e^{-i gamma z}; at z = 0 both phases
-    are exactly 1, so the plane is the sum H+ + H-.
+def migration_phases(table, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Migration phases (e^{+i gamma z}, e^{-i gamma z}) at every harmonic
+    of a rectangle's table, the second the conjugate of the first.
 
     Raises:
-        MigrationRange: if |z| >= min(Lx, Ly).
+        MigrationRange: for a line's table, which supports z = 0 only (and
+            needs no phases there), and where |z| >= min(Lx, Ly).
     """
-    _check_planes(draw.table.lx, draw.table.ly, (z,))
-    if z == 0.0:
+    if not isinstance(table, CoefficientVariances2D):
+        raise MigrationRange("a line aperture supports z = 0 only")
+    if abs(z) >= min(table.lx, table.ly):
+        raise MigrationRange(
+            f"|z| = {abs(z):g} outside the migration range of a "
+            f"{table.lx:g} x {table.ly:g} wavelength aperture"
+        )
+    phase = np.exp(1j * lattice_gammas(table) * z)
+    return phase, np.conj(phase)
+
+
+def migrate(draw: CoefficientDraw, phases: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """Per-harmonic coefficients on the plane of the ``migration_phases``
+    at height z: H(z) = H+ e^{+i gamma z} + H- e^{-i gamma z}. None is the
+    plane z = 0, where both phases are exactly 1, so the plane is the sum
+    H+ + H-."""
+    if phases is None:
         return np.add(draw.h_plus, draw.h_minus)
-    up, down = _migration_phases(draw.table.lx, draw.table.ly, z)
-    h = np.multiply(draw.h_plus, up[draw.harmonics])
-    h += draw.h_minus * down[draw.harmonics]  # two arrays held, not three
+    h = np.multiply(draw.h_plus, phases[0])
+    h += draw.h_minus * phases[1]  # two arrays held, not three
     return h
 
 
-def _embed(grid: np.ndarray, h: np.ndarray, aperture: Aperture, harmonics: slice) -> None:
-    """Write the coefficients h of the table's ``harmonics`` (any leading
-    batch axes) at their FFT bins of ``grid`` (..., ny, nx); every other
-    bin keeps its value. Each grid's (ny, nx) samples must be contiguous
-    (a new grid, or a plane of C-contiguous rows): merging them into one
-    axis is then a view of ``grid``, and otherwise raises rather than
-    writing into a copy."""
+def _embed(grid: np.ndarray, h: np.ndarray, bins: np.ndarray) -> None:
+    """Write the coefficients h (any leading batch axes) at their FFT
+    ``bins`` of ``grid`` (..., ny, nx); every other bin keeps its value.
+    Each grid's (ny, nx) samples must be contiguous (a new grid, or a
+    plane of C-contiguous rows): merging them into one axis is then a view
+    of ``grid``, and otherwise raises rather than writing into a copy."""
     flat = grid.view()
     flat.shape = grid.shape[:-2] + (-1,)  # never a copy, unlike reshape
-    flat[..., _fft_bins(aperture)[harmonics]] = h
+    flat[..., bins] = h
 
 
 def _grid_series(grid: np.ndarray, aperture: Aperture) -> np.ndarray:
@@ -391,27 +356,8 @@ def synthesize(h: np.ndarray, aperture: Aperture) -> np.ndarray:
     without the 1/N factor, and reindex onto n = -N/2 .. N/2 - 1.
     Returns a new (..., ny, nx) array; ny = 1 for a line aperture."""
     grid = np.zeros(h.shape[:-1] + (aperture.ny, aperture.nx), dtype=complex)
-    _embed(grid, h, aperture, slice(None))
+    _embed(grid, h, run_constants(aperture, None, (0.0,)).bins)
     return _grid_series(grid, aperture)
-
-
-def draw_line_coefficients(
-    table: CoefficientVariances1D,
-    seed: int,
-    realization: int | Sequence[int] = 0,
-    factor: SpectralFactor | None = None,
-    harmonics: slice = slice(None),
-) -> np.ndarray:
-    """Single-coefficient draws H_l of variance 2*sigma2_l, optionally
-    shaped by a spectral factor's line gain; (n,) for one realization,
-    (B, n) for a sequence of them. ``harmonics`` selects a slice of the
-    table's harmonics (default all of them) with an even start, whose
-    values are those of the same slice of the whole draw."""
-    part = _span(harmonics, len(table.draw_std))
-    h = _scaled_normals(seed, realization, table.draw_std[part], 1, part.start)[..., 0, :]
-    if _directional(factor):
-        h *= _line_gains(factor, table.lx)[part]
-    return h
 
 
 def default_table(aperture: Aperture) -> CoefficientVariances1D | CoefficientVariances2D:
@@ -421,28 +367,45 @@ def default_table(aperture: Aperture) -> CoefficientVariances1D | CoefficientVar
     return table_2d(aperture.lx, aperture.ly)
 
 
-def shared_table(aperture: Aperture, factor: SpectralFactor | None, z_planes: Sequence[float]):
-    """The aperture's variance table, with its draw_std and FFT bins,
-    the shaping gains of a directional ``factor`` and the migration phases
-    of the ``z_planes`` other than z = 0 (which needs none) already in
-    their caches. Call it once before threads share a run:
-    workers that meet cold caches together would each build the table and
-    evaluate the gains, and a cache entry made on a worker thread stays in
-    that thread's malloc arena, where it kept about 3 MB more of a
-    256 x 256 ``generate`` resident."""
+@lru_cache(maxsize=2)  # a command makes one run; one entry to spare for a call in between
+def run_constants(
+    aperture: Aperture, factor: SpectralFactor | None, z_planes: tuple[float, ...]
+) -> RunConstants:
+    """The ``RunConstants`` of the aperture's table for a run with the
+    ``factor`` (None is isotropic) over the ``z_planes`` (a tuple), computed
+    once per run. A factor is a pointwise function, so its gains are
+    evaluated over slices of _SLICE harmonics: the same values, with one
+    slice of a tabulated factor's interpolation temporaries held at a
+    time. Call it once before threads share a run: workers that meet a
+    cold cache together would each compute the record, and arrays made on
+    a worker thread stay in that thread's malloc arena, where they kept
+    about 3 MB more of a 256 x 256 ``generate`` resident.
+
+    Raises:
+        MigrationRange: a plane outside the series' validity, |z| >= min(Lx, Ly),
+            or z != 0 on a line aperture.
+    """
     table = default_table(aperture)
-    table.draw_std  # a cached property of the table
-    _fft_bins(aperture)
-    if _directional(factor):
-        if aperture.kind == LINEAR:
-            _line_gains(factor, table.lx)
-        else:
-            _plane_gains(factor, table.lx, table.ly)
-    if aperture.kind != LINEAR:
-        for z in z_planes:
-            if z != 0.0:
-                _migration_phases(table.lx, table.ly, z)
-    return table
+    line = aperture.kind == LINEAR
+    phases = tuple(None if z == 0.0 else migration_phases(table, z) for z in z_planes)
+    bins = table.ls % aperture.nx
+    if not line:
+        bins += table.ms % aperture.ny * aperture.nx
+    gains = ()
+    if factor is not None and not factor.is_isotropic:
+        k = lattice_wavenumbers(table)
+        gains = tuple(np.empty(len(bins)) for _ in range(1 if line else 2))
+        for a in range(0, len(bins), _SLICE):
+            part = slice(a, a + _SLICE)
+            if line:
+                gains[0][part] = line_shaping_gain(factor, k[part])
+            else:
+                kx, ky = k[0][part], k[1][part]
+                gains[0][part], gains[1][part] = shaping_gains(factor, kx, ky, KAPPA)
+    std = np.sqrt(2.0 * table.sigma_sq if line else table.sigma_sq)
+    for a in (std, *gains, *itertools.chain(*filter(None, phases)), bins):
+        a.flags.writeable = False  # shared by every caller of the cache
+    return RunConstants(std, gains, phases, bins)
 
 
 def generate(
@@ -484,22 +447,23 @@ def plane_coefficients(
     harmonics: slice = slice(None),
 ) -> list[np.ndarray]:
     """The coefficient stages of the pipeline over a batch of realizations:
-    draw, shape, migrate to each z-plane. Returns one (B, n) array of
-    per-harmonic coefficients per plane, in the table's harmonic order,
-    each an array of its own that the caller may write over. ``harmonics``
-    selects a slice of the table's harmonics (default all of them; a
-    line's slice starts at an even harmonic), as ``draw_coefficients``
-    and ``draw_line_coefficients`` draw it. ``factor`` None is isotropic.
-    A line aperture only supports z = 0.
+    draw, shape, migrate to each z-plane, with the run's ``run_constants``.
+    Returns one (B, n) array of per-harmonic coefficients per plane, in the
+    table's harmonic order, each an array of its own that the caller may
+    write over. ``harmonics`` selects a slice of the table's harmonics
+    (default all of them; a line's slice starts at an even harmonic),
+    whose values are those of the same slice of the whole draw. ``factor``
+    None is isotropic. A line aperture only supports z = 0.
     """
-    _check_planes(aperture.lx, aperture.ly, z_planes)
-    table = default_table(aperture)
+    run = run_constants(aperture, factor, tuple(z_planes))[harmonics]
     if aperture.kind == LINEAR:
-        h = draw_line_coefficients(table, seed, realizations, factor, harmonics)
-        return [h, *(h.copy() for _ in z_planes[1:])]
-    draw = draw_coefficients(table, seed, realizations, harmonics)
-    draw = shape_coefficients(draw, factor)
-    return [migrate(draw, z) for z in z_planes]
+        h = draw_line_coefficients(run.std, seed, realizations, run.start)
+        for g in run.gains:
+            h *= g
+        return [h, *(h.copy() for _ in run.phases[1:])]
+    draw = draw_coefficients(run.std, seed, realizations, run.start)
+    draw = shape_coefficients(draw, run.gains)
+    return [migrate(draw, phases) for phases in run.phases]
 
 
 def _draw_bytes(aperture: Aperture) -> int:
@@ -539,19 +503,21 @@ def generate_batch_planes(
     bit-identical to its single ``generate``. A line aperture only
     supports z = 0.
     """
-    n = len(default_table(aperture).ls)
+    zs = tuple(z_planes)
+    bins = run_constants(aperture, factor, zs).bins
+    n = len(bins)
     width = _SLICE // _per_harmonic(aperture) if _draw_bytes(aperture) > SUB_BLOCK_BYTES else n
-    block = np.zeros((len(realizations), len(z_planes), aperture.ny, aperture.nx), dtype=complex)
+    block = np.zeros((len(realizations), len(zs), aperture.ny, aperture.nx), dtype=complex)
     rows = coefficient_rows(aperture)
     for a in range(0, len(realizations), rows):
         out = block[a : a + rows]
         for lo in range(0, n, width):
             part = slice(lo, lo + width)
             planes = plane_coefficients(
-                aperture, factor, seed, realizations[a : a + rows], z_planes, part
+                aperture, factor, seed, realizations[a : a + rows], zs, part
             )
             for i, h in enumerate(planes):
-                _embed(out[:, i], h, aperture, part)
+                _embed(out[:, i], h, bins[part])
         _grid_series(out, aperture)
     return block.swapaxes(0, 1)
 

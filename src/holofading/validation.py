@@ -17,8 +17,8 @@ the exact series autocorrelation with 2*sigma2_k replaced by its Monte Carlo
 estimate w_k / M. The mean weights are folded from
 ``generator.plane_coefficients``; then ``generator.series_sum`` evaluates
 the series once over the lag window, at integer grid lags reduced mod
-(Nx, Ny). The runs take an aperture and read its variance table from
-``generator.shared_table`` before the workers start; this module builds no
+(Nx, Ny). The runs take an aperture; before the workers start, they
+compute its run's ``generator.run_constants``, and this module builds no
 table of its own. Results are returned, not written: the CLI writes the
 artifacts. ``compare_kl`` is the fig 6 run plus the dense baseline's
 column, and every verdict is one rule, ``_within``, over fig 6/7/8's
@@ -70,9 +70,10 @@ from .generator import (
     Aperture,
     block_rows,
     coefficient_rows,
+    default_table,
     plane_coefficients,
+    run_constants,
     series_sum,
-    shared_table,
 )
 from .rng import STREAM_BASELINE, complex_standard_normals
 
@@ -250,7 +251,7 @@ def _first_row_sums(
     lag window per z-plane, over m realizations: the mean origin weights
     are folded from the plane coefficients, then the series is evaluated
     once over the window."""
-    table = shared_table(aperture, factor, z_planes)  # warm before the workers share it
+    run_constants(aperture, factor, tuple(z_planes))  # computed before the workers share it
 
     def draw(span: tuple[int, int]) -> list[np.ndarray]:
         return plane_coefficients(aperture, factor, seed, range(*span), z_planes)
@@ -263,6 +264,7 @@ def _first_row_sums(
     weights = _mean_folds(draw, pairs, m, coefficient_rows(aperture), threads)
     ky, kx = lags
     window = (np.arange(kx + 1), np.arange(ky + 1))
+    table = default_table(aperture)
     return [series_sum(w, table, window, (aperture.nx, aperture.ny)) for w in weights]
 
 

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,14 +114,6 @@ class CoefficientVariances1D:
 
     def total_power(self) -> float:
         return float(np.sum(2.0 * self.sigma_sq))
-
-    @cached_property
-    def draw_std(self) -> np.ndarray:
-        """Read-only standard deviation sqrt(2 sigma2_l) of each draw,
-        computed once per table."""
-        std = np.sqrt(2.0 * self.sigma_sq)
-        std.flags.writeable = False  # shared by every draw from the table
-        return std
 
 
 @lru_cache(maxsize=32)
@@ -327,14 +319,6 @@ class CoefficientVariances2D:
 
     def total_power(self) -> float:
         return float(np.sum(2.0 * self.sigma_sq))
-
-    @cached_property
-    def draw_std(self) -> np.ndarray:
-        """Read-only standard deviation sqrt(sigma2_lm) of each of the two
-        draws, computed once per table."""
-        std = np.sqrt(self.sigma_sq)
-        std.flags.writeable = False  # shared by every draw from the table
-        return std
 
 
 def _closed_form_cells(lx: float, ly: float) -> np.ndarray:

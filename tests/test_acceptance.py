@@ -16,7 +16,7 @@ import numpy as np
 
 from holofading import Aperture
 from holofading.cli import main
-from holofading.generator import draw_coefficients, migrate, synthesize
+from holofading.generator import draw_coefficients, migrate, migration_phases, synthesize
 from holofading.validation import compare_kl, lambda_half_independence, run_figure
 from holofading.variances import (
     coefficient_indices,
@@ -91,9 +91,10 @@ def test_criterion_4_generator_exactness():
     aperture = Aperture(lx=4.0, dx=0.5, ly=4.0, dy=0.5)  # 8 x 8 grid
     table = table_2d(4.0, 4.0)
     worst = 0.0
+    phases = [None] + [migration_phases(table, 0.3 * k) for k in (1, 2, 3)]
     for r in range(100):
-        draw = draw_coefficients(table, seed=4, realization=r)
-        hz = migrate(draw, 0.3 * (r % 4))
+        draw = draw_coefficients(np.sqrt(table.sigma_sq), seed=4, realization=r)
+        hz = migrate(draw, phases[r % 4])
         fft = synthesize(hz, aperture)
         direct = brute_force_plane(hz, aperture)
         worst = max(worst, float(np.max(np.abs(fft - direct))))

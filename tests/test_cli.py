@@ -370,6 +370,9 @@ _BAD_INPUTS = {
     # a flag must name its option in full, as a config key must
     "abbreviated-flag": ("generate", "--aperture", "4", "--spacing", "0.5", "--real", "3",
                          "--out", "{tmp}/x.bin"),
+    # a config file cannot name another: the nested file would never be read
+    "nested-config": ("generate", "--config", "{tmp}/file", "--aperture", "4", "--spacing",
+                      "0.5", "--out", "{tmp}/x.bin"),
 }
 # the failure's "check" where it is not "config"
 _CHECKS = dict.fromkeys(
@@ -394,7 +397,8 @@ def test_bad_input_exits_2_with_json(case, argv, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(valmod, "ThreadPoolExecutor", no_pool)
     monkeypatch.setattr(climod, "generate_batch_planes", no_generation)
     monkeypatch.setattr(valmod, "plane_coefficients", no_generation)
-    (tmp_path / "file").write_text("")
+    # a regular file, and a config file that names another (nested-config)
+    (tmp_path / "file").write_text("config=/nonexistent.cfg\n")
     code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     failure = json.loads(err.splitlines()[-1])["failures"][0]
@@ -512,6 +516,26 @@ def test_benchmark_tracer_counts_a_sliced_generate(tmp_path, capsys, monkeypatch
     assert counts["generator.planes"] == 2
     assert counts["spectrum.gain_points"] == 34_352
     json.dumps(summary, allow_nan=False)
+
+
+def test_benchmark_result_is_strict_json(tmp_path, monkeypatch):
+    # perfbench's traced tiny runs of both workloads, from a root whose src
+    # is this checkout's (so the checkout's .bench_build is left alone):
+    # each result must be correct, carry every per-layer metric of
+    # BENCHMARK.json, and be strict JSON, since a metric without samples
+    # would be written as a bare NaN on the result line
+    checkout = pathlib.Path(__file__).parents[1]
+    monkeypatch.syspath_prepend(str(checkout / "perfbench"))
+    from run import bench
+
+    (tmp_path / "src").symlink_to(checkout / "src")
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    per_layer = {metric["name"] for metric in spec["per_layer"]}
+    for name in ("generate-plane256", "validate-fig8-kl"):
+        result = bench(str(tmp_path), name, 3, 1.0, "1", size="tiny")
+        assert result["correct"] and result["failed"] == 0, name
+        assert set(result["metrics"]) == per_layer and len(per_layer) == 24
+        json.dumps(result, allow_nan=False)
 
 
 # generate argv (M = --realizations) and the samples per realization
@@ -705,18 +729,20 @@ class TestGenerateChunks:
     def test_traced_peak_of_command(self, tmp_path, capsys):
         # 256 x 256 grid: each task is one 1 MiB realization, which the
         # worker that made it writes, so two workers hold about 2 MiB of
-        # output; 3.8-5.2 MB in all. 9.3-11.0 MB when the writer took the
+        # output; 4.6-5.5 MB in all with the run's constants (1.7 MB),
+        # 3.8-5.2 MB when their draw scales and FFT bins were cached
+        # outside the command. 9.3-11.0 MB when the writer took the
         # blocks in order from a queue and each realization was drawn
         # whole, and 18.2 MB when each worker's task was 4 realizations
         # (half of an 8 MiB chunk budget)
         import tracemalloc
 
-        from holofading.generator import shared_table
+        from holofading.generator import run_constants
 
         _write_lobed_factor(tmp_path / "factor.csv")
-        # the cached variance table and migration phases are not the
-        # command's memory (the factor's gains are: each command loads it)
-        shared_table(Aperture(lx=128.0, dx=0.5, ly=128.0, dy=0.5), None, (0.0,))
+        # the cached variance table is not the command's memory (its run
+        # constants are: each command loads its own factor)
+        run_constants(Aperture(lx=128.0, dx=0.5, ly=128.0, dy=0.5), None, (0.0,))
         tracemalloc.start()
         try:
             code, _, _ = run_cli(
@@ -790,9 +816,37 @@ class TestGenerateChunks:
         # the bytes of the uncached definition: each draw times the gain
         factor = SpectralFactor.from_csv(tmp_path / "factor.csv")
         gain = line_shaping_gain(factor, lattice_wavenumbers(table))
-        draws = genmod.draw_line_coefficients(table, 7, range(18)) * gain
+        draws = genmod.draw_line_coefficients(np.sqrt(2.0 * table.sigma_sq), 7, range(18)) * gain
         want = genmod.synthesize(draws, Aperture(lx=16.0, dx=0.0625))
         assert out.read_bytes()[24:] == np.ascontiguousarray(want, dtype="<c16").tobytes()
+
+    def test_gammas_evaluated_once_per_plane_of_a_run(
+        self, tmp_path, capsys, monkeypatch, batch_sizes
+    ):
+        # ten planes of a 16 x 16 x 5 wavelength volume, in tasks of 6
+        # realizations on two workers: e^{i gamma z} of each of the 9 planes
+        # z != 0 is evaluated once for the run, not again in each task
+        import time
+
+        import holofading.generator as genmod
+
+        calls = []
+        real = genmod.lattice_gammas
+
+        def counting(table):
+            calls.append(len(table))
+            time.sleep(0.01)  # long enough for two workers on a cold cache to both miss it
+            return real(table)
+
+        monkeypatch.setattr(genmod, "lattice_gammas", counting)
+        genmod.run_constants.cache_clear()  # a cold cache, whatever ran before
+        code, _, _ = run_cli(
+            capsys, "generate", "--aperture", "16,16,5", "--spacing", "0.5",
+            "--realizations", "20", "--threads", "2", "--out", str(tmp_path / "f.bin"),
+        )
+        assert code == 0
+        assert batch_sizes == [6, 6, 6, 2]
+        assert calls == [len(table_2d(16.0, 16.0))] * 9
 
 
 def _fresh_python(*argv, **env_vars):

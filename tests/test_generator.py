@@ -16,7 +16,9 @@ from holofading.generator import (
     lattice_acf_2d,
     lattice_gammas,
     migrate,
+    migration_phases,
     plane_coefficients,
+    run_constants,
     series_sum,
     shape_coefficients,
     synthesize,
@@ -89,40 +91,34 @@ class TestAperture:
 
 class TestDrawCoefficients:
     def test_deterministic(self):
-        t = table_2d(4.0, 4.0)
-        a = draw_coefficients(t, seed=5)
-        b = draw_coefficients(t, seed=5)
+        std = np.sqrt(table_2d(4.0, 4.0).sigma_sq)
+        a = draw_coefficients(std, seed=5)
+        b = draw_coefficients(std, seed=5)
         assert np.array_equal(a.h_plus, b.h_plus)
         assert np.array_equal(a.h_minus, b.h_minus)
-        c = draw_coefficients(t, seed=6)
+        c = draw_coefficients(std, seed=6)
         assert not np.allclose(a.h_plus, c.h_plus)
 
     def test_zero_variance_draws_exact_zero(self):
         # the coverage table has no zero-mass cells; zero-variance indices
         # must still draw exactly zero if a table carries them
-        from holofading.variances import CoefficientVariances2D
-
-        t = CoefficientVariances2D(
-            lx=4.0, ly=4.0,
-            ls=np.array([0, 1, 4]), ms=np.array([0, 0, 0]),
-            sigma_sq=np.array([0.1, 0.05, 0.0]),
-        )
-        d = draw_coefficients(t, seed=0)
+        d = draw_coefficients(np.sqrt([0.1, 0.05, 0.0]), seed=0)
         assert d.h_plus[2] == 0.0 and d.h_minus[2] == 0.0
         assert d.h_plus[0] != 0.0
 
     def test_sample_variance_one_index(self):
         t = table_2d(1.0, 1.0)
+        std = np.sqrt(t.sigma_sq)
         m = 100_000
         vals = np.empty(m, dtype=complex)
         for r in range(m):
-            vals[r] = draw_coefficients(t, seed=21, realization=r).h_plus[0]
+            vals[r] = draw_coefficients(std, seed=21, realization=r).h_plus[0]
         sigma2 = t.sigma_sq[0]
         assert np.mean(np.abs(vals) ** 2) == pytest.approx(sigma2, rel=0.03)
 
     def test_half_space_draws_uncorrelated(self):
         t = table_2d(16.0, 16.0)
-        d = draw_coefficients(t, seed=2)
+        d = draw_coefficients(np.sqrt(t.sigma_sq), seed=2)
         live = t.sigma_sq > 0
         xp = d.h_plus[live] / np.sqrt(t.sigma_sq[live])
         xm = d.h_minus[live] / np.sqrt(t.sigma_sq[live])
@@ -130,37 +126,47 @@ class TestDrawCoefficients:
         assert abs(corr) < 6.0 / math.sqrt(live.sum())
 
 
+_AP4 = Aperture(lx=4.0, dx=0.5, ly=4.0, dy=0.5)
+
+
+def _gains(factor, ap=_AP4):
+    """The shaping gains of a run of the aperture with the factor."""
+    return run_constants(ap, factor, (0.0,)).gains
+
+
 class TestShapeCoefficients:
     def test_isotropic_identity(self):
-        t = table_2d(4.0, 4.0)
-        d = draw_coefficients(t, seed=1)
-        s = shape_coefficients(draw_coefficients(t, seed=1), SpectralFactor.isotropic_3d())
+        std = np.sqrt(table_2d(4.0, 4.0).sigma_sq)
+        d = draw_coefficients(std, seed=1)
+        iso = _gains(SpectralFactor.isotropic_3d())
+        assert iso == () == _gains(None)
+        s = shape_coefficients(draw_coefficients(std, seed=1), iso)
         assert np.array_equal(s.h_plus, d.h_plus)
 
     def test_shapes_in_place(self):
         # the pipeline owns its draw: shaping writes into it, no copy
-        d = draw_coefficients(table_2d(4.0, 4.0), seed=1)
-        s = shape_coefficients(d, self._lobed())
+        d = draw_coefficients(np.sqrt(table_2d(4.0, 4.0).sigma_sq), seed=1)
+        s = shape_coefficients(d, _gains(self._lobed()))
         assert s.h_plus is d.h_plus and s.h_minus is d.h_minus
 
     def test_half_disk_blackout(self):
         t = table_2d(4.0, 4.0)
-        d = draw_coefficients(t, seed=1)
+        d = draw_coefficients(np.sqrt(t.sigma_sq), seed=1)
         f = SpectralFactor.from_callables(
             lambda kx, ky: np.where(kx < 0, 0.0, 1.0)
         )
-        s = shape_coefficients(draw_coefficients(t, seed=1), f)
+        s = shape_coefficients(draw_coefficients(np.sqrt(t.sigma_sq), seed=1), _gains(f))
         assert np.all(s.h_plus[t.ls < 0] == 0.0)
         scale = math.sqrt(KAPPA) / (2 * math.pi)
         assert np.all(s.h_plus[t.ls >= 0] == d.h_plus[t.ls >= 0] * scale)
 
     def test_constant_gain_scales_power(self):
-        t = table_2d(4.0, 4.0)
-        d = draw_coefficients(t, seed=3)
+        std = np.sqrt(table_2d(4.0, 4.0).sigma_sq)
+        d = draw_coefficients(std, seed=3)
         g = 2.0
         a = g * 2.0 * math.pi / math.sqrt(KAPPA)
         f = SpectralFactor.from_callables(lambda kx, ky: np.full(np.shape(kx), a))
-        s = shape_coefficients(draw_coefficients(t, seed=3), f)
+        s = shape_coefficients(draw_coefficients(std, seed=3), _gains(f))
         assert np.allclose(np.abs(s.h_plus) ** 2, g * g * np.abs(d.h_plus) ** 2, rtol=1e-12)
 
     @staticmethod
@@ -170,15 +176,17 @@ class TestShapeCoefficients:
         )
 
     def test_cached_gains_are_read_only(self):
-        from holofading.generator import _plane_gains
-
         f = self._lobed()
-        gp, gm = _plane_gains(f, 4.0, 4.0)
-        for g in (gp, gm):
-            assert not g.flags.writeable
+        run = run_constants(_AP4, f, (0.0, 0.5))
+        assert len(run.gains) == 2 and run.phases[0] is None
+        for a in (run.std, *run.gains, *run.phases[1], run.bins):
+            assert not a.flags.writeable
             with pytest.raises(ValueError):
-                g[0] = 0.0
-        assert _plane_gains(f, 4.0, 4.0)[0] is gp  # evaluated once per factor and sides
+                a[0] = 0
+        part = run[slice(2, 5)]  # a slice of the record is views, read-only too
+        assert part.start == 2 and np.shares_memory(part.std, run.std)
+        assert not part.gains[0].flags.writeable
+        assert run_constants(_AP4, f, (0.0, 0.5)) is run  # evaluated once per run
 
     def test_closed_form_and_quadrature_tables_get_identical_gains(self):
         f = self._lobed()
@@ -186,8 +194,8 @@ class TestShapeCoefficients:
         for method in ("closed-form", "quadrature"):
             t = table_2d(4.0, 4.0, method=method)
             ones = np.ones((2, len(t)), dtype=complex)
-            s = shape_coefficients(CoefficientDraw(t, *ones), f)
-            # the cached gains equal a direct evaluation at this table's harmonics
+            s = shape_coefficients(CoefficientDraw(*ones), _gains(f))
+            # the run's gains equal a direct evaluation at this table's harmonics
             gp, gm = shaping_gains(f, *lattice_wavenumbers(t), KAPPA)
             assert np.array_equal(s.h_plus, gp) and np.array_equal(s.h_minus, gm)
             gains.append((s.h_plus, s.h_minus))
@@ -198,8 +206,6 @@ class TestShapeCoefficients:
         # the polar interpolation makes about 20 temporaries of its points:
         # over all 51,940 harmonics of the 256 x 256 grid at once they
         # peaked at 8.4 MB, over slices of _SLICE harmonics at 2.9 MB
-        from holofading.generator import _plane_gains
-
         path = tmp_path / "factor.csv"
         with open(path, "w") as fh:
             fh.write("k_r_over_kappa,k_phi_rad,a_plus,a_minus\n")
@@ -211,7 +217,7 @@ class TestShapeCoefficients:
         t = table_2d(128.0, 128.0)  # the cached table is not the evaluation's memory
         tracemalloc.start()
         try:
-            gp, gm = _plane_gains(f, 128.0, 128.0)
+            gp, gm = _gains(f, Aperture(lx=128.0, dx=0.5, ly=128.0, dy=0.5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -221,20 +227,17 @@ class TestShapeCoefficients:
         assert np.array_equal(gp, want[0]) and np.array_equal(gm, want[1])
 
     def test_line_gains_across_slices(self):
-        from holofading.generator import _line_gains
-
         f = self._lobed()
         t = table_1d(4100.0)  # 8,200 harmonics: one whole slice and a remainder
         assert _SLICE < len(t.ls) < 2 * _SLICE
         want = line_shaping_gain(f, lattice_wavenumbers(t))
-        assert np.array_equal(_line_gains(f, 4100.0), want)
+        assert np.array_equal(_gains(f, Aperture(lx=4100.0, dx=0.5))[0], want)
 
 
 class TestMigrate:
     def test_zero_plane_is_sum(self):
-        t = table_2d(4.0, 4.0)
-        d = draw_coefficients(t, seed=4)
-        assert np.allclose(migrate(d, 0.0), d.h_plus + d.h_minus, rtol=0, atol=0)
+        d = draw_coefficients(np.sqrt(table_2d(4.0, 4.0).sigma_sq), seed=4)
+        assert np.allclose(migrate(d, None), d.h_plus + d.h_minus, rtol=0, atol=0)
 
     def test_zero_plane_is_the_phase_path(self):
         # e^{i gamma 0} = 1 exactly, so the z = 0 sum is the phase path
@@ -242,12 +245,13 @@ class TestMigrate:
         # coefficients; there the sum may keep a -0 that the multiply by
         # 1 + 0j turns into +0, a sign no synthesized sample carries
         half = SpectralFactor.from_callables(lambda kx, ky: np.where(kx < 0, 0.0, 1.0 + ky / KAPPA))
-        ap = Aperture(lx=4.0, dx=0.5, ly=4.0, dy=0.5)
+        ap = _AP4
         t = default_table(ap)
-        d = shape_coefficients(draw_coefficients(t, seed=4, realization=range(3)), half)
+        run = run_constants(ap, half, (0.0,))
+        d = shape_coefficients(draw_coefficients(run.std, seed=4, realization=range(3)), run.gains)
         one = np.exp(1j * lattice_gammas(t) * 0.0)
         want = d.h_plus * one + d.h_minus * np.conj(one)
-        got = migrate(d, 0.0)
+        got = migrate(d, run.phases[0])
         assert np.count_nonzero(got == 0) > 0  # the factor is 0 on half the disk
         assert np.array_equal(got, want)
         live = got != 0
@@ -266,28 +270,32 @@ class TestMigrate:
             return real(table)
 
         monkeypatch.setattr(genmod, "lattice_gammas", counting)
-        genmod._migration_phases.cache_clear()  # a cold cache, whatever ran before
-        ap = Aperture(lx=4.0, dx=0.5, ly=4.0, dy=0.5)
-        genmod.shared_table(ap, None, (0.0,))
-        migrate(draw_coefficients(default_table(ap), seed=4), 0.0)
+        genmod.run_constants.cache_clear()  # a cold cache, whatever ran before
+        run = run_constants(_AP4, None, (0.0,))
+        assert run.phases == (None,)
+        migrate(draw_coefficients(run.std, seed=4), run.phases[0])
         assert calls == []
 
     def test_range_check(self):
         t = table_2d(4.0, 4.0)
-        d = draw_coefficients(t, seed=4)
         with pytest.raises(MigrationRange):
-            migrate(d, 4.0)
-        migrate(d, 3.9)  # inside the range
+            migration_phases(t, 4.0)
+        migration_phases(t, 3.9)  # inside the range
+        with pytest.raises(MigrationRange):  # a run checks each of its planes
+            run_constants(_AP4, None, (0.0, -4.0))
+        with pytest.raises(MigrationRange):
+            migration_phases(table_1d(4.0), 0.5)
 
     def test_second_moment_invariant_in_z(self):
         t = table_2d(1.0, 1.0)
+        std, phases = np.sqrt(t.sigma_sq), migration_phases(t, 0.4)
         m = 100_000
         acc0 = np.zeros(len(t))
         acc1 = np.zeros(len(t))
         for r in range(m):
-            d = draw_coefficients(t, seed=30, realization=r)
-            acc0 += np.abs(migrate(d, 0.0)) ** 2
-            acc1 += np.abs(migrate(d, 0.4)) ** 2
+            d = draw_coefficients(std, seed=30, realization=r)
+            acc0 += np.abs(migrate(d, None)) ** 2
+            acc1 += np.abs(migrate(d, phases)) ** 2
         want = 2.0 * t.sigma_sq
         for acc in (acc0, acc1):
             got = acc / m
@@ -295,8 +303,8 @@ class TestMigrate:
             assert np.all(np.abs(got - want) <= 3.0 * want / math.sqrt(m) + 1e-12)
 
     def test_phases_evaluated_once_per_plane(self, monkeypatch):
-        # e^{i gamma z} is cached per (sides, z) and read-only; the draw,
-        # which callers reuse across planes, is left as it was
+        # e^{i gamma z} is evaluated once per plane of a run and read-only;
+        # the draw, which callers reuse across planes, is left as it was
         import holofading.generator as genmod
 
         calls = []
@@ -308,18 +316,18 @@ class TestMigrate:
 
         monkeypatch.setattr(genmod, "lattice_gammas", counting)
         t = table_2d(4.0, 4.0)
-        d = draw_coefficients(t, seed=4, realization=range(3))
+        d = draw_coefficients(np.sqrt(t.sigma_sq), seed=4, realization=range(3))
         kept = d.h_plus.copy(), d.h_minus.copy()
         zs = (0.1234, -0.4321)  # planes no other test migrates to: a cold cache
-        first = [migrate(d, z) for z in zs]
-        again = [migrate(d, z) for z in zs]
+        first = [migrate(d, p) for p in run_constants(_AP4, None, zs).phases]
+        again = [migrate(d, p) for p in run_constants(_AP4, None, zs).phases]
         assert calls == [len(t)] * len(zs)
         for z, a, b in zip(zs, first, again):
             phase = np.exp(1j * real(t) * z)
             assert np.array_equal(a, d.h_plus * phase + d.h_minus * np.conj(phase))
             assert np.array_equal(a, b)
         assert np.array_equal(d.h_plus, kept[0]) and np.array_equal(d.h_minus, kept[1])
-        up, down = genmod._migration_phases(4.0, 4.0, zs[0])
+        up, down = run_constants(_AP4, None, zs).phases[0]
         with pytest.raises(ValueError):
             up[0] = 0.0
         with pytest.raises(ValueError):
@@ -327,11 +335,11 @@ class TestMigrate:
 
     def test_boundary_index_constant_in_z(self):
         t = table_2d(16.0, 16.0)
-        d = draw_coefficients(t, seed=5)
+        d = draw_coefficients(np.sqrt(t.sigma_sq), seed=5)
         rim = np.flatnonzero(lattice_gammas(t) == 0.0)
         assert rim.size > 0
-        h0 = migrate(d, 0.0)[rim]
-        h1 = migrate(d, 7.0)[rim]
+        h0 = migrate(d, None)[rim]
+        h1 = migrate(d, migration_phases(t, 7.0))[rim]
         assert np.array_equal(h0, h1)
 
 
@@ -380,9 +388,10 @@ class TestSynthesize:
         t = default_table(ap)
         for r in range(25):
             if ap.kind == "linear":
-                h = draw_line_coefficients(t, seed=77, realization=r)
+                h = draw_line_coefficients(np.sqrt(2.0 * t.sigma_sq), seed=77, realization=r)
             else:
-                h = migrate(draw_coefficients(t, seed=77, realization=r), 0.25)
+                d = draw_coefficients(np.sqrt(t.sigma_sq), seed=77, realization=r)
+                h = migrate(d, migration_phases(t, 0.25))
             fft = synthesize(h, ap)
             ref = brute_force_plane(h, ap)
             assert fft.shape == ref.shape == (ap.ny, ap.nx)
@@ -469,7 +478,7 @@ class TestSlicedRealizations:
         h = np.ones((1, len(default_table(ap))), dtype=complex)
         grid = np.zeros((1, ap.nx, ap.ny), dtype=complex).swapaxes(-2, -1)
         with pytest.raises(AttributeError):  # a copy would lose every bin
-            genmod._embed(grid, h, ap, slice(None))
+            genmod._embed(grid, h, run_constants(ap, None, (0.0,)).bins)
 
 
 class TestGenerate:
@@ -521,9 +530,9 @@ class TestGenerate:
     def test_same_draw_different_planes_share_power(self):
         ap = Aperture(lx=8, dx=0.5, ly=8, dy=0.5)
         t = table_2d(8.0, 8.0)
-        d = draw_coefficients(t, seed=19)
-        h0 = migrate(d, 0.0)
-        h1 = migrate(d, 0.5)
+        d = draw_coefficients(np.sqrt(t.sigma_sq), seed=19)
+        h0 = migrate(d, None)
+        h1 = migrate(d, migration_phases(t, 0.5))
         assert not np.allclose(h0, h1)
         assert np.allclose(np.abs(d.h_plus), np.abs(d.h_plus))  # draws unchanged
         # per-index modulus of each half-space piece is migration-invariant
@@ -583,8 +592,8 @@ class TestFieldStatistics:
         assert np.array_equal(a.samples, b.samples)
         # per-index contract: rms of (0, amp) over the two half-spaces,
         # i.e. gain 0 for l < 0 and amp / (2 sqrt(pi)) = 2 sqrt(2) otherwise
-        plain = draw_line_coefficients(t, 3, 0)
-        shaped = draw_line_coefficients(t, 3, 0, factor=f)
+        plain = draw_line_coefficients(np.sqrt(2.0 * t.sigma_sq), 3, 0)
+        shaped = plane_coefficients(ap, f, 3, (0,), (0.0,))[0][0]
         assert np.all(shaped[t.ls < 0] == 0.0)
         assert np.allclose(shaped[t.ls >= 0], plain[t.ls >= 0] * 2.0 * math.sqrt(2.0), rtol=1e-12)
         # expected power: gain^2 = 8 on the half of the spectral mass
@@ -690,8 +699,9 @@ class TestLatticeAcf:
 class TestLineDraws:
     def test_variance_doubled(self):
         t = table_1d(1.0)
+        std = np.sqrt(2.0 * t.sigma_sq)
         m = 50_000
         vals = np.empty(m, dtype=complex)
         for r in range(m):
-            vals[r] = draw_line_coefficients(t, seed=41, realization=r)[0]
+            vals[r] = draw_line_coefficients(std, seed=41, realization=r)[0]
         assert np.mean(np.abs(vals) ** 2) == pytest.approx(2.0 * t.sigma_sq[0], rel=0.03)

@@ -14,6 +14,7 @@ from holofading.generator import (
     draw_coefficients,
     generate_batch_planes,
     migrate,
+    migration_phases,
     synthesize,
 )
 import holofading.generator as genmod
@@ -76,7 +77,9 @@ def test_fft_synthesis_equals_brute_force(lx, ly, extra, z_frac, seed, realizati
     assume(math.ceil(lx / dx) == nx and math.ceil(ly / dy) == ny)  # no rounding past N
     aperture = Aperture(lx=lx, dx=dx, ly=ly, dy=dy)
     table = table_2d(lx, ly)
-    hz = migrate(draw_coefficients(table, seed, realization), z_frac * min(lx, ly))
+    z = z_frac * min(lx, ly)
+    draw = draw_coefficients(np.sqrt(table.sigma_sq), seed, realization)
+    hz = migrate(draw, None if z == 0.0 else migration_phases(table, z))
     fft = synthesize(hz, aperture)
     assert np.max(np.abs(fft - brute_force_plane(hz, aperture))) <= 1e-10
 

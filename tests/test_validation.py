@@ -26,7 +26,7 @@ from holofading.baseline import (
 )
 from holofading.cli import write_figure_artifacts
 import holofading.generator as genmod
-from holofading.generator import generate_batch_planes, lattice_acf_1d, shared_table
+from holofading.generator import generate_batch_planes, lattice_acf_1d, run_constants
 import holofading.validation as valmod
 from holofading.validation import (
     AcfEstimate,
@@ -537,7 +537,7 @@ class TestBoundedMemory:
         # a whole realization's draws and its own zeroed spectrum, and
         # 13.4 MB when the whole chunk was drawn, shaped and migrated at once
         ap = Aperture(lx=128.0, dx=0.5, ly=128.0, dy=0.5)
-        shared_table(ap, _DIRECTIONAL, (0.0,))  # the cached table is not the chunk's memory
+        run_constants(ap, _DIRECTIONAL, (0.0,))  # the cached run is not the chunk's memory
         # nor are first-call costs, such as numpy.fft's import and this
         # thread's Philox generator (0.9 MB in a fresh process)
         generate_batch_planes(Aperture(lx=4.0, dx=0.5, ly=4.0, dy=0.5), None, 5, range(1), (0.0,))
