@@ -16,7 +16,6 @@ from .errors import (
     HoloFadingError,
     IndexOutOfBand,
     InsufficientRealizations,
-    LagMismatch,
     MigrationRange,
     NotPSD,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "GridTooLarge",
     "IndexOutOfBand",
     "InsufficientRealizations",
-    "LagMismatch",
     "MigrationRange",
     "NotPSD",
 ]

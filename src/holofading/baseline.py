@@ -75,29 +75,19 @@ class CorrelationMatrix:
     values: np.ndarray
 
 
-def correlation_matrix(grid, acf: AcfClosedForm) -> CorrelationMatrix:
-    """Entries c(r_nm) with r_nm the Euclidean distance of grid points n, m.
-
-    Args:
-        grid: Aperture (its sample grid is used) or an (N, d) point array.
-        acf: closed-form autocorrelation.
+def correlation_matrix(aperture: Aperture, acf: AcfClosedForm) -> CorrelationMatrix:
+    """Entries c(r_nm) with r_nm the Euclidean distance of points n, m of
+    the aperture's sample grid.
 
     Raises:
         GridTooLarge: more than 8192 points (the dense baseline is
             desk-scale only).
     """
-    if isinstance(grid, Aperture):
-        points = grid.grid_coords()
-        uniform_line = grid.kind == "linear"
-    else:
-        points = np.asarray(grid, dtype=float)
-        if points.ndim == 1:
-            points = points[:, np.newaxis]
-        uniform_line = False
+    points = aperture.grid_coords()
     n = len(points)
     if n > MAX_DENSE_POINTS:
         raise GridTooLarge(f"{n} points exceed the dense-baseline cap of {MAX_DENSE_POINTS}")
-    if uniform_line:
+    if aperture.kind == "linear":
         # uniform 1D grid: exactly Toeplitz from its first row
         lags = np.linalg.norm(points - points[0], axis=1)
         i = np.arange(n)

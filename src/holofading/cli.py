@@ -46,7 +46,7 @@ BIN_VERSION = 1
 
 def _parse_lengths(text: str, name: str, max_parts: int = 3) -> list[float]:
     try:
-        parts = [float(p) for p in text.split(",") if p != ""]
+        parts = [float(p) for p in text.split(",")]
     except ValueError:
         raise ConfigError(f"--{name}: expected comma-separated numbers, got {text!r}")
     if not 1 <= len(parts) <= max_parts:
@@ -124,6 +124,18 @@ def _count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of --seed: an int in [0, 2**64), the Philox key's
+    range (a seed outside it would alias the one it wraps to)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises ConfigError on a usage error (an unknown or abbreviated flag,
     a flag without its value, a value that fails its type or choices), so
@@ -156,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = command("generate", "write fading realizations", cmd_generate)
     g.add_argument("--aperture", required=True, help="side lengths Lx[,Ly[,Lz]] in wavelengths")
     g.add_argument("--spacing", required=True, help="grid spacings dx[,dy[,dz]] in wavelengths")
-    g.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    g.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     g.add_argument("--realizations", type=_count, default=1, help="number of realizations M")
     g.add_argument("--factor", default="isotropic", help="'isotropic' or a tabulated-factor CSV")
     g.add_argument("--out", required=True, help="output path")
@@ -173,19 +185,19 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--fig", type=int, choices=(6, 7, 8), required=True, help="figure")
     va.add_argument("--realizations", type=_count, default=10_000,
                     help="Monte Carlo realizations M")
-    va.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    va.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     va.add_argument("--out", help="directory for curve.csv and report.json")
     va.add_argument("--threads", type=_count, help=_THREADS_HELP)
 
     ck = command("compare-kl", "series generator vs dense baseline", cmd_compare_kl)
     ck.add_argument("--realizations", type=_count, default=10_000,
                     help="Monte Carlo realizations M")
-    ck.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    ck.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     ck.add_argument("--out", help="output CSV path")
     ck.add_argument("--threads", type=_count, help=_THREADS_HELP)
 
     b = command("bench", "synthesis/baseline timing sweep", cmd_bench)
-    b.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    b.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     b.add_argument("--out", help="JSON report path")
 
     return parser

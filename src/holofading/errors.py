@@ -29,9 +29,5 @@ class InsufficientRealizations(HoloFadingError):
     """Too few Monte Carlo realizations for the requested estimate."""
 
 
-class LagMismatch(HoloFadingError):
-    """Estimate and oracle are defined on different lag grids."""
-
-
 class ConfigError(HoloFadingError):
     """Bad command-line flag or configuration-file entry."""

@@ -11,7 +11,7 @@ Pipeline per realization (rectangular aperture):
 The final sum is a zero-embedded 2D inverse FFT *without* the 1/(Nx*Ny)
 normalization (the variance table already carries the physical scaling);
 lattice index l maps to FFT bin l mod Nx and the output is reindexed onto
-n = -Nx/2 .. Nx/2 - 1 by a half-grid cyclic shift (``synthesize``).
+n = -Nx/2 .. Nx/2 - 1 by a half-grid cyclic shift (``_grid_series``).
 ``plane_coefficients`` runs the stages before it (the per-plane H(l, m; z));
 ``generate_batch_planes`` synthesizes those. ``series_sum`` evaluates the
 same series by direct summation, for the exact ACFs and the validation lag
@@ -349,17 +349,6 @@ def _grid_series(grid: np.ndarray, aperture: Aperture) -> np.ndarray:
     return grid
 
 
-def synthesize(h: np.ndarray, aperture: Aperture) -> np.ndarray:
-    """Evaluate the series of the coefficients h (any leading batch axes,
-    in the harmonic order of the aperture's table) on the aperture grid:
-    zero-embed them at their FFT bins, inverse FFT over the grid axes
-    without the 1/N factor, and reindex onto n = -N/2 .. N/2 - 1.
-    Returns a new (..., ny, nx) array; ny = 1 for a line aperture."""
-    grid = np.zeros(h.shape[:-1] + (aperture.ny, aperture.nx), dtype=complex)
-    _embed(grid, h, run_constants(aperture, None, (0.0,)).bins)
-    return _grid_series(grid, aperture)
-
-
 def default_table(aperture: Aperture) -> CoefficientVariances1D | CoefficientVariances2D:
     """Variance table of the aperture's sides (line or rectangle)."""
     if aperture.kind == LINEAR:
@@ -492,7 +481,7 @@ def generate_batch_planes(
     at once when one realization's draws fit SUB_BLOCK_BYTES, else (then
     the row block is one realization) in slices of ``rng._SLICE`` draws,
     each scattered before the next is drawn. Then the rows are inverse
-    transformed and reindexed in place (``synthesize``'s steps). So beside
+    transformed and reindexed in place (``_grid_series``). So beside
     the output, only one row block or one slice of coefficients is held at
     a time, and no separate spectrum. The output block holds the whole
     batch; the CLI's ``generate`` keeps it near SUB_BLOCK_BYTES by passing

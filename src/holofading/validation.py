@@ -65,7 +65,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .baseline import AcfClosedForm, _one_blas_thread, correlation_matrix, kl_root
-from .errors import InsufficientRealizations, LagMismatch
+from .errors import InsufficientRealizations
 from .generator import (
     Aperture,
     block_rows,
@@ -159,24 +159,11 @@ def _estimate(raw, m, spacings, sides, tilted=True) -> AcfEstimate:
     return AcfEstimate(lags_x, lags_y, _normalize(raw), raw, m, *sides, tilted)
 
 
-def compare(est: AcfEstimate, oracle) -> CompareReport:
-    """RMSE and max deviation of an estimate against an oracle.
-
-    A closed-form oracle (AcfClosedForm) is evaluated at the estimate's lag
-    radii and compared against the real part of the de-tilted estimate. An
-    array oracle (exact series autocorrelation, same harmonic labeling) is
-    compared directly in the complex plane.
-
-    Raises:
-        LagMismatch: oracle array shaped unlike the estimate's lag grid.
-    """
-    if isinstance(oracle, AcfClosedForm):
-        dev = np.abs(est.detilted().real - oracle(est.lag_radii()))
-    else:
-        oracle = np.asarray(oracle)
-        if oracle.shape != est.values.shape:
-            raise LagMismatch(f"oracle shape {oracle.shape} vs estimate {est.values.shape}")
-        dev = np.abs(est.values - oracle)
+def compare(est: AcfEstimate, oracle: AcfClosedForm) -> CompareReport:
+    """RMSE and max deviation of an estimate against a closed-form oracle,
+    evaluated at the estimate's lag radii and compared against the real
+    part of the de-tilted estimate."""
+    dev = np.abs(est.detilted().real - oracle(est.lag_radii()))
     return CompareReport(
         rmse=float(np.sqrt(np.mean(np.square(dev)))),
         max_abs_dev=float(np.max(dev)),
@@ -444,29 +431,3 @@ def compare_kl(m: int = 10_000, seed: int = 0, threads: int | None = None) -> Kl
         and _within(asdict(kl_report), figure.thresholds, m)
     )
     return KlComparison(figure, kl_est.values.real, entrywise, kl_report, passed)
-
-
-def lambda_half_independence(
-    m: int = 10_000,
-    seed: int = 0,
-    lx: float = 16.0,
-    threads: int | None = None,
-) -> tuple[np.ndarray, float]:
-    """Row correlations of a square-aperture field sampled at exactly
-    lambda/2; all nonzero lags should be below 4/sqrt(M).
-
-    The series is periodic on the grid, so lags wrap cyclically and every
-    distinct nonzero row lag 1 .. Nx/2 is covered.
-
-    Returns:
-        (normalized row estimate over lags 0 .. Nx/2, max |correlation|
-        over the nonzero lags).
-
-    Raises:
-        InsufficientRealizations: fewer than 100 realizations.
-    """
-    check_realizations(m)
-    aperture = Aperture(lx=lx, dx=0.5, ly=lx, dy=0.5)
-    (raw,) = _first_row_sums(aperture, None, seed, m, (0.0,), (0, aperture.nx // 2), threads)
-    row = _normalize(raw[:, 0])
-    return row, float(np.max(np.abs(row[1:])))

@@ -30,18 +30,20 @@ Two independent routes compute the cell mass:
   the radial integral elementary; the remaining angular integral is
   adaptive with breakpoints wherever the active radial bound changes.
   This route is the authoritative oracle.
-* ``variance_2d_closed_form``: exact antiderivative. The corner mass
-  V(a, b) over [0, a] x [0, b] intersected with the disk has a closed form
-  (see ``_corner_mass``), and a cell is an inclusion-exclusion of four
+* the closed-form table: exact antiderivative. The corner mass V(a, b)
+  over [0, a] x [0, b] intersected with the disk has a closed form (see
+  ``_corner_mass``), and a cell is an inclusion-exclusion of four
   corners. Accepted only on agreement with the quadrature oracle.
 
 The closed-form table evaluates ``_corner_mass`` once per lattice corner
 (i/Lx, j/Ly) and forms every cell from its four corners as array
-operations, in the scalar function's operand order, so each entry is
-bitwise ``variance_2d_closed_form``. ``_corner_mass`` stays scalar:
-vectorized arcsin/arctan2 can differ from ``math`` in the last bit. Only
-the quadrature oracle imports ``scipy.integrate``, on first use, so a
-command that builds closed-form tables never loads it.
+operations, in the operand order of the per-cell inclusion-exclusion, so
+each entry is bitwise that scalar sum (``variance_2d_closed_form`` in
+``tests/oracles.py``, which the test suite holds the table to).
+``_corner_mass`` stays scalar: vectorized arcsin/arctan2 can differ from
+``math`` in the last bit. Only the quadrature oracle imports
+``scipy.integrate``, on first use, so a command that builds closed-form
+tables never loads it.
 
 The table index set is the cell-coverage set: all (l, m) in
 {-ceil(Lx) .. ceil(Lx)-1} x {same in y} whose mirrored cell
@@ -277,25 +279,6 @@ def _corner_mass(a: float, b: float) -> float:
     return base + bracket
 
 
-def variance_2d_closed_form(l: int, m: int, lx: float, ly: float) -> float:
-    """Variance sigma2_lm by the exact corner antiderivative (sides in
-    wavelengths).
-
-    Must agree with ``variance_2d_quadrature`` to 1e-8 relative; that
-    agreement is asserted by the test suite on full index sets.
-    """
-    if not _in_band_2d(l, m, lx, ly):
-        raise IndexOutOfBand(f"index ({l}, {m}) outside the admissible band")
-    x1, x2, y1, y2 = _cell_bounds(l, m, lx, ly)
-    mass = (
-        _corner_mass(x2, y2)
-        - _corner_mass(x1, y2)
-        - _corner_mass(x2, y1)
-        + _corner_mass(x1, y1)
-    )
-    return max(mass, 0.0) / (4.0 * math.pi)
-
-
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
@@ -314,9 +297,6 @@ class CoefficientVariances2D:
     ms: np.ndarray        # (n,) signed m indices
     sigma_sq: np.ndarray  # (n,) sigma2_lm
 
-    def __len__(self) -> int:
-        return len(self.ls)
-
     def total_power(self) -> float:
         return float(np.sum(2.0 * self.sigma_sq))
 
@@ -325,8 +305,9 @@ def _closed_form_cells(lx: float, ly: float) -> np.ndarray:
     """Closed-form sigma2 of every first-quadrant cell, indexed [lf, mf].
 
     ``_corner_mass`` runs once per lattice corner (i/lx, j/ly); each cell is
-    then the inclusion-exclusion of ``variance_2d_closed_form``, in the same
-    operand order, so every value is bitwise the scalar definition's.
+    then the inclusion-exclusion of its four corners, (x2, y2) - (x1, y2) -
+    (x2, y1) + (x1, y1) in that operand order, so every value is bitwise
+    the scalar sum over the cell's corners.
     """
     nx, ny = math.ceil(lx), math.ceil(ly)
     c = np.array(

@@ -1,13 +1,33 @@
-"""Field-space oracles: the estimates and the series evaluated straight
-from synthesized fields and coefficients, independent of the
-coefficient-space estimator and the FFT synthesis that they check; the
-coefficient-space estimate over all realizations held at once; and the
-draws with one unsliced Box-Muller pass over the whole block."""
+"""Oracles and references that no command runs: the estimates and the
+series evaluated straight from synthesized fields and coefficients,
+independent of the coefficient-space estimator and the FFT synthesis that
+they check; the coefficient-space estimate over all realizations held at
+once; the draws with one unsliced Box-Muller pass over the whole block;
+the FFT synthesis of given coefficients; the per-cell closed-form
+variance; and the lambda/2 independence row."""
+import math
+
 import numpy as np
 
-from holofading.generator import Aperture, default_table, plane_coefficients, series_sum
+from holofading.errors import IndexOutOfBand
+from holofading.generator import (
+    Aperture,
+    _embed,
+    _grid_series,
+    default_table,
+    plane_coefficients,
+    run_constants,
+    series_sum,
+)
 from holofading.rng import _positioned
-from holofading.validation import AcfEstimate, _estimate, check_realizations
+from holofading.validation import (
+    AcfEstimate,
+    _estimate,
+    _first_row_sums,
+    _normalize,
+    check_realizations,
+)
+from holofading.variances import _cell_bounds, _corner_mass, _in_band_2d
 
 
 def lag_sum(h: np.ndarray, ref, lags) -> np.ndarray:
@@ -104,3 +124,62 @@ def unsliced_normals(seed: int, realizations, n: int, stream: int) -> np.ndarray
     phase *= radius
     radius *= cos
     return out
+
+
+def synthesize(h: np.ndarray, aperture: Aperture) -> np.ndarray:
+    """Evaluate the series of the coefficients h (any leading batch axes,
+    in the harmonic order of the aperture's table) on the aperture grid:
+    zero-embed them at their FFT bins, inverse FFT over the grid axes
+    without the 1/N factor, and reindex onto n = -N/2 .. N/2 - 1, the steps
+    ``generator.generate_batch_planes`` runs in its output block. Returns a
+    new (..., ny, nx) array; ny = 1 for a line aperture."""
+    grid = np.zeros(h.shape[:-1] + (aperture.ny, aperture.nx), dtype=complex)
+    _embed(grid, h, run_constants(aperture, None, (0.0,)).bins)
+    return _grid_series(grid, aperture)
+
+
+def variance_2d_closed_form(l: int, m: int, lx: float, ly: float) -> float:
+    """Variance sigma2_lm of one cell by the exact corner antiderivative
+    (sides in wavelengths): the scalar reference that every entry of the
+    closed-form ``variances.table_2d`` must equal bit for bit.
+
+    Raises:
+        IndexOutOfBand: index outside the admissible band.
+    """
+    if not _in_band_2d(l, m, lx, ly):
+        raise IndexOutOfBand(f"index ({l}, {m}) outside the admissible band")
+    x1, x2, y1, y2 = _cell_bounds(l, m, lx, ly)
+    mass = (
+        _corner_mass(x2, y2)
+        - _corner_mass(x1, y2)
+        - _corner_mass(x2, y1)
+        + _corner_mass(x1, y1)
+    )
+    return max(mass, 0.0) / (4.0 * math.pi)
+
+
+def lambda_half_independence(
+    m: int = 10_000,
+    seed: int = 0,
+    lx: float = 16.0,
+    threads: int | None = None,
+) -> tuple[np.ndarray, float]:
+    """Row correlations of a square-aperture field sampled at exactly
+    lambda/2, estimated in coefficient space by the figure runs' fold; all
+    nonzero lags should be below 4/sqrt(M).
+
+    The series is periodic on the grid, so lags wrap cyclically and every
+    distinct nonzero row lag 1 .. Nx/2 is covered.
+
+    Returns:
+        (normalized row estimate over lags 0 .. Nx/2, max |correlation|
+        over the nonzero lags).
+
+    Raises:
+        InsufficientRealizations: fewer than 100 realizations.
+    """
+    check_realizations(m)
+    aperture = Aperture(lx=lx, dx=0.5, ly=lx, dy=0.5)
+    (raw,) = _first_row_sums(aperture, None, seed, m, (0.0,), (0, aperture.nx // 2), threads)
+    row = _normalize(raw[:, 0])
+    return row, float(np.max(np.abs(row[1:])))

@@ -16,18 +16,22 @@ import numpy as np
 
 from holofading import Aperture
 from holofading.cli import main
-from holofading.generator import draw_coefficients, migrate, migration_phases, synthesize
-from holofading.validation import compare_kl, lambda_half_independence, run_figure
+from holofading.generator import draw_coefficients, migrate, migration_phases
+from holofading.validation import compare_kl, run_figure
 from holofading.variances import (
     coefficient_indices,
     fold_index,
     table_1d,
     table_2d,
     variance_1d,
-    variance_2d_closed_form,
     variance_2d_quadrature,
 )
-from oracles import brute_force_plane
+from oracles import (
+    brute_force_plane,
+    lambda_half_independence,
+    synthesize,
+    variance_2d_closed_form,
+)
 
 M = 10_000
 

@@ -98,17 +98,13 @@ class TestClarkeAcf:
 
 class TestCorrelationMatrix:
     def test_two_points_at_half_wavelength(self):
-        c = correlation_matrix(np.array([[0.0, 0, 0], [0.5, 0, 0]]), AcfClosedForm("sinc-3d"))
+        c = correlation_matrix(Aperture(lx=1.0, dx=0.5), AcfClosedForm("sinc-3d"))
         assert np.allclose(c.values, np.eye(2), atol=1e-15)
 
-    def test_single_point(self):
-        c = correlation_matrix(np.array([[0.0, 0, 0]]), AcfClosedForm("sinc-3d"))
-        assert c.values.shape == (1, 1) and c.values[0, 0] == 1.0
-
     def test_three_point_line_first_row(self):
-        ap_points = np.array([[0.0, 0, 0], [1 / 16, 0, 0], [2 / 16, 0, 0]])
-        c = correlation_matrix(ap_points, AcfClosedForm("bessel-2d"))
-        want = [1.0, special.j0(math.pi / 8), special.j0(math.pi / 4)]
+        # a 4-point lambda/16 line: lags 0, 1/16, 2/16 and 3/16 from its first point
+        c = correlation_matrix(Aperture(lx=0.25, dx=1 / 16), AcfClosedForm("bessel-2d"))
+        want = [1.0, special.j0(math.pi / 8), special.j0(math.pi / 4), special.j0(3 * math.pi / 8)]
         assert np.allclose(c.values[0], want, atol=1e-14)
 
     def test_uniform_line_grid_exactly_toeplitz(self):
@@ -138,7 +134,9 @@ class TestCorrelationMatrix:
 
     def test_grid_too_large(self):
         with pytest.raises(GridTooLarge):
-            correlation_matrix(np.zeros((8193, 3)), AcfClosedForm("sinc-3d"))
+            # 16,384 points: the cap is checked before any matrix is built
+            correlation_matrix(Aperture(lx=8.0, dx=1 / 16, ly=8.0, dy=1 / 16),
+                               AcfClosedForm("sinc-3d"))
 
     def test_psd_within_tolerance(self):
         ap = Aperture(lx=8.0, dx=0.125)

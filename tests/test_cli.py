@@ -13,6 +13,7 @@ from holofading import ConfigError, generate
 from holofading.cli import build_aperture, main
 from holofading.generator import Aperture
 from holofading.variances import table_1d, table_2d
+from oracles import synthesize
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +46,14 @@ class TestApertureParsing:
     def test_too_many_sides(self):
         with pytest.raises(ConfigError):
             build_aperture("1,2,3,4", "0.5")
+
+    @pytest.mark.parametrize("sides, spacings", [
+        ("16,,1", "0.5"), (",16", "0.5"), ("16,", "0.5"), ("16,16", "0.5,"), ("16,16", ""),
+    ])
+    def test_empty_field_rejected(self, sides, spacings):
+        # "16,,1" is not the 16 x 1 plane that dropping the empty field made
+        with pytest.raises(ConfigError, match="comma-separated numbers"):
+            build_aperture(sides, spacings)
 
 
 class TestConfigFile:
@@ -212,7 +221,7 @@ class TestVariancesCommand:
         assert code == 0
         lines = out.read_text().splitlines()
         t = table_2d(4.0, 4.0)
-        assert len(lines) == 1 + len(t) + 1
+        assert len(lines) == 1 + len(t.ls) + 1
         assert lines[-1].startswith("# total_power=")
 
     def test_non_integer_1d_rejected(self, capsys):
@@ -350,6 +359,17 @@ _BAD_INPUTS = {
     "bench-out-in-missing-dir": ("bench", "--out", "{tmp}/missing/b.json"),
     "seed-not-integer": ("generate", "--aperture", "4", "--spacing", "0.5", "--seed", "abc",
                          "--out", "{tmp}/x.bin"),
+    # a seed outside [0, 2^64) would alias the Philox key it wraps to
+    "negative-seed": ("generate", "--aperture", "4", "--spacing", "0.5", "--seed", "-1",
+                      "--out", "{tmp}/x.bin"),
+    "seed-past-64-bits": ("generate", "--aperture", "4", "--spacing", "0.5",
+                          "--seed", str(1 << 64), "--out", "{tmp}/x.bin"),
+    "validate-negative-seed": ("validate", "--fig", "6", "--seed", "-1", "--out", "{tmp}/d"),
+    "kl-seed-past-64-bits": ("compare-kl", "--seed", str(1 << 64), "--out", "{tmp}/kl.csv"),
+    "bench-negative-seed": ("bench", "--seed", "-1", "--out", "{tmp}/b.json"),
+    "empty-aperture-field": ("generate", "--aperture", "16,,1", "--spacing", "0.5",
+                             "--out", "{tmp}/x.bin"),
+    "variances-empty-field": ("variances", "--aperture", "4,", "--out", "{tmp}/v.csv"),
     "fractional-realizations": ("generate", "--aperture", "4", "--spacing", "0.5",
                                 "--realizations", "1.5", "--out", "{tmp}/x.bin"),
     # the binary header stores M as uint32
@@ -431,6 +451,8 @@ def test_threads_below_one_exits_2_before_out_opens(argv, threads, tmp_path, cap
 # _BAD_INPUTS cases -> the flag whose bad value a config key supplies instead
 _FROM_CONFIG = {
     "seed-not-integer": "--seed",
+    "negative-seed": "--seed",
+    "seed-past-64-bits": "--seed",
     "fractional-realizations": "--realizations",
     "negative-realizations": "--realizations",
     "unknown-format": "--format",
@@ -452,6 +474,19 @@ def test_bad_config_value_fails_as_its_flag_does(case, flag, tmp_path, capsys):
         failures.append(json.loads(err.splitlines()[-1])["failures"][0])
     assert failures[0]["check"] == "config" and failures[0] == failures[1]
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_seed_range_is_the_philox_key_range(tmp_path, capsys):
+    # -1 wrapped to the key of 2^64 - 1; only the second is a seed now (the
+    # _BAD_INPUTS seed cases check that nothing is written for the first)
+    code, _, err = run_cli(capsys, "generate", "--aperture", "4,4", "--spacing", "0.5",
+                           "--seed", str((1 << 64) - 1), "--out", str(tmp_path / "top.bin"))
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "generate", "--aperture", "4,4", "--spacing", "0.5",
+                           "--seed", "-1", "--out", str(tmp_path / "x.bin"))
+    assert code == 2 and json.loads(err.splitlines()[-1])["failures"][0]["detail"] == (
+        "holofading generate: argument --seed: must be in [0, 2**64), got -1"
+    )
 
 
 def test_config_supplies_every_required_option(tmp_path, capsys):
@@ -773,7 +808,7 @@ class TestGenerateChunks:
         monkeypatch.setattr(genmod, "shaping_gains", counting)
         monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", 16 * 16 * 16)  # one realization a task
         _write_lobed_factor(tmp_path / "factor.csv")
-        n = len(table_2d(8.0, 8.0))
+        n = len(table_2d(8.0, 8.0).ls)
         # each command loads its own factor, so each starts on a cold cache
         for command, threads in enumerate(("1", "2"), start=1):
             code, _, _ = run_cli(
@@ -817,7 +852,7 @@ class TestGenerateChunks:
         factor = SpectralFactor.from_csv(tmp_path / "factor.csv")
         gain = line_shaping_gain(factor, lattice_wavenumbers(table))
         draws = genmod.draw_line_coefficients(np.sqrt(2.0 * table.sigma_sq), 7, range(18)) * gain
-        want = genmod.synthesize(draws, Aperture(lx=16.0, dx=0.0625))
+        want = synthesize(draws, Aperture(lx=16.0, dx=0.0625))
         assert out.read_bytes()[24:] == np.ascontiguousarray(want, dtype="<c16").tobytes()
 
     def test_gammas_evaluated_once_per_plane_of_a_run(
@@ -834,7 +869,7 @@ class TestGenerateChunks:
         real = genmod.lattice_gammas
 
         def counting(table):
-            calls.append(len(table))
+            calls.append(len(table.ls))
             time.sleep(0.01)  # long enough for two workers on a cold cache to both miss it
             return real(table)
 
@@ -846,7 +881,7 @@ class TestGenerateChunks:
         )
         assert code == 0
         assert batch_sizes == [6, 6, 6, 2]
-        assert calls == [len(table_2d(16.0, 16.0))] * 9
+        assert calls == [len(table_2d(16.0, 16.0).ls)] * 9
 
 
 def _fresh_python(*argv, **env_vars):

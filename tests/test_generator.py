@@ -21,13 +21,12 @@ from holofading.generator import (
     run_constants,
     series_sum,
     shape_coefficients,
-    synthesize,
 )
 from holofading.rng import _SLICE
 from holofading.spectrum import ISOTROPIC_FACTOR_2D, line_shaping_gain, shaping_gains
 from holofading.variances import table_1d, table_2d
 from holofading.wavenumber import lattice_wavenumbers
-from oracles import brute_force_plane
+from oracles import brute_force_plane, synthesize
 
 KAPPA = 2.0 * math.pi
 
@@ -193,7 +192,7 @@ class TestShapeCoefficients:
         gains = []
         for method in ("closed-form", "quadrature"):
             t = table_2d(4.0, 4.0, method=method)
-            ones = np.ones((2, len(t)), dtype=complex)
+            ones = np.ones((2, len(t.ls)), dtype=complex)
             s = shape_coefficients(CoefficientDraw(*ones), _gains(f))
             # the run's gains equal a direct evaluation at this table's harmonics
             gp, gm = shaping_gains(f, *lattice_wavenumbers(t), KAPPA)
@@ -266,7 +265,7 @@ class TestMigrate:
         real = genmod.lattice_gammas
 
         def counting(table):
-            calls.append(len(table))
+            calls.append(len(table.ls))
             return real(table)
 
         monkeypatch.setattr(genmod, "lattice_gammas", counting)
@@ -290,8 +289,8 @@ class TestMigrate:
         t = table_2d(1.0, 1.0)
         std, phases = np.sqrt(t.sigma_sq), migration_phases(t, 0.4)
         m = 100_000
-        acc0 = np.zeros(len(t))
-        acc1 = np.zeros(len(t))
+        acc0 = np.zeros(len(t.ls))
+        acc1 = np.zeros(len(t.ls))
         for r in range(m):
             d = draw_coefficients(std, seed=30, realization=r)
             acc0 += np.abs(migrate(d, None)) ** 2
@@ -311,7 +310,7 @@ class TestMigrate:
         real = genmod.lattice_gammas
 
         def counting(table):
-            calls.append(len(table))
+            calls.append(len(table.ls))
             return real(table)
 
         monkeypatch.setattr(genmod, "lattice_gammas", counting)
@@ -321,7 +320,7 @@ class TestMigrate:
         zs = (0.1234, -0.4321)  # planes no other test migrates to: a cold cache
         first = [migrate(d, p) for p in run_constants(_AP4, None, zs).phases]
         again = [migrate(d, p) for p in run_constants(_AP4, None, zs).phases]
-        assert calls == [len(t)] * len(zs)
+        assert calls == [len(t.ls)] * len(zs)
         for z, a, b in zip(zs, first, again):
             phase = np.exp(1j * real(t) * z)
             assert np.array_equal(a, d.h_plus * phase + d.h_minus * np.conj(phase))
@@ -361,7 +360,7 @@ class TestSynthesize:
     def test_single_dc_coefficient(self):
         t = table_2d(4.0, 4.0)
         ap = Aperture(lx=4, dx=0.5, ly=4, dy=0.5)
-        hz = np.zeros(len(t), dtype=complex)
+        hz = np.zeros(len(t.ls), dtype=complex)
         dc = np.flatnonzero((t.ls == 0) & (t.ms == 0))[0]
         hz[dc] = 1.0
         out = synthesize(hz, ap)
@@ -370,7 +369,7 @@ class TestSynthesize:
     def test_single_harmonic_pointwise(self):
         t = table_2d(4.0, 4.0)
         ap = Aperture(lx=4, dx=0.5, ly=4, dy=0.5)
-        hz = np.zeros(len(t), dtype=complex)
+        hz = np.zeros(len(t.ls), dtype=complex)
         k = np.flatnonzero((t.ls == 1) & (t.ms == 0))[0]
         hz[k] = 1.0
         out = synthesize(hz, ap)
@@ -475,7 +474,7 @@ class TestSlicedRealizations:
         import holofading.generator as genmod
 
         ap = Aperture(lx=4.0, dx=0.5, ly=4.0, dy=0.5)
-        h = np.ones((1, len(default_table(ap))), dtype=complex)
+        h = np.ones((1, len(default_table(ap).ls)), dtype=complex)
         grid = np.zeros((1, ap.nx, ap.ny), dtype=complex).swapaxes(-2, -1)
         with pytest.raises(AttributeError):  # a copy would lose every bin
             genmod._embed(grid, h, run_constants(ap, None, (0.0,)).bins)

@@ -15,13 +15,12 @@ from holofading.generator import (
     generate_batch_planes,
     migrate,
     migration_phases,
-    synthesize,
 )
 import holofading.generator as genmod
-from holofading.validation import _accumulate_first_row, lambda_half_independence, run_figure
+from holofading.validation import _accumulate_first_row, run_figure
 from holofading.variances import coefficient_indices, table_2d
 from holofading.wavenumber import KAPPA, lattice_gammas, lattice_wavenumbers
-from oracles import brute_force_plane
+from oracles import brute_force_plane, lambda_half_independence, synthesize
 
 sides = st.floats(min_value=1.0, max_value=12.0, allow_nan=False, allow_infinity=False)
 fixed = settings(derandomize=True, deadline=None)

@@ -13,7 +13,6 @@ import pytest
 from holofading import (
     Aperture,
     InsufficientRealizations,
-    LagMismatch,
     SpectralFactor,
 )
 from holofading import baseline
@@ -37,12 +36,11 @@ from holofading.validation import (
     _thread_count,
     compare,
     compare_kl,
-    lambda_half_independence,
     ordered_map,
     run_figure,
 )
 from holofading.variances import table_1d, table_2d
-from oracles import empirical_acf, first_row_sums, lag_sum
+from oracles import empirical_acf, first_row_sums, lag_sum, lambda_half_independence
 
 
 def _bits(a):
@@ -91,9 +89,8 @@ class TestEmpiricalAcf:
 class TestCompare:
     def test_identical_curves(self):
         lags = np.arange(9) * 0.25
-        oracle = lattice_acf_1d(table_1d(16.0), lags)
-        rep = compare(_estimate(oracle, lags), oracle)
-        assert rep.rmse == 0.0 and rep.max_abs_dev == 0.0
+        series = lattice_acf_1d(table_1d(16.0), lags)
+        assert np.array_equal(_estimate(series, lags).values, series)
 
     def test_constant_offset(self):
         lags = np.arange(5) * 0.5
@@ -102,11 +99,6 @@ class TestCompare:
         rep = compare(_estimate(vals, lags, tilted=False), acf)
         assert rep.rmse == pytest.approx(0.1, rel=1e-12)
         assert rep.max_abs_dev == pytest.approx(0.1, rel=1e-12)
-
-    def test_lag_mismatch(self):
-        lags = np.arange(5) * 0.5
-        with pytest.raises(LagMismatch):
-            compare(_estimate(np.ones(5), lags), np.ones(6))
 
     def test_detilt_recovers_continuum_frame(self):
         # the exact series ACF, de-tilted, is real and close to J0
@@ -123,8 +115,7 @@ class TestCompare:
         t = table_1d(16.0)
         lags = np.arange(0, 17) / 16.0
         series = lattice_acf_1d(t, lags)
-        rep = compare(_estimate(series, lags), series)
-        assert rep.max_abs_dev == 0.0
+        assert np.array_equal(_estimate(series, lags).values, series)
 
 
 class TestSelfConsistency:
@@ -178,14 +169,14 @@ class TestSelfConsistency:
         )
         ap = Aperture(lx=8.0, dx=0.5, ly=8.0, dy=0.5)
         _accumulate_first_row(ap, 3, 400, (0.0,), 4, threads=2, factor=factor)
-        assert calls == [len(table_2d(8.0, 8.0))]
+        assert calls == [len(table_2d(8.0, 8.0).ls)]
 
     def test_migration_phases_evaluated_once_per_run(self, monkeypatch):
         calls = []
         real = genmod.lattice_gammas
 
         def counting(table):
-            calls.append(len(table))
+            calls.append(len(table.ls))
             time.sleep(0.05)  # long enough for two workers on a cold cache to both miss it
             return real(table)
 
@@ -194,7 +185,7 @@ class TestSelfConsistency:
         ap = Aperture(lx=8.0, dx=0.5, ly=8.0, dy=0.5)
         zs = (0.0625, 0.3125)  # planes no other test migrates to: a cold cache
         _accumulate_first_row(ap, 3, 400, zs, 4, threads=2)
-        assert calls == [len(table_2d(8.0, 8.0))] * len(zs)
+        assert calls == [len(table_2d(8.0, 8.0).ls)] * len(zs)
 
     def test_isotropic_run_builds_no_factor(self, monkeypatch):
         # None is isotropic: no SpectralFactor (and its probe of the disk)

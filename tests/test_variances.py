@@ -14,9 +14,9 @@ from holofading.variances import (
     table_1d,
     table_2d,
     variance_1d,
-    variance_2d_closed_form,
     variance_2d_quadrature,
 )
+from oracles import variance_2d_closed_form
 
 
 class TestVariance1D:
@@ -144,7 +144,7 @@ class TestTables:
     def test_total_power_single_wavelength(self):
         # the four quarter-disk cells tile the disk
         table = table_2d(1.0, 1.0)
-        assert len(table) == 4
+        assert len(table.ls) == 4
         assert table.total_power() == pytest.approx(1.0, abs=1e-12)
 
     def test_cached_table_is_read_only(self):

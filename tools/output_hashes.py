@@ -29,7 +29,8 @@ draws a realization, over the 1 MiB budget, so each realization is drawn
 and scattered into its output in slices), ``validate --fig
 6/7/8`` and ``compare-kl`` at M = 1200 on two workers, ``compare-kl`` at
 M = 513 (one realization past whole row blocks of the baseline noise),
-the row estimate of ``lambda_half_independence``, and ``variances``
+the row estimate of ``lambda_half_independence`` (the lambda/2 check of
+the test suite, imported from ``tests/oracles.py``), and ``variances``
 tables of line and rectangular apertures by both methods.
 Standard library only; no options.
 """
@@ -42,7 +43,8 @@ import subprocess
 import sys
 import tempfile
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 M = "1200"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -86,7 +88,8 @@ VARIANCES = {
 
 LAMBDA_HALF = (
     "import sys\n"
-    "from holofading.validation import lambda_half_independence\n"
+    f"sys.path.insert(0, {os.path.join(ROOT, 'tests')!r})\n"
+    "from oracles import lambda_half_independence\n"
     f"row, _ = lambda_half_independence(m={M}, threads=2)\n"
     "open(sys.argv[1], 'wb').write(row.tobytes())\n"
 )
