@@ -1,12 +1,20 @@
 """Sampling of the aperture harmonic series: coefficient draws, spectral
 shaping, migration between z-planes, and IFFT synthesis on uniform grids.
 
-Pipeline per realization (rectangular aperture):
+Pipeline per realization:
 
     draw H+(l, m), H-(l, m) ~ complex normal, variance sigma2_lm each
     -> multiply by the shaping gains of the spectral factor
     -> H(l, m; z) = H+ e^{+i gamma_lm z} + H- e^{-i gamma_lm z}
     -> h(x_n, y_j) = sum over (l, m) of H e^{i 2 pi (l n / Nx + m j / Ny)}
+
+A line aperture is the same series with one coefficient per harmonic:
+h(x_n) = sum over l of H_l e^{i 2 pi l n / N}, H_l of variance 2*sigma2_l
+(H+ and H- lumped into one draw), observed at y = z = 0; migration off the
+line is not defined for it. So every aperture draws p coefficients per
+harmonic, p = 2 for a rectangle and p = 1 for a line, into one (p, n)
+block per realization, and the stages index that block, never the
+aperture's kind.
 
 The final sum is a zero-embedded 2D inverse FFT *without* the 1/(Nx*Ny)
 normalization (the variance table already carries the physical scaling);
@@ -38,10 +46,6 @@ migration phases and the FFT bins. ``run_constants`` computes them once
 per run into one read-only record, and the stages (draws, shaping,
 migration, embedding) take its arrays; the pipeline functions take the
 aperture, the factor and the planes and look the record up.
-
-A line aperture uses the single-coefficient series h(x_n) = sum over l of
-H_l e^{i 2 pi l n / N} with H_l of variance 2*sigma2_l, observed at
-y = z = 0; migration off the line is not defined for it.
 
 All lengths are in wavelength units (kappa = 2*pi).
 """
@@ -104,6 +108,8 @@ class Aperture:
     dz: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lx, self.dx, self.ly, self.dy, self.lz, self.dz))):
+            raise ValueError("side lengths and spacings must be finite")
         if not (self.lx > 0.0 and self.dx > 0.0):
             raise ValueError("lx and dx must be positive")
         if self.ly < 0.0 or self.lz < 0.0:
@@ -184,16 +190,6 @@ class Aperture:
         return np.column_stack([xx.ravel(), yy.ravel(), zz.ravel()])
 
 
-@dataclass(frozen=True)
-class CoefficientDraw:
-    """Coefficient pairs H+, H- per harmonic of a rectangle's table, or of
-    a slice of its harmonics: (n,) arrays for one realization, (B, n)
-    arrays for a batch."""
-
-    h_plus: np.ndarray
-    h_minus: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class RunConstants:
     """What every realization of a run reads per harmonic, fixed by the
@@ -201,14 +197,16 @@ class RunConstants:
     arrays over the table's harmonics, or over the slice of them that
     begins at harmonic ``start``.
 
-    ``std`` is the standard deviation of each draw: sqrt(sigma2_lm) of each
-    of a rectangle's two, sqrt(2 sigma2_l) of a line's one. ``gains`` are
-    the shaping gains (g+, g-), (g,) of a line, and () for an isotropic
-    factor. ``phases`` holds, per z-plane, its ``migration_phases``, and
-    None at z = 0. ``bins`` are the FFT bins on the aperture grid,
-    (m mod Ny) * Nx + (l mod Nx), and l mod Nx for a line; they are
-    distinct, because Aperture guarantees N >= 2 * ceil(L) and the indices
-    span -ceil(L) .. ceil(L) - 1, one full period of the grid.
+    ``std`` is the (p, n) standard deviation of each of a harmonic's p
+    draws: sqrt(sigma2_lm) of both of a rectangle's (H+, H-), a broadcast
+    view of one row, and sqrt(2 sigma2_l) of a line's one. ``gains`` are
+    the shaping gains, one per draw: (g+, g-), (g,) of a line, and () for
+    an isotropic factor. ``phases`` holds, per z-plane, its
+    ``migration_phases``, and None at z = 0. ``bins`` are the FFT bins on
+    the aperture grid, (m mod Ny) * Nx + (l mod Nx), and l mod Nx for a
+    line; they are distinct, because Aperture guarantees N >= 2 * ceil(L)
+    and the indices span -ceil(L) .. ceil(L) - 1, one full period of the
+    grid.
     ``run[part]`` is the record over the harmonics ``part``: views of these
     arrays.
     """
@@ -221,11 +219,11 @@ class RunConstants:
 
     def __getitem__(self, part: slice) -> RunConstants:
         return RunConstants(
-            self.std[part],
+            self.std[:, part],
             tuple(g[part] for g in self.gains),
             tuple(None if p is None else (p[0][part], p[1][part]) for p in self.phases),
             self.bins[part],
-            self.start + part.indices(len(self.std))[0],
+            self.start + part.indices(len(self.bins))[0],
         )
 
 
@@ -242,46 +240,20 @@ class FieldRealization:
     z_planes: tuple[float, ...] = field(default=(0.0,))
 
 
-def _scaled_normals(seed, realization, scale, per_harmonic, start=0) -> np.ndarray:
-    """scale * complex standard normals, ``per_harmonic`` draws per harmonic
-    from each realization's counter-based stream, beginning at its draw
-    ``start`` (even); shape (B, per_harmonic, n), without the leading axis
-    for a single realization. The whole batch is one
-    ``complex_standard_normals`` call, scaled in place in the block it
-    returns; the result is a transposed view of that block."""
-    n = len(scale)
-    z = complex_standard_normals(seed, realization, per_harmonic * n, start=start)
-    z = z.reshape(z.shape[:-1] + (n, per_harmonic))
-    z *= scale[:, np.newaxis]
-    return np.swapaxes(z, -1, -2)
-
-
-def draw_coefficients(std: np.ndarray, seed: int, realization=0, start: int = 0) -> CoefficientDraw:
-    """Independent circularly-symmetric draws H+, H- of standard deviation
-    ``std`` per harmonic (``RunConstants.std`` of a rectangle), from the
-    counter-based stream of (seed, realization). The draws of harmonic
-    ``start`` on begin at draw 2 * start of the stream, so a slice of a
-    run's ``std`` and its start give that slice of the whole draw."""
-    h = _scaled_normals(seed, realization, std, 2, 2 * start)
-    return CoefficientDraw(h[..., 0, :], h[..., 1, :])
-
-
-def draw_line_coefficients(std: np.ndarray, seed: int, realization=0, start: int = 0) -> np.ndarray:
-    """Single-coefficient draws H_l of standard deviation ``std`` per
-    harmonic (``RunConstants.std`` of a line); (n,) for one realization,
-    (B, n) for a sequence of them. The draws of harmonic ``start`` (even)
-    on begin at draw ``start`` of the stream, as in ``draw_coefficients``."""
-    return _scaled_normals(seed, realization, std, 1, start)[..., 0, :]
-
-
-def shape_coefficients(draw: CoefficientDraw, gains: tuple[np.ndarray, ...]) -> CoefficientDraw:
-    """Multiply each coefficient pair, in place, by the shaping gains
-    (g+, g-) of its harmonic, and return the draw: the pipeline owns its
-    draw, so shaping allocates no copy. No gains (an isotropic factor) is
-    the identity."""
-    for h, g in zip((draw.h_plus, draw.h_minus), gains):
-        np.multiply(h, g, out=h)
-    return draw
+def draw_coefficients(std: np.ndarray, seed: int, realization=0, start: int = 0) -> np.ndarray:
+    """Independent circularly-symmetric draws of standard deviation ``std``
+    (``RunConstants.std``, (p, n): p draws per harmonic) from the
+    counter-based stream of (seed, realization): (p, n) for one
+    realization, (B, p, n) for a sequence of them. Draw j of harmonic k is
+    draw p * k + j of the stream, so a slice of a run's ``std`` and its
+    ``start`` (p * start even) give that slice of the whole draw. The
+    batch is one ``complex_standard_normals`` call, scaled in place; the
+    result is a transposed view of that block."""
+    p, n = std.shape
+    h = complex_standard_normals(seed, realization, p * n, start=p * start)
+    h = h.reshape(h.shape[:-1] + (n, p))
+    h *= std.T
+    return np.swapaxes(h, -1, -2)
 
 
 def migration_phases(table, z: float) -> tuple[np.ndarray, np.ndarray]:
@@ -303,16 +275,18 @@ def migration_phases(table, z: float) -> tuple[np.ndarray, np.ndarray]:
     return phase, np.conj(phase)
 
 
-def migrate(draw: CoefficientDraw, phases: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
-    """Per-harmonic coefficients on the plane of the ``migration_phases``
-    at height z: H(z) = H+ e^{+i gamma z} + H- e^{-i gamma z}. None is the
-    plane z = 0, where both phases are exactly 1, so the plane is the sum
-    H+ + H-."""
+def migrate(h: np.ndarray, phases: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """Per-harmonic coefficients, a new array, on the plane of the
+    ``migration_phases`` at height z, from the (..., p, n) draws h:
+    H(z) = H+ e^{+i gamma z} + H- e^{-i gamma z}. None is the plane z = 0,
+    where both phases are exactly 1, so the plane is the sum H+ + H- of a
+    rectangle, and a copy of a line's H."""
     if phases is None:
-        return np.add(draw.h_plus, draw.h_minus)
-    h = np.multiply(draw.h_plus, phases[0])
-    h += draw.h_minus * phases[1]  # two arrays held, not three
-    return h
+        # np.add, not h.sum(axis=-2): the reduction is far slower on these strided views
+        return np.add(h[..., 0, :], h[..., 1, :]) if h.shape[-2] == 2 else h[..., 0, :].copy()
+    plane = np.multiply(h[..., 0, :], phases[0])
+    plane += h[..., 1, :] * phases[1]  # two arrays held, not three
+    return plane
 
 
 def _embed(grid: np.ndarray, h: np.ndarray, bins: np.ndarray) -> None:
@@ -394,6 +368,8 @@ def run_constants(
     std = np.sqrt(2.0 * table.sigma_sq if line else table.sigma_sq)
     for a in (std, *gains, *itertools.chain(*filter(None, phases)), bins):
         a.flags.writeable = False  # shared by every caller of the cache
+    # H of a line; H+ and H- of a rectangle share one row, so no memory is added
+    std = std[np.newaxis] if line else np.broadcast_to(std, (2, len(std)))
     return RunConstants(std, gains, phases, bins)
 
 
@@ -422,11 +398,6 @@ def generate(
     return FieldRealization(planes[:, 0], aperture, zs)
 
 
-def _per_harmonic(aperture: Aperture) -> int:
-    """Coefficient draws per harmonic: H+ and H- of a rectangle, H of a line."""
-    return 1 if aperture.kind == LINEAR else 2
-
-
 def plane_coefficients(
     aperture: Aperture,
     factor: SpectralFactor | None,
@@ -445,19 +416,17 @@ def plane_coefficients(
     None is isotropic. A line aperture only supports z = 0.
     """
     run = run_constants(aperture, factor, tuple(z_planes))[harmonics]
-    if aperture.kind == LINEAR:
-        h = draw_line_coefficients(run.std, seed, realizations, run.start)
-        for g in run.gains:
-            h *= g
-        return [h, *(h.copy() for _ in run.phases[1:])]
-    draw = draw_coefficients(run.std, seed, realizations, run.start)
-    draw = shape_coefficients(draw, run.gains)
-    return [migrate(draw, phases) for phases in run.phases]
+    h = draw_coefficients(run.std, seed, realizations, run.start)
+    for j, g in enumerate(run.gains):  # shaped in place: the pipeline owns its draw
+        h[..., j, :] *= g
+    return [migrate(h, phases) for phases in run.phases]
 
 
 def _draw_bytes(aperture: Aperture) -> int:
-    """Bytes of one realization's coefficient draws."""
-    return _per_harmonic(aperture) * len(default_table(aperture).ls) * np.dtype(complex).itemsize
+    """Bytes of one realization's coefficient draws: H+ and H- per harmonic
+    of a rectangle, H of a line."""
+    per_harmonic = 1 if aperture.kind == LINEAR else 2
+    return per_harmonic * len(default_table(aperture).ls) * np.dtype(complex).itemsize
 
 
 def coefficient_rows(aperture: Aperture) -> int:
@@ -493,9 +462,9 @@ def generate_batch_planes(
     supports z = 0.
     """
     zs = tuple(z_planes)
-    bins = run_constants(aperture, factor, zs).bins
-    n = len(bins)
-    width = _SLICE // _per_harmonic(aperture) if _draw_bytes(aperture) > SUB_BLOCK_BYTES else n
+    run = run_constants(aperture, factor, zs)
+    p, n = run.std.shape
+    width = _SLICE // p if _draw_bytes(aperture) > SUB_BLOCK_BYTES else n
     block = np.zeros((len(realizations), len(zs), aperture.ny, aperture.nx), dtype=complex)
     rows = coefficient_rows(aperture)
     for a in range(0, len(realizations), rows):
@@ -506,7 +475,7 @@ def generate_batch_planes(
                 aperture, factor, seed, realizations[a : a + rows], zs, part
             )
             for i, h in enumerate(planes):
-                _embed(out[:, i], h, bins[part])
+                _embed(out[:, i], h, run.bins[part])
         _grid_series(out, aperture)
     return block.swapaxes(0, 1)
 

@@ -39,7 +39,6 @@ STREAM_BASELINE = 1
 # draws per Box-Muller slice: the length of the transform's one temporary
 _SLICE = 8192
 
-_MASK64 = (1 << 64) - 1
 # one generator per thread, repositioned for every stream: a Generator and
 # its bit generator are not safe to share between threads
 _local = threading.local()
@@ -48,15 +47,24 @@ _local = threading.local()
 def _positioned(seed: int, realization: int, stream: int, step: int = 0) -> np.random.Generator:
     """This thread's Philox generator, set to counter step ``step`` of one
     realization's stream (draw 2 * step): the state a fresh
-    ``Philox(counter=..., key=...)`` starts in."""
+    ``Philox(counter=..., key=...)`` starts in.
+
+    Raises:
+        ValueError: a seed or realization outside [0, 2**64), the range of
+            its 64-bit Philox word (masking would alias it to another).
+    """
+    if not (0 <= seed < 1 << 64 and 0 <= realization < 1 << 64):
+        raise ValueError(
+            f"seed and realization must be in [0, 2**64), got {seed} and {realization}"
+        )
     gen = getattr(_local, "generator", None)
     if gen is None:
         gen = _local.generator = np.random.Generator(np.random.Philox())
     gen.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {
-            "counter": (step & _MASK64, 0, realization & _MASK64, stream & _MASK64),
-            "key": (seed & _MASK64, 0),
+            "counter": (step, 0, realization, stream),
+            "key": (seed, 0),
         },
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,  # buffer empty: the next draw runs the counter

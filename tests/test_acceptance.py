@@ -16,7 +16,7 @@ import numpy as np
 
 from holofading import Aperture
 from holofading.cli import main
-from holofading.generator import draw_coefficients, migrate, migration_phases
+from holofading.generator import draw_coefficients, migrate, migration_phases, run_constants
 from holofading.validation import compare_kl, run_figure
 from holofading.variances import (
     coefficient_indices,
@@ -96,8 +96,9 @@ def test_criterion_4_generator_exactness():
     table = table_2d(4.0, 4.0)
     worst = 0.0
     phases = [None] + [migration_phases(table, 0.3 * k) for k in (1, 2, 3)]
+    std = run_constants(aperture, None, (0.0,)).std
     for r in range(100):
-        draw = draw_coefficients(np.sqrt(table.sigma_sq), seed=4, realization=r)
+        draw = draw_coefficients(std, seed=4, realization=r)
         hz = migrate(draw, phases[r % 4])
         fft = synthesize(hz, aperture)
         direct = brute_force_plane(hz, aperture)

@@ -851,7 +851,8 @@ class TestGenerateChunks:
         # the bytes of the uncached definition: each draw times the gain
         factor = SpectralFactor.from_csv(tmp_path / "factor.csv")
         gain = line_shaping_gain(factor, lattice_wavenumbers(table))
-        draws = genmod.draw_line_coefficients(np.sqrt(2.0 * table.sigma_sq), 7, range(18)) * gain
+        std = genmod.run_constants(Aperture(lx=16.0, dx=0.0625), None, (0.0,)).std
+        draws = genmod.draw_coefficients(std, 7, range(18))[:, 0] * gain
         want = synthesize(draws, Aperture(lx=16.0, dx=0.0625))
         assert out.read_bytes()[24:] == np.ascontiguousarray(want, dtype="<c16").tobytes()
 

@@ -6,11 +6,9 @@ import pytest
 
 from holofading import Aperture, GridTooCoarse, MigrationRange, SpectralFactor, generate
 from holofading.generator import (
-    CoefficientDraw,
     coefficient_rows,
     default_table,
     draw_coefficients,
-    draw_line_coefficients,
     generate_batch_planes,
     lattice_acf_1d,
     lattice_acf_2d,
@@ -20,15 +18,20 @@ from holofading.generator import (
     plane_coefficients,
     run_constants,
     series_sum,
-    shape_coefficients,
 )
-from holofading.rng import _SLICE
+from holofading.rng import _SLICE, complex_standard_normals
 from holofading.spectrum import ISOTROPIC_FACTOR_2D, line_shaping_gain, shaping_gains
 from holofading.variances import table_1d, table_2d
 from holofading.wavenumber import lattice_wavenumbers
 from oracles import brute_force_plane, synthesize
 
 KAPPA = 2.0 * math.pi
+
+
+def _std(ap):
+    """The (p, n) draw standard deviations of an isotropic run of the
+    aperture at z = 0."""
+    return run_constants(ap, None, (0.0,)).std
 
 
 class TestAperture:
@@ -40,6 +43,18 @@ class TestAperture:
     def test_counts(self):
         ap = Aperture(lx=16, dx=0.25, ly=8, dy=0.5)
         assert (ap.nx, ap.ny, ap.nz) == (64, 16, 1)
+
+    @pytest.mark.parametrize("fields", [
+        # NaN fails every comparison, so the sign checks alone let it through
+        dict(lx=4, dx=0.5, ly=math.nan, dy=0.5),
+        dict(lx=4, dx=0.5, ly=4, dy=0.5, lz=math.nan, dz=0.5),
+        dict(lx=math.inf, dx=0.5),
+        dict(lx=4, dx=math.nan),
+        dict(lx=4, dx=0.5, ly=4, dy=0.5, lz=1, dz=-math.inf),
+    ], ids=["ly-nan", "lz-nan", "lx-inf", "dx-nan", "dz-inf"])
+    def test_non_finite_fields_rejected(self, fields):
+        with pytest.raises(ValueError, match="finite"):
+            Aperture(**fields)
 
     def test_nyquist_violation(self):
         with pytest.raises(GridTooCoarse, match="Nyquist"):
@@ -88,44 +103,59 @@ class TestAperture:
         assert np.allclose(pts[:4, 1], -1.0)
 
 
+_AP4 = Aperture(lx=4.0, dx=0.5, ly=4.0, dy=0.5)
+
+
 class TestDrawCoefficients:
     def test_deterministic(self):
-        std = np.sqrt(table_2d(4.0, 4.0).sigma_sq)
+        std = _std(_AP4)
         a = draw_coefficients(std, seed=5)
         b = draw_coefficients(std, seed=5)
-        assert np.array_equal(a.h_plus, b.h_plus)
-        assert np.array_equal(a.h_minus, b.h_minus)
+        assert a.shape == (2, len(default_table(_AP4).ls))
+        assert np.array_equal(a, b)
         c = draw_coefficients(std, seed=6)
-        assert not np.allclose(a.h_plus, c.h_plus)
+        assert not np.allclose(a[0], c[0])
 
     def test_zero_variance_draws_exact_zero(self):
         # the coverage table has no zero-mass cells; zero-variance indices
         # must still draw exactly zero if a table carries them
-        d = draw_coefficients(np.sqrt([0.1, 0.05, 0.0]), seed=0)
-        assert d.h_plus[2] == 0.0 and d.h_minus[2] == 0.0
-        assert d.h_plus[0] != 0.0
+        d = draw_coefficients(np.broadcast_to(np.sqrt([0.1, 0.05, 0.0]), (2, 3)), seed=0)
+        assert d[0, 2] == 0.0 and d[1, 2] == 0.0
+        assert d[0, 0] != 0.0
 
     def test_sample_variance_one_index(self):
-        t = table_2d(1.0, 1.0)
-        std = np.sqrt(t.sigma_sq)
+        ap = Aperture(lx=1.0, dx=0.5, ly=1.0, dy=0.5)
+        t = default_table(ap)
+        std = _std(ap)
         m = 100_000
         vals = np.empty(m, dtype=complex)
         for r in range(m):
-            vals[r] = draw_coefficients(std, seed=21, realization=r).h_plus[0]
+            vals[r] = draw_coefficients(std, seed=21, realization=r)[0, 0]
         sigma2 = t.sigma_sq[0]
         assert np.mean(np.abs(vals) ** 2) == pytest.approx(sigma2, rel=0.03)
 
     def test_half_space_draws_uncorrelated(self):
-        t = table_2d(16.0, 16.0)
-        d = draw_coefficients(np.sqrt(t.sigma_sq), seed=2)
+        ap = Aperture(lx=16.0, dx=0.5, ly=16.0, dy=0.5)
+        t = default_table(ap)
+        d = draw_coefficients(_std(ap), seed=2)
         live = t.sigma_sq > 0
-        xp = d.h_plus[live] / np.sqrt(t.sigma_sq[live])
-        xm = d.h_minus[live] / np.sqrt(t.sigma_sq[live])
+        xp = d[0, live] / np.sqrt(t.sigma_sq[live])
+        xm = d[1, live] / np.sqrt(t.sigma_sq[live])
         corr = np.mean(xp * np.conj(xm))
         assert abs(corr) < 6.0 / math.sqrt(live.sum())
 
-
-_AP4 = Aperture(lx=4.0, dx=0.5, ly=4.0, dy=0.5)
+    def test_harmonic_draws_are_consecutive_stream_draws(self):
+        # draw j of harmonic k is stream draw p * k + j, for p = 2 and 1,
+        # and a slice of the run with its start is that slice of the draw
+        for ap in (_AP4, Aperture(lx=4.0, dx=0.5)):
+            run = run_constants(ap, None, (0.0,))
+            p, n = run.std.shape
+            z = complex_standard_normals(9, range(2), p * n)
+            whole = draw_coefficients(run.std, seed=9, realization=range(2))
+            assert np.array_equal(whole, z.reshape(2, n, p).swapaxes(-1, -2) * run.std)
+            part = run[slice(2, 6)]
+            got = draw_coefficients(part.std, seed=9, realization=range(2), start=part.start)
+            assert np.array_equal(got, whole[..., 2:6])
 
 
 def _gains(factor, ap=_AP4):
@@ -133,40 +163,65 @@ def _gains(factor, ap=_AP4):
     return run_constants(ap, factor, (0.0,)).gains
 
 
+def _shaped_draw(monkeypatch, factor, seed=1, ones=False):
+    """Realization 0's (p, n) draw of an _AP4 run with the factor, as
+    ``plane_coefficients`` left it after shaping it; ``ones`` puts unit
+    draws in place of the stream's."""
+    import holofading.generator as genmod
+
+    drawn = []
+    real = genmod.draw_coefficients
+
+    def keep(*args, **kwargs):
+        h = real(*args, **kwargs)
+        if ones:
+            h[...] = 1.0
+        drawn.append(h)
+        return h
+
+    monkeypatch.setattr(genmod, "draw_coefficients", keep)
+    (plane,) = plane_coefficients(_AP4, factor, seed, (0,), (0.0,))
+    monkeypatch.setattr(genmod, "draw_coefficients", real)
+    (h,) = drawn
+    assert np.array_equal(plane, migrate(h, None))  # the plane of the shaped draw
+    return h[0]
+
+
 class TestShapeCoefficients:
-    def test_isotropic_identity(self):
-        std = np.sqrt(table_2d(4.0, 4.0).sigma_sq)
-        d = draw_coefficients(std, seed=1)
+    def test_isotropic_identity(self, monkeypatch):
+        d = draw_coefficients(_std(_AP4), seed=1)
         iso = _gains(SpectralFactor.isotropic_3d())
         assert iso == () == _gains(None)
-        s = shape_coefficients(draw_coefficients(std, seed=1), iso)
-        assert np.array_equal(s.h_plus, d.h_plus)
+        s = _shaped_draw(monkeypatch, SpectralFactor.isotropic_3d())
+        assert np.array_equal(s[0], d[0])
 
-    def test_shapes_in_place(self):
-        # the pipeline owns its draw: shaping writes into it, no copy
-        d = draw_coefficients(np.sqrt(table_2d(4.0, 4.0).sigma_sq), seed=1)
-        s = shape_coefficients(d, _gains(self._lobed()))
-        assert s.h_plus is d.h_plus and s.h_minus is d.h_minus
+    def test_shapes_in_place(self, monkeypatch):
+        # the pipeline owns its draw: shaping writes into the block
+        # draw_coefficients returned, no copy
+        f = self._lobed()
+        d = draw_coefficients(_std(_AP4), seed=1)
+        s = _shaped_draw(monkeypatch, f)
+        gp, gm = _gains(f)
+        assert np.array_equal(s[0], d[0] * gp) and np.array_equal(s[1], d[1] * gm)
 
-    def test_half_disk_blackout(self):
+    def test_half_disk_blackout(self, monkeypatch):
         t = table_2d(4.0, 4.0)
-        d = draw_coefficients(np.sqrt(t.sigma_sq), seed=1)
+        d = draw_coefficients(_std(_AP4), seed=1)
         f = SpectralFactor.from_callables(
             lambda kx, ky: np.where(kx < 0, 0.0, 1.0)
         )
-        s = shape_coefficients(draw_coefficients(np.sqrt(t.sigma_sq), seed=1), _gains(f))
-        assert np.all(s.h_plus[t.ls < 0] == 0.0)
+        s = _shaped_draw(monkeypatch, f)
+        assert np.all(s[0][t.ls < 0] == 0.0)
         scale = math.sqrt(KAPPA) / (2 * math.pi)
-        assert np.all(s.h_plus[t.ls >= 0] == d.h_plus[t.ls >= 0] * scale)
+        assert np.all(s[0][t.ls >= 0] == d[0][t.ls >= 0] * scale)
 
-    def test_constant_gain_scales_power(self):
-        std = np.sqrt(table_2d(4.0, 4.0).sigma_sq)
-        d = draw_coefficients(std, seed=3)
+    def test_constant_gain_scales_power(self, monkeypatch):
+        d = draw_coefficients(_std(_AP4), seed=3)
         g = 2.0
         a = g * 2.0 * math.pi / math.sqrt(KAPPA)
         f = SpectralFactor.from_callables(lambda kx, ky: np.full(np.shape(kx), a))
-        s = shape_coefficients(draw_coefficients(std, seed=3), _gains(f))
-        assert np.allclose(np.abs(s.h_plus) ** 2, g * g * np.abs(d.h_plus) ** 2, rtol=1e-12)
+        s = _shaped_draw(monkeypatch, f, seed=3)
+        assert np.allclose(np.abs(s[0]) ** 2, g * g * np.abs(d[0]) ** 2, rtol=1e-12)
 
     @staticmethod
     def _lobed():
@@ -182,22 +237,30 @@ class TestShapeCoefficients:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0
+        # p = 2 draws per harmonic of a rectangle, H+ and H-, whose one row
+        # of sqrt(sigma2) is broadcast; p = 1 of a line, of sqrt(2 sigma2)
+        n = len(run.bins)
+        assert run.std.shape == (2, n) and run.std.strides[0] == 0
+        assert np.array_equal(run.std[0], np.sqrt(default_table(_AP4).sigma_sq))
+        line = run_constants(Aperture(lx=4.0, dx=0.5), f, (0.0,))
+        assert line.std.shape == (1, len(line.bins)) and not line.std.flags.writeable
+        assert np.array_equal(line.std[0], np.sqrt(2.0 * table_1d(4.0).sigma_sq))
         part = run[slice(2, 5)]  # a slice of the record is views, read-only too
         assert part.start == 2 and np.shares_memory(part.std, run.std)
+        assert part.std.shape == (2, 3)
         assert not part.gains[0].flags.writeable
         assert run_constants(_AP4, f, (0.0, 0.5)) is run  # evaluated once per run
 
-    def test_closed_form_and_quadrature_tables_get_identical_gains(self):
+    def test_closed_form_and_quadrature_tables_get_identical_gains(self, monkeypatch):
         f = self._lobed()
         gains = []
         for method in ("closed-form", "quadrature"):
             t = table_2d(4.0, 4.0, method=method)
-            ones = np.ones((2, len(t.ls)), dtype=complex)
-            s = shape_coefficients(CoefficientDraw(*ones), _gains(f))
+            s = _shaped_draw(monkeypatch, f, ones=True)
             # the run's gains equal a direct evaluation at this table's harmonics
             gp, gm = shaping_gains(f, *lattice_wavenumbers(t), KAPPA)
-            assert np.array_equal(s.h_plus, gp) and np.array_equal(s.h_minus, gm)
-            gains.append((s.h_plus, s.h_minus))
+            assert np.array_equal(s[0], gp) and np.array_equal(s[1], gm)
+            gains.append((s[0], s[1]))
         assert np.array_equal(gains[0][0], gains[1][0])
         assert np.array_equal(gains[0][1], gains[1][1])
 
@@ -235,8 +298,12 @@ class TestShapeCoefficients:
 
 class TestMigrate:
     def test_zero_plane_is_sum(self):
-        d = draw_coefficients(np.sqrt(table_2d(4.0, 4.0).sigma_sq), seed=4)
-        assert np.allclose(migrate(d, None), d.h_plus + d.h_minus, rtol=0, atol=0)
+        d = draw_coefficients(_std(_AP4), seed=4)
+        assert np.allclose(migrate(d, None), d[0] + d[1], rtol=0, atol=0)
+        # a line's one draw is its plane, in an array of its own
+        h = draw_coefficients(_std(Aperture(lx=4.0, dx=0.5)), seed=4, realization=range(3))
+        plane = migrate(h, None)
+        assert np.array_equal(plane, h[:, 0]) and not np.shares_memory(plane, h)
 
     def test_zero_plane_is_the_phase_path(self):
         # e^{i gamma 0} = 1 exactly, so the z = 0 sum is the phase path
@@ -247,9 +314,9 @@ class TestMigrate:
         ap = _AP4
         t = default_table(ap)
         run = run_constants(ap, half, (0.0,))
-        d = shape_coefficients(draw_coefficients(run.std, seed=4, realization=range(3)), run.gains)
+        d = draw_coefficients(run.std, seed=4, realization=range(3)) * np.stack(run.gains)
         one = np.exp(1j * lattice_gammas(t) * 0.0)
-        want = d.h_plus * one + d.h_minus * np.conj(one)
+        want = d[:, 0] * one + d[:, 1] * np.conj(one)
         got = migrate(d, run.phases[0])
         assert np.count_nonzero(got == 0) > 0  # the factor is 0 on half the disk
         assert np.array_equal(got, want)
@@ -286,8 +353,9 @@ class TestMigrate:
             migration_phases(table_1d(4.0), 0.5)
 
     def test_second_moment_invariant_in_z(self):
-        t = table_2d(1.0, 1.0)
-        std, phases = np.sqrt(t.sigma_sq), migration_phases(t, 0.4)
+        ap = Aperture(lx=1.0, dx=0.5, ly=1.0, dy=0.5)
+        t = default_table(ap)
+        std, phases = _std(ap), migration_phases(t, 0.4)
         m = 100_000
         acc0 = np.zeros(len(t.ls))
         acc1 = np.zeros(len(t.ls))
@@ -315,17 +383,17 @@ class TestMigrate:
 
         monkeypatch.setattr(genmod, "lattice_gammas", counting)
         t = table_2d(4.0, 4.0)
-        d = draw_coefficients(np.sqrt(t.sigma_sq), seed=4, realization=range(3))
-        kept = d.h_plus.copy(), d.h_minus.copy()
+        d = draw_coefficients(_std(_AP4), seed=4, realization=range(3))
+        kept = d.copy()
         zs = (0.1234, -0.4321)  # planes no other test migrates to: a cold cache
         first = [migrate(d, p) for p in run_constants(_AP4, None, zs).phases]
         again = [migrate(d, p) for p in run_constants(_AP4, None, zs).phases]
         assert calls == [len(t.ls)] * len(zs)
         for z, a, b in zip(zs, first, again):
             phase = np.exp(1j * real(t) * z)
-            assert np.array_equal(a, d.h_plus * phase + d.h_minus * np.conj(phase))
+            assert np.array_equal(a, d[:, 0] * phase + d[:, 1] * np.conj(phase))
             assert np.array_equal(a, b)
-        assert np.array_equal(d.h_plus, kept[0]) and np.array_equal(d.h_minus, kept[1])
+        assert np.array_equal(d, kept)
         up, down = run_constants(_AP4, None, zs).phases[0]
         with pytest.raises(ValueError):
             up[0] = 0.0
@@ -333,8 +401,9 @@ class TestMigrate:
             down[0] = 0.0
 
     def test_boundary_index_constant_in_z(self):
-        t = table_2d(16.0, 16.0)
-        d = draw_coefficients(np.sqrt(t.sigma_sq), seed=5)
+        ap = Aperture(lx=16.0, dx=0.5, ly=16.0, dy=0.5)
+        t = default_table(ap)
+        d = draw_coefficients(_std(ap), seed=5)
         rim = np.flatnonzero(lattice_gammas(t) == 0.0)
         assert rim.size > 0
         h0 = migrate(d, None)[rim]
@@ -385,12 +454,9 @@ class TestSynthesize:
     ], ids=["planar-4x4", "line-16", "line-4", "line-7"])
     def test_matches_brute_force(self, ap):
         t = default_table(ap)
+        phases = None if ap.kind == "linear" else migration_phases(t, 0.25)
         for r in range(25):
-            if ap.kind == "linear":
-                h = draw_line_coefficients(np.sqrt(2.0 * t.sigma_sq), seed=77, realization=r)
-            else:
-                d = draw_coefficients(np.sqrt(t.sigma_sq), seed=77, realization=r)
-                h = migrate(d, migration_phases(t, 0.25))
+            h = migrate(draw_coefficients(_std(ap), seed=77, realization=r), phases)
             fft = synthesize(h, ap)
             ref = brute_force_plane(h, ap)
             assert fft.shape == ref.shape == (ap.ny, ap.nx)
@@ -441,7 +507,7 @@ class TestSlicedRealizations:
             return real(seed, reals, n, **kwargs)
 
         monkeypatch.setattr(genmod, "complex_standard_normals", counting)
-        draws = (1 if ap.kind == "linear" else 2) * len(default_table(ap).ls)
+        draws = _std(ap).size
         assert coefficient_rows(ap) == 1 and draws * 16 > genmod.SUB_BLOCK_BYTES
         got = generate_batch_planes(ap, self.FACTOR, 3, range(2), zs)
         # one call per slice and realization, the last slice a remainder
@@ -513,6 +579,21 @@ class TestGenerate:
             single = generate(ap, factor, seed=13, realization=r)
             assert np.array_equal(batch[r], single.samples[0])
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(seed=-1), dict(seed=1 << 64), dict(realization=-1), dict(realization=1 << 64),
+    ], ids=["seed-negative", "seed-past-64-bits", "realization-negative",
+            "realization-past-64-bits"])
+    def test_seed_and_realization_outside_64_bits_raise(self, kwargs):
+        # a masked key would draw the samples of -1 + 2^64
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            generate(_AP4, **kwargs)
+
+    def test_top_64_bit_seed_and_realization_draw(self):
+        top = (1 << 64) - 1
+        a = generate(_AP4, seed=top, realization=top).samples
+        assert np.all(np.isfinite(a)) and np.any(a != 0)
+        assert not np.allclose(a, generate(_AP4, seed=top - 1, realization=top).samples)
+
     def test_line_rejects_migration(self):
         ap = Aperture(lx=16, dx=0.5)
         with pytest.raises(MigrationRange):
@@ -529,14 +610,14 @@ class TestGenerate:
     def test_same_draw_different_planes_share_power(self):
         ap = Aperture(lx=8, dx=0.5, ly=8, dy=0.5)
         t = table_2d(8.0, 8.0)
-        d = draw_coefficients(np.sqrt(t.sigma_sq), seed=19)
+        d = draw_coefficients(_std(ap), seed=19)
         h0 = migrate(d, None)
         h1 = migrate(d, migration_phases(t, 0.5))
         assert not np.allclose(h0, h1)
-        assert np.allclose(np.abs(d.h_plus), np.abs(d.h_plus))  # draws unchanged
+        assert np.allclose(np.abs(d[0]), np.abs(d[0]))  # draws unchanged
         # per-index modulus of each half-space piece is migration-invariant
         gam = lattice_gammas(t)
-        assert np.allclose(np.abs(d.h_plus * np.exp(1j * gam * 0.5)), np.abs(d.h_plus))
+        assert np.allclose(np.abs(d[0] * np.exp(1j * gam * 0.5)), np.abs(d[0]))
 
     def test_volumetric_stack(self):
         ap = Aperture(lx=8, dx=0.5, ly=8, dy=0.5, lz=1.0, dz=0.5)
@@ -591,7 +672,7 @@ class TestFieldStatistics:
         assert np.array_equal(a.samples, b.samples)
         # per-index contract: rms of (0, amp) over the two half-spaces,
         # i.e. gain 0 for l < 0 and amp / (2 sqrt(pi)) = 2 sqrt(2) otherwise
-        plain = draw_line_coefficients(np.sqrt(2.0 * t.sigma_sq), 3, 0)
+        plain = draw_coefficients(_std(ap), 3, 0)[0]
         shaped = plane_coefficients(ap, f, 3, (0,), (0.0,))[0][0]
         assert np.all(shaped[t.ls < 0] == 0.0)
         assert np.allclose(shaped[t.ls >= 0], plain[t.ls >= 0] * 2.0 * math.sqrt(2.0), rtol=1e-12)
@@ -698,9 +779,9 @@ class TestLatticeAcf:
 class TestLineDraws:
     def test_variance_doubled(self):
         t = table_1d(1.0)
-        std = np.sqrt(2.0 * t.sigma_sq)
+        std = _std(Aperture(lx=1.0, dx=0.5))
         m = 50_000
         vals = np.empty(m, dtype=complex)
         for r in range(m):
-            vals[r] = draw_line_coefficients(std, seed=41, realization=r)[0]
+            vals[r] = draw_coefficients(std, seed=41, realization=r)[0, 0]
         assert np.mean(np.abs(vals) ** 2) == pytest.approx(2.0 * t.sigma_sq[0], rel=0.03)

@@ -15,6 +15,7 @@ from holofading.generator import (
     generate_batch_planes,
     migrate,
     migration_phases,
+    run_constants,
 )
 import holofading.generator as genmod
 from holofading.validation import _accumulate_first_row, run_figure
@@ -77,7 +78,7 @@ def test_fft_synthesis_equals_brute_force(lx, ly, extra, z_frac, seed, realizati
     aperture = Aperture(lx=lx, dx=dx, ly=ly, dy=dy)
     table = table_2d(lx, ly)
     z = z_frac * min(lx, ly)
-    draw = draw_coefficients(np.sqrt(table.sigma_sq), seed, realization)
+    draw = draw_coefficients(run_constants(aperture, None, (0.0,)).std, seed, realization)
     hz = migrate(draw, None if z == 0.0 else migration_phases(table, z))
     fft = synthesize(hz, aperture)
     assert np.max(np.abs(fft - brute_force_plane(hz, aperture))) <= 1e-10

@@ -47,6 +47,24 @@ class TestDeterminism:
         assert not np.allclose(a, complex_standard_normals(2, 0, 50))
         assert not np.allclose(a, complex_standard_normals(1, 0, 50, stream=STREAM_BASELINE))
 
+    @pytest.mark.parametrize("seed, realization", [
+        (-1, 0), (1 << 64, 0), (0, -1), (0, 1 << 64),
+    ], ids=["seed-negative", "seed-past-64-bits", "realization-negative",
+            "realization-past-64-bits"])
+    def test_words_outside_64_bits_raise(self, seed, realization):
+        # a masked word would alias -1 to 2^64 - 1: another key's draws
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            complex_standard_normals(seed, realization, 4)
+        with pytest.raises(ValueError, match=r"2\*\*64"):  # any row of a batch
+            complex_standard_normals(seed, (0, realization), 4)
+
+    def test_top_64_bit_words_still_draw(self):
+        top = (1 << 64) - 1
+        a = complex_standard_normals(top, top, 4)
+        assert np.all(np.isfinite(a)) and np.array_equal(a, complex_standard_normals(top, top, 4))
+        assert not np.allclose(a, complex_standard_normals(top - 1, top, 4))
+        assert not np.allclose(a, complex_standard_normals(top, top - 1, 4))
+
     def test_prefix_consistency(self):
         # draw i is a fixed function of (seed, realization, i): prefixes agree
         long = complex_standard_normals(9, 5, 200)

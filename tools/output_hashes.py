@@ -26,7 +26,8 @@ z != 0, so that zero coefficients go through both migrations; on a
 where an FFT identity that is exact on 2^k grids is not; and on a 208 x 208
 grid over the planes z = 0 and 0.5, whose 34,352 harmonics are 1.10 MB of
 draws a realization, over the 1 MiB budget, so each realization is drawn
-and scattered into its output in slices), ``validate --fig
+and scattered into its output in slices; and on a 32,770-wavelength line,
+whose 65,540 harmonics are sliced the same way), ``validate --fig
 6/7/8`` and ``compare-kl`` at M = 1200 on two workers, ``compare-kl`` at
 M = 513 (one realization past whole row blocks of the baseline noise),
 the row estimate of ``lambda_half_independence`` (the lambda/2 check of
@@ -76,6 +77,9 @@ GENERATE = {
     "generate-volumetric-factor-streamed.bin": (("--aperture", "104,104,1", "--spacing", "0.5",
                                                  "--realizations", "3", "--seed", "29",
                                                  "--threads", "2"), "factor.csv"),
+    "generate-line-factor-streamed.bin": (("--aperture", "32770", "--spacing", "0.5",
+                                           "--realizations", "2", "--seed", "31",
+                                           "--threads", "2"), "factor.csv"),
 }
 
 # name -> variances argv after --out
