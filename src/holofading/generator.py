@@ -8,12 +8,18 @@ Pipeline per realization:
     -> H(l, m; z) = H+ e^{+i gamma_lm z} + H- e^{-i gamma_lm z}
     -> h(x_n, y_j) = sum over (l, m) of H e^{i 2 pi (l n / Nx + m j / Ny)}
 
-A line aperture is the same series with one coefficient per harmonic:
+On a single plane the first three steps are one draw: the harmonics are
+independent and |e^{+-i gamma z}| = 1, so H(l, m; z) = g+ H+ e^{+i gamma z}
++ g- H- e^{-i gamma z} is one circular complex normal of variance
+sigma2_lm (g+^2 + g-^2), 2*sigma2_lm when isotropic. A line aperture is
+the same series with one coefficient per harmonic:
 h(x_n) = sum over l of H_l e^{i 2 pi l n / N}, H_l of variance 2*sigma2_l
 (H+ and H- lumped into one draw), observed at y = z = 0; migration off the
-line is not defined for it. So every aperture draws p coefficients per
-harmonic, p = 2 for a rectangle and p = 1 for a line, into one (p, n)
-block per realization, and the stages index that block, never the
+line is not defined for it. So every run draws p coefficients per
+harmonic into one (p, n) block per realization: p = 2 (H+, H-) for a
+rectangle over several z-planes, p = 1 for a single-plane rectangle (its
+H(z), gains and phases folded into the draws' standard deviation) and for
+a line (H, times the line's gain). The stages index that block, never the
 aperture's kind.
 
 The final sum is a zero-embedded 2D inverse FFT *without* the 1/(Nx*Ny)
@@ -27,18 +33,18 @@ windows.
 
 ``plane_coefficients`` draws, scales, shapes in place and migrates a row
 block of realizations, over all of the table's harmonics or a slice of
-them; ``coefficient_rows`` is how many realizations fit SUB_BLOCK_BYTES of
-coefficient draws (``block_rows``, which sizes the CLI's ``generate``
-tasks by the same budget). The validation runs fold each block into their
-sums. ``generate_batch_planes`` zero-embeds each block straight into its
-rows of the output block, then transforms those rows in place, so the
-output block is also the spectrum: a realization within the budget goes
-in one piece, and one above it (a 256 x 256 grid) in slices of
+them; ``coefficient_rows`` is how many realizations of a run's draws fit
+SUB_BLOCK_BYTES (``block_rows``, which sizes the CLI's ``generate`` tasks
+by the same budget). The validation runs fold each block into their sums.
+``generate_batch_planes`` zero-embeds each block straight into its rows of
+the output block, then transforms those rows in place, so the output
+block is also the spectrum: a realization of at most ``rng._SLICE`` draws
+goes in one piece, and a larger one (a 256 x 256 grid) in slices of
 ``rng._SLICE`` draws, each scattered into the output before the next is
-drawn. So a task holds its output block and one slice of coefficients.
-Draws come from counter-based streams, every later stage is elementwise
-per harmonic, and each realization's IFFT is its own; so neither the
-block size nor the slices change an output bit.
+drawn. So a task holds its output block and one slice of coefficients per
+realization of its row block. Draws come from counter-based streams, every
+later stage is elementwise per harmonic, and each realization's IFFT is
+its own; so neither the block size nor the slices change an output bit.
 
 The aperture, the factor and the z-planes fix everything a realization
 reads per harmonic: the draws' standard deviations, the shaping gains, the
@@ -198,11 +204,14 @@ class RunConstants:
     begins at harmonic ``start``.
 
     ``std`` is the (p, n) standard deviation of each of a harmonic's p
-    draws: sqrt(sigma2_lm) of both of a rectangle's (H+, H-), a broadcast
-    view of one row, and sqrt(2 sigma2_l) of a line's one. ``gains`` are
-    the shaping gains, one per draw: (g+, g-), (g,) of a line, and () for
-    an isotropic factor. ``phases`` holds, per z-plane, its
-    ``migration_phases``, and None at z = 0. ``bins`` are the FFT bins on
+    draws: sqrt(sigma2_lm) of both of a multi-plane rectangle's (H+, H-),
+    a broadcast view of one row; sqrt(sigma2_lm (g+^2 + g-^2)) of a
+    single-plane rectangle's one H(z); sqrt(2 sigma2_l) of a line's one H.
+    ``gains`` are the shaping gains, one per draw: (g+, g-), (g,) of a
+    line, and () for an isotropic factor or a single-plane rectangle, whose
+    gains are in ``std``. ``phases`` holds, per z-plane, its
+    ``migration_phases``, and None at z = 0 and on a single-plane
+    rectangle, where they cancel in the one draw. ``bins`` are the FFT bins on
     the aperture grid, (m mod Ny) * Nx + (l mod Nx), and l mod Nx for a
     line; they are distinct, because Aperture guarantees N >= 2 * ceil(L)
     and the indices span -ceil(L) .. ceil(L) - 1, one full period of the
@@ -264,6 +273,15 @@ def migration_phases(table, z: float) -> tuple[np.ndarray, np.ndarray]:
         MigrationRange: for a line's table, which supports z = 0 only (and
             needs no phases there), and where |z| >= min(Lx, Ly).
     """
+    _check_plane(table, z)
+    phase = np.exp(1j * lattice_gammas(table) * z)
+    return phase, np.conj(phase)
+
+
+def _check_plane(table, z: float) -> None:
+    """Raises MigrationRange unless the rectangle's table supports the
+    plane z: a line's table supports no z != 0, a rectangle's |z| <
+    min(Lx, Ly)."""
     if not isinstance(table, CoefficientVariances2D):
         raise MigrationRange("a line aperture supports z = 0 only")
     if abs(z) >= min(table.lx, table.ly):
@@ -271,19 +289,23 @@ def migration_phases(table, z: float) -> tuple[np.ndarray, np.ndarray]:
             f"|z| = {abs(z):g} outside the migration range of a "
             f"{table.lx:g} x {table.ly:g} wavelength aperture"
         )
-    phase = np.exp(1j * lattice_gammas(table) * z)
-    return phase, np.conj(phase)
 
 
-def migrate(h: np.ndarray, phases: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+def migrate(
+    h: np.ndarray, phases: tuple[np.ndarray, np.ndarray] | None, only: bool = False
+) -> np.ndarray:
     """Per-harmonic coefficients, a new array, on the plane of the
     ``migration_phases`` at height z, from the (..., p, n) draws h:
     H(z) = H+ e^{+i gamma z} + H- e^{-i gamma z}. None is the plane z = 0,
-    where both phases are exactly 1, so the plane is the sum H+ + H- of a
-    rectangle, and a copy of a line's H."""
+    where both phases are exactly 1, so the plane is the sum H+ + H- of
+    p = 2 draws, and the one draw of p = 1: a copy, so that repeated planes
+    of one block are arrays of their own, or, when the plane is the
+    block's ``only`` one, a view of h."""
     if phases is None:
+        if h.shape[-2] == 1:
+            return h[..., 0, :] if only else h[..., 0, :].copy()
         # np.add, not h.sum(axis=-2): the reduction is far slower on these strided views
-        return np.add(h[..., 0, :], h[..., 1, :]) if h.shape[-2] == 2 else h[..., 0, :].copy()
+        return np.add(h[..., 0, :], h[..., 1, :])
     plane = np.multiply(h[..., 0, :], phases[0])
     plane += h[..., 1, :] * phases[1]  # two arrays held, not three
     return plane
@@ -336,7 +358,9 @@ def run_constants(
 ) -> RunConstants:
     """The ``RunConstants`` of the aperture's table for a run with the
     ``factor`` (None is isotropic) over the ``z_planes`` (a tuple), computed
-    once per run. A factor is a pointwise function, so its gains are
+    once per run. A rectangle over one plane gets one draw per harmonic,
+    its gains folded into ``std`` and no phases; its plane is still
+    range-checked. A factor is a pointwise function, so its gains are
     evaluated over slices of _SLICE harmonics: the same values, with one
     slice of a tabulated factor's interpolation temporaries held at a
     time. Call it once before threads share a run: workers that meet a
@@ -350,7 +374,13 @@ def run_constants(
     """
     table = default_table(aperture)
     line = aperture.kind == LINEAR
-    phases = tuple(None if z == 0.0 else migration_phases(table, z) for z in z_planes)
+    one_draw = not line and len(z_planes) == 1  # the plane's H(z) is drawn directly
+    p = 1 if line or one_draw else 2
+    if one_draw:  # its phases cancel in the one draw, but its range holds
+        _check_plane(table, z_planes[0])
+        phases = (None,)
+    else:
+        phases = tuple(None if z == 0.0 else migration_phases(table, z) for z in z_planes)
     bins = table.ls % aperture.nx
     if not line:
         bins += table.ms % aperture.ny * aperture.nx
@@ -365,11 +395,16 @@ def run_constants(
             else:
                 kx, ky = k[0][part], k[1][part]
                 gains[0][part], gains[1][part] = shaping_gains(factor, kx, ky, KAPPA)
-    std = np.sqrt(2.0 * table.sigma_sq if line else table.sigma_sq)
+    if one_draw and gains:
+        std = np.sqrt(table.sigma_sq * (gains[0] ** 2 + gains[1] ** 2))
+        gains = ()
+    else:
+        std = np.sqrt(2.0 * table.sigma_sq if p == 1 else table.sigma_sq)
     for a in (std, *gains, *itertools.chain(*filter(None, phases)), bins):
         a.flags.writeable = False  # shared by every caller of the cache
-    # H of a line; H+ and H- of a rectangle share one row, so no memory is added
-    std = std[np.newaxis] if line else np.broadcast_to(std, (2, len(std)))
+    # one draw per harmonic (H of a line or of one plane); H+ and H- of
+    # several planes share one row, so no memory is added
+    std = std[np.newaxis] if p == 1 else np.broadcast_to(std, (2, len(std)))
     return RunConstants(std, gains, phases, bins)
 
 
@@ -410,30 +445,25 @@ def plane_coefficients(
     draw, shape, migrate to each z-plane, with the run's ``run_constants``.
     Returns one (B, n) array of per-harmonic coefficients per plane, in the
     table's harmonic order, each an array of its own that the caller may
-    write over. ``harmonics`` selects a slice of the table's harmonics
-    (default all of them; a line's slice starts at an even harmonic),
-    whose values are those of the same slice of the whole draw. ``factor``
+    write over (a run's only plane of one draw per harmonic is a view of
+    the draw block, which no one else holds). ``harmonics`` selects a
+    slice of the table's harmonics (default all of them; a slice of a run
+    of one draw per harmonic starts at an even harmonic), whose values are
+    those of the same slice of the whole draw. ``factor``
     None is isotropic. A line aperture only supports z = 0.
     """
     run = run_constants(aperture, factor, tuple(z_planes))[harmonics]
     h = draw_coefficients(run.std, seed, realizations, run.start)
     for j, g in enumerate(run.gains):  # shaped in place: the pipeline owns its draw
         h[..., j, :] *= g
-    return [migrate(h, phases) for phases in run.phases]
+    return [migrate(h, phases, only=len(run.phases) == 1) for phases in run.phases]
 
 
-def _draw_bytes(aperture: Aperture) -> int:
-    """Bytes of one realization's coefficient draws: H+ and H- per harmonic
-    of a rectangle, H of a line."""
-    per_harmonic = 1 if aperture.kind == LINEAR else 2
-    return per_harmonic * len(default_table(aperture).ls) * np.dtype(complex).itemsize
-
-
-def coefficient_rows(aperture: Aperture) -> int:
-    """How many realizations' coefficient draws fit SUB_BLOCK_BYTES (at
-    least one; one on a 256 x 256 grid): the row block of
-    ``plane_coefficients`` calls."""
-    return block_rows(_draw_bytes(aperture))
+def coefficient_rows(std: np.ndarray) -> int:
+    """How many realizations' coefficient draws of a run (its
+    ``RunConstants.std``) fit SUB_BLOCK_BYTES, at least one: the row block
+    of ``plane_coefficients`` calls."""
+    return block_rows(std.size * np.dtype(complex).itemsize)
 
 
 def generate_batch_planes(
@@ -447,12 +477,12 @@ def generate_batch_planes(
     output block that is also their spectrum. Each row block of
     ``coefficient_rows`` realizations gets its ``plane_coefficients``
     written at their FFT bins of its rows, plane by plane: all harmonics
-    at once when one realization's draws fit SUB_BLOCK_BYTES, else (then
-    the row block is one realization) in slices of ``rng._SLICE`` draws,
-    each scattered before the next is drawn. Then the rows are inverse
-    transformed and reindexed in place (``_grid_series``). So beside
-    the output, only one row block or one slice of coefficients is held at
-    a time, and no separate spectrum. The output block holds the whole
+    at once when one realization has at most ``rng._SLICE`` draws, else in
+    slices of ``rng._SLICE`` draws each, each scattered before the next is
+    drawn. Then the rows are inverse transformed and reindexed in place
+    (``_grid_series``). So beside the output, only one row block's
+    coefficients, or one slice of each of its realizations, is held at a
+    time, and no separate spectrum. The output block holds the whole
     batch; the CLI's ``generate`` keeps it near SUB_BLOCK_BYTES by passing
     batches of ``block_rows`` realizations of output. Returns the planes
     as one (len(z_planes), B, ny, nx) array, a plane-major view of the
@@ -464,9 +494,9 @@ def generate_batch_planes(
     zs = tuple(z_planes)
     run = run_constants(aperture, factor, zs)
     p, n = run.std.shape
-    width = _SLICE // p if _draw_bytes(aperture) > SUB_BLOCK_BYTES else n
+    width = _SLICE // p if run.std.size > _SLICE else n
     block = np.zeros((len(realizations), len(zs), aperture.ny, aperture.nx), dtype=complex)
-    rows = coefficient_rows(aperture)
+    rows = coefficient_rows(run.std)
     for a in range(0, len(realizations), rows):
         out = block[a : a + rows]
         for lo in range(0, n, width):

@@ -238,7 +238,7 @@ def _first_row_sums(
     lag window per z-plane, over m realizations: the mean origin weights
     are folded from the plane coefficients, then the series is evaluated
     once over the window."""
-    run_constants(aperture, factor, tuple(z_planes))  # computed before the workers share it
+    run = run_constants(aperture, factor, tuple(z_planes))  # computed before the workers share it
 
     def draw(span: tuple[int, int]) -> list[np.ndarray]:
         return plane_coefficients(aperture, factor, seed, range(*span), z_planes)
@@ -248,7 +248,7 @@ def _first_row_sums(
         # grid origin, so h_r(origin) = sum_k H_rk
         return [(h.sum(axis=-1), h) for h in planes]
 
-    weights = _mean_folds(draw, pairs, m, coefficient_rows(aperture), threads)
+    weights = _mean_folds(draw, pairs, m, coefficient_rows(run.std), threads)
     ky, kx = lags
     window = (np.arange(kx + 1), np.arange(ky + 1))
     table = default_table(aperture)
@@ -341,8 +341,11 @@ def run_figure(
     fig 6: line aperture Lx = 16 lambda, spacing lambda/16, oracle J0.
     fig 7: square aperture 16 x 16 lambda, spacing lambda/4, z = 0,
            oracle sinc of the lag distance.
-    fig 8: as 7 but migrated to z = lambda/2, sharing fig 7's draws; also
-           checks the z = lambda/2 estimate against the z = 0 estimate.
+    fig 8: as 7 but over the planes z = 0 and lambda/2, which share each
+           realization's draws of H+ and H-; fig 7's one plane draws one
+           H per harmonic instead, so fig 8's plane 0 is not fig 7's run.
+           Also checks the z = lambda/2 estimate against the z = 0
+           estimate.
     """
     if fig not in FIGURE_CONFIGS:
         raise ValueError(f"unknown figure {fig}; choose 6, 7 or 8")

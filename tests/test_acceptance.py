@@ -96,7 +96,7 @@ def test_criterion_4_generator_exactness():
     table = table_2d(4.0, 4.0)
     worst = 0.0
     phases = [None] + [migration_phases(table, 0.3 * k) for k in (1, 2, 3)]
-    std = run_constants(aperture, None, (0.0,)).std
+    std = run_constants(aperture, None, (0.0, 0.3)).std  # H+ and H-: a run over two planes
     for r in range(100):
         draw = draw_coefficients(std, seed=4, realization=r)
         hz = migrate(draw, phases[r % 4])

@@ -526,10 +526,11 @@ def _write_lobed_factor(path):
 
 def test_benchmark_tracer_counts_a_sliced_generate(tmp_path, capsys, monkeypatch):
     # perfbench's tracer, in-process, on a 208 x 208 grid whose 34,352
-    # harmonics are 1.10 MB of draws a realization, so each realization is
-    # drawn in slices: every draw, plane and gain point must still cross a
-    # traced module boundary, and the summary must be strict JSON (a traced
-    # metric without samples would be written as a bare NaN)
+    # harmonics are one draw each on its one plane, more than one slice of
+    # draws a realization, so each realization is drawn in slices: every
+    # draw, plane and gain point must still cross a traced module boundary,
+    # and the summary must be strict JSON (a traced metric without samples
+    # would be written as a bare NaN)
     monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "perfbench"))
     from tracer import Tracer
 
@@ -547,7 +548,7 @@ def test_benchmark_tracer_counts_a_sliced_generate(tmp_path, capsys, monkeypatch
     assert code == 0, err
     summary = tracer.summary()
     counts = summary["counts"]
-    assert counts["rng.draws"] == 137_408  # 2 realizations x 2 draws x 34,352 harmonics
+    assert counts["rng.draws"] == 68_704  # 2 realizations x 1 draw x 34,352 harmonics
     assert counts["generator.planes"] == 2
     assert counts["spectrum.gain_points"] == 34_352
     json.dumps(summary, allow_nan=False)
@@ -764,9 +765,11 @@ class TestGenerateChunks:
     def test_traced_peak_of_command(self, tmp_path, capsys):
         # 256 x 256 grid: each task is one 1 MiB realization, which the
         # worker that made it writes, so two workers hold about 2 MiB of
-        # output; 4.6-5.5 MB in all with the run's constants (1.7 MB),
-        # 3.8-5.2 MB when their draw scales and FFT bins were cached
-        # outside the command. 9.3-11.0 MB when the writer took the
+        # output; 4.9-5.2 MB in all with the run's constants (0.83 MB: the
+        # one plane's folded draw scales and FFT bins), 5.7-5.9 MB when a
+        # single plane drew H+ and H- and kept both gains (1.7 MB of
+        # constants), 3.8-5.2 MB when their draw scales and FFT bins were
+        # cached outside the command. 9.3-11.0 MB when the writer took the
         # blocks in order from a queue and each realization was drawn
         # whole, and 18.2 MB when each worker's task was 4 realizations
         # (half of an 8 MiB chunk budget)

@@ -28,10 +28,19 @@ from oracles import brute_force_plane, synthesize
 KAPPA = 2.0 * math.pi
 
 
+# a rectangle's run over more than one plane draws H+ and H- (p = 2); two
+# planes at z = 0 evaluate no migration phases. A line's run is one plane.
+_TWO_PLANES = (0.0, 0.0)
+
+
+def _planes(ap):
+    return (0.0,) if ap.kind == "linear" else _TWO_PLANES
+
+
 def _std(ap):
     """The (p, n) draw standard deviations of an isotropic run of the
-    aperture at z = 0."""
-    return run_constants(ap, None, (0.0,)).std
+    aperture that draws H+ and H- of a rectangle, H of a line."""
+    return run_constants(ap, None, _planes(ap)).std
 
 
 class TestAperture:
@@ -145,10 +154,11 @@ class TestDrawCoefficients:
         assert abs(corr) < 6.0 / math.sqrt(live.sum())
 
     def test_harmonic_draws_are_consecutive_stream_draws(self):
-        # draw j of harmonic k is stream draw p * k + j, for p = 2 and 1,
-        # and a slice of the run with its start is that slice of the draw
-        for ap in (_AP4, Aperture(lx=4.0, dx=0.5)):
-            run = run_constants(ap, None, (0.0,))
+        # draw j of harmonic k is stream draw p * k + j, for p = 2 and 1 (a
+        # single plane and a line), and a slice of the run with its start
+        # is that slice of the draw
+        for ap, zs in ((_AP4, _TWO_PLANES), (_AP4, (0.0,)), (Aperture(lx=4.0, dx=0.5), (0.0,))):
+            run = run_constants(ap, None, zs)
             p, n = run.std.shape
             z = complex_standard_normals(9, range(2), p * n)
             whole = draw_coefficients(run.std, seed=9, realization=range(2))
@@ -159,14 +169,15 @@ class TestDrawCoefficients:
 
 
 def _gains(factor, ap=_AP4):
-    """The shaping gains of a run of the aperture with the factor."""
-    return run_constants(ap, factor, (0.0,)).gains
+    """The shaping gains of a run of the aperture with the factor, (g+, g-)
+    of a rectangle's run over two planes, (g,) of a line's."""
+    return run_constants(ap, factor, _planes(ap)).gains
 
 
 def _shaped_draw(monkeypatch, factor, seed=1, ones=False):
-    """Realization 0's (p, n) draw of an _AP4 run with the factor, as
-    ``plane_coefficients`` left it after shaping it; ``ones`` puts unit
-    draws in place of the stream's."""
+    """Realization 0's (2, n) draw of an _AP4 run over two planes with the
+    factor, as ``plane_coefficients`` left it after shaping it; ``ones``
+    puts unit draws in place of the stream's."""
     import holofading.generator as genmod
 
     drawn = []
@@ -180,10 +191,11 @@ def _shaped_draw(monkeypatch, factor, seed=1, ones=False):
         return h
 
     monkeypatch.setattr(genmod, "draw_coefficients", keep)
-    (plane,) = plane_coefficients(_AP4, factor, seed, (0,), (0.0,))
+    planes = plane_coefficients(_AP4, factor, seed, (0,), _TWO_PLANES)
     monkeypatch.setattr(genmod, "draw_coefficients", real)
     (h,) = drawn
-    assert np.array_equal(plane, migrate(h, None))  # the plane of the shaped draw
+    for plane in planes:
+        assert np.array_equal(plane, migrate(h, None))  # the plane of the shaped draw
     return h[0]
 
 
@@ -250,6 +262,17 @@ class TestShapeCoefficients:
         assert part.std.shape == (2, 3)
         assert not part.gains[0].flags.writeable
         assert run_constants(_AP4, f, (0.0, 0.5)) is run  # evaluated once per run
+        # one plane: H(z) is one draw of variance sigma2 (g+^2 + g-^2), gains
+        # and phases folded in, and its plane still range-checked
+        one = run_constants(_AP4, f, (0.5,))
+        gp, gm = run.gains
+        assert one.std.shape == (1, n) and not one.std.flags.writeable
+        assert np.array_equal(one.std[0], np.sqrt(default_table(_AP4).sigma_sq * (gp**2 + gm**2)))
+        assert one.gains == () and one.phases == (None,)
+        iso = run_constants(_AP4, None, (0.0,)).std
+        assert np.array_equal(iso, np.sqrt(2.0 * default_table(_AP4).sigma_sq)[np.newaxis])
+        with pytest.raises(MigrationRange):
+            run_constants(_AP4, f, (4.0,))
 
     def test_closed_form_and_quadrature_tables_get_identical_gains(self, monkeypatch):
         f = self._lobed()
@@ -300,10 +323,38 @@ class TestMigrate:
     def test_zero_plane_is_sum(self):
         d = draw_coefficients(_std(_AP4), seed=4)
         assert np.allclose(migrate(d, None), d[0] + d[1], rtol=0, atol=0)
-        # a line's one draw is its plane, in an array of its own
+        # a line's one draw is its plane, in an array of its own, or the
+        # draw block's own view when it is the block's only plane
         h = draw_coefficients(_std(Aperture(lx=4.0, dx=0.5)), seed=4, realization=range(3))
         plane = migrate(h, None)
         assert np.array_equal(plane, h[:, 0]) and not np.shares_memory(plane, h)
+        only = migrate(h, None, only=True)
+        assert np.array_equal(only, h[:, 0]) and np.shares_memory(only, h)
+
+    @pytest.mark.parametrize("ap, zs", [
+        (_AP4, (0.0,)), (_AP4, (0.5,)), (Aperture(lx=4.0, dx=0.5), (0.0,)),
+        (Aperture(lx=4.0, dx=0.5), (0.0, 0.0)),
+    ], ids=["planar", "planar-z", "line", "line-repeated"])
+    def test_only_plane_of_one_draw_is_not_copied(self, ap, zs, monkeypatch):
+        # a run of one draw per harmonic over one plane returns the draw
+        # block's view; repeated planes each get an array of their own
+        import holofading.generator as genmod
+
+        drawn = []
+        real = genmod.draw_coefficients
+
+        def keep(*args):
+            drawn.append(real(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(genmod, "draw_coefficients", keep)
+        planes = plane_coefficients(ap, None, 4, range(3), zs)
+        (h,) = drawn
+        assert h.shape[-2] == 1
+        for plane in planes:
+            assert np.array_equal(plane, h[:, 0])
+        shared = [np.shares_memory(plane, h) for plane in planes]
+        assert shared == ([True] if len(zs) == 1 else [False] * len(zs))
 
     def test_zero_plane_is_the_phase_path(self):
         # e^{i gamma 0} = 1 exactly, so the z = 0 sum is the phase path
@@ -313,7 +364,7 @@ class TestMigrate:
         half = SpectralFactor.from_callables(lambda kx, ky: np.where(kx < 0, 0.0, 1.0 + ky / KAPPA))
         ap = _AP4
         t = default_table(ap)
-        run = run_constants(ap, half, (0.0,))
+        run = run_constants(ap, half, _TWO_PLANES)
         d = draw_coefficients(run.std, seed=4, realization=range(3)) * np.stack(run.gains)
         one = np.exp(1j * lattice_gammas(t) * 0.0)
         want = d[:, 0] * one + d[:, 1] * np.conj(one)
@@ -381,9 +432,9 @@ class TestMigrate:
             calls.append(len(table.ls))
             return real(table)
 
+        d = draw_coefficients(_std(_AP4), seed=4, realization=range(3))
         monkeypatch.setattr(genmod, "lattice_gammas", counting)
         t = table_2d(4.0, 4.0)
-        d = draw_coefficients(_std(_AP4), seed=4, realization=range(3))
         kept = d.copy()
         zs = (0.1234, -0.4321)  # planes no other test migrates to: a cold cache
         first = [migrate(d, p) for p in run_constants(_AP4, None, zs).phases]
@@ -473,7 +524,7 @@ class TestSynthesize:
 
 
 class TestSlicedRealizations:
-    """A realization whose draws exceed SUB_BLOCK_BYTES is drawn, shaped,
+    """A realization of more than rng._SLICE draws is drawn, shaped,
     migrated and zero-embedded in slices of rng._SLICE draws, straight into
     its output rows; each output bit must be the whole realization's."""
 
@@ -507,8 +558,9 @@ class TestSlicedRealizations:
             return real(seed, reals, n, **kwargs)
 
         monkeypatch.setattr(genmod, "complex_standard_normals", counting)
-        draws = _std(ap).size
-        assert coefficient_rows(ap) == 1 and draws * 16 > genmod.SUB_BLOCK_BYTES
+        std = run_constants(ap, self.FACTOR, tuple(zs)).std
+        draws = std.size
+        assert coefficient_rows(std) == 1 and draws > _SLICE
         got = generate_batch_planes(ap, self.FACTOR, 3, range(2), zs)
         # one call per slice and realization, the last slice a remainder
         assert calls == ([_SLICE] * (draws // _SLICE) + [draws % _SLICE]) * 2
@@ -517,13 +569,21 @@ class TestSlicedRealizations:
             assert np.array_equal(plane.view(np.uint64), want.view(np.uint64))
 
     def test_over_budget_plane(self, monkeypatch):
-        # 51,940 harmonics: 1.66 MB of draws a realization, in 13 slices
+        # 51,940 harmonics over two planes: 1.66 MB of draws a realization,
+        # in 13 slices
         self._check(Aperture(lx=128.0, dx=0.5, ly=128.0, dy=0.5), (0.0, 0.5), monkeypatch)
+
+    @pytest.mark.parametrize("z", [0.0, 0.5])
+    def test_single_plane(self, z, monkeypatch):
+        # one draw per harmonic of the one plane: 51,940 draws, 0.83 MB a
+        # realization, within SUB_BLOCK_BYTES but in 7 slices all the same
+        self._check(Aperture(lx=128.0, dx=0.5, ly=128.0, dy=0.5), (z,), monkeypatch)
 
     def test_over_budget_volumetric(self, monkeypatch):
         import holofading.generator as genmod
 
-        # 5,172 harmonics, over a 64 KiB budget: two slices, one partial
+        # 5,172 harmonics of two draws each, over a 64 KiB budget (one
+        # realization a row block): two slices, one partial
         monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", 1 << 16)
         ap = Aperture(lx=40.0, dx=0.5, ly=40.0, dy=0.5, lz=1.0, dz=0.5)
         self._check(ap, ap.z_planes(), monkeypatch)
@@ -659,6 +719,24 @@ class TestFieldStatistics:
         want = float(np.sum(2.0 * t.sigma_sq[live]))
         assert 0.4 < want < 0.6  # roughly half the spectral mass is lit
         assert power == pytest.approx(want, rel=0.05)
+
+    @pytest.mark.parametrize("zs", [(0.0,), (0.5,), (0.0, 0.5)],
+                             ids=["one-plane", "one-plane-z", "two-planes"])
+    def test_per_harmonic_power_of_a_directional_plane(self, zs):
+        # H(z) = g+ H+ e^{i gamma z} + g- H- e^{-i gamma z} has power
+        # sigma2 (g+^2 + g-^2): the variance of a single plane's one draw,
+        # and what a run over two planes migrates to. |H|^2 is exponential,
+        # so each harmonic's mean over m realizations has a standard error
+        # of its mean / sqrt(m); every one of the 60 harmonics must sit
+        # within 5 of them (false alarm about 3e-5 a run)
+        ap, m = _AP4, 10_000
+        t = default_table(ap)
+        f = TestSlicedRealizations.FACTOR
+        gp, gm = shaping_gains(f, *lattice_wavenumbers(t), KAPPA)
+        want = t.sigma_sq * (gp**2 + gm**2)
+        for h in plane_coefficients(ap, f, 47, range(m), zs):
+            got = np.mean(np.abs(h) ** 2, axis=0)
+            assert np.max(np.abs(got / want - 1.0)) * math.sqrt(m) < 5.0
 
     def test_shaped_line_generation(self):
         ap = Aperture(lx=16, dx=0.25)

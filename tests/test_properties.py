@@ -78,7 +78,8 @@ def test_fft_synthesis_equals_brute_force(lx, ly, extra, z_frac, seed, realizati
     aperture = Aperture(lx=lx, dx=dx, ly=ly, dy=dy)
     table = table_2d(lx, ly)
     z = z_frac * min(lx, ly)
-    draw = draw_coefficients(run_constants(aperture, None, (0.0,)).std, seed, realization)
+    # H+ and H-, the draws of a run over two planes, migrated to z
+    draw = draw_coefficients(run_constants(aperture, None, (0.0, z)).std, seed, realization)
     hz = migrate(draw, None if z == 0.0 else migration_phases(table, z))
     fft = synthesize(hz, aperture)
     assert np.max(np.abs(fft - brute_force_plane(hz, aperture))) <= 1e-10

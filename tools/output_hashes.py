@@ -19,17 +19,20 @@ from a config file that this script writes; it must equal that line.
 The outputs are ``generate`` in each aperture kind and format (with a
 tabulated directional factor it writes itself, also over several z-planes
 on two workers, and on a 64 x 64 aperture whose tasks of 4 realizations
-each span two coefficient row blocks; with a second factor that is zero
-in both half-spaces on one azimuth sector, over the planes z = 0 and
-z != 0, so that zero coefficients go through both migrations; on a
-30 x 18 plane and a 60-point line, grids that are not a power of two,
-where an FFT identity that is exact on 2^k grids is not; and on a 208 x 208
-grid over the planes z = 0 and 0.5, whose 34,352 harmonics are 1.10 MB of
-draws a realization, over the 1 MiB budget, so each realization is drawn
-and scattered into its output in slices; and on a 32,770-wavelength line,
-whose 65,540 harmonics are sliced the same way), ``validate --fig
-6/7/8`` and ``compare-kl`` at M = 1200 on two workers, ``compare-kl`` at
-M = 513 (one realization past whole row blocks of the baseline noise),
+are each one coefficient row block, drawn in two slices; with a second
+factor that is zero in both half-spaces on one azimuth sector, over the
+planes z = 0 and z != 0, so that zero coefficients go through both
+migrations; on a 30 x 18 plane and a 60-point line, grids that are not a
+power of two, where an FFT identity that is exact on 2^k grids is not;
+and on a 208 x 208 grid over the planes z = 0 and 0.5, whose 34,352
+harmonics are 1.10 MB of draws a realization, over the 1 MiB budget, so
+each realization is drawn and scattered into its output in slices of
+``rng._SLICE`` draws; on the same grid as one plane, one draw per
+harmonic, 0.55 MB a realization, within the budget but sliced the same
+way; and on a 32,770-wavelength line, whose 65,540 harmonics are sliced
+the same way), ``validate --fig 6/7/8`` and ``compare-kl`` at M = 1200
+on two workers, ``compare-kl`` at M = 513 (one realization past whole
+row blocks of the baseline noise),
 the row estimate of ``lambda_half_independence`` (the lambda/2 check of
 the test suite, imported from ``tests/oracles.py``), and ``variances``
 tables of line and rectangular apertures by both methods.
@@ -80,6 +83,9 @@ GENERATE = {
     "generate-line-factor-streamed.bin": (("--aperture", "32770", "--spacing", "0.5",
                                            "--realizations", "2", "--seed", "31",
                                            "--threads", "2"), "factor.csv"),
+    "generate-planar-factor-streamed.bin": (("--aperture", "104,104", "--spacing", "0.5",
+                                             "--realizations", "3", "--seed", "37",
+                                             "--threads", "2"), "factor.csv"),
 }
 
 # name -> variances argv after --out
