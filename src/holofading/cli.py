@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, HoloFadingError
-from .generator import Aperture, block_rows, default_table, generate_batch_planes, run_constants
+from .generator import Aperture, block_rows, generate_batch_planes, run_constants
 from .spectrum import SpectralFactor
 from .validation import _thread_count, check_realizations, compare_kl, ordered_map, run_figure
 from .variances import table_1d, table_2d
@@ -90,7 +90,9 @@ def load_factor(spec: str) -> SpectralFactor | None:
 # ---------------------------------------------------------------------------
 
 def read_config_file(path: str) -> list[tuple[str, str]]:
-    """The (key, value) pairs of a key=value file, in file order."""
+    """The (key, value) pairs of a key=value file, in file order. A line
+    whose first non-blank character is # is a comment; any other # is part
+    of its value (an --out path may hold one)."""
     if not os.path.exists(path):
         raise ConfigError(f"config file {path!r} does not exist")
     try:
@@ -100,8 +102,8 @@ def read_config_file(path: str) -> list[tuple[str, str]]:
         raise ConfigError(f"config file {path!r} is not valid UTF-8: {exc}") from None
     out = []
     for lineno, line in enumerate(lines, 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+        line = line.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
@@ -271,11 +273,12 @@ def _field_batches(aperture, factor, seed, m, threads, write=None):
     whatever the worker count, and T + 1 tasks are queued on the T
     workers. Each block is the one ``generate_batch_planes`` synthesizes
     into, so it is never copied. With ``write`` a block lives only on its
-    worker; without, the caller and the queue hold about T + 2 blocks."""
+    worker; without, the caller and the queue hold about T + 2 blocks.
+    The caller computes the run's ``generator.run_constants`` first, so
+    that the workers share one record."""
     z_planes = aperture.z_planes()
     per_realization = aperture.nx * aperture.ny * aperture.nz * np.dtype(complex).itemsize
     batch = block_rows(per_realization)
-    run_constants(aperture, factor, z_planes)  # computed before the workers share it
 
     def run_chunk(start):
         reals = range(start, min(start + batch, m))
@@ -295,7 +298,7 @@ def cmd_generate(args) -> int:
         raise ConfigError(f"--realizations {m} does not fit the uint32 count of the binary header")
     threads = _thread_count(args.threads)
     try:  # a side the variance table rejects (a line of 7.5 wavelengths) fails before --out opens
-        default_table(aperture)
+        run_constants(aperture, factor, aperture.z_planes())  # before the workers share it
     except ValueError as exc:
         raise ConfigError(str(exc))
     if args.format == "bin":  # each worker writes the blocks it made

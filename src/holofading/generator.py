@@ -32,8 +32,9 @@ same series by direct summation, for the exact ACFs and the validation lag
 windows.
 
 ``plane_coefficients`` draws, scales, shapes in place and migrates a row
-block of realizations, over all of the table's harmonics or a slice of
-them; ``coefficient_rows`` is how many realizations of a run's draws fit
+block of realizations over the harmonics of the record it is given, a
+run's ``run_constants`` or a slice ``run[part]`` of it.
+``coefficient_rows`` is how many realizations of a run's draws fit
 SUB_BLOCK_BYTES (``block_rows``, which sizes the CLI's ``generate`` tasks
 by the same budget). The validation runs fold each block into their sums.
 ``generate_batch_planes`` zero-embeds each block straight into its rows of
@@ -49,9 +50,10 @@ its own; so neither the block size nor the slices change an output bit.
 The aperture, the factor and the z-planes fix everything a realization
 reads per harmonic: the draws' standard deviations, the shaping gains, the
 migration phases and the FFT bins. ``run_constants`` computes them once
-per run into one read-only record, and the stages (draws, shaping,
-migration, embedding) take its arrays; the pipeline functions take the
-aperture, the factor and the planes and look the record up.
+per run into one read-only record. The stages (draws, shaping,
+migration, embedding) take its arrays and ``plane_coefficients`` takes the
+record; ``generate_batch_planes`` takes the aperture, the factor and the
+planes and looks the record up once per call.
 
 All lengths are in wavelength units (kappa = 2*pi).
 """
@@ -363,9 +365,10 @@ def run_constants(
     range-checked. A factor is a pointwise function, so its gains are
     evaluated over slices of _SLICE harmonics: the same values, with one
     slice of a tabulated factor's interpolation temporaries held at a
-    time. Call it once before threads share a run: workers that meet a
-    cold cache together would each compute the record, and arrays made on
-    a worker thread stay in that thread's malloc arena, where they kept
+    time. Call it once before threads share a run (and hand the record to
+    workers that call ``plane_coefficients``): workers that meet a cold
+    cache together would each compute the record, and arrays made on a
+    worker thread stay in that thread's malloc arena, where they kept
     about 3 MB more of a 256 x 256 ``generate`` resident.
 
     Raises:
@@ -434,25 +437,18 @@ def generate(
 
 
 def plane_coefficients(
-    aperture: Aperture,
-    factor: SpectralFactor | None,
-    seed: int,
-    realizations: Sequence[int],
-    z_planes: Sequence[float],
-    harmonics: slice = slice(None),
+    run: RunConstants, seed: int, realizations: Sequence[int]
 ) -> list[np.ndarray]:
     """The coefficient stages of the pipeline over a batch of realizations:
-    draw, shape, migrate to each z-plane, with the run's ``run_constants``.
-    Returns one (B, n) array of per-harmonic coefficients per plane, in the
-    table's harmonic order, each an array of its own that the caller may
-    write over (a run's only plane of one draw per harmonic is a view of
-    the draw block, which no one else holds). ``harmonics`` selects a
-    slice of the table's harmonics (default all of them; a slice of a run
-    of one draw per harmonic starts at an even harmonic), whose values are
-    those of the same slice of the whole draw. ``factor``
-    None is isotropic. A line aperture only supports z = 0.
+    draw, shape, migrate to each z-plane, on the arrays of ``run``, a run's
+    ``run_constants`` or a slice ``run[part]`` of it (a slice of a run of
+    one draw per harmonic starts at an even harmonic). Returns one (B, n)
+    array of per-harmonic coefficients per plane, in the table's harmonic
+    order, with the values of the same slice of the whole draw; each is an
+    array of its own that the caller may write over (a run's only plane of
+    one draw per harmonic is a view of the draw block, which no one else
+    holds).
     """
-    run = run_constants(aperture, factor, tuple(z_planes))[harmonics]
     h = draw_coefficients(run.std, seed, realizations, run.start)
     for j, g in enumerate(run.gains):  # shaped in place: the pipeline owns its draw
         h[..., j, :] *= g
@@ -474,12 +470,13 @@ def generate_batch_planes(
     z_planes: Sequence[float],
 ) -> np.ndarray:
     """The synthesis pipeline over a batch of realizations, in one zeroed
-    output block that is also their spectrum. Each row block of
-    ``coefficient_rows`` realizations gets its ``plane_coefficients``
-    written at their FFT bins of its rows, plane by plane: all harmonics
-    at once when one realization has at most ``rng._SLICE`` draws, else in
-    slices of ``rng._SLICE`` draws each, each scattered before the next is
-    drawn. Then the rows are inverse transformed and reindexed in place
+    output block that is also their spectrum. It looks up the run's
+    ``run_constants`` once. Each row block of ``coefficient_rows``
+    realizations gets the ``plane_coefficients`` of each slice
+    ``run[part]`` of ``rng._SLICE`` draws per realization (all harmonics
+    in one slice when they fit) written at that slice's FFT bins of its
+    rows, plane by plane, each slice scattered before the next is drawn.
+    Then the rows are inverse transformed and reindexed in place
     (``_grid_series``). So beside the output, only one row block's
     coefficients, or one slice of each of its realizations, is held at a
     time, and no separate spectrum. The output block holds the whole
@@ -494,18 +491,15 @@ def generate_batch_planes(
     zs = tuple(z_planes)
     run = run_constants(aperture, factor, zs)
     p, n = run.std.shape
-    width = _SLICE // p if run.std.size > _SLICE else n
+    width = _SLICE // p  # all n harmonics when p * n <= _SLICE
     block = np.zeros((len(realizations), len(zs), aperture.ny, aperture.nx), dtype=complex)
     rows = coefficient_rows(run.std)
     for a in range(0, len(realizations), rows):
         out = block[a : a + rows]
         for lo in range(0, n, width):
-            part = slice(lo, lo + width)
-            planes = plane_coefficients(
-                aperture, factor, seed, realizations[a : a + rows], zs, part
-            )
-            for i, h in enumerate(planes):
-                _embed(out[:, i], h, run.bins[part])
+            part = run[lo : lo + width]  # the draw and the embedding read one slice
+            for i, h in enumerate(plane_coefficients(part, seed, realizations[a : a + rows])):
+                _embed(out[:, i], h, part.bins)
         _grid_series(out, aperture)
     return block.swapaxes(0, 1)
 

@@ -18,8 +18,9 @@ estimate w_k / M. The mean weights are folded from
 ``generator.plane_coefficients``; then ``generator.series_sum`` evaluates
 the series once over the lag window, at integer grid lags reduced mod
 (Nx, Ny). The runs take an aperture; before the workers start, they
-compute its run's ``generator.run_constants``, and this module builds no
-table of its own. Results are returned, not written: the CLI writes the
+compute its run's ``generator.run_constants`` and hand the workers that
+record, so no worker looks it up, and this module builds no table of its
+own. Results are returned, not written: the CLI writes the
 artifacts. ``compare_kl`` is the fig 6 run plus the dense baseline's
 column, and every verdict is one rule, ``_within``, over fig 6/7/8's
 ``thresholds``.
@@ -238,10 +239,10 @@ def _first_row_sums(
     lag window per z-plane, over m realizations: the mean origin weights
     are folded from the plane coefficients, then the series is evaluated
     once over the window."""
-    run = run_constants(aperture, factor, tuple(z_planes))  # computed before the workers share it
+    run = run_constants(aperture, factor, tuple(z_planes))  # the one lookup; the workers share it
 
     def draw(span: tuple[int, int]) -> list[np.ndarray]:
-        return plane_coefficients(aperture, factor, seed, range(*span), z_planes)
+        return plane_coefficients(run, seed, range(*span))
 
     def pairs(planes: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
         # w_k = sum_r conj(h_r(origin)) H_rk: every harmonic is 1 at the

@@ -40,10 +40,12 @@ The closed-form table evaluates ``_corner_mass`` once per lattice corner
 operations, in the operand order of the per-cell inclusion-exclusion, so
 each entry is bitwise that scalar sum (``variance_2d_closed_form`` in
 ``tests/oracles.py``, which the test suite holds the table to).
-``_corner_mass`` stays scalar: vectorized arcsin/arctan2 can differ from
-``math`` in the last bit. Only the quadrature oracle imports
-``scipy.integrate``, on first use, so a command that builds closed-form
-tables never loads it.
+The line table likewise evaluates arcsin once per cell edge l/Lx and
+forms each cell as the difference of its two edges, bitwise the scalar
+``variance_1d`` of ``tests/oracles.py``. Both stay scalar ``math`` calls:
+vectorized arcsin/arctan2 can differ in the last bit. Only the quadrature
+oracle imports ``scipy.integrate``, on first use, so a command that builds
+closed-form tables never loads it.
 
 The table index set is the cell-coverage set: all (l, m) in
 {-ceil(Lx) .. ceil(Lx)-1} x {same in y} whose mirrored cell
@@ -87,24 +89,6 @@ def _band_1d(lx: float) -> int:
     return n
 
 
-def variance_1d(l: int, lx: float) -> float:
-    """Variance sigma2_l of line harmonic l (arcsin difference of its cell).
-
-    Args:
-        l: harmonic index in {-Lx, ..., Lx - 1}.
-        lx: aperture length in wavelengths, a positive whole number.
-
-    Raises:
-        IndexOutOfBand: l outside the index range.
-        ValueError: non-integer lx.
-    """
-    n = _band_1d(lx)
-    if not -n <= l <= n - 1:
-        raise IndexOutOfBand(f"l = {l} outside {{-{n}, ..., {n - 1}}}")
-    lf = fold_index(l)
-    return (math.asin((lf + 1) / n) - math.asin(lf / n)) / (2.0 * math.pi)
-
-
 @dataclass(frozen=True)
 class CoefficientVariances1D:
     """Variance table of the line series; one coefficient per harmonic,
@@ -122,7 +106,8 @@ class CoefficientVariances1D:
 def _table_1d_cached(lx):
     n = _band_1d(lx)
     ls = np.arange(-n, n)
-    sig = np.array([variance_1d(int(l), lx) for l in ls])
+    edges = np.array([math.asin(i / n) for i in range(n + 1)])  # cell edges first, then cells
+    sig = ((edges[1:] - edges[:-1]) / (2.0 * math.pi))[_fold(ls)]
     for arr in (ls, sig):
         arr.flags.writeable = False  # shared by every caller of the cache
     return CoefficientVariances1D(lx=lx, ls=ls, sigma_sq=sig)

@@ -3,8 +3,8 @@ series evaluated straight from synthesized fields and coefficients,
 independent of the coefficient-space estimator and the FFT synthesis that
 they check; the coefficient-space estimate over all realizations held at
 once; the draws with one unsliced Box-Muller pass over the whole block;
-the FFT synthesis of given coefficients; the per-cell closed-form
-variance; and the lambda/2 independence row."""
+the FFT synthesis of given coefficients; the per-cell line and
+closed-form rectangle variances; and the lambda/2 independence row."""
 import math
 
 import numpy as np
@@ -27,7 +27,13 @@ from holofading.validation import (
     _normalize,
     check_realizations,
 )
-from holofading.variances import _cell_bounds, _corner_mass, _in_band_2d
+from holofading.variances import (
+    _band_1d,
+    _cell_bounds,
+    _corner_mass,
+    _in_band_2d,
+    fold_index,
+)
 
 
 def lag_sum(h: np.ndarray, ref, lags) -> np.ndarray:
@@ -53,7 +59,7 @@ def first_row_sums(aperture: Aperture, factor, seed: int, m: int, z_planes, lags
     ky, kx = lags
     window = (np.arange(kx + 1), np.arange(ky + 1))
     out = []
-    for h in plane_coefficients(aperture, factor, seed, range(m), z_planes):
+    for h in plane_coefficients(run_constants(aperture, factor, tuple(z_planes)), seed, range(m)):
         w = np.sum(np.conj(h.sum(axis=-1))[:, np.newaxis] * h, axis=0) / m
         out.append(series_sum(w, default_table(aperture), window, (aperture.nx, aperture.ny)))
     return out
@@ -136,6 +142,26 @@ def synthesize(h: np.ndarray, aperture: Aperture) -> np.ndarray:
     grid = np.zeros(h.shape[:-1] + (aperture.ny, aperture.nx), dtype=complex)
     _embed(grid, h, run_constants(aperture, None, (0.0,)).bins)
     return _grid_series(grid, aperture)
+
+
+def variance_1d(l: int, lx: float) -> float:
+    """Variance sigma2_l of line harmonic l, the arcsin difference of its
+    cell: the scalar reference that every entry of ``variances.table_1d``
+    must equal bit for bit.
+
+    Args:
+        l: harmonic index in {-Lx, ..., Lx - 1}.
+        lx: aperture length in wavelengths, a positive whole number.
+
+    Raises:
+        IndexOutOfBand: l outside the index range.
+        ValueError: non-integer lx.
+    """
+    n = _band_1d(lx)
+    if not -n <= l <= n - 1:
+        raise IndexOutOfBand(f"l = {l} outside {{-{n}, ..., {n - 1}}}")
+    lf = fold_index(l)
+    return (math.asin((lf + 1) / n) - math.asin(lf / n)) / (2.0 * math.pi)
 
 
 def variance_2d_closed_form(l: int, m: int, lx: float, ly: float) -> float:

@@ -23,13 +23,13 @@ from holofading.variances import (
     fold_index,
     table_1d,
     table_2d,
-    variance_1d,
     variance_2d_quadrature,
 )
 from oracles import (
     brute_force_plane,
     lambda_half_independence,
     synthesize,
+    variance_1d,
     variance_2d_closed_form,
 )
 

@@ -72,6 +72,19 @@ class TestConfigFile:
         assert code == 0
         assert out1.read_text() != out2.read_text()  # flag overrode the file seed
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path, capsys):
+        # only a line that starts with # is a comment; a # inside a value
+        # is part of it, so the output lands at the path with the #
+        out = tmp_path / "run#2" / "f.bin"
+        out.parent.mkdir()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a comment\n  # an indented comment\naperture=4\nspacing=0.5\n"
+                       f"out={out}\n")
+        code, stdout, _ = run_cli(capsys, "generate", "--config", str(cfg))
+        assert code == 0 and str(out) in stdout
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run#2", "run.cfg"]
+        assert len(out.read_bytes()) == 24 + 8 * 16
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("aperture=8\nspacing=0.5\nbogus_key=1\n")
@@ -522,6 +535,38 @@ def _write_lobed_factor(path):
                 p = 2 * math.pi * j / 12
                 fh.write(f"{i / 4},{p},{base * (1 + 0.6 * math.cos(p - 1.0))},"
                          f"{base * (1 + 0.3 * math.cos(p + 2.0)) * (1 + 0.2 * i / 4)}\n")
+
+
+def test_run_record_looked_up_once_per_run_or_task(tmp_path, capsys, monkeypatch):
+    # fig 8 looks its run's record up once and hands its workers the
+    # record, so no worker looks it up. A 256 x 256 generate looks it up
+    # once before --out opens and once per task of one realization, not
+    # once per slice of the realization's draws
+    import threading
+
+    import holofading.cli as climod
+    import holofading.generator as genmod
+    import holofading.validation as valmod
+
+    calls = {}
+    real = genmod.run_constants
+
+    def counting(*args):
+        thread = "main" if threading.current_thread() is threading.main_thread() else "worker"
+        calls[thread] = calls.get(thread, 0) + 1
+        return real(*args)
+
+    for module in (climod, genmod, valmod):
+        monkeypatch.setattr(module, "run_constants", counting)
+    valmod.run_figure(8, m=10_000, threads=2)
+    assert calls == {"main": 1}
+    calls.clear()
+    code, _, _ = run_cli(
+        capsys, "generate", "--aperture", "128,128", "--spacing", "0.5",
+        "--realizations", "3", "--threads", "2", "--out", str(tmp_path / "f.bin"),
+    )
+    assert code == 0
+    assert calls == {"main": 1, "worker": 3}
 
 
 def test_benchmark_tracer_counts_a_sliced_generate(tmp_path, capsys, monkeypatch):

@@ -191,7 +191,7 @@ def _shaped_draw(monkeypatch, factor, seed=1, ones=False):
         return h
 
     monkeypatch.setattr(genmod, "draw_coefficients", keep)
-    planes = plane_coefficients(_AP4, factor, seed, (0,), _TWO_PLANES)
+    planes = plane_coefficients(run_constants(_AP4, factor, _TWO_PLANES), seed, (0,))
     monkeypatch.setattr(genmod, "draw_coefficients", real)
     (h,) = drawn
     for plane in planes:
@@ -348,7 +348,7 @@ class TestMigrate:
             return drawn[-1]
 
         monkeypatch.setattr(genmod, "draw_coefficients", keep)
-        planes = plane_coefficients(ap, None, 4, range(3), zs)
+        planes = plane_coefficients(run_constants(ap, None, tuple(zs)), 4, range(3))
         (h,) = drawn
         assert h.shape[-2] == 1
         for plane in planes:
@@ -473,7 +473,8 @@ class TestSynthesize:
         planes = generate_batch_planes(ap, None, 3, range(3), zs)
         block = planes.swapaxes(0, 1)
         assert block.shape == (3, len(zs), ap.ny, ap.nx) and block.flags.c_contiguous
-        for plane, h in zip(planes, plane_coefficients(ap, None, 3, range(3), zs)):
+        coefficients = plane_coefficients(run_constants(ap, None, tuple(zs)), 3, range(3))
+        for plane, h in zip(planes, coefficients):
             assert np.shares_memory(plane, block)
             assert np.array_equal(plane, synthesize(h, ap))
 
@@ -540,7 +541,7 @@ class TestSlicedRealizations:
         t = default_table(ap)
         rows = 0 if ap.kind == "linear" else t.ms % ap.ny  # a line is one row
         planes = []
-        for h in plane_coefficients(ap, factor, seed, reals, zs):
+        for h in plane_coefficients(run_constants(ap, factor, tuple(zs)), seed, reals):
             spec = np.zeros(h.shape[:-1] + (ap.ny, ap.nx), dtype=complex)
             spec[..., rows, t.ls % ap.nx] = h
             grid = np.fft.fftshift(np.fft.ifftn(spec, axes=(-2, -1)), axes=(-2, -1))
@@ -734,7 +735,7 @@ class TestFieldStatistics:
         f = TestSlicedRealizations.FACTOR
         gp, gm = shaping_gains(f, *lattice_wavenumbers(t), KAPPA)
         want = t.sigma_sq * (gp**2 + gm**2)
-        for h in plane_coefficients(ap, f, 47, range(m), zs):
+        for h in plane_coefficients(run_constants(ap, f, tuple(zs)), 47, range(m)):
             got = np.mean(np.abs(h) ** 2, axis=0)
             assert np.max(np.abs(got / want - 1.0)) * math.sqrt(m) < 5.0
 
@@ -751,7 +752,7 @@ class TestFieldStatistics:
         # per-index contract: rms of (0, amp) over the two half-spaces,
         # i.e. gain 0 for l < 0 and amp / (2 sqrt(pi)) = 2 sqrt(2) otherwise
         plain = draw_coefficients(_std(ap), 3, 0)[0]
-        shaped = plane_coefficients(ap, f, 3, (0,), (0.0,))[0][0]
+        shaped = plane_coefficients(run_constants(ap, f, (0.0,)), 3, (0,))[0][0]
         assert np.all(shaped[t.ls < 0] == 0.0)
         assert np.allclose(shaped[t.ls >= 0], plain[t.ls >= 0] * 2.0 * math.sqrt(2.0), rtol=1e-12)
         # expected power: gain^2 = 8 on the half of the spectral mass

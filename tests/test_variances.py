@@ -13,10 +13,9 @@ from holofading.variances import (
     fold_index,
     table_1d,
     table_2d,
-    variance_1d,
     variance_2d_quadrature,
 )
-from oracles import variance_2d_closed_form
+from oracles import variance_1d, variance_2d_closed_form
 
 
 class TestVariance1D:
@@ -50,6 +49,12 @@ class TestVariance1D:
 
     def test_all_nonnegative(self):
         assert np.all(table_1d(16.0).sigma_sq >= 0.0)
+
+    @pytest.mark.parametrize("lx", [1.0, 16.0, 4100.0, 32770.0])
+    def test_table_bitwise_equal_to_scalar_definition(self, lx):
+        table = table_1d(lx)
+        want = np.array([variance_1d(int(l), lx) for l in table.ls])
+        assert table.sigma_sq.tobytes() == want.tobytes()
 
     def test_whole_number_side_is_stored_as_float(self):
         table = table_1d(16)

@@ -16,6 +16,8 @@ threads, checks that: it must equal the ``compare-kl/kl.csv`` line.
 Likewise ``generate-planar-factor-config.bin`` is the
 ``generate-planar-factor.bin`` run with every option but ``--out`` read
 from a config file that this script writes; it must equal that line.
+The script checks both ``PAIRS`` itself: after the listing, it exits 1
+and names each pair whose lines differ.
 The outputs are ``generate`` in each aperture kind and format (with a
 tabulated directional factor it writes itself, also over several z-planes
 on two workers, and on a 64 x 64 aperture whose tasks of 4 realizations
@@ -96,6 +98,12 @@ VARIANCES = {
     "variances-4x4-quadrature.csv": ("--aperture", "4,4", "--method", "quadrature"),
 }
 
+# lines that must be equal: (a rerun, the line it reruns)
+PAIRS = (
+    ("generate-planar-factor-config.bin", "generate-planar-factor.bin"),
+    ("compare-kl-blas2/kl.csv", "compare-kl/kl.csv"),
+)
+
 LAMBDA_HALF = (
     "import sys\n"
     f"sys.path.insert(0, {os.path.join(ROOT, 'tests')!r})\n"
@@ -175,8 +183,12 @@ def main() -> None:
             out = os.path.join(tmp, name)
             run("-m", "holofading.cli", "variances", "--out", out, *argv)
             outputs.append((name, out))
-        for name, path in outputs:
-            print(f"{sha256(path)}  {name}")
+        digests = {name: sha256(path) for name, path in outputs}
+    for name, digest in digests.items():
+        print(f"{digest}  {name}")
+    unequal = [f"{a} != {b}" for a, b in PAIRS if digests[a] != digests[b]]
+    if unequal:
+        sys.exit(f"lines that must be equal differ: {'; '.join(unequal)}")
 
 
 if __name__ == "__main__":
