@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -230,34 +231,33 @@ def _bin_writer(fh, aperture, m):
     return write
 
 
-def _write_csv(fh, batches):
-    fh.write("realization,z_index,y_index,x_index,re,im\n")
-    r = 0
-    for block in batches:
-        for real in block:
-            for iz in range(real.shape[0]):
-                for iy in range(real.shape[1]):
-                    for ix in range(real.shape[2]):
-                        v = real[iz, iy, ix]
-                        fh.write(f"{r},{iz},{iy},{ix},{float(v.real)!r},{float(v.imag)!r}\n")
-            r += 1
+def _write_rows(fh, header: str, rows) -> None:
+    """Write a CSV header line, then one line per row of values, each the
+    repr of a Python int or float."""
+    fh.write(header + "\n")
+    fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def _field_rows(batches):
+    """(realization, z, y, x, re, im) rows of (B, nz, ny, nx) blocks of
+    realizations 0, 1, ..., in order."""
+    for r, real in enumerate(itertools.chain.from_iterable(batches)):
+        for iz, plane in enumerate(real.tolist()):
+            for iy, line in enumerate(plane):
+                for ix, v in enumerate(line):
+                    yield r, iz, iy, ix, v.real, v.imag
 
 
 def write_figure_artifacts(report, out_dir: str) -> None:
     """curve.csv and report.json of a figure run into an existing out_dir."""
+    if report.lags_y is None:
+        header, lags = "lag_over_lambda,empirical,closed_form", [report.lags_x]
+    else:
+        header = "lag_over_lambda,lag_y_over_lambda,empirical,closed_form"
+        lags = np.meshgrid(report.lags_x, report.lags_y, indexing="ij")
+    columns = [*lags, report.empirical, report.closed_form]
     with open(os.path.join(out_dir, "curve.csv"), "w", newline="") as fh:
-        if report.lags_y is None:
-            fh.write("lag_over_lambda,empirical,closed_form\n")
-            for lag, e, c in zip(report.lags_x, report.empirical, report.closed_form):
-                fh.write(f"{float(lag)!r},{float(e)!r},{float(c)!r}\n")
-        else:
-            fh.write("lag_over_lambda,lag_y_over_lambda,empirical,closed_form\n")
-            for i, lx in enumerate(report.lags_x):
-                for j, ly in enumerate(report.lags_y):
-                    fh.write(
-                        f"{float(lx)!r},{float(ly)!r},"
-                        f"{float(report.empirical[i, j])!r},{float(report.closed_form[i, j])!r}\n"
-                    )
+        _write_rows(fh, header, zip(*(c.ravel().tolist() for c in columns)))
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -313,7 +313,8 @@ def cmd_generate(args) -> int:
                 pass
     else:  # rows are numbered in order, so one writer takes the blocks in order
         with open(args.out, "w", newline="") as fh:
-            _write_csv(fh, _field_batches(aperture, factor, args.seed, m, threads))
+            batches = _field_batches(aperture, factor, args.seed, m, threads)
+            _write_rows(fh, "realization,z_index,y_index,x_index,re,im", _field_rows(batches))
     print(f"wrote {m} realization(s) of a {aperture.kind} aperture to {args.out}")
     return 0
 
@@ -326,24 +327,15 @@ def cmd_variances(args) -> int:
     try:
         if len(sides) == 1:
             table = table_1d(sides[0])
-            rows = [(int(l), 0, s) for l, s in zip(table.ls, table.sigma_sq)]
+            ms = [0] * len(table.ls)
         else:
             table = table_2d(sides[0], sides[1], method=args.method)
-            rows = [
-                (int(l), int(mm), s)
-                for l, mm, s in zip(table.ls, table.ms, table.sigma_sq)
-            ]
+            ms = table.ms.tolist()
     except ValueError as exc:
         raise ConfigError(str(exc))
-    lines = ["l,m,sigma_sq"]
-    lines += [f"{l},{mm},{float(s)!r}" for l, mm, s in rows]
-    lines.append(f"# total_power={table.total_power()!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        _write_rows(fh, "l,m,sigma_sq", zip(table.ls.tolist(), ms, table.sigma_sq.tolist()))
+        fh.write(f"# total_power={table.total_power()!r}\n")
     return 0
 
 
@@ -376,9 +368,9 @@ def cmd_compare_kl(args) -> int:
         result = compare_kl(m=args.realizations, seed=args.seed, threads=threads)
         fig = result.figure
         if fh is not None:
-            fh.write("lag_over_lambda,model_estimate,kl_estimate,closed_form\n")
-            for lag, a, b, c in zip(fig.lags_x, fig.empirical, result.kl_estimate, fig.closed_form):
-                fh.write(f"{float(lag)!r},{float(a)!r},{float(b)!r},{float(c)!r}\n")
+            columns = (fig.lags_x, fig.empirical, result.kl_estimate, fig.closed_form)
+            _write_rows(fh, "lag_over_lambda,model_estimate,kl_estimate,closed_form",
+                        zip(*(c.tolist() for c in columns)))
     print(
         f"compare-kl: entrywise_max={result.entrywise_max:.5f} "
         f"model rmse={fig.rmse:.5f} kl rmse={result.kl_report.rmse:.5f} "

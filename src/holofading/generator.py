@@ -102,7 +102,7 @@ class Aperture:
     Side lengths and spacings are in wavelengths. ly = lz = 0 describes a
     line aperture, lz = 0 a planar one. Each x/y spacing must tile its side
     (L/d a whole number to a relative 1e-9), because synthesis samples the
-    periodic series at n * L/N; the count N = L/d must be even. Along z,
+    periodic series at n * L/N; the count N = L/d must be finite and even. Along z,
     nothing is transformed, and nz = ceil(lz/dz). Spacings must respect the
     lambda/2 Nyquist limit of the 2*kappa-bandlimited field, and the grid
     must hold every harmonic of the aperture (N >= 2 * ceil(L/lambda)).
@@ -130,6 +130,9 @@ class Aperture:
             raise ValueError("dz must be positive for a volumetric aperture")
         if self.ly > 0.0 and not self.dy > 0.0:
             raise ValueError("dy must be positive for a planar aperture")
+        sides = ((self.lx, self.dx), (self.ly, self.dy), (self.lz, self.dz))
+        if not all(math.isfinite(side / spacing) for side, spacing in sides if side > 0.0):
+            raise ValueError("every sample count L/d must be finite")
         self._check_axis("x", self.lx, self.dx)
         if self.ly > 0.0:
             self._check_axis("y", self.ly, self.dy)

@@ -21,9 +21,15 @@ the series once over the lag window, at integer grid lags reduced mod
 compute its run's ``generator.run_constants`` and hand the workers that
 record, so no worker looks it up, and this module builds no table of its
 own. Results are returned, not written: the CLI writes the
-artifacts. ``compare_kl`` is the fig 6 run plus the dense baseline's
-column, and every verdict is one rule, ``_within``, over fig 6/7/8's
-``thresholds``.
+artifacts.
+
+``run_figure`` is the one place a lag window becomes a curve: it
+normalizes each window by its zero lag (``_normalize``), forms the lags,
+the de-tilted real part and the lag radii once (``_curve``), evaluates the
+closed form once at those radii, and hands ``compare`` the two arrays.
+``compare_kl`` is the fig 6 run plus the dense baseline's normalized
+window, compared with that run's closed form. Every verdict is one rule,
+``_within``, over a copy of fig 6/7/8's ``thresholds``.
 
 Memory is bounded by row blocks, not by M. Every Monte Carlo estimate
 goes through one fold, ``_mean_folds``: workers draw row blocks of about
@@ -49,9 +55,9 @@ Two oracles serve two different claims:
 The series uses the plain-l harmonic labeling, which shifts each cell's
 spectral mass by half a cell relative to the cell centers; the series
 autocorrelation therefore carries a known deterministic linear phase
-exp(-i pi (dx/Lx + dy/Ly)) relative to the continuum law. Comparisons
-against the continuum forms remove that phase and compare real parts; the
-imaginary remainder is zero-mean sampling noise.
+exp(-i pi (dx/Lx + dy/Ly)) relative to the continuum law. ``_curve``
+removes that phase and keeps the real part; the imaginary remainder is
+zero-mean sampling noise. The dense baseline has no such phase.
 """
 from __future__ import annotations
 
@@ -79,39 +85,6 @@ from .generator import (
 from .rng import STREAM_BASELINE, complex_standard_normals
 
 MIN_REALIZATIONS = 100
-
-
-@dataclass(frozen=True)
-class AcfEstimate:
-    """Empirical autocorrelation over a lag window.
-
-    ``values`` is normalized by the zero-lag estimate (exactly 1 there);
-    ``raw`` keeps the unnormalized sample covariance. 1D estimates have
-    ``lags_y is None`` and 1D arrays; 2D estimates hold the outer lag grid.
-    """
-
-    lags_x: np.ndarray
-    lags_y: np.ndarray | None
-    values: np.ndarray
-    raw: np.ndarray
-    m: int
-    lx: float
-    ly: float | None
-    tilted: bool = True  # estimates of the plain-l series carry its phase
-
-    def detilted(self) -> np.ndarray:
-        """Values with the half-cell series phase removed (continuum frame)."""
-        if not self.tilted:
-            return self.values
-        phase = self.lags_x / self.lx if self.lags_y is None else (
-            self.lags_x[:, None] / self.lx + self.lags_y[None, :] / self.ly
-        )
-        return self.values * np.exp(1j * np.pi * phase)
-
-    def lag_radii(self) -> np.ndarray:
-        if self.lags_y is None:
-            return np.abs(self.lags_x)
-        return np.hypot(self.lags_x[:, None], self.lags_y[None, :])
 
 
 @dataclass(frozen=True)
@@ -149,22 +122,10 @@ def _fold_rows(total, s: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.add.reduce(h, axis=0)
 
 
-def _estimate(raw, m, spacings, sides, tilted=True) -> AcfEstimate:
-    """AcfEstimate of a (kx + 1, ky + 1) lag-window covariance; with one
-    spacing and side (a line) only the x lags are kept."""
-    lags_x = np.arange(raw.shape[0]) * spacings[0]
-    if len(sides) == 1:
-        raw = raw[:, 0]
-        return AcfEstimate(lags_x, None, _normalize(raw), raw, m, sides[0], None, tilted)
-    lags_y = np.arange(raw.shape[1]) * spacings[1]
-    return AcfEstimate(lags_x, lags_y, _normalize(raw), raw, m, *sides, tilted)
-
-
-def compare(est: AcfEstimate, oracle: AcfClosedForm) -> CompareReport:
-    """RMSE and max deviation of an estimate against a closed-form oracle,
-    evaluated at the estimate's lag radii and compared against the real
-    part of the de-tilted estimate."""
-    dev = np.abs(est.detilted().real - oracle(est.lag_radii()))
+def compare(empirical: np.ndarray, closed_form: np.ndarray) -> CompareReport:
+    """RMSE and max absolute deviation of an empirical curve from its
+    closed form, entry by entry."""
+    dev = np.abs(empirical - closed_form)
     return CompareReport(
         rmse=float(np.sqrt(np.mean(np.square(dev)))),
         max_abs_dev=float(np.max(dev)),
@@ -238,7 +199,8 @@ def _first_row_sums(
     """First-row covariances from the grid origin, one (kx + 1, ky + 1)
     lag window per z-plane, over m realizations: the mean origin weights
     are folded from the plane coefficients, then the series is evaluated
-    once over the window."""
+    once over the window. The series reduces lags mod (Nx, Ny), so a
+    window has no grid edge."""
     run = run_constants(aperture, factor, tuple(z_planes))  # the one lookup; the workers share it
 
     def draw(span: tuple[int, int]) -> list[np.ndarray]:
@@ -254,32 +216,6 @@ def _first_row_sums(
     window = (np.arange(kx + 1), np.arange(ky + 1))
     table = default_table(aperture)
     return [series_sum(w, table, window, (aperture.nx, aperture.ny)) for w in weights]
-
-
-def _accumulate_first_row(
-    aperture: Aperture,
-    seed: int,
-    m: int,
-    z_planes: Sequence[float],
-    lag_cells: int,
-    threads: int | None = None,
-    factor=None,
-) -> list[AcfEstimate]:
-    """First-row covariance accumulation over m realizations, one estimate
-    per requested z-plane (all planes share each realization's draws).
-    Each estimate is, bit for bit, the one over all m realizations' plane
-    coefficients held at once, whatever the row block size and worker
-    count."""
-    check_realizations(m)
-    nx, ny = aperture.nx, aperture.ny
-    one_d = aperture.kind == "linear"
-    lags = (0, lag_cells) if one_d else (lag_cells, lag_cells)
-    if nx // 2 + lags[1] >= nx or ny // 2 + lags[0] >= ny:
-        raise ValueError(f"lag window {lag_cells} exceeds the grid from the origin")
-
-    sides = (aperture.lx,) if one_d else (aperture.lx, aperture.ly)
-    raws = _first_row_sums(aperture, factor, seed, m, z_planes, lags, threads)
-    return [_estimate(raw, m, (aperture.dx, aperture.dy), sides) for raw in raws]
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +267,21 @@ def _within(measured: dict, thresholds: dict, m: int) -> bool:
     )
 
 
+def _curve(window: np.ndarray, aperture: Aperture):
+    """The x lags, y lags (None on a line), empirical curve and lag radii
+    of a normalized (kx + 1, ky + 1) lag window of a plain-l series
+    estimate on the aperture's grid. The curve is the real part of the
+    window with the half-cell series phase exp(-i pi (dx/Lx + dy/Ly))
+    removed: the continuum frame of the closed forms."""
+    lags_x = np.arange(window.shape[0]) * aperture.dx
+    if aperture.kind == "linear":
+        empirical = window[:, 0] * np.exp(1j * np.pi * (lags_x / aperture.lx))
+        return lags_x, None, empirical.real, np.abs(lags_x)
+    lags_y = np.arange(window.shape[1]) * aperture.dy
+    empirical = window * np.exp(1j * np.pi * (lags_x[:, None] / aperture.lx + lags_y / aperture.ly))
+    return lags_x, lags_y, empirical.real, np.hypot(lags_x[:, None], lags_y)
+
+
 def run_figure(
     fig: int,
     m: int = 10_000,
@@ -350,22 +301,25 @@ def run_figure(
     """
     if fig not in FIGURE_CONFIGS:
         raise ValueError(f"unknown figure {fig}; choose 6, 7 or 8")
+    check_realizations(m)
     cfg = FIGURE_CONFIGS[fig]
+    thresholds = dict(cfg["thresholds"])  # the report's own; a caller may write into it
     aperture = Aperture(**cfg["aperture"])
-    oracle = AcfClosedForm(cfg["oracle"])
     lag_cells = round(0.25 * aperture.lx / aperture.dx)
+    lags = (0, lag_cells) if aperture.kind == "linear" else (lag_cells, lag_cells)
     z_planes = (0.0, cfg["z"]) if "z" in cfg else (0.0,)
-    ests = _accumulate_first_row(aperture, seed, m, z_planes, lag_cells, threads)
-    est = ests[-1]
-    report = compare(est, oracle)
+    raws = _first_row_sums(aperture, None, seed, m, z_planes, lags, threads)
+    windows = [_normalize(raw) for raw in raws]
+    lags_x, lags_y, empirical, radii = _curve(windows[-1], aperture)
+    closed_form = AcfClosedForm(cfg["oracle"])(radii)
+    report = compare(empirical, closed_form)
     measured = asdict(report)
-    if len(ests) == 2:
-        measured["z_consistency"] = float(np.max(np.abs(est.values - ests[0].values)))
+    if len(windows) == 2:
+        measured["z_consistency"] = float(np.max(np.abs(windows[1] - windows[0])))
     return FigureReport(
         fig=fig, m=m, seed=seed, rmse=report.rmse, max_abs_dev=report.max_abs_dev,
-        passed=_within(measured, cfg["thresholds"], m), thresholds=cfg["thresholds"],
-        lags_x=est.lags_x, lags_y=est.lags_y,
-        empirical=est.detilted().real, closed_form=oracle(est.lag_radii()),
+        passed=_within(measured, thresholds, m), thresholds=thresholds,
+        lags_x=lags_x, lags_y=lags_y, empirical=empirical, closed_form=closed_form,
         z_consistency_max=measured.get("z_consistency"),
     )
 
@@ -385,7 +339,7 @@ class KlComparison:
 
 def _kl_first_row(root: np.ndarray, seed: int, m: int, lag_cells: int, threads) -> np.ndarray:
     """First-row covariance of the dense baseline h = C^{1/2} e from the
-    line's origin over lags 0 .. lag_cells; shape (lag_cells + 1, 1).
+    line's origin over lags 0 .. lag_cells; shape (lag_cells + 1,).
 
     The estimate is the lag sum sum_r conj(h_r(origin)) h_r(origin + lag)
     of ``kl_sample``'s m draws divided by m, bit for bit, without holding
@@ -409,7 +363,7 @@ def _kl_first_row(root: np.ndarray, seed: int, m: int, lag_cells: int, threads) 
 
     rows = block_rows(n * np.dtype(complex).itemsize)
     (mean,) = _mean_folds(draw, pairs, m, rows, threads)
-    return mean[:, np.newaxis]
+    return mean
 
 
 def compare_kl(m: int = 10_000, seed: int = 0, threads: int | None = None) -> KlComparison:
@@ -422,16 +376,16 @@ def compare_kl(m: int = 10_000, seed: int = 0, threads: int | None = None) -> Kl
     thresholds.
     """
     figure = run_figure(6, m, seed, threads)
-    aperture = Aperture(**FIGURE_CONFIGS[6]["aperture"])
-    oracle = AcfClosedForm(FIGURE_CONFIGS[6]["oracle"])
+    cfg = FIGURE_CONFIGS[6]
+    aperture = Aperture(**cfg["aperture"])
+    root = kl_root(correlation_matrix(aperture, AcfClosedForm(cfg["oracle"])))
     lag_cells = len(figure.lags_x) - 1  # the baseline reads fig 6's lag window
-    raw = _kl_first_row(kl_root(correlation_matrix(aperture, oracle)), seed, m, lag_cells, threads)
-    kl_est = _estimate(raw, m, (aperture.dx,), (aperture.lx,), tilted=False)
-    kl_report = compare(kl_est, oracle)
-    entrywise = float(np.max(np.abs(figure.empirical - kl_est.values.real)))
+    kl_estimate = _normalize(_kl_first_row(root, seed, m, lag_cells, threads)).real
+    kl_report = compare(kl_estimate, figure.closed_form)
+    entrywise = float(np.max(np.abs(figure.empirical - kl_estimate)))
     passed = (
         entrywise < 6.0 / math.sqrt(m)
         and figure.passed
         and _within(asdict(kl_report), figure.thresholds, m)
     )
-    return KlComparison(figure, kl_est.values.real, entrywise, kl_report, passed)
+    return KlComparison(figure, kl_estimate, entrywise, kl_report, passed)

@@ -20,13 +20,7 @@ from holofading.generator import (
     series_sum,
 )
 from holofading.rng import _positioned
-from holofading.validation import (
-    AcfEstimate,
-    _estimate,
-    _first_row_sums,
-    _normalize,
-    check_realizations,
-)
+from holofading.validation import _first_row_sums, _normalize, check_realizations
 from holofading.variances import (
     _band_1d,
     _cell_bounds,
@@ -69,9 +63,10 @@ def empirical_acf(
     fields: np.ndarray,
     reference: tuple[int, ...] | None = None,
     max_lag_cells: int | None = None,
-) -> AcfEstimate:
+) -> np.ndarray:
     """First-row autocorrelation estimate of an (M, ny, nx) or (M, nx)
-    sample array, with lags in grid cells.
+    sample array: the (kx + 1, ky + 1) lag window, x lag first,
+    normalized by its zero lag; ky = 0 for a single row.
 
     Args:
         fields: the sample array.
@@ -99,8 +94,7 @@ def empirical_acf(
         ky = 0
     if rx + kx >= nx or ry + ky >= ny:
         raise ValueError(f"lag window ({kx}, {ky}) from ({rx}, {ry}) exceeds the grid")
-    raw = lag_sum(h, (ry, rx), (ky, kx)) / m
-    return _estimate(raw, m, (1.0, 1.0), (float(nx), float(ny)) if ny > 1 else (float(nx),))
+    return _normalize(lag_sum(h, (ry, rx), (ky, kx)) / m)
 
 
 def brute_force_plane(h, aperture: Aperture) -> np.ndarray:

@@ -354,6 +354,13 @@ _BAD_INPUTS = {
     "quadrature-on-a-line": ("variances", "--aperture", "4", "--method", "quadrature"),
     "infinite-side": ("generate", "--aperture", "inf,4", "--spacing", "0.5",
                       "--out", "{tmp}/x.bin"),
+    # a count L/d that overflows to inf
+    "overflowing-side": ("generate", "--aperture", "1e308", "--spacing", "0.5",
+                         "--out", "{tmp}/x.bin"),
+    "underflowing-spacing": ("generate", "--aperture", "4", "--spacing", "1e-320",
+                             "--out", "{tmp}/x.bin"),
+    "underflowing-z-spacing": ("generate", "--aperture", "4,4,1", "--spacing", "0.5,0.5,1e-320",
+                               "--out", "{tmp}/x.bin"),
     # bench runs one fixed sweep; its size flags are gone
     "removed-bench-flag": ("bench", "--sizes", "8"),
     # argparse's own usage errors

@@ -18,7 +18,7 @@ from holofading.generator import (
     run_constants,
 )
 import holofading.generator as genmod
-from holofading.validation import _accumulate_first_row, run_figure
+from holofading.validation import _first_row_sums, _normalize, run_figure
 from holofading.variances import coefficient_indices, table_2d
 from holofading.wavenumber import KAPPA, lattice_gammas, lattice_wavenumbers
 from oracles import brute_force_plane, lambda_half_independence, synthesize
@@ -150,11 +150,12 @@ def test_first_row_accumulation_thread_invariant(lx, ly, extra, directional, see
     lag = min(aperture.nx, aperture.ny if ly else aperture.nx) // 4
 
     def results(threads):
-        ests = _accumulate_first_row(aperture, seed, m, zs, lag, threads=threads, factor=factor)
+        lags = (0 if ly == 0.0 else lag, lag)
+        raws = _first_row_sums(aperture, factor, seed, m, zs, lags, threads)
         row = lambda_half_independence(m=m, seed=seed, lx=8.0, threads=threads)[0]
         return [
-            *(e.raw for e in ests),
-            *(e.values for e in ests),
+            *raws,
+            *map(_normalize, raws),
             run_figure(8, m=m, seed=seed, threads=threads).empirical,
             row,
             generate_batch_planes(aperture, factor, seed, range(m // 10), zs),

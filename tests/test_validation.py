@@ -28,11 +28,11 @@ import holofading.generator as genmod
 from holofading.generator import generate_batch_planes, lattice_acf_1d, run_constants
 import holofading.validation as valmod
 from holofading.validation import (
-    AcfEstimate,
     FigureReport,
-    _accumulate_first_row,
+    _curve,
     _first_row_sums,
     _kl_first_row,
+    _normalize,
     _thread_count,
     compare,
     compare_kl,
@@ -47,20 +47,19 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def _estimate(values, lags, lx=16.0, m=10_000, tilted=True):
-    values = np.asarray(values, dtype=complex)
-    return AcfEstimate(
-        lags_x=np.asarray(lags, dtype=float), lags_y=None,
-        values=values, raw=values, m=m, lx=lx, ly=None, tilted=tilted,
-    )
+def _window(ap, seed, m, z_planes, lag_cells, threads=1, factor=None):
+    """The normalized first-row lag windows of a run, one per z-plane:
+    (lag_cells + 1, 1) on a line, square on a rectangle."""
+    lags = (0 if ap.kind == "linear" else lag_cells, lag_cells)
+    return [_normalize(raw) for raw in _first_row_sums(ap, factor, seed, m, z_planes, lags, threads)]
 
 
 class TestEmpiricalAcf:
     def test_constant_fields(self):
         fields = np.ones((200, 16))
         est = empirical_acf(fields)
-        assert np.allclose(est.values, 1.0)
-        assert est.values[0] == 1.0
+        assert np.allclose(est, 1.0)
+        assert est[0, 0] == 1.0
 
     def test_insufficient_realizations(self):
         with pytest.raises(InsufficientRealizations):
@@ -71,60 +70,76 @@ class TestEmpiricalAcf:
         c = CorrelationMatrix(values=np.eye(n))
         draws = kl_sample(c, seed=2, m=m)
         est = empirical_acf(draws[:, np.newaxis, :], reference=(0, 0), max_lag_cells=8)
-        assert np.max(np.abs(est.values[1:])) < 4.0 / math.sqrt(m)
+        assert est.shape == (9, 1)
+        assert np.max(np.abs(est[1:])) < 4.0 / math.sqrt(m)
 
     def test_zero_lag_exactly_one(self):
         rng = np.random.default_rng(0)
         fields = rng.standard_normal((500, 16)) + 1j * rng.standard_normal((500, 16))
         est = empirical_acf(fields)
-        assert est.values[0] == 1.0
+        assert est[0, 0] == 1.0
 
     def test_magnitude_within_noise_bound(self):
         ap = Aperture(lx=8.0, dx=0.5)
         (fields,) = generate_batch_planes(ap, None, 3, range(500), (0.0,))
         est = empirical_acf(fields[:, 0, :])
-        assert np.all(np.abs(est.values) <= 1.0 + 5.0 / math.sqrt(est.m))
+        assert np.all(np.abs(est) <= 1.0 + 5.0 / math.sqrt(500))
 
 
 class TestCompare:
     def test_identical_curves(self):
         lags = np.arange(9) * 0.25
-        series = lattice_acf_1d(table_1d(16.0), lags)
-        assert np.array_equal(_estimate(series, lags).values, series)
+        series = lattice_acf_1d(table_1d(16.0), lags).real
+        rep = compare(series, series)
+        assert rep.rmse == rep.max_abs_dev == 0.0
 
     def test_constant_offset(self):
         lags = np.arange(5) * 0.5
         acf = AcfClosedForm("bessel-2d")
-        vals = acf(lags) + 0.1
-        rep = compare(_estimate(vals, lags, tilted=False), acf)
+        rep = compare(acf(lags) + 0.1, acf(lags))
         assert rep.rmse == pytest.approx(0.1, rel=1e-12)
         assert rep.max_abs_dev == pytest.approx(0.1, rel=1e-12)
 
     def test_detilt_recovers_continuum_frame(self):
         # the exact series ACF, de-tilted, is real and close to J0
-        t = table_1d(16.0)
-        lags = np.arange(0, 65) / 16.0
-        series = lattice_acf_1d(t, lags)
-        est = _estimate(series, lags)
-        det = est.detilted()
-        assert np.max(np.abs(det.imag)) < 1e-12
-        rep = compare(est, AcfClosedForm("bessel-2d"))
+        ap = Aperture(lx=16.0, dx=1.0 / 16.0)
+        series = lattice_acf_1d(table_1d(16.0), np.arange(0, 65) / 16.0)[:, np.newaxis]
+        lags_x, lags_y, empirical, radii = _curve(series, ap)
+        assert lags_y is None and np.array_equal(lags_x, np.arange(0, 65) / 16.0)
+        assert np.array_equal(radii, lags_x)
+        # Re(-i z) = Im(z): the imaginary part of the de-tilted series
+        assert np.max(np.abs(_curve(-1j * series, ap)[2])) < 1e-12
+        rep = compare(empirical, AcfClosedForm("bessel-2d")(radii))
         assert rep.rmse < 0.03
 
     def test_series_oracle_comparison_uses_plain_convention(self):
-        t = table_1d(16.0)
+        # the plain-l series keeps its values through the normalization,
+        # and the curve turns its phase by +pi lag/L back to the continuum
+        ap = Aperture(lx=16.0, dx=1.0 / 16.0)
         lags = np.arange(0, 17) / 16.0
-        series = lattice_acf_1d(t, lags)
-        assert np.array_equal(_estimate(series, lags).values, series)
+        series = lattice_acf_1d(table_1d(16.0), lags)
+        assert np.array_equal(_normalize(series), series)
+        want = (series * np.exp(1j * np.pi * lags / 16.0)).real
+        assert np.array_equal(_curve(series[:, np.newaxis], ap)[2], want)
+
+    def test_planar_curve_lags_and_radii(self):
+        # unequal sides and spacings, so a swapped x/y axis shows
+        ap = Aperture(lx=8.0, dx=0.25, ly=6.0, dy=0.5)
+        window = np.ones((3, 2), dtype=complex)
+        lags_x, lags_y, empirical, radii = _curve(window, ap)
+        assert np.array_equal(lags_x, [0.0, 0.25, 0.5]) and np.array_equal(lags_y, [0.0, 0.5])
+        assert np.array_equal(radii, np.hypot(lags_x[:, None], lags_y[None, :]))
+        phase = lags_x[:, None] / 8.0 + lags_y[None, :] / 6.0
+        assert np.allclose(empirical, np.cos(np.pi * phase), rtol=0.0, atol=1e-15)
 
 
 class TestSelfConsistency:
     def test_disjoint_seed_ranges_agree(self):
         ap = Aperture(lx=16.0, dx=0.25)
         m = 2000
-        (a,) = _accumulate_first_row(ap, 101, m, (0.0,), 16, threads=1)
-        (b,) = _accumulate_first_row(ap, 202, m, (0.0,), 16, threads=1)
-        assert np.max(np.abs(a.values - b.values)) < 6.0 / math.sqrt(m)
+        (a,) = _window(ap, 101, m, (0.0,), 16)
+        (b,) = _window(ap, 202, m, (0.0,), 16)
+        assert np.max(np.abs(a - b)) < 6.0 / math.sqrt(m)
 
     def test_deviation_scales_with_realizations(self):
         # against the exact series oracle, quadrupling M at least halves
@@ -135,8 +150,8 @@ class TestSelfConsistency:
         oracle = lattice_acf_1d(t, lags)
         devs = {}
         for m in (1000, 4000):
-            (est,) = _accumulate_first_row(ap, 55, m, (0.0,), 16, threads=1)
-            devs[m] = np.max(np.abs(est.raw - oracle))
+            (raw,) = _first_row_sums(ap, None, 55, m, (0.0,), (0, 16), 1)
+            devs[m] = np.max(np.abs(raw[:, 0] - oracle))
         assert devs[4000] <= devs[1000] * 0.6
 
     def test_thread_count_resolution(self):
@@ -147,9 +162,9 @@ class TestSelfConsistency:
     def test_threaded_accumulation_bit_identical(self, monkeypatch):
         monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", 1 << 16)  # 5 blocks of up to 128 rows
         ap = Aperture(lx=16.0, dx=0.25)
-        (a,) = _accumulate_first_row(ap, 7, 600, (0.0,), 16, threads=1)
-        (b,) = _accumulate_first_row(ap, 7, 600, (0.0,), 16, threads=4)
-        assert np.array_equal(a.values, b.values)
+        (a,) = _window(ap, 7, 600, (0.0,), 16, threads=1)
+        (b,) = _window(ap, 7, 600, (0.0,), 16, threads=4)
+        assert np.array_equal(a, b)
 
     def test_shaping_gains_evaluated_once_per_run(self, monkeypatch):
         calls = []
@@ -168,7 +183,7 @@ class TestSelfConsistency:
             lambda kx, ky: 1.0 + 0.1 * ky / (2.0 * math.pi),
         )
         ap = Aperture(lx=8.0, dx=0.5, ly=8.0, dy=0.5)
-        _accumulate_first_row(ap, 3, 400, (0.0,), 4, threads=2, factor=factor)
+        _first_row_sums(ap, factor, 3, 400, (0.0,), (4, 4), 2)
         assert calls == [len(table_2d(8.0, 8.0).ls)]
 
     def test_migration_phases_evaluated_once_per_run(self, monkeypatch):
@@ -184,7 +199,7 @@ class TestSelfConsistency:
         monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", 1 << 18)  # 12 blocks of up to 36 rows
         ap = Aperture(lx=8.0, dx=0.5, ly=8.0, dy=0.5)
         zs = (0.0625, 0.3125)  # planes no other test migrates to: a cold cache
-        _accumulate_first_row(ap, 3, 400, zs, 4, threads=2)
+        _first_row_sums(ap, None, 3, 400, zs, (4, 4), 2)
         assert calls == [len(table_2d(8.0, 8.0).ls)] * len(zs)
 
     def test_isotropic_run_builds_no_factor(self, monkeypatch):
@@ -220,13 +235,13 @@ class TestCoefficientSpaceEstimator:
     def test_first_row_matches_fft_fields(self, ap, factor, z_planes, lag_cells, monkeypatch):
         monkeypatch.setattr(genmod, "SUB_BLOCK_BYTES", 1 << 16)  # 3 (line) or 25 blocks
         m = 300
-        ests = _accumulate_first_row(ap, 9, m, z_planes, lag_cells, threads=1, factor=factor)
-        fields = generate_batch_planes(ap, factor, 9, range(m), z_planes)
         lags = (0 if ap.kind == "linear" else lag_cells, lag_cells)
-        assert len(ests) == len(fields) == len(z_planes)
-        for est, h in zip(ests, fields):
+        got = _first_row_sums(ap, factor, 9, m, z_planes, lags, 1)
+        fields = generate_batch_planes(ap, factor, 9, range(m), z_planes)
+        assert len(got) == len(fields) == len(z_planes)
+        for a, h in zip(got, fields):
             raw = lag_sum(h, (ap.ny // 2, ap.nx // 2), lags) / m
-            assert np.max(np.abs(est.raw - raw.reshape(est.raw.shape))) <= 1e-12
+            assert a.shape == raw.shape and np.max(np.abs(a - raw)) <= 1e-12
 
     @pytest.mark.parametrize("sub_block", [None, 16 * 1024], ids=["default-budget", "16KiB"])
     @pytest.mark.parametrize("threads", [1, 2])
@@ -249,9 +264,9 @@ class TestCoefficientSpaceEstimator:
         # a line's planes share their draws; each plane's coefficients are
         # written over by its own fold, so the second must not see the first's
         ap = Aperture(lx=16.0, dx=0.25)
-        (one,) = _accumulate_first_row(ap, 2, 300, (0.0,), 16, threads=1)
-        for est in _accumulate_first_row(ap, 2, 300, (0.0, 0.0), 16, threads=1):
-            assert np.array_equal(_bits(est.raw), _bits(one.raw))
+        (one,) = _first_row_sums(ap, None, 2, 300, (0.0,), (0, 16), 1)
+        for raw in _first_row_sums(ap, None, 2, 300, (0.0, 0.0), (0, 16), 1):
+            assert np.array_equal(_bits(raw), _bits(one))
 
     @pytest.mark.parametrize("m", [0, 5])
     def test_lambda_half_needs_enough_realizations(self, m):
@@ -413,10 +428,36 @@ class TestRunFigure:
             assert not run_figure(fig, m=150, seed=1).passed, key
             monkeypatch.setitem(thresholds, key, math.inf)
 
+    def test_a_report_owns_its_thresholds(self):
+        # writing into one report's thresholds changes no later verdict
+        first = run_figure(7, m=150, seed=1)
+        first.thresholds["rmse"] = math.inf  # would pass every later run if shared
+        second = run_figure(7, m=150, seed=1)
+        assert second.passed == first.passed
+        assert second.thresholds == valmod.FIGURE_CONFIGS[7]["thresholds"] == dict(rmse=0.03)
+
     def test_fig8_reports_z_consistency(self):
         report = run_figure(8, m=150, seed=1)
         assert report.z_consistency_max is not None
         assert report.to_json_dict()["z_consistency_max"] == report.z_consistency_max
+
+
+@pytest.mark.parametrize("run, calls", [
+    (lambda: run_figure(7, 150, 1), 1),
+    # the 65-lag window once and the 256-point matrix once
+    (lambda: compare_kl(200, 1, 2), 2),
+], ids=["fig7", "compare-kl"])
+def test_closed_form_evaluated_once_per_curve(run, calls, monkeypatch):
+    seen = []
+    real = AcfClosedForm.__call__
+
+    def counting(self, r):
+        seen.append(np.shape(r))
+        return real(self, r)
+
+    monkeypatch.setattr(AcfClosedForm, "__call__", counting)
+    run()
+    assert len(seen) == calls, seen
 
 
 class TestCompareKl:
@@ -461,9 +502,9 @@ class TestCompareKl:
         c = correlation_matrix(ap, AcfClosedForm("bessel-2d"))
         want = lag_sum(kl_sample(c, 3, m)[:, None, :], (0, ap.nx // 2), (0, 64)) / m
         got = _kl_first_row(kl_root(c), 3, m, 64, threads)
-        assert np.array_equal(_bits(got), _bits(want))
-        est = valmod._estimate(want, m, (ap.dx,), (ap.lx,), tilted=False)
-        assert np.array_equal(_bits(compare_kl(m, 3, threads).kl_estimate), _bits(est.values.real))
+        assert np.array_equal(_bits(got), _bits(want[:, 0]))
+        want = _normalize(want[:, 0]).real
+        assert np.array_equal(_bits(compare_kl(m, 3, threads).kl_estimate), _bits(want))
 
     def test_baseline_products_run_on_the_workers_on_one_blas_thread(self, monkeypatch):
         # the pool is the only parallelism: each worker multiplies the
