@@ -14,7 +14,6 @@ from .errors import (
     GridTooCoarse,
     GridTooLarge,
     HoloFadingError,
-    IndexOutOfBand,
     InsufficientRealizations,
     MigrationRange,
     NotPSD,
@@ -31,7 +30,6 @@ __all__ = [
     "ConfigError",
     "GridTooCoarse",
     "GridTooLarge",
-    "IndexOutOfBand",
     "InsufficientRealizations",
     "MigrationRange",
     "NotPSD",

@@ -180,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = command("variances", "emit the variance table", cmd_variances)
     v.add_argument("--aperture", required=True, help="side lengths Lx[,Ly] in wavelengths")
-    v.add_argument("--method", choices=("closed-form", "quadrature"), default="closed-form",
-                   help="quadrature is for rectangles only")
     v.add_argument("--out", help="output CSV path (default stdout)")
 
     va = command("validate", "reproduce a reference validation run", cmd_validate)
@@ -321,15 +319,12 @@ def cmd_generate(args) -> int:
 
 def cmd_variances(args) -> int:
     sides = _parse_lengths(args.aperture, "aperture", max_parts=2)
-    if len(sides) == 1 and args.method == "quadrature":
-        raise ConfigError("--method quadrature is for rectangles only; "
-                          "a line's table is closed-form")
     try:
         if len(sides) == 1:
             table = table_1d(sides[0])
             ms = [0] * len(table.ls)
         else:
-            table = table_2d(sides[0], sides[1], method=args.method)
+            table = table_2d(sides[0], sides[1])
             ms = table.ms.tolist()
     except ValueError as exc:
         raise ConfigError(str(exc))

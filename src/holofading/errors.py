@@ -5,10 +5,6 @@ class HoloFadingError(Exception):
     """Base class for every error raised by this package."""
 
 
-class IndexOutOfBand(HoloFadingError):
-    """Coefficient index outside the admissible band of the aperture."""
-
-
 class MigrationRange(HoloFadingError):
     """Requested z-plane outside the validity range of the series expansion."""
 

@@ -36,7 +36,8 @@ ISOTROPIC_2D = "isotropic-2d"
 TABULATED = "tabulated"
 ANALYTIC = "analytic"
 
-# Polar probe grid used to reject unbounded or negative factors at load time.
+# Polar probe grid that rejects an unbounded or negative factor at load time;
+# a tabulated factor's every node is also checked as it is read.
 _PROBE_RADII = 64
 _PROBE_ANGLES = 64
 
@@ -170,6 +171,12 @@ def _read_polar_csv(path):
             if any(row[c] is None for c in columns):  # DictReader's fill for a short row
                 raise ValueError(f"tabulated factor CSV line {reader.line_num} has missing columns")
             rows.append(tuple(float(row[c]) for c in columns))
+            for name, a in zip(columns[2:], rows[-1][2:]):  # every node: the probe misses most
+                if not (a >= 0.0 and math.isfinite(a * a)):  # so that a^2/(4 pi gamma) is too
+                    raise ValueError(
+                        f"tabulated factor CSV line {reader.line_num}: {name} = {a!r} is "
+                        "negative or unbounded; a weight and its square must be finite"
+                    )
     if not rows:
         raise ValueError("tabulated factor CSV has no data rows")
     radii = np.array(sorted({r for r, _, _, _ in rows}))

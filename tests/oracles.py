@@ -3,13 +3,14 @@ series evaluated straight from synthesized fields and coefficients,
 independent of the coefficient-space estimator and the FFT synthesis that
 they check; the coefficient-space estimate over all realizations held at
 once; the draws with one unsliced Box-Muller pass over the whole block;
-the FFT synthesis of given coefficients; the per-cell line and
-closed-form rectangle variances; and the lambda/2 independence row."""
+the FFT synthesis of given coefficients; the per-cell line variance and
+the rectangle variance by closed form and by adaptive polar quadrature,
+with the scalar index-set rule they share; and the lambda/2 independence
+row."""
 import math
 
 import numpy as np
 
-from holofading.errors import IndexOutOfBand
 from holofading.generator import (
     Aperture,
     _embed,
@@ -21,13 +22,32 @@ from holofading.generator import (
 )
 from holofading.rng import _positioned
 from holofading.validation import _first_row_sums, _normalize, check_realizations
-from holofading.variances import (
-    _band_1d,
-    _cell_bounds,
-    _corner_mass,
-    _in_band_2d,
-    fold_index,
-)
+from holofading.variances import _band_1d, _corner_mass
+
+DEFAULT_QUAD_TOL = 1e-10
+
+
+class IndexOutOfBand(ValueError):
+    """Coefficient index outside the admissible band of the aperture."""
+
+
+def fold_index(i: int) -> int:
+    """Mirror a signed cell index into the first quadrant: -l-1 <-> l."""
+    return i if i >= 0 else -i - 1
+
+
+def _cell_bounds(l: int, m: int, lx: float, ly: float):
+    """First-quadrant cell of (l, m) in disk units (kx/kappa, ky/kappa)."""
+    lf, mf = fold_index(l), fold_index(m)
+    return lf / lx, (lf + 1) / lx, mf / ly, (mf + 1) / ly
+
+
+def _in_band_2d(l: int, m: int, lx: float, ly: float) -> bool:
+    """Admissible indices, the members of ``coefficient_indices``: the
+    mirrored cell's lower corner lies strictly inside the unit disk (so l
+    and m lie in their index ranges)."""
+    x1, _, y1, _ = _cell_bounds(l, m, lx, ly)
+    return x1 * x1 + y1 * y1 < 1.0
 
 
 def lag_sum(h: np.ndarray, ref, lags) -> np.ndarray:
@@ -156,6 +176,84 @@ def variance_1d(l: int, lx: float) -> float:
         raise IndexOutOfBand(f"l = {l} outside {{-{n}, ..., {n - 1}}}")
     lf = fold_index(l)
     return (math.asin((lf + 1) / n) - math.asin(lf / n)) / (2.0 * math.pi)
+
+
+def _angular_mass(phi, x1, x2, y1, y2):
+    """sqrt(1 - r_lo^2) - sqrt(1 - r_hi^2): the radial integral of the cell
+    column at azimuth phi after the k_r = sin(u) substitution."""
+    c, s = math.cos(phi), math.sin(phi)
+    r_lo = 0.0
+    if x1 > 0.0:
+        r_lo = x1 / c
+    if y1 > 0.0:
+        r_lo = max(r_lo, y1 / s)
+    r_hi = 1.0
+    if c > 0.0:
+        r_hi = min(r_hi, x2 / c)
+    if s > 0.0:
+        r_hi = min(r_hi, y2 / s)
+    if r_lo >= 1.0 or r_hi <= r_lo:
+        return 0.0
+    return math.sqrt(1.0 - r_lo * r_lo) - math.sqrt(max(0.0, 1.0 - r_hi * r_hi))
+
+
+def _cell_mass_quadrature(x1, x2, y1, y2, tol):
+    """Disk-clipped cell mass by adaptive angular quadrature.
+
+    The angular integrand is piecewise smooth except for square-root
+    behavior where a radial bound crosses the rim; every such crossing is a
+    breakpoint, and each smooth piece is integrated under the substitution
+    phi = endpoint +/- u^2, which flattens the sqrt endpoints.
+    """
+    from scipy import integrate  # only the oracle needs it; keeps start-up lean
+
+    if x1 * x1 + y1 * y1 >= 1.0:
+        return 0.0
+    phi_lo = math.atan2(y1, x2)
+    phi_hi = math.atan2(y2, x1)
+    # Breakpoints where the active radial bound changes or meets the rim.
+    candidates = [math.atan2(y1, x1), math.atan2(y2, x2)]
+    for v in (x1, x2):
+        if 0.0 < v < 1.0:
+            candidates.append(math.acos(v))
+    for v in (y1, y2):
+        if 0.0 < v < 1.0:
+            candidates.append(math.asin(v))
+    points = sorted({phi_lo, phi_hi, *[p for p in candidates if phi_lo < p < phi_hi]})
+    total = 0.0
+    eps = tol * 4.0 * math.pi / (2.0 * max(len(points) - 1, 1))
+    for a, b in zip(points[:-1], points[1:]):
+        if b - a < 1e-15:
+            continue
+        mid = 0.5 * (a + b)
+        for lo, sign in ((a, 1.0), (b, -1.0)):
+            half = math.sqrt(abs(mid - lo))
+
+            def g(u, lo=lo, sign=sign):
+                return 2.0 * u * _angular_mass(lo + sign * u * u, x1, x2, y1, y2)
+
+            val, _ = integrate.quad(g, 0.0, half, epsabs=eps, epsrel=1e-13, limit=200)
+            total += val
+    return total
+
+
+def variance_2d_quadrature(
+    l: int, m: int, lx: float, ly: float, tol: float = DEFAULT_QUAD_TOL
+) -> float:
+    """Variance sigma2_lm by the polar quadrature oracle.
+
+    Args:
+        l, m: harmonic index.
+        lx, ly: aperture side lengths in wavelengths.
+        tol: absolute tolerance on the returned variance.
+
+    Raises:
+        IndexOutOfBand: index outside the admissible band.
+    """
+    if not _in_band_2d(l, m, lx, ly):
+        raise IndexOutOfBand(f"index ({l}, {m}) outside the admissible band")
+    x1, x2, y1, y2 = _cell_bounds(l, m, lx, ly)
+    return _cell_mass_quadrature(x1, x2, y1, y2, tol) / (4.0 * math.pi)
 
 
 def variance_2d_closed_form(l: int, m: int, lx: float, ly: float) -> float:

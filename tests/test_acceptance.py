@@ -18,19 +18,15 @@ from holofading import Aperture
 from holofading.cli import main
 from holofading.generator import draw_coefficients, migrate, migration_phases, run_constants
 from holofading.validation import compare_kl, run_figure
-from holofading.variances import (
-    coefficient_indices,
-    fold_index,
-    table_1d,
-    table_2d,
-    variance_2d_quadrature,
-)
+from holofading.variances import coefficient_indices, table_1d, table_2d
 from oracles import (
     brute_force_plane,
+    fold_index,
     lambda_half_independence,
     synthesize,
     variance_1d,
     variance_2d_closed_form,
+    variance_2d_quadrature,
 )
 
 M = 10_000

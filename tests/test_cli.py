@@ -56,6 +56,13 @@ class TestApertureParsing:
             build_aperture(sides, spacings)
 
 
+def _polar_rows(nr, nphi, weight):
+    """Factor CSV rows of an nr x nphi polar grid: a_plus = 1 and a_minus =
+    weight(i, j) at radius i and azimuth j."""
+    return "".join(f"{i / (nr - 1)},{2 * math.pi * j / nphi},1.0,{weight(i, j)}\n"
+                   for i in range(nr) for j in range(nphi))
+
+
 class TestConfigFile:
     def test_file_supplies_defaults_and_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -107,7 +114,13 @@ class TestConfigFile:
         "0,0,1,1\n0,3,1\n1,0,1,1\n1,3,1,1\n",  # a row without a_minus
         "0,0,1,1\n0,0,1,1\n1,0,1,1\n1,3,1,1\n",  # (0, 0) twice, (0, 3) never
         "0,0,1,1\n0,7,5,1\n1,0,1,1\n1,7,5,1\n",  # azimuth 7 rad, past 2 pi
-    ], ids=["missing-column", "repeated-point", "azimuth-out-of-range"])
+        # nodes that the load probe's 64 azimuths miss on a grid of 256
+        _polar_rows(5, 256, lambda i, j: math.nan if (i, j) == (3, 2) else 1.0),
+        _polar_rows(5, 256, lambda i, j: -5.0 if (i, j) == (3, 2) else 1.0),
+        # a finite weight whose square, the power density, overflows to inf
+        _polar_rows(3, 4, lambda i, j: 1e160),
+    ], ids=["missing-column", "repeated-point", "azimuth-out-of-range",
+            "nan-between-probe-points", "negative-between-probe-points", "square-overflows"])
     def test_malformed_factor_csv_is_config_error(self, rows, tmp_path, capsys):
         factor = tmp_path / "factor.csv"
         factor.write_text("k_r_over_kappa,k_phi_rad,a_plus,a_minus\n" + rows)
@@ -216,6 +229,14 @@ class TestGenerateOutputs:
 
 
 class TestVariancesCommand:
+    def test_help_lists_only_aperture_out_and_config(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["variances", "--help"])
+        assert exc.value.code == 0
+        words = capsys.readouterr().out.split()
+        flags = {w.strip("[],") for w in words if w.startswith(("--", "[--"))}
+        assert flags == {"--help", "--config", "--aperture", "--out"}
+
     def test_1d_csv(self, capsys):
         code, out, _ = run_cli(capsys, "variances", "--aperture", "4")
         assert code == 0
@@ -349,9 +370,8 @@ _BAD_INPUTS = {
                               "--realizations", "-1", "--out", "{tmp}/x.bin"),
     "negative-side": ("variances", "--aperture", "4,-4"),
     "zero-side": ("variances", "--aperture", "4,0"),
-    "unknown-method-line": ("variances", "--aperture", "4", "--method", "bogus"),
-    # the quadrature oracle is for rectangles only
-    "quadrature-on-a-line": ("variances", "--aperture", "4", "--method", "quadrature"),
+    # the table has one method, the closed form; the flag that chose one is gone
+    "removed-method-flag": ("variances", "--aperture", "4,4", "--method", "quadrature"),
     "infinite-side": ("generate", "--aperture", "inf,4", "--spacing", "0.5",
                       "--out", "{tmp}/x.bin"),
     # a count L/d that overflows to inf
@@ -476,7 +496,7 @@ _FROM_CONFIG = {
     "fractional-realizations": "--realizations",
     "negative-realizations": "--realizations",
     "unknown-format": "--format",
-    "unknown-method-line": "--method",
+    "removed-method-flag": "--method",
     "unknown-figure": "--fig",
 }
 
@@ -487,12 +507,16 @@ def test_bad_config_value_fails_as_its_flag_does(case, flag, tmp_path, capsys):
     at = argv.index(flag)
     config = tmp_path / "run.cfg"
     config.write_text(f"{flag[2:]}={argv[at + 1]}\n")
+    # a config line is read as the one word --key=value, so the command line
+    # spells the flag that way too: argparse quotes the words it rejects
+    rest = argv[:at] + argv[at + 2:]
     failures = []
-    for args in (argv, argv[:at] + argv[at + 2:] + ["--config", str(config)]):
+    for args in (rest + [f"{flag}={argv[at + 1]}"], rest + ["--config", str(config)]):
         code, _, err = run_cli(capsys, *args)
         assert code == 2
         failures.append(json.loads(err.splitlines()[-1])["failures"][0])
     assert failures[0]["check"] == "config" and failures[0] == failures[1]
+    assert flag in failures[0]["detail"]
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
@@ -953,8 +977,8 @@ def _fresh_python(*argv, **env_vars):
 
 
 class TestStartup:
-    """Commands load scipy only where they use it: integrate for the
-    quadrature oracle, special for J0."""
+    """Commands load scipy only where they use it: scipy.special for J0,
+    which only validate and compare-kl evaluate."""
 
     def test_cli_import_loads_no_scipy_submodule(self):
         proc = _fresh_python(
@@ -965,19 +989,19 @@ class TestStartup:
         assert "holofading.cli" in loaded
         assert not loaded & {"scipy.integrate", "scipy.linalg", "scipy.special"}
 
-    def test_quadrature_variances_in_fresh_interpreter(self):
-        from holofading.variances import coefficient_indices, variance_2d_quadrature
-
-        proc = _fresh_python(
-            "-m", "holofading.cli", "variances", "--aperture", "4,4", "--method", "quadrature"
+    def test_variances_and_planar_generate_load_no_scipy(self, tmp_path):
+        script = (
+            "import json, sys\n"
+            "from holofading.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
         )
+        runs = [["variances", "--aperture", "4,4", "--out", str(tmp_path / "v.csv")],
+                ["generate", "--aperture", "4,4", "--spacing", "0.5", "--realizations", "2",
+                 "--out", str(tmp_path / "g.bin")]]
+        proc = _fresh_python("-c", script, json.dumps(runs))
         assert proc.returncode == 0, proc.stderr
-        # the text of the per-index oracle, row by row
-        idx = [(int(l), int(m)) for l, m in coefficient_indices(4.0, 4.0)]
-        sig = np.array([variance_2d_quadrature(l, m, 4.0, 4.0) for l, m in idx])
-        lines = ["l,m,sigma_sq"] + [f"{l},{m},{s!r}" for (l, m), s in zip(idx, sig.tolist())]
-        lines.append(f"# total_power={float(np.sum(2.0 * sig))!r}")
-        assert proc.stdout == "\n".join(lines) + "\n"
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], []]
 
 
 class TestBlasThreads:

@@ -10,8 +10,9 @@ from holofading.spectrum import (
     line_shaping_gain,
     shaping_gains,
 )
-from holofading.variances import table_2d
+from holofading.variances import coefficient_indices
 from holofading.wavenumber import KAPPA
+from oracles import variance_2d_quadrature
 
 
 class TestIsotropicFactors:
@@ -81,10 +82,12 @@ class TestShapingResponse:
 
 class TestIsotropicNormalization:
     def test_disk_integral_is_unit_power(self):
-        # (1/(2 pi)^2) * integral of (S+ + S-) over the disk equals the
-        # total cell mass of the quadrature table, which must be 1.
-        table = table_2d(4.0, 4.0, method="quadrature")
-        assert table.total_power() == pytest.approx(1.0, abs=1e-6)
+        # (1/(2 pi)^2) * integral of (S+ + S-) over the disk equals twice
+        # the quadrature oracle's cell masses summed over the index set,
+        # which must be 1.
+        total = sum(2.0 * variance_2d_quadrature(l, m, 4.0, 4.0)
+                    for l, m in coefficient_indices(4.0, 4.0).tolist())
+        assert total == pytest.approx(1.0, abs=1e-6)
 
 
 class TestTabulatedFactors:

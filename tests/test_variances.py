@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from holofading import Aperture, IndexOutOfBand
+from holofading import Aperture
 from holofading.generator import default_table
-from holofading.variances import (
-    coefficient_indices,
+from holofading.variances import coefficient_indices, table_1d, table_2d
+from oracles import (
+    IndexOutOfBand,
     fold_index,
-    table_1d,
-    table_2d,
+    variance_1d,
+    variance_2d_closed_form,
     variance_2d_quadrature,
 )
-from oracles import variance_1d, variance_2d_closed_form
 
 
 class TestVariance1D:
@@ -193,17 +193,6 @@ class TestTables:
                 lf, mf = fold_index(l), fold_index(m)
                 inside = (lf / 4.0) ** 2 + (mf / 4.0) ** 2 < 1.0
                 assert ((l, m) in idx) == inside
-
-    def test_quadrature_table_matches_closed_table(self):
-        a = table_2d(4.0, 4.0, method="closed-form")
-        b = table_2d(4.0, 4.0, method="quadrature")
-        assert np.array_equal(a.ls, b.ls)
-        assert np.allclose(a.sigma_sq, b.sigma_sq, rtol=1e-8, atol=1e-13)
-
-    def test_quadrature_table_is_the_oracle_at_its_default_tolerance(self):
-        table = table_2d(4.0, 4.0, method="quadrature")
-        want = [variance_2d_quadrature(int(l), int(m), 4.0, 4.0) for l, m in zip(table.ls, table.ms)]
-        assert np.array_equal(table.sigma_sq, want)
 
 
 def _reference_indices(lx, ly):

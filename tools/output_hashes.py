@@ -37,7 +37,15 @@ on two workers, ``compare-kl`` at M = 513 (one realization past whole
 row blocks of the baseline noise),
 the row estimate of ``lambda_half_independence`` (the lambda/2 check of
 the test suite, imported from ``tests/oracles.py``), and ``variances``
-tables of line and rectangular apertures by both methods.
+tables of line and rectangular apertures.
+The listing is committed next to this script as ``output_hashes.txt``,
+with the numpy version it was made with on its first line, and
+``tests/test_output_hashes.py`` runs this script and compares the two.
+A change that announces new output bytes rewrites that file:
+
+    (python3 -c "import numpy; print('# numpy', numpy.__version__)";
+     python3 tools/output_hashes.py) > tools/output_hashes.txt
+
 Standard library only; no options.
 """
 from __future__ import annotations
@@ -95,7 +103,6 @@ VARIANCES = {
     "variances-16x16.csv": ("--aperture", "16,16"),
     "variances-7.5x3.25.csv": ("--aperture", "7.5,3.25"),
     "variances-16.csv": ("--aperture", "16"),
-    "variances-4x4-quadrature.csv": ("--aperture", "4,4", "--method", "quadrature"),
 }
 
 # lines that must be equal: (a rerun, the line it reruns)
