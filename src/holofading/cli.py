@@ -17,8 +17,9 @@ value gets the same checks as a flag, and an explicit flag wins.
 ``--threads`` caps the worker threads of generate, validate and
 compare-kl (default: the CPUs this process may run on). Exit codes:
 0 all checks passed, 1 a validation failed (machine-readable failure list
-on stderr), 2 bad configuration or an unreadable/unwritable path (JSON
-failure on stderr, never a traceback).
+on stderr), 2 bad configuration, an unreadable/unwritable path or an
+aperture too large for the host's memory (JSON failure on stderr, never
+a traceback).
 """
 from __future__ import annotations
 
@@ -535,6 +536,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         _fail([{"check": "io", "detail": str(exc)}])
+        return 2
+    except MemoryError as exc:  # an aperture whose variance table the host cannot hold
+        _fail([{"check": "memory", "detail": str(exc)}])
         return 2
 
 

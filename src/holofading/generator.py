@@ -365,10 +365,14 @@ def run_constants(
     ``factor`` (None is isotropic) over the ``z_planes`` (a tuple), computed
     once per run. A rectangle over one plane gets one draw per harmonic,
     its gains folded into ``std`` and no phases; its plane is still
-    range-checked. A factor is a pointwise function, so its gains are
-    evaluated over slices of _SLICE harmonics: the same values, with one
-    slice of a tabulated factor's interpolation temporaries held at a
-    time. Call it once before threads share a run (and hand the record to
+    range-checked. A factor is a pointwise function, so its wavenumbers
+    and gains are evaluated over slices of _SLICE harmonics (a single
+    plane's g+^2 + g-^2 is written a slice at a time, then scaled by sigma2
+    and square-rooted in place): the same values, with one slice of a
+    tabulated factor's interpolation temporaries held at a time and no
+    harmonic-length wavenumber or gain array beside the record's own. The
+    FFT bins come after the gains, with one temporary.
+    Call it once before threads share a run (and hand the record to
     workers that call ``plane_coefficients``): workers that meet a cold
     cache together would each compute the record, and arrays made on a
     worker thread stay in that thread's malloc arena, where they kept
@@ -377,6 +381,8 @@ def run_constants(
     Raises:
         MigrationRange: a plane outside the series' validity, |z| >= min(Lx, Ly),
             or z != 0 on a line aperture.
+        ValueError: a gain of the factor at a harmonic that is NaN, infinite
+            or negative (the load-time probe sees only its polar grid).
     """
     table = default_table(aperture)
     line = aperture.kind == LINEAR
@@ -387,25 +393,35 @@ def run_constants(
         phases = (None,)
     else:
         phases = tuple(None if z == 0.0 else migration_phases(table, z) for z in z_planes)
-    bins = table.ls % aperture.nx
-    if not line:
-        bins += table.ms % aperture.ny * aperture.nx
-    gains = ()
-    if factor is not None and not factor.is_isotropic:
-        k = lattice_wavenumbers(table)
-        gains = tuple(np.empty(len(bins)) for _ in range(1 if line else 2))
-        for a in range(0, len(bins), _SLICE):
-            part = slice(a, a + _SLICE)
-            if line:
-                gains[0][part] = line_shaping_gain(factor, k[part])
-            else:
-                kx, ky = k[0][part], k[1][part]
-                gains[0][part], gains[1][part] = shaping_gains(factor, kx, ky, KAPPA)
-    if one_draw and gains:
-        std = np.sqrt(table.sigma_sq * (gains[0] ** 2 + gains[1] ** 2))
-        gains = ()
+    shaped = factor is not None and not factor.is_isotropic
+    if one_draw and shaped:  # sqrt(sigma2 (g+^2 + g-^2)): g+^2 + g-^2 slice by slice
+        std, gains = np.empty(len(table.sigma_sq)), ()
     else:
         std = np.sqrt(2.0 * table.sigma_sq if p == 1 else table.sigma_sq)
+        gains = tuple(np.empty(len(std)) for _ in range(p if shaped else 0))
+    for a in range(0, len(std) if shaped else 0, _SLICE):
+        part = slice(a, a + _SLICE)
+        k = lattice_wavenumbers(table, part)
+        g = (line_shaping_gain(factor, k),) if line else shaping_gains(factor, *k, KAPPA)
+        if not all(np.isfinite(x).all() and (x >= 0.0).all() for x in g):
+            raise ValueError(
+                f"spectral factor ({factor.kind}) gives a NaN, infinite or negative "
+                "shaping gain at a harmonic of this aperture"
+            )
+        for dst, x in zip(gains, g):
+            dst[part] = x
+        if not gains:
+            std[part] = g[0] ** 2 + g[1] ** 2
+        del k, g  # held only while their slice is evaluated
+    if one_draw and shaped:  # in place: per-slice roots faulted in ~1,200 more pages a run
+        std *= table.sigma_sq
+        np.sqrt(std, out=std)
+    if line:
+        bins = table.ls % aperture.nx
+    else:  # (m mod Ny) * Nx + (l mod Nx), with one temporary
+        bins = table.ms % aperture.ny
+        bins *= aperture.nx
+        bins += table.ls % aperture.nx
     for a in (std, *gains, *itertools.chain(*filter(None, phases)), bins):
         a.flags.writeable = False  # shared by every caller of the cache
     # one draw per harmonic (H of a line or of one plane); H+ and H- of

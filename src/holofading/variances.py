@@ -34,7 +34,12 @@ The table evaluates ``_corner_mass`` once per lattice corner
 (i/Lx, j/Ly) and forms every cell from its four corners as array
 operations, in the operand order of the per-cell inclusion-exclusion, so
 each entry is bitwise that scalar sum (``variance_2d_closed_form`` in
-``tests/oracles.py``, which the test suite holds the table to).
+``tests/oracles.py``, which the test suite holds the table to). It is
+built as a mask and a gather: the coverage mask over the (m, l) index
+grid gives sigma2, gathered from the mirrored cell grid under it, and
+the indices, by ``np.nonzero`` shifted in place, both in row-major order;
+so no harmonic-length array is made beside the table's own three (``ls``
+and ``ms`` are the two columns of nonzero's one index block).
 The line table likewise evaluates arcsin once per cell edge l/Lx and
 forms each cell as the difference of its two edges, bitwise the scalar
 ``variance_1d`` of ``tests/oracles.py``. Both stay scalar ``math`` calls:
@@ -44,7 +49,9 @@ The table index set is the cell-coverage set: all (l, m) in
 {-ceil(Lx) .. ceil(Lx)-1} x {same in y} whose mirrored cell
 corner lies strictly inside the unit disk. This is the 2D analog of the 1D
 index range above; the covered cells tile the disk exactly, so the table's
-total power 1 is preserved at every aperture size.
+total power 1 is preserved at every aperture size. Its scalar reference,
+which the table's ls and ms are held to, is ``coefficient_indices`` in
+``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -102,27 +109,6 @@ def table_1d(lx: float) -> CoefficientVariances1D:
 
 
 # ---------------------------------------------------------------------------
-# rectangular aperture: index set
-# ---------------------------------------------------------------------------
-
-def coefficient_indices(lx: float, ly: float) -> np.ndarray:
-    """Index set of the rectangular-aperture table: all (l, m) whose cell
-    overlaps the unit disk with positive measure (sides in wavelengths).
-
-    Returns an (n, 2) int array in deterministic row-major order (m outer,
-    l inner, ascending).
-    """
-    lx, ly = float(lx), float(ly)
-    nx, ny = math.ceil(lx), math.ceil(ly)
-    ls, ms = np.arange(-nx, nx), np.arange(-ny, ny)
-    x1 = _fold(ls) / lx
-    y1 = _fold(ms) / ly
-    covered = (x1 * x1)[np.newaxis, :] + (y1 * y1)[:, np.newaxis] < 1.0
-    mm, ll = np.nonzero(covered)  # row-major: m outer, l inner
-    return np.stack([ls[ll], ms[mm]], axis=1)
-
-
-# ---------------------------------------------------------------------------
 # closed form
 # ---------------------------------------------------------------------------
 
@@ -177,28 +163,34 @@ class CoefficientVariances2D:
 def _closed_form_cells(lx: float, ly: float) -> np.ndarray:
     """Closed-form sigma2 of every first-quadrant cell, indexed [lf, mf].
 
-    ``_corner_mass`` runs once per lattice corner (i/lx, j/ly); each cell is
-    then the inclusion-exclusion of its four corners, (x2, y2) - (x1, y2) -
-    (x2, y1) + (x1, y1) in that operand order, so every value is bitwise
-    the scalar sum over the cell's corners.
+    ``_corner_mass`` runs once per lattice corner (i/lx, j/ly), into one
+    preallocated grid; each cell is then the inclusion-exclusion of its
+    four corners, (x2, y2) - (x1, y2) - (x2, y1) + (x1, y1) in that operand
+    order, so every value is bitwise the scalar sum over the cell's corners.
     """
     nx, ny = math.ceil(lx), math.ceil(ly)
-    c = np.array(
-        [[_corner_mass(i / lx, j / ly) for j in range(ny + 1)] for i in range(nx + 1)]
-    )
+    c = np.empty((nx + 1, ny + 1))
+    for i in range(nx + 1):
+        c[i] = [_corner_mass(i / lx, j / ly) for j in range(ny + 1)]
     mass = c[1:, 1:] - c[:-1, 1:] - c[1:, :-1] + c[:-1, :-1]
     return np.maximum(mass, 0.0) / (4.0 * math.pi)
 
 
 @lru_cache(maxsize=32)
 def _table_2d_cached(lx, ly):
-    idx = coefficient_indices(lx, ly)
-    folded = _fold(idx)
-    sig = _closed_form_cells(lx, ly)[folded[:, 0], folded[:, 1]]
-    table = CoefficientVariances2D(
-        lx=lx, ly=ly, ls=idx[:, 0].copy(), ms=idx[:, 1].copy(), sigma_sq=sig
-    )
-    for arr in (table.ls, table.ms, table.sigma_sq):
+    nx, ny = math.ceil(lx), math.ceil(ly)
+    fl, fm = _fold(np.arange(-nx, nx)), _fold(np.arange(-ny, ny))
+    x1, y1 = fl / lx, fm / ly
+    # the coverage mask over the (m, l) grid, m outer; an aperture too large
+    # for the host fails here, before the corner loop
+    covered = (x1 * x1)[np.newaxis, :] + (y1 * y1)[:, np.newaxis] < 1.0
+    # sigma2 of the mirrored cell grid under the mask, in row-major order
+    sig = _closed_form_cells(lx, ly).T[np.ix_(fm, fl)][covered]
+    ms, ls = np.nonzero(covered)  # the same row-major order, shifted in place
+    ms -= ny
+    ls -= nx
+    table = CoefficientVariances2D(lx=lx, ly=ly, ls=ls, ms=ms, sigma_sq=sig)
+    for arr in (ls, ms, sig):
         arr.flags.writeable = False  # shared by every caller of the cache
     return table
 

@@ -5,8 +5,8 @@ they check; the coefficient-space estimate over all realizations held at
 once; the draws with one unsliced Box-Muller pass over the whole block;
 the FFT synthesis of given coefficients; the per-cell line variance and
 the rectangle variance by closed form and by adaptive polar quadrature,
-with the scalar index-set rule they share; and the lambda/2 independence
-row."""
+with the scalar index-set rule they share and the index set it gives;
+and the lambda/2 independence row."""
 import math
 
 import numpy as np
@@ -48,6 +48,19 @@ def _in_band_2d(l: int, m: int, lx: float, ly: float) -> bool:
     and m lie in their index ranges)."""
     x1, _, y1, _ = _cell_bounds(l, m, lx, ly)
     return x1 * x1 + y1 * y1 < 1.0
+
+
+def coefficient_indices(lx: float, ly: float) -> np.ndarray:
+    """The index set of the rectangular-aperture table (sides in
+    wavelengths) by a double loop over the scalar rule ``_in_band_2d``:
+    an (n, 2) int array of (l, m) in row-major order (m outer, l inner,
+    ascending), the order ``variances.table_2d`` must hold its ls and ms
+    in."""
+    nx, ny = math.ceil(lx), math.ceil(ly)
+    return np.array(
+        [(l, m) for m in range(-ny, ny) for l in range(-nx, nx) if _in_band_2d(l, m, lx, ly)],
+        dtype=np.int_,
+    )
 
 
 def lag_sum(h: np.ndarray, ref, lags) -> np.ndarray:

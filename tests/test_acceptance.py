@@ -18,9 +18,10 @@ from holofading import Aperture
 from holofading.cli import main
 from holofading.generator import draw_coefficients, migrate, migration_phases, run_constants
 from holofading.validation import compare_kl, run_figure
-from holofading.variances import coefficient_indices, table_1d, table_2d
+from holofading.variances import table_1d, table_2d
 from oracles import (
     brute_force_plane,
+    coefficient_indices,
     fold_index,
     lambda_half_independence,
     synthesize,

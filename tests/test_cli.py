@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from holofading import ConfigError, generate
+from holofading import ConfigError, SpectralFactor, generate
 from holofading.cli import build_aperture, main
 from holofading.generator import Aperture
 from holofading.variances import table_1d, table_2d
@@ -433,6 +433,10 @@ _BAD_INPUTS = {
     # a config file cannot name another: the nested file would never be read
     "nested-config": ("generate", "--config", "{tmp}/file", "--aperture", "4", "--spacing",
                       "0.5", "--out", "{tmp}/x.bin"),
+    # a 2e6 x 2e6 coverage mask, refused by the host before any cell is evaluated
+    "table-too-large": ("variances", "--aperture", "1e6,1e6"),
+    "generate-table-too-large": ("generate", "--aperture", "1e6,1e6", "--spacing", "0.5",
+                                 "--out", "{tmp}/f.bin"),
 }
 # the failure's "check" where it is not "config"
 _CHECKS = dict.fromkeys(
@@ -440,7 +444,7 @@ _CHECKS = dict.fromkeys(
      "bench-out-in-missing-dir"), "io"
 ) | dict.fromkeys(
     ("validate-too-few-realizations", "kl-too-few-realizations"), "InsufficientRealizations"
-)
+) | dict.fromkeys(("table-too-large", "generate-table-too-large"), "memory")
 
 
 @pytest.mark.parametrize("case, argv", _BAD_INPUTS.items(), ids=_BAD_INPUTS.keys())
@@ -464,6 +468,27 @@ def test_bad_input_exits_2_with_json(case, argv, tmp_path, capsys, monkeypatch):
     failure = json.loads(err.splitlines()[-1])["failures"][0]
     assert failure["check"] == _CHECKS.get(case, "config")
     assert [p.name for p in tmp_path.iterdir()] == ["file"]  # no output left behind
+
+
+@pytest.mark.parametrize("aperture, value", [("16,16", np.nan), ("16,16", -1.0), ("16", np.nan)],
+                         ids=["nan-ring", "negative-ring", "nan-ring-line"])
+def test_factor_with_bad_gains_exits_2_before_out_opens(aperture, value, tmp_path, capsys,
+                                                         monkeypatch):
+    # an analytic factor (the library's from_callables) that the load-time
+    # probe passes: value on a thin ring at |k| = kappa/2, between the
+    # probe's radii, where the harmonic (8, 0) of a 16-wavelength side sits
+    import holofading.cli as climod
+
+    ring = SpectralFactor.from_callables(
+        lambda kx, ky: np.where(np.abs(np.hypot(kx, ky) / (2 * math.pi) - 0.5) < 1e-3, value, 1.0)
+    )
+    monkeypatch.setattr(climod, "load_factor", lambda spec: ring)
+    code, _, err = run_cli(capsys, "generate", "--aperture", aperture, "--spacing", "0.5",
+                           "--factor", "ring", "--out", str(tmp_path / "x.bin"))
+    assert code == 2
+    failure = json.loads(err.splitlines()[-1])["failures"][0]
+    assert failure["check"] == "config" and "spectral factor (analytic)" in failure["detail"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from holofading import Aperture, GridTooCoarse, MigrationRange, SpectralFactor, generate
+from holofading import variances
 from holofading.generator import (
     coefficient_rows,
     default_table,
@@ -113,6 +114,7 @@ class TestAperture:
 
 
 _AP4 = Aperture(lx=4.0, dx=0.5, ly=4.0, dy=0.5)
+_AP16 = Aperture(lx=16.0, dx=0.5, ly=16.0, dy=0.5)  # the harmonic (8, 0) sits at |k| = kappa/2
 
 
 class TestDrawCoefficients:
@@ -172,6 +174,39 @@ def _gains(factor, ap=_AP4):
     """The shaping gains of a run of the aperture with the factor, (g+, g-)
     of a rectangle's run over two planes, (g,) of a line's."""
     return run_constants(ap, factor, _planes(ap)).gains
+
+
+def _lobed_csv(tmp_path):
+    """A tabulated factor with lobes in both weights, from a 17 x 48 polar
+    grid written to a CSV under tmp_path."""
+    path = tmp_path / "factor.csv"
+    with open(path, "w") as fh:
+        fh.write("k_r_over_kappa,k_phi_rad,a_plus,a_minus\n")
+        for i in range(17):
+            for j in range(48):
+                p = 2 * math.pi * j / 48
+                fh.write(f"{i / 16},{p},{1 + 0.5 * math.cos(p - 1)},{1 + 0.3 * math.sin(p)}\n")
+    return SpectralFactor.from_csv(path)
+
+
+def _traced_peak(fn):
+    """The tracemalloc peak, in bytes, of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _ring(value):
+    """An analytic factor that takes ``value`` on a thin ring at |k| =
+    kappa/2 and 1 elsewhere: the ring falls between the radii of the
+    load-time probe, but the harmonic (8, 0) of a 16-wavelength side sits
+    on it."""
+    return SpectralFactor.from_callables(
+        lambda kx, ky: np.where(np.abs(np.hypot(kx, ky) / KAPPA - 0.5) < 1e-3, value, 1.0)
+    )
 
 
 def _shaped_draw(monkeypatch, factor, seed=1, ones=False):
@@ -284,23 +319,15 @@ class TestShapeCoefficients:
     def test_tabulated_gains_are_evaluated_in_slices(self, tmp_path):
         # the polar interpolation makes about 20 temporaries of its points:
         # over all 51,940 harmonics of the 256 x 256 grid at once they
-        # peaked at 8.4 MB, over slices of _SLICE harmonics at 2.9 MB
-        path = tmp_path / "factor.csv"
-        with open(path, "w") as fh:
-            fh.write("k_r_over_kappa,k_phi_rad,a_plus,a_minus\n")
-            for i in range(17):
-                for j in range(48):
-                    p = 2 * math.pi * j / 48
-                    fh.write(f"{i / 16},{p},{1 + 0.5 * math.cos(p - 1)},{1 + 0.3 * math.sin(p)}\n")
-        f = SpectralFactor.from_csv(path)
+        # peaked at 8.4 MB, over slices of _SLICE harmonics at 3.3 MB
+        # while the wavenumbers were whole arrays, and at 2.7 MB with the
+        # wavenumbers sliced too and the FFT bins formed after the gains
+        f = _lobed_csv(tmp_path)
         t = table_2d(128.0, 128.0)  # the cached table is not the evaluation's memory
-        tracemalloc.start()
-        try:
-            gp, gm = _gains(f, Aperture(lx=128.0, dx=0.5, ly=128.0, dy=0.5))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+        ap = Aperture(lx=128.0, dx=0.5, ly=128.0, dy=0.5)
+        gains = []
+        assert _traced_peak(lambda: gains.extend(_gains(f, ap))) < 2.8e6
+        gp, gm = gains
         # a factor is pointwise, so the slices give the one evaluation's bits
         want = shaping_gains(f, *lattice_wavenumbers(t), KAPPA)
         assert np.array_equal(gp, want[0]) and np.array_equal(gm, want[1])
@@ -311,6 +338,31 @@ class TestShapeCoefficients:
         assert _SLICE < len(t.ls) < 2 * _SLICE
         want = line_shaping_gain(f, lattice_wavenumbers(t))
         assert np.array_equal(_gains(f, Aperture(lx=4100.0, dx=0.5))[0], want)
+
+    def test_setup_peaks(self, tmp_path):
+        # the setup of a 256 x 256 generate: a cold table peaked at 2.92 MB
+        # traced with harmonic-length index temporaries and 1.32 MB as a
+        # mask gathered in place; the run record of one plane with a
+        # tabulated factor at 3.34 MB with whole wavenumber and gain
+        # arrays, and at 1.81 MB evaluated slice by slice
+        variances._table_2d_cached.cache_clear()
+        assert _traced_peak(lambda: table_2d(128.0, 128.0)) < 1.4e6
+        f = _lobed_csv(tmp_path)
+        ap = Aperture(lx=128.0, dx=0.5, ly=128.0, dy=0.5)
+        assert _traced_peak(lambda: run_constants(ap, f, (0.0,))) < 1.9e6
+
+    @pytest.mark.parametrize("ap, value", [
+        (_AP16, np.nan), (_AP16, -1.0), (Aperture(lx=16.0, dx=0.5), np.nan),
+    ], ids=["nan-ring", "negative-ring", "nan-ring-line"])
+    def test_bad_gains_between_probe_points_raise(self, ap, value):
+        # at a harmonic on the ring, every sample of the realization was NaN
+        f = _ring(value)
+        for zs in _planes(ap), (0.0,):  # the two-draw and the one-draw run
+            with pytest.raises(ValueError, match=r"spectral factor \(analytic\)"):
+                run_constants(ap, f, zs)
+        with pytest.raises(ValueError, match="negative"):
+            generate(ap, factor=f, seed=1)
+        assert np.isfinite(generate(ap, factor=_ring(1.0), seed=1).samples).all()
 
 
 class TestMigrate:

@@ -19,7 +19,7 @@ from holofading.generator import (
 )
 import holofading.generator as genmod
 from holofading.validation import _first_row_sums, _normalize, run_figure
-from holofading.variances import coefficient_indices, table_2d
+from holofading.variances import table_2d
 from holofading.wavenumber import KAPPA, lattice_gammas, lattice_wavenumbers
 from oracles import brute_force_plane, lambda_half_independence, synthesize
 
@@ -30,7 +30,8 @@ fixed = settings(derandomize=True, deadline=None)
 @fixed
 @given(lx=sides, ly=sides)
 def test_index_set_mirror_symmetric_and_bounded(lx, ly):
-    idx = coefficient_indices(lx, ly)
+    table = table_2d(lx, ly)
+    idx = np.column_stack((table.ls, table.ms))
     got = {(int(l), int(m)) for l, m in idx}
     assert all((-l - 1, m) in got and (l, -m - 1) in got for l, m in got)
     nx, ny = math.ceil(lx), math.ceil(ly)

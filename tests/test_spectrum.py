@@ -10,9 +10,8 @@ from holofading.spectrum import (
     line_shaping_gain,
     shaping_gains,
 )
-from holofading.variances import coefficient_indices
 from holofading.wavenumber import KAPPA
-from oracles import variance_2d_quadrature
+from oracles import coefficient_indices, variance_2d_quadrature
 
 
 class TestIsotropicFactors:

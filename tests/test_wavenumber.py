@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from holofading.variances import CoefficientVariances2D, coefficient_indices, table_1d, table_2d
+from holofading.variances import CoefficientVariances2D, table_1d, table_2d
 from holofading.wavenumber import KAPPA, lattice_gammas, lattice_wavenumbers
 
 
@@ -11,6 +11,12 @@ def _harmonics(lx, ly, pairs):
     """A table holding just the given (l, m) harmonics of an lx x ly aperture."""
     idx = np.array(pairs, dtype=int).reshape(-1, 2)
     return CoefficientVariances2D(lx, ly, idx[:, 0], idx[:, 1], np.zeros(len(idx)))
+
+
+def _table_indices(lx, ly):
+    """The table's harmonics (l, m) as an (n, 2) array, in table order."""
+    table = table_2d(lx, ly)
+    return np.column_stack((table.ls, table.ms))
 
 
 def _gamma(lx, ly, l, m):
@@ -62,29 +68,29 @@ class TestLatticeEllipse:
     """The harmonic index set: every (l, m) whose cell overlaps the disk."""
 
     def test_single_wavelength(self):
-        got = {tuple(map(int, r)) for r in coefficient_indices(1.0, 1.0)}
+        got = {tuple(map(int, r)) for r in _table_indices(1.0, 1.0)}
         assert got == {(0, 0), (-1, 0), (0, -1), (-1, -1)}  # the four quarter disks
 
     def test_two_wavelengths(self):
-        assert len(coefficient_indices(2.0, 2.0)) == 16
+        assert len(_table_indices(2.0, 2.0)) == 16
 
     def test_elongated(self):
-        got = {tuple(map(int, r)) for r in coefficient_indices(16.0, 1.0)}
+        got = {tuple(map(int, r)) for r in _table_indices(16.0, 1.0)}
         assert got == {(l, m) for l in range(-16, 16) for m in (-1, 0)}
 
     def test_symmetry(self):
-        got = {tuple(map(int, r)) for r in coefficient_indices(7.0, 5.0)}
+        got = {tuple(map(int, r)) for r in _table_indices(7.0, 5.0)}
         for l, m in got:
             assert (-l - 1, m) in got and (l, -m - 1) in got
 
     @pytest.mark.parametrize("side", [8.0, 16.0])
     def test_cardinality_asymptotics(self, side):
-        n = len(coefficient_indices(side, side))
+        n = len(_table_indices(side, side))
         assert 0.8 <= n / (math.pi * side * side) <= 1.2
 
     def test_deterministic_order(self):
-        first = coefficient_indices(5.0, 3.0)
-        assert np.array_equal(first, coefficient_indices(5.0, 3.0))
+        first = _table_indices(5.0, 3.0)
+        assert np.array_equal(first, _table_indices(5.0, 3.0))
         keys = [(m, l) for l, m in first]
         assert keys == sorted(keys)
 
@@ -116,3 +122,13 @@ class TestGammaLattice:
         kx = lattice_wavenumbers(table)
         assert isinstance(kx, np.ndarray)
         assert np.array_equal(kx, KAPPA * np.arange(-8, 8) / 8.0)
+
+    def test_slice_is_that_part_of_the_whole(self):
+        # the run record evaluates its gains over slices of the harmonics
+        table = table_2d(7.5, 3.25)
+        whole = lattice_wavenumbers(table)
+        for part in (slice(0, 5), slice(5, 40), slice(40, None)):
+            for got, want in zip(lattice_wavenumbers(table, part), whole):
+                assert np.array_equal(got, want[part])
+        line = table_1d(8.0)
+        assert np.array_equal(lattice_wavenumbers(line, slice(3, 9)), lattice_wavenumbers(line)[3:9])
