@@ -1,26 +1,27 @@
-"""Sampling of the aperture harmonic series: coefficient draws, spectral
-shaping, migration between z-planes, and IFFT synthesis on uniform grids.
+"""Sampling of the aperture harmonic series: coefficient draws, migration
+between z-planes, and IFFT synthesis on uniform grids.
 
 Pipeline per realization:
 
-    draw H+(l, m), H-(l, m) ~ complex normal, variance sigma2_lm each
-    -> multiply by the shaping gains of the spectral factor
+    draw H+(l, m), H-(l, m) ~ complex normal, variance sigma2_lm g+-^2
     -> H(l, m; z) = H+ e^{+i gamma_lm z} + H- e^{-i gamma_lm z}
     -> h(x_n, y_j) = sum over (l, m) of H e^{i 2 pi (l n / Nx + m j / Ny)}
 
-On a single plane the first three steps are one draw: the harmonics are
-independent and |e^{+-i gamma z}| = 1, so H(l, m; z) = g+ H+ e^{+i gamma z}
-+ g- H- e^{-i gamma z} is one circular complex normal of variance
-sigma2_lm (g+^2 + g-^2), 2*sigma2_lm when isotropic. A line aperture is
-the same series with one coefficient per harmonic:
-h(x_n) = sum over l of H_l e^{i 2 pi l n / N}, H_l of variance 2*sigma2_l
-(H+ and H- lumped into one draw), observed at y = z = 0; migration off the
-line is not defined for it. So every run draws p coefficients per
-harmonic into one (p, n) block per realization: p = 2 (H+, H-) for a
-rectangle over several z-planes, p = 1 for a single-plane rectangle (its
-H(z), gains and phases folded into the draws' standard deviation) and for
-a line (H, times the line's gain). The stages index that block, never the
-aperture's kind.
+A directional environment is the isotropic one through a memoryless
+wavenumber gain g (``spectrum``), so a shaped coefficient is a circular
+complex normal of variance sigma2 g^2: the gains are in the draws'
+standard deviations, and there is no shaping stage. On a single plane the
+first two steps are one draw: the harmonics are independent and
+|e^{+-i gamma z}| = 1, so H(l, m; z) is one circular complex normal of
+variance sigma2_lm (g+^2 + g-^2), 2*sigma2_lm when isotropic. A line
+aperture is the same series with one coefficient per harmonic:
+h(x_n) = sum over l of H_l e^{i 2 pi l n / N}, H_l of variance
+2*sigma2_l g_l^2 (H+ and H- lumped into one draw), observed at y = z = 0;
+migration off the line is not defined for it. So every run draws p
+coefficients per harmonic into one (p, n) block per realization: p = 2
+(H+, H-) for a rectangle over several z-planes, p = 1 for a single-plane
+rectangle (its H(z)) and for a line (its H). The stages index that block,
+never the aperture's kind.
 
 The final sum is a zero-embedded 2D inverse FFT *without* the 1/(Nx*Ny)
 normalization (the variance table already carries the physical scaling);
@@ -31,8 +32,8 @@ n = -Nx/2 .. Nx/2 - 1 by a half-grid cyclic shift (``_grid_series``).
 same series by direct summation, for the exact ACFs and the validation lag
 windows.
 
-``plane_coefficients`` draws, scales, shapes in place and migrates a row
-block of realizations over the harmonics of the record it is given, a
+``plane_coefficients`` draws, scales and migrates a row block of
+realizations over the harmonics of the record it is given, a
 run's ``run_constants`` or a slice ``run[part]`` of it.
 ``coefficient_rows`` is how many realizations of a run's draws fit
 SUB_BLOCK_BYTES (``block_rows``, which sizes the CLI's ``generate`` tasks
@@ -48,10 +49,10 @@ later stage is elementwise per harmonic, and each realization's IFFT is
 its own; so neither the block size nor the slices change an output bit.
 
 The aperture, the factor and the z-planes fix everything a realization
-reads per harmonic: the draws' standard deviations, the shaping gains, the
+reads per harmonic: the draws' standard deviations (gains included), the
 migration phases and the FFT bins. ``run_constants`` computes them once
-per run into one read-only record. The stages (draws, shaping,
-migration, embedding) take its arrays and ``plane_coefficients`` takes the
+per run into one read-only record. The stages (draws, migration,
+embedding) take its arrays and ``plane_coefficients`` takes the
 record; ``generate_batch_planes`` takes the aperture, the factor and the
 planes and looks the record up once per call.
 
@@ -209,14 +210,14 @@ class RunConstants:
     begins at harmonic ``start``.
 
     ``std`` is the (p, n) standard deviation of each of a harmonic's p
-    draws: sqrt(sigma2_lm) of both of a multi-plane rectangle's (H+, H-),
-    a broadcast view of one row; sqrt(sigma2_lm (g+^2 + g-^2)) of a
-    single-plane rectangle's one H(z); sqrt(2 sigma2_l) of a line's one H.
-    ``gains`` are the shaping gains, one per draw: (g+, g-), (g,) of a
-    line, and () for an isotropic factor or a single-plane rectangle, whose
-    gains are in ``std``. ``phases`` holds, per z-plane, its
-    ``migration_phases``, and None at z = 0 and on a single-plane
-    rectangle, where they cancel in the one draw. ``bins`` are the FFT bins on
+    draws, the shaping gains folded in: sqrt(sigma2_lm g+^2) and
+    sqrt(sigma2_lm g-^2) of a multi-plane rectangle's (H+, H-), one
+    broadcast row of sqrt(sigma2_lm) when isotropic; sqrt(sigma2_lm (g+^2
+    + g-^2)) of a single-plane rectangle's one H(z); sqrt(2 sigma2_l g^2)
+    of a line's one H (g = 1 when isotropic). ``phases`` holds, per
+    z-plane, its ``migration_phases`` e^{+i gamma z}, and None at z = 0
+    and on a single-plane rectangle, where they cancel in the one draw.
+    ``bins`` are the FFT bins on
     the aperture grid, (m mod Ny) * Nx + (l mod Nx), and l mod Nx for a
     line; they are distinct, because Aperture guarantees N >= 2 * ceil(L)
     and the indices span -ceil(L) .. ceil(L) - 1, one full period of the
@@ -226,16 +227,14 @@ class RunConstants:
     """
 
     std: np.ndarray
-    gains: tuple[np.ndarray, ...]
-    phases: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
+    phases: tuple[np.ndarray | None, ...]
     bins: np.ndarray
     start: int = 0
 
     def __getitem__(self, part: slice) -> RunConstants:
         return RunConstants(
             self.std[:, part],
-            tuple(g[part] for g in self.gains),
-            tuple(None if p is None else (p[0][part], p[1][part]) for p in self.phases),
+            tuple(None if p is None else p[part] for p in self.phases),
             self.bins[part],
             self.start + part.indices(len(self.bins))[0],
         )
@@ -270,17 +269,16 @@ def draw_coefficients(std: np.ndarray, seed: int, realization=0, start: int = 0)
     return np.swapaxes(h, -1, -2)
 
 
-def migration_phases(table, z: float) -> tuple[np.ndarray, np.ndarray]:
-    """Migration phases (e^{+i gamma z}, e^{-i gamma z}) at every harmonic
-    of a rectangle's table, the second the conjugate of the first.
+def migration_phases(table, z: float) -> np.ndarray:
+    """Migration phase e^{+i gamma z} at every harmonic of a rectangle's
+    table; ``migrate`` takes its conjugate for the down-going term.
 
     Raises:
         MigrationRange: for a line's table, which supports z = 0 only (and
             needs no phases there), and where |z| >= min(Lx, Ly).
     """
     _check_plane(table, z)
-    phase = np.exp(1j * lattice_gammas(table) * z)
-    return phase, np.conj(phase)
+    return np.exp(1j * lattice_gammas(table) * z)
 
 
 def _check_plane(table, z: float) -> None:
@@ -296,23 +294,22 @@ def _check_plane(table, z: float) -> None:
         )
 
 
-def migrate(
-    h: np.ndarray, phases: tuple[np.ndarray, np.ndarray] | None, only: bool = False
-) -> np.ndarray:
+def migrate(h: np.ndarray, phase: np.ndarray | None, only: bool = False) -> np.ndarray:
     """Per-harmonic coefficients, a new array, on the plane of the
-    ``migration_phases`` at height z, from the (..., p, n) draws h:
-    H(z) = H+ e^{+i gamma z} + H- e^{-i gamma z}. None is the plane z = 0,
-    where both phases are exactly 1, so the plane is the sum H+ + H- of
-    p = 2 draws, and the one draw of p = 1: a copy, so that repeated planes
-    of one block are arrays of their own, or, when the plane is the
-    block's ``only`` one, a view of h."""
-    if phases is None:
+    ``migration_phases`` e^{+i gamma z} at height z, from the (..., p, n)
+    draws h: H(z) = H+ e^{+i gamma z} + H- e^{-i gamma z}, the second phase
+    the (exact) conjugate of the first. None is the plane z = 0, where both
+    phases are exactly 1, so the plane is the sum H+ + H- of p = 2 draws,
+    and the one draw of p = 1: a copy, so that repeated planes of one
+    block are arrays of their own, or, when the plane is the block's
+    ``only`` one, a view of h."""
+    if phase is None:
         if h.shape[-2] == 1:
             return h[..., 0, :] if only else h[..., 0, :].copy()
         # np.add, not h.sum(axis=-2): the reduction is far slower on these strided views
         return np.add(h[..., 0, :], h[..., 1, :])
-    plane = np.multiply(h[..., 0, :], phases[0])
-    plane += h[..., 1, :] * phases[1]  # two arrays held, not three
+    plane = np.multiply(h[..., 0, :], phase)
+    plane += h[..., 1, :] * phase.conj()  # two arrays of the block held, not three
     return plane
 
 
@@ -363,15 +360,16 @@ def run_constants(
 ) -> RunConstants:
     """The ``RunConstants`` of the aperture's table for a run with the
     ``factor`` (None is isotropic) over the ``z_planes`` (a tuple), computed
-    once per run. A rectangle over one plane gets one draw per harmonic,
-    its gains folded into ``std`` and no phases; its plane is still
-    range-checked. A factor is a pointwise function, so its wavenumbers
-    and gains are evaluated over slices of _SLICE harmonics (a single
-    plane's g+^2 + g-^2 is written a slice at a time, then scaled by sigma2
-    and square-rooted in place): the same values, with one slice of a
-    tabulated factor's interpolation temporaries held at a time and no
-    harmonic-length wavenumber or gain array beside the record's own. The
-    FFT bins come after the gains, with one temporary.
+    once per run. A rectangle over one plane gets one draw per harmonic and
+    no phases; its plane is still range-checked. A shaped run's ``std``
+    rows are sqrt(w P_j), w = sigma2 (2 sigma2 on a line) and P_j the gain
+    power of draw j: g+^2 + g-^2 on one plane, (g+^2, g-^2) over several,
+    g^2 on a line. A factor is a pointwise function, so its wavenumbers
+    and gains are evaluated over slices of _SLICE harmonics, P written a
+    slice at a time, then scaled by w and square-rooted in place: the same
+    values, with one slice of a tabulated factor's interpolation
+    temporaries held at a time and no harmonic-length wavenumber or gain
+    array beside ``std``. The FFT bins come after, with one temporary.
     Call it once before threads share a run (and hand the record to
     workers that call ``plane_coefficients``): workers that meet a cold
     cache together would each compute the record, and arrays made on a
@@ -393,28 +391,30 @@ def run_constants(
         phases = (None,)
     else:
         phases = tuple(None if z == 0.0 else migration_phases(table, z) for z in z_planes)
-    shaped = factor is not None and not factor.is_isotropic
-    if one_draw and shaped:  # sqrt(sigma2 (g+^2 + g-^2)): g+^2 + g-^2 slice by slice
-        std, gains = np.empty(len(table.sigma_sq)), ()
-    else:
+    if factor is None or factor.is_isotropic:
         std = np.sqrt(2.0 * table.sigma_sq if p == 1 else table.sigma_sq)
-        gains = tuple(np.empty(len(std)) for _ in range(p if shaped else 0))
-    for a in range(0, len(std) if shaped else 0, _SLICE):
-        part = slice(a, a + _SLICE)
-        k = lattice_wavenumbers(table, part)
-        g = (line_shaping_gain(factor, k),) if line else shaping_gains(factor, *k, KAPPA)
-        if not all(np.isfinite(x).all() and (x >= 0.0).all() for x in g):
-            raise ValueError(
-                f"spectral factor ({factor.kind}) gives a NaN, infinite or negative "
-                "shaping gain at a harmonic of this aperture"
-            )
-        for dst, x in zip(gains, g):
-            dst[part] = x
-        if not gains:
-            std[part] = g[0] ** 2 + g[1] ** 2
-        del k, g  # held only while their slice is evaluated
-    if one_draw and shaped:  # in place: per-slice roots faulted in ~1,200 more pages a run
-        std *= table.sigma_sq
+        std.flags.writeable = False  # and so every view of it
+        # H+ and H- of several planes share one row, so no memory is added
+        std = std[np.newaxis] if p == 1 else np.broadcast_to(std, (2, len(std)))
+    else:  # sqrt(w P_j): P_j written slice by slice, then scaled and rooted in place
+        std = np.empty((p, len(table.sigma_sq)))
+        for a in range(0, std.shape[1], _SLICE):
+            part = slice(a, a + _SLICE)
+            k = lattice_wavenumbers(table, part)
+            g = (line_shaping_gain(factor, k),) if line else shaping_gains(factor, *k, KAPPA)
+            if not all(np.isfinite(x).all() and (x >= 0.0).all() for x in g):
+                raise ValueError(
+                    f"spectral factor ({factor.kind}) gives a NaN, infinite or negative "
+                    "shaping gain at a harmonic of this aperture"
+                )
+            if one_draw:
+                std[0, part] = g[0] ** 2 + g[1] ** 2
+            else:
+                for row, x in zip(std, g):
+                    row[part] = x**2
+            del k, g  # held only while their slice is evaluated
+        # in place: per-slice roots faulted in ~1,200 more pages a run
+        std *= 2.0 * table.sigma_sq if line else table.sigma_sq
         np.sqrt(std, out=std)
     if line:
         bins = table.ls % aperture.nx
@@ -422,12 +422,9 @@ def run_constants(
         bins = table.ms % aperture.ny
         bins *= aperture.nx
         bins += table.ls % aperture.nx
-    for a in (std, *gains, *itertools.chain(*filter(None, phases)), bins):
+    for a in (std, *(phase for phase in phases if phase is not None), bins):
         a.flags.writeable = False  # shared by every caller of the cache
-    # one draw per harmonic (H of a line or of one plane); H+ and H- of
-    # several planes share one row, so no memory is added
-    std = std[np.newaxis] if p == 1 else np.broadcast_to(std, (2, len(std)))
-    return RunConstants(std, gains, phases, bins)
+    return RunConstants(std, phases, bins)
 
 
 def generate(
@@ -437,7 +434,7 @@ def generate(
     z_planes: Sequence[float] | None = None,
     realization: int = 0,
 ) -> FieldRealization:
-    """Full pipeline for one realization: draw, shape, migrate, synthesize.
+    """Full pipeline for one realization: draw, migrate, synthesize.
 
     Args:
         aperture: geometry and grid.
@@ -459,7 +456,8 @@ def plane_coefficients(
     run: RunConstants, seed: int, realizations: Sequence[int]
 ) -> list[np.ndarray]:
     """The coefficient stages of the pipeline over a batch of realizations:
-    draw, shape, migrate to each z-plane, on the arrays of ``run``, a run's
+    draw (the gains in ``run.std``) and migrate to each z-plane (one phase
+    array or None per plane), on the arrays of ``run``, a run's
     ``run_constants`` or a slice ``run[part]`` of it (a slice of a run of
     one draw per harmonic starts at an even harmonic). Returns one (B, n)
     array of per-harmonic coefficients per plane, in the table's harmonic
@@ -469,9 +467,7 @@ def plane_coefficients(
     holds).
     """
     h = draw_coefficients(run.std, seed, realizations, run.start)
-    for j, g in enumerate(run.gains):  # shaped in place: the pipeline owns its draw
-        h[..., j, :] *= g
-    return [migrate(h, phases, only=len(run.phases) == 1) for phases in run.phases]
+    return [migrate(h, phase, only=len(run.phases) == 1) for phase in run.phases]
 
 
 def coefficient_rows(std: np.ndarray) -> int:

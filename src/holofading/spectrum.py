@@ -227,11 +227,13 @@ def line_shaping_gain(factor: SpectralFactor, kx):
     unit phase; a directional weight therefore acts through the RMS of the
     two half-space gains, normalized so the isotropic line weight
     2*sqrt(pi) maps to gain 1. Isotropic factors of either kind are the
-    shaping identity.
+    shaping identity. The RMS would hide a weight's sign, so the gain is
+    NaN where either weight is negative, and ``run_constants`` rejects it.
     """
     kx = np.asarray(kx, dtype=float)
     if factor.is_isotropic:
         return np.ones_like(kx)
     kxc = np.clip(kx, -KAPPA, KAPPA)
     ap, am = factor.amplitudes(kxc, np.zeros_like(kxc))
-    return np.sqrt((np.square(ap) + np.square(am)) / 2.0) / ISOTROPIC_FACTOR_2D
+    gain = np.sqrt((np.square(ap) + np.square(am)) / 2.0) / ISOTROPIC_FACTOR_2D
+    return np.where(np.minimum(ap, am) < 0.0, np.nan, gain)

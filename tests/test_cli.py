@@ -470,8 +470,9 @@ def test_bad_input_exits_2_with_json(case, argv, tmp_path, capsys, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["file"]  # no output left behind
 
 
-@pytest.mark.parametrize("aperture, value", [("16,16", np.nan), ("16,16", -1.0), ("16", np.nan)],
-                         ids=["nan-ring", "negative-ring", "nan-ring-line"])
+@pytest.mark.parametrize("aperture, value", [
+    ("16,16", np.nan), ("16,16", -1.0), ("16", np.nan), ("16", -1.0),
+], ids=["nan-ring", "negative-ring", "nan-ring-line", "negative-ring-line"])
 def test_factor_with_bad_gains_exits_2_before_out_opens(aperture, value, tmp_path, capsys,
                                                          monkeypatch):
     # an analytic factor (the library's from_callables) that the load-time
@@ -952,11 +953,11 @@ class TestGenerateChunks:
         assert batch_sizes == [4, 4, 4, 4, 2]
         table = table_1d(16.0)
         assert calls == [len(table.ls)]
-        # the bytes of the uncached definition: each draw times the gain
+        # the bytes of the uncached definition: draws of std sqrt(2 sigma2 g^2)
         factor = SpectralFactor.from_csv(tmp_path / "factor.csv")
         gain = line_shaping_gain(factor, lattice_wavenumbers(table))
-        std = genmod.run_constants(Aperture(lx=16.0, dx=0.0625), None, (0.0,)).std
-        draws = genmod.draw_coefficients(std, 7, range(18))[:, 0] * gain
+        std = np.sqrt(gain**2 * (2.0 * table.sigma_sq))[np.newaxis]
+        draws = genmod.draw_coefficients(std, 7, range(18))[:, 0]
         want = synthesize(draws, Aperture(lx=16.0, dx=0.0625))
         assert out.read_bytes()[24:] == np.ascontiguousarray(want, dtype="<c16").tobytes()
 

@@ -170,10 +170,22 @@ class TestDrawCoefficients:
             assert np.array_equal(got, whole[..., 2:6])
 
 
-def _gains(factor, ap=_AP4):
-    """The shaping gains of a run of the aperture with the factor, (g+, g-)
-    of a rectangle's run over two planes, (g,) of a line's."""
-    return run_constants(ap, factor, _planes(ap)).gains
+def _shaped_std(factor, ap=_AP4):
+    """The (p, n) draw standard deviations of a run of the aperture with
+    the factor, over two planes of a rectangle (H+, H-) or a line's one;
+    the gains are in them."""
+    return run_constants(ap, factor, _planes(ap)).std
+
+
+def _direct_std(factor, ap=_AP4):
+    """sqrt(w g^2) of a direct evaluation of the gains at all of the
+    table's harmonics: (sqrt(sigma2 g+^2), sqrt(sigma2 g-^2)) of a
+    rectangle, (sqrt(2 sigma2 g^2),) of a line."""
+    t = default_table(ap)
+    k = lattice_wavenumbers(t)
+    if ap.kind == "linear":
+        return (np.sqrt(line_shaping_gain(factor, k) ** 2 * (2.0 * t.sigma_sq)),)
+    return tuple(np.sqrt(g**2 * t.sigma_sq) for g in shaping_gains(factor, *k, KAPPA))
 
 
 def _lobed_csv(tmp_path):
@@ -209,58 +221,65 @@ def _ring(value):
     )
 
 
-def _shaped_draw(monkeypatch, factor, seed=1, ones=False):
+def _shaped_draw(monkeypatch, factor, seed=1):
     """Realization 0's (2, n) draw of an _AP4 run over two planes with the
-    factor, as ``plane_coefficients`` left it after shaping it; ``ones``
-    puts unit draws in place of the stream's."""
+    factor, the block ``plane_coefficients`` drew and migrated."""
     import holofading.generator as genmod
 
     drawn = []
     real = genmod.draw_coefficients
 
     def keep(*args, **kwargs):
-        h = real(*args, **kwargs)
-        if ones:
-            h[...] = 1.0
-        drawn.append(h)
-        return h
+        drawn.append(real(*args, **kwargs))
+        return drawn[-1]
 
     monkeypatch.setattr(genmod, "draw_coefficients", keep)
     planes = plane_coefficients(run_constants(_AP4, factor, _TWO_PLANES), seed, (0,))
     monkeypatch.setattr(genmod, "draw_coefficients", real)
     (h,) = drawn
     for plane in planes:
-        assert np.array_equal(plane, migrate(h, None))  # the plane of the shaped draw
+        assert np.array_equal(plane, migrate(h, None))  # no stage between draw and plane
     return h[0]
 
 
 class TestShapeCoefficients:
+    """A shaped coefficient is a circular normal of variance sigma2 g^2, so
+    the gains live in the run's ``std`` rows and no stage shapes a draw."""
+
     def test_isotropic_identity(self, monkeypatch):
+        # an isotropic factor is the run of None: one broadcast row of
+        # sqrt(sigma2) over (H+, H-), sqrt(2 sigma2) of a line
+        for ap, iso in ((_AP4, SpectralFactor.isotropic_3d()),
+                        (Aperture(lx=4.0, dx=0.5), SpectralFactor.isotropic_2d())):
+            std, plain = _shaped_std(iso, ap), _shaped_std(None, ap)
+            assert np.array_equal(std, plain) and std.strides == plain.strides
         d = draw_coefficients(_std(_AP4), seed=1)
-        iso = _gains(SpectralFactor.isotropic_3d())
-        assert iso == () == _gains(None)
         s = _shaped_draw(monkeypatch, SpectralFactor.isotropic_3d())
-        assert np.array_equal(s[0], d[0])
+        assert np.array_equal(s, d)
 
     def test_shapes_in_place(self, monkeypatch):
-        # the pipeline owns its draw: shaping writes into the block
-        # draw_coefficients returned, no copy
+        # the draw is scaled in place by the shaped std, no copy and no
+        # later gain pass: standard normals times sqrt(sigma2 g+-^2)
         f = self._lobed()
-        d = draw_coefficients(_std(_AP4), seed=1)
+        std = _shaped_std(f)
+        z = complex_standard_normals(1, 0, std.size).reshape(-1, 2).T
         s = _shaped_draw(monkeypatch, f)
-        gp, gm = _gains(f)
-        assert np.array_equal(s[0], d[0] * gp) and np.array_equal(s[1], d[1] * gm)
+        assert np.array_equal(s, z * std)
 
     def test_half_disk_blackout(self, monkeypatch):
         t = table_2d(4.0, 4.0)
-        d = draw_coefficients(_std(_AP4), seed=1)
         f = SpectralFactor.from_callables(
             lambda kx, ky: np.where(kx < 0, 0.0, 1.0)
         )
-        s = _shaped_draw(monkeypatch, f)
-        assert np.all(s[0][t.ls < 0] == 0.0)
+        std = _shaped_std(f)
         scale = math.sqrt(KAPPA) / (2 * math.pi)
-        assert np.all(s[0][t.ls >= 0] == d[0][t.ls >= 0] * scale)
+        for row in std:  # zero std where the factor is dark, sqrt(sigma2 g^2) elsewhere
+            assert np.all(row[t.ls < 0] == 0.0)
+            assert np.array_equal(row[t.ls >= 0], np.sqrt(scale**2 * t.sigma_sq[t.ls >= 0]))
+        s = _shaped_draw(monkeypatch, f)
+        assert np.all(s[:, t.ls < 0] == 0.0) and np.all(s[:, t.ls >= 0] != 0.0)
+        one = run_constants(_AP4, f, (0.0,)).std  # one plane: sqrt(sigma2 (g^2 + g^2))
+        assert np.all(one[0, t.ls < 0] == 0.0) and np.all(one[0, t.ls >= 0] > 0.0)
 
     def test_constant_gain_scales_power(self, monkeypatch):
         d = draw_coefficients(_std(_AP4), seed=3)
@@ -279,83 +298,95 @@ class TestShapeCoefficients:
     def test_cached_gains_are_read_only(self):
         f = self._lobed()
         run = run_constants(_AP4, f, (0.0, 0.5))
-        assert len(run.gains) == 2 and run.phases[0] is None
-        for a in (run.std, *run.gains, *run.phases[1], run.bins):
+        assert run_constants(_AP4, f, (0.0, 0.5)) is run  # evaluated once per run
+        assert set(type(run).__dataclass_fields__) == {"std", "phases", "bins", "start"}
+        assert run.phases[0] is None and run.phases[1].shape == run.bins.shape
+        for a in (run.std, run.phases[1], run.bins):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0
-        # p = 2 draws per harmonic of a rectangle, H+ and H-, whose one row
-        # of sqrt(sigma2) is broadcast; p = 1 of a line, of sqrt(2 sigma2)
+        # p = 2 draws per harmonic of a rectangle, H+ and H-, each row its
+        # own sqrt(sigma2 g^2); isotropic, one row of sqrt(sigma2) broadcast;
+        # p = 1 of a line, of sqrt(2 sigma2 g^2)
         n = len(run.bins)
-        assert run.std.shape == (2, n) and run.std.strides[0] == 0
-        assert np.array_equal(run.std[0], np.sqrt(default_table(_AP4).sigma_sq))
+        assert run.std.shape == (2, n)
+        iso = run_constants(_AP4, None, (0.0, 0.5)).std
+        assert iso.shape == (2, n) and iso.strides[0] == 0 and not iso.base.flags.writeable
+        assert np.array_equal(iso[0], np.sqrt(default_table(_AP4).sigma_sq))
         line = run_constants(Aperture(lx=4.0, dx=0.5), f, (0.0,))
         assert line.std.shape == (1, len(line.bins)) and not line.std.flags.writeable
-        assert np.array_equal(line.std[0], np.sqrt(2.0 * table_1d(4.0).sigma_sq))
+        assert np.array_equal(line.std[0], _direct_std(f, Aperture(lx=4.0, dx=0.5))[0])
+        iso_line = run_constants(Aperture(lx=4.0, dx=0.5), None, (0.0,)).std
+        assert np.array_equal(iso_line[0], np.sqrt(2.0 * table_1d(4.0).sigma_sq))
+        assert not iso_line.base.flags.writeable  # the row a view shows is read-only too
         part = run[slice(2, 5)]  # a slice of the record is views, read-only too
         assert part.start == 2 and np.shares_memory(part.std, run.std)
         assert part.std.shape == (2, 3)
-        assert not part.gains[0].flags.writeable
-        assert run_constants(_AP4, f, (0.0, 0.5)) is run  # evaluated once per run
+        assert np.shares_memory(part.phases[1], run.phases[1]) and not part.phases[1].flags.writeable
         # one plane: H(z) is one draw of variance sigma2 (g+^2 + g-^2), gains
         # and phases folded in, and its plane still range-checked
         one = run_constants(_AP4, f, (0.5,))
-        gp, gm = run.gains
+        gp, gm = shaping_gains(f, *lattice_wavenumbers(default_table(_AP4)), KAPPA)
         assert one.std.shape == (1, n) and not one.std.flags.writeable
         assert np.array_equal(one.std[0], np.sqrt(default_table(_AP4).sigma_sq * (gp**2 + gm**2)))
-        assert one.gains == () and one.phases == (None,)
+        assert one.phases == (None,)
         iso = run_constants(_AP4, None, (0.0,)).std
         assert np.array_equal(iso, np.sqrt(2.0 * default_table(_AP4).sigma_sq)[np.newaxis])
         with pytest.raises(MigrationRange):
             run_constants(_AP4, f, (4.0,))
 
-    def test_run_gains_equal_a_direct_evaluation(self, monkeypatch):
+    def test_run_gains_equal_a_direct_evaluation(self):
+        # the run's std rows are sqrt(sigma2 g^2) of a direct evaluation at
+        # the table's harmonics, bit for bit
         f = self._lobed()
-        s = _shaped_draw(monkeypatch, f, ones=True)
-        # the run's gains equal a direct evaluation at the table's harmonics
-        gp, gm = shaping_gains(f, *lattice_wavenumbers(table_2d(4.0, 4.0)), KAPPA)
-        assert np.array_equal(s[0], gp) and np.array_equal(s[1], gm)
+        std = _shaped_std(f)
+        want = _direct_std(f)
+        assert np.array_equal(std[0], want[0]) and np.array_equal(std[1], want[1])
 
     def test_tabulated_gains_are_evaluated_in_slices(self, tmp_path):
         # the polar interpolation makes about 20 temporaries of its points:
         # over all 51,940 harmonics of the 256 x 256 grid at once they
         # peaked at 8.4 MB, over slices of _SLICE harmonics at 3.3 MB
-        # while the wavenumbers were whole arrays, and at 2.7 MB with the
-        # wavenumbers sliced too and the FFT bins formed after the gains
+        # while the wavenumbers were whole arrays, at 2.7 MB with the
+        # wavenumbers sliced too and the FFT bins formed after the gains,
+        # and at 2.29 MB with the gains folded into the two std rows
         f = _lobed_csv(tmp_path)
-        t = table_2d(128.0, 128.0)  # the cached table is not the evaluation's memory
         ap = Aperture(lx=128.0, dx=0.5, ly=128.0, dy=0.5)
-        gains = []
-        assert _traced_peak(lambda: gains.extend(_gains(f, ap))) < 2.8e6
-        gp, gm = gains
+        default_table(ap)  # the cached table is not the evaluation's memory
+        std = []
+        assert _traced_peak(lambda: std.append(_shaped_std(f, ap))) < 2.35e6
         # a factor is pointwise, so the slices give the one evaluation's bits
-        want = shaping_gains(f, *lattice_wavenumbers(t), KAPPA)
-        assert np.array_equal(gp, want[0]) and np.array_equal(gm, want[1])
+        want = _direct_std(f, ap)
+        assert np.array_equal(std[0][0], want[0]) and np.array_equal(std[0][1], want[1])
 
     def test_line_gains_across_slices(self):
         f = self._lobed()
-        t = table_1d(4100.0)  # 8,200 harmonics: one whole slice and a remainder
-        assert _SLICE < len(t.ls) < 2 * _SLICE
-        want = line_shaping_gain(f, lattice_wavenumbers(t))
-        assert np.array_equal(_gains(f, Aperture(lx=4100.0, dx=0.5))[0], want)
+        ap = Aperture(lx=4100.0, dx=0.5)
+        assert _SLICE < len(default_table(ap).ls) < 2 * _SLICE  # a whole slice and a remainder
+        assert np.array_equal(_shaped_std(f, ap)[0], _direct_std(f, ap)[0])
 
     def test_setup_peaks(self, tmp_path):
         # the setup of a 256 x 256 generate: a cold table peaked at 2.92 MB
         # traced with harmonic-length index temporaries and 1.32 MB as a
         # mask gathered in place; the run record of one plane with a
         # tabulated factor at 3.34 MB with whole wavenumber and gain
-        # arrays, and at 1.81 MB evaluated slice by slice
+        # arrays, and at 1.81 MB evaluated slice by slice; over the planes
+        # (0, 0.5) at 4.36 MB with gain arrays beside std and both
+        # e^{+-i gamma z}, and at 3.12 MB with the gains in std and one phase
         variances._table_2d_cached.cache_clear()
         assert _traced_peak(lambda: table_2d(128.0, 128.0)) < 1.4e6
         f = _lobed_csv(tmp_path)
         ap = Aperture(lx=128.0, dx=0.5, ly=128.0, dy=0.5)
         assert _traced_peak(lambda: run_constants(ap, f, (0.0,))) < 1.9e6
+        assert _traced_peak(lambda: run_constants(ap, f, (0.0, 0.5))) < 3.2e6
 
     @pytest.mark.parametrize("ap, value", [
         (_AP16, np.nan), (_AP16, -1.0), (Aperture(lx=16.0, dx=0.5), np.nan),
-    ], ids=["nan-ring", "negative-ring", "nan-ring-line"])
+        (Aperture(lx=16.0, dx=0.5), -1.0),
+    ], ids=["nan-ring", "negative-ring", "nan-ring-line", "negative-ring-line"])
     def test_bad_gains_between_probe_points_raise(self, ap, value):
-        # at a harmonic on the ring, every sample of the realization was NaN
+        # at a harmonic on the ring, every sample of the realization was
+        # NaN; a line's RMS gain hid a negative weight
         f = _ring(value)
         for zs in _planes(ap), (0.0,):  # the two-draw and the one-draw run
             with pytest.raises(ValueError, match=r"spectral factor \(analytic\)"):
@@ -411,14 +442,17 @@ class TestMigrate:
         ap = _AP4
         t = default_table(ap)
         run = run_constants(ap, half, _TWO_PLANES)
-        d = draw_coefficients(run.std, seed=4, realization=range(3)) * np.stack(run.gains)
+        d = draw_coefficients(run.std, seed=4, realization=range(3))  # the gains in std
         one = np.exp(1j * lattice_gammas(t) * 0.0)
         want = d[:, 0] * one + d[:, 1] * np.conj(one)
+        assert run.phases[0] is None
         got = migrate(d, run.phases[0])
         assert np.count_nonzero(got == 0) > 0  # the factor is 0 on half the disk
         assert np.array_equal(got, want)
         live = got != 0
         assert np.array_equal(got[live].view(np.uint64), want[live].view(np.uint64))
+        # the phase path forms e^{-i gamma z} as the conjugate of its one array
+        assert np.array_equal(migrate(d, one).view(np.uint64), want.view(np.uint64))
         fields = synthesize(got, ap), synthesize(want, ap)
         assert np.array_equal(fields[0].view(np.uint64), fields[1].view(np.uint64))
 
@@ -491,11 +525,10 @@ class TestMigrate:
             assert np.array_equal(a, d[:, 0] * phase + d[:, 1] * np.conj(phase))
             assert np.array_equal(a, b)
         assert np.array_equal(d, kept)
-        up, down = run_constants(_AP4, None, zs).phases[0]
+        phase = run_constants(_AP4, None, zs).phases[0]  # e^{+i gamma z} alone
+        assert np.array_equal(phase, np.exp(1j * real(t) * zs[0]))
         with pytest.raises(ValueError):
-            up[0] = 0.0
-        with pytest.raises(ValueError):
-            down[0] = 0.0
+            phase[0] = 0.0
 
     def test_boundary_index_constant_in_z(self):
         ap = Aperture(lx=16.0, dx=0.5, ly=16.0, dy=0.5)
@@ -784,6 +817,34 @@ class TestFieldStatistics:
         for h in plane_coefficients(run_constants(ap, f, tuple(zs)), 47, range(m)):
             got = np.mean(np.abs(h) ** 2, axis=0)
             assert np.max(np.abs(got / want - 1.0)) * math.sqrt(m) < 5.0
+
+    def test_cross_plane_moment_of_a_shaped_two_plane_run(self):
+        # E[conj H(0) H(z)] = sigma2 (g+^2 e^{+i gamma z} + g-^2 e^{-i gamma z})
+        # sees which gain goes with which phase, and the phase itself, where
+        # the power sigma2 (g+^2 + g-^2) sees neither. sigma2, the gains and
+        # gamma come from the table, shaping_gains and lattice_gammas, not
+        # from the run's record. H(0) and H(z) are jointly circular normals
+        # of power s = sigma2 (g+^2 + g-^2) each, so by Isserlis the product
+        # has variance s^2, and m |mean - E|^2 / s^2 has mean 1 and variance
+        # at most 2 per harmonic, the 60 harmonics independent. Their sum T
+        # must sit within 5 times its standard deviation bound sqrt(2 * 60)
+        # of 60: false alarm below 1e-6 a run (normal approximation)
+        ap, z, m = _AP4, 0.3, 2000
+        t = table_2d(4.0, 4.0)
+        f = TestShapeCoefficients._lobed()  # a+ != a- at every harmonic
+        gp, gm = shaping_gains(f, *lattice_wavenumbers(t), KAPPA)
+        phase = np.exp(1j * lattice_gammas(t) * z)
+        want = t.sigma_sq * (gp**2 * phase + gm**2 * np.conj(phase))
+        s = t.sigma_sq * (gp**2 + gm**2)
+        run = run_constants(ap, f, (0.0, z))
+        acc = np.zeros(len(t.ls), dtype=complex)
+        rows = coefficient_rows(run.std)
+        for a in range(0, m, rows):
+            h0, hz = plane_coefficients(run, 59, range(a, min(a + rows, m)))
+            acc += np.sum(np.conj(h0) * hz, axis=0)
+        n = len(t.ls)
+        stat = np.sum(m * np.abs(acc / m - want) ** 2 / s**2)
+        assert abs(stat - n) < 5.0 * math.sqrt(2.0 * n)
 
     def test_shaped_line_generation(self):
         ap = Aperture(lx=16, dx=0.25)
